@@ -209,49 +209,6 @@ def audit_alignment(
     )
 
 
-def _calibration_counts(
-    instances: Iterable[RCInstance],
-    gateway: ModelGateway,
-    config: SaliencyConfig,
-    n_partitions: int,
-    seed: int,
-    alpha: float,
-) -> tuple[int, int]:
-    if n_partitions < 1:
-        raise InputError("calibration needs n_partitions >= 1")
-    significant = 0
-    total = 0
-    for instance in instances:
-        saliency = compute_saliency(gateway, instance, config)
-        for draw in range(n_partitions):
-            partition = random_partition(instance, seed=seed_for(seed, instance.id, draw))
-            result = partition_test(saliency, partition, alpha)
-            significant += int(result.significant)
-            total += 1
-    if total == 0:
-        raise InputError("calibration needs at least one instance")
-    return significant, total
-
-
-def calibration_rate(
-    instances: Iterable[RCInstance],
-    gateway: ModelGateway,
-    config: SaliencyConfig,
-    n_partitions: int = 1,
-    seed: int = 0,
-    alpha: float = 0.05,
-) -> float:
-    """Fraction of seeded random size-matched partitions judged significant.
-
-    A sound test keeps this near alpha: random partitions carry no signal,
-    so rejections here are false positives.
-    """
-    significant, total = _calibration_counts(
-        instances, gateway, config, n_partitions, seed, alpha
-    )
-    return significant / total
-
-
 @dataclass(frozen=True)
 class CalibrationReport:
     rate: float
@@ -283,9 +240,24 @@ def calibrate(
     seed: int = 0,
     alpha: float = 0.05,
 ) -> CalibrationReport:
-    significant, total = _calibration_counts(
-        instances, gateway, config, n_partitions, seed, alpha
-    )
+    """Fraction of seeded random size-matched partitions judged significant.
+
+    A sound test keeps this rate near alpha: random partitions carry no
+    signal, so rejections here are false positives.
+    """
+    if n_partitions < 1:
+        raise InputError("calibration needs n_partitions >= 1")
+    significant = 0
+    total = 0
+    for instance in instances:
+        saliency = compute_saliency(gateway, instance, config)
+        for draw in range(n_partitions):
+            partition = random_partition(instance, seed=seed_for(seed, instance.id, draw))
+            result = partition_test(saliency, partition, alpha)
+            significant += int(result.significant)
+            total += 1
+    if total == 0:
+        raise InputError("calibration needs at least one instance")
     low, high = wilson_interval(significant, total)
     return CalibrationReport(
         rate=significant / total,

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import GatewayError, InputError
+from .errors import InputError
 from .gateway.base import ModelGateway, predict
 from .metrics import exact_match, normalize_answer, token_f1
 from .text import find_token_run, tokenize
@@ -100,20 +100,31 @@ def _question_surface(instance: RCInstance, indices: frozenset[int]) -> str:
     ]
 
 
-def _splice_question(
-    instance: RCInstance, op_indices: frozenset[int], new_surface: str
-) -> tuple[tuple, str, frozenset[int], int]:
-    """Replace the operator words; returns (tokens, text, new operator
-    indices, token-count delta for indices after the operator)."""
-    lo, hi = _contiguous(op_indices, "operator", instance.id)
+def _swap_operator(
+    instance: RCInstance, ann: QuestionAnnotations, new_surface: str, gold: AnswerSpan
+) -> RCInstance:
+    """The `::cf` twin whose operator words (`ann.comparison_operator`) read
+    `new_surface`, with later annotation indices shifted and `gold` as the
+    only answer."""
+    lo, hi = _contiguous(ann.comparison_operator, "operator", instance.id)
     old_start = instance.question[lo].char_start
     old_end = instance.question[hi].char_end
     new_text = instance.question_text[:old_start] + new_surface + instance.question_text[old_end:]
-    new_tokens = tokenize(new_text)
     n_new_op = len(tokenize(new_surface))
     delta = n_new_op - (hi - lo + 1)
-    new_op = frozenset(range(lo, lo + n_new_op))
-    return new_tokens, new_text, new_op, delta
+    return replace(
+        instance,
+        id=f"{instance.id}::cf",
+        question=tokenize(new_text),
+        question_text=new_text,
+        gold_answers=(gold,),
+        annotations=QuestionAnnotations(
+            comparison_operator=frozenset(range(lo, lo + n_new_op)),
+            compared_entities=tuple(_shift_indices(e, hi, delta) for e in ann.compared_entities),
+            value_tokens=_shift_indices(ann.value_tokens, hi, delta),
+            verb_tokens=_shift_indices(ann.verb_tokens, hi, delta),
+        ),
+    )
 
 
 def _shift_indices(indices: frozenset[int], after: int, delta: int) -> frozenset[int]:
@@ -180,26 +191,7 @@ def perturb_comparison(
         raise InputError(f"{instance.id}: gold answer names neither compared entity")
     other = ann.compared_entities[1 - matches[0]]
     new_gold = _entity_context_span(instance, other)
-    op_hi = max(ann.comparison_operator)
-    new_tokens, new_text, new_op, delta = _splice_question(
-        instance, ann.comparison_operator, new_surface
-    )
-    new_ann = QuestionAnnotations(
-        comparison_operator=new_op,
-        compared_entities=tuple(
-            _shift_indices(e, op_hi, delta) for e in ann.compared_entities
-        ),
-        value_tokens=_shift_indices(ann.value_tokens, op_hi, delta),
-        verb_tokens=_shift_indices(ann.verb_tokens, op_hi, delta),
-    )
-    perturbed = replace(
-        instance,
-        id=f"{instance.id}::cf",
-        question=new_tokens,
-        question_text=new_text,
-        gold_answers=(new_gold,),
-        annotations=new_ann,
-    )
+    perturbed = _swap_operator(instance, ann, new_surface, new_gold)
     pair = CFPair(
         original=instance,
         perturbed=perturbed,
@@ -344,25 +336,9 @@ def _pair_from_record(record: dict, original: RCInstance) -> CFPair:
                 f"{original.id}: operator {old_surface!r} not found in the original question"
             )
         op_indices = frozenset(range(hit, hit + len(old_op)))
-        ann = original.annotations or QuestionAnnotations(comparison_operator=op_indices)
-        base = replace(original, annotations=replace(ann, comparison_operator=op_indices))
-        new_tokens, new_text, new_op, delta = _splice_question(base, op_indices, new_surface)
-        op_hi = max(op_indices)
-        new_ann = QuestionAnnotations(
-            comparison_operator=new_op,
-            compared_entities=tuple(
-                _shift_indices(e, op_hi, delta) for e in ann.compared_entities
-            ),
-            value_tokens=_shift_indices(ann.value_tokens, op_hi, delta),
-            verb_tokens=_shift_indices(ann.verb_tokens, op_hi, delta),
-        )
-        perturbed = replace(
-            original,
-            id=f"{original.id}::cf",
-            question=new_tokens,
-            question_text=new_text,
-            gold_answers=(gold,),
-            annotations=new_ann,
+        ann = original.annotations or QuestionAnnotations()
+        perturbed = _swap_operator(
+            original, replace(ann, comparison_operator=op_indices), new_surface, gold
         )
         return CFPair(
             original=original,
@@ -453,12 +429,7 @@ def cf_accuracy(gateway: ModelGateway, pairs: Sequence[CFPair]) -> CFAccuracy:
     for pair in pairs:
         correct = {}
         for condition, instance in (("original", pair.original), ("perturbed", pair.perturbed)):
-            try:
-                pred = predict(gateway, instance).predicted_span.text
-            except GatewayError:
-                raise
-            except Exception as exc:
-                raise GatewayError(f"{instance.id}: {exc}") from exc
+            pred = predict(gateway, instance).predicted_span.text
             golds = [a.text for a in instance.gold_answers]
             stats[condition][0] += token_f1(pred, golds)
             correct[condition] = exact_match(pred, golds)

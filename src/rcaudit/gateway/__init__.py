@@ -15,7 +15,7 @@ from .base import (
 )
 from .baselines import FrequencyBaselineModel, GoldOracleModel
 from .scripted import ScriptedModel
-from .toy import ReferenceToyModel
+from .toy import DEFAULT_EMBEDDING_DIM, ReferenceToyModel
 
 
 def build_gateway(spec: str) -> ModelGateway:
@@ -29,7 +29,7 @@ def build_gateway(spec: str) -> ModelGateway:
         parts = rest.split(":") if rest else []
         try:
             seed = int(parts[0])
-            dim = int(parts[1]) if len(parts) > 1 else 16
+            dim = int(parts[1]) if len(parts) > 1 else DEFAULT_EMBEDDING_DIM
         except (IndexError, ValueError):
             raise InputError(f"bad toy model spec {spec!r} (want toy:<seed>)") from None
         return ReferenceToyModel(seed=seed, embedding_dim=dim)

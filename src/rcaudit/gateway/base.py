@@ -48,10 +48,6 @@ class ModelGateway(ABC):
     def baseline_token(self) -> str:
         return "[MASK]"
 
-    @property
-    def concurrent_safe(self) -> bool:
-        return False
-
     @abstractmethod
     def predict(self, instance: RCInstance) -> ModelOutput: ...
 
@@ -128,7 +124,7 @@ def check_output(instance: RCInstance, output: ModelOutput) -> ModelOutput:
         arr = np.asarray(vec, dtype=float)
         if arr.shape != (n,):
             raise GatewayError(f"{instance.id}: {name} scores have shape {arr.shape}, want ({n},)")
-        if np.any(arr < 0) or np.any(arr > 1):
+        if not np.all((arr >= 0) & (arr <= 1)):
             raise GatewayError(f"{instance.id}: {name} scores outside [0,1]")
         if abs(float(arr.sum()) - 1.0) > 1e-6:
             raise GatewayError(f"{instance.id}: {name} scores sum to {arr.sum():.8f}, want 1")

@@ -38,10 +38,6 @@ class GoldOracleModel(ModelGateway):
     def model_id(self) -> str:
         return "oracle"
 
-    @property
-    def concurrent_safe(self) -> bool:
-        return True
-
     def predict(self, instance: RCInstance) -> ModelOutput:
         gold = instance.gold_answers[0]
         return _one_hot_output(instance, gold.token_start, gold.token_end)
@@ -57,10 +53,6 @@ class FrequencyBaselineModel(ModelGateway):
     @property
     def model_id(self) -> str:
         return "frequency"
-
-    @property
-    def concurrent_safe(self) -> bool:
-        return True
 
     def predict(self, instance: RCInstance) -> ModelOutput:
         counts: Counter[str] = Counter()

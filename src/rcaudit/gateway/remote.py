@@ -53,7 +53,6 @@ def handle_request(gateway: ModelGateway, request: dict) -> dict:
             result = {
                 "model_id": gateway.model_id,
                 "baseline_token": gateway.baseline_token,
-                "concurrent_safe": gateway.concurrent_safe,
                 "max_answer_len": gateway.max_answer_len,
             }
         elif op in ("predict", "embed", "grad_start"):
@@ -176,7 +175,12 @@ class RemoteGateway(ModelGateway):
             raise GatewayError(f"remote gateway i/o failed: {exc}") from exc
         if not line:
             raise GatewayError(f"remote gateway {self.endpoint!r} closed the connection")
-        response = json.loads(line)
+        try:
+            response = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise GatewayError(
+                f"remote gateway {self.endpoint!r} sent a malformed response: {exc}"
+            ) from exc
         if not response.get("ok"):
             exc_type = _ERROR_KINDS.get(response.get("kind"), GatewayError)
             raise exc_type(response.get("error", "remote gateway error"))

@@ -43,10 +43,6 @@ class ScriptedModel(ModelGateway):
     def model_id(self) -> str:
         return f"scripted:{self._name}"
 
-    @property
-    def concurrent_safe(self) -> bool:
-        return True
-
     def _spread(self, n: int, peak: float, position: int) -> np.ndarray:
         scores = np.full(n, (1.0 - peak) / (n - 1)) if n > 1 else np.zeros(1)
         scores[position] = peak if n > 1 else 1.0

@@ -19,6 +19,8 @@ import numpy as np
 from ..types import RCInstance
 from .base import ModelGateway, ModelOutput, answer_span, decode_span
 
+DEFAULT_EMBEDDING_DIM = 16
+
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max()
@@ -27,7 +29,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 class ReferenceToyModel(ModelGateway):
-    def __init__(self, seed: int, embedding_dim: int = 16) -> None:
+    def __init__(self, seed: int, embedding_dim: int = DEFAULT_EMBEDDING_DIM) -> None:
         self.seed = int(seed)
         self.embedding_dim = int(embedding_dim)
         rng = np.random.default_rng(self.seed)
@@ -37,11 +39,9 @@ class ReferenceToyModel(ModelGateway):
 
     @property
     def model_id(self) -> str:
-        return f"toy:{self.seed}"
-
-    @property
-    def concurrent_safe(self) -> bool:
-        return True
+        if self.embedding_dim == DEFAULT_EMBEDDING_DIM:
+            return f"toy:{self.seed}"
+        return f"toy:{self.seed}:{self.embedding_dim}"
 
     def word_embedding(self, text: str) -> np.ndarray:
         """Deterministic unit vector for a word, keyed by (seed, text)."""

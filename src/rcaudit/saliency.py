@@ -35,7 +35,6 @@ class SaliencyConfig:
     method: str = "occlusion"
     ig_steps: int = 50
     summarizer: str = "l2"
-    baseline_policy: str = "mask_all"
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
@@ -44,21 +43,14 @@ class SaliencyConfig:
             raise InputError(f"unknown summarizer {self.summarizer!r}")
         if self.ig_steps < 1:
             raise InputError("ig_steps must be >= 1")
-        if self.baseline_policy != "mask_all":
-            raise InputError(f"unknown baseline policy {self.baseline_policy!r}")
 
     @property
     def config_hash(self) -> str:
-        payload = json.dumps(
-            {
-                "method": self.method,
-                "ig_steps": self.ig_steps,
-                "summarizer": self.summarizer,
-                "baseline_policy": self.baseline_policy,
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+        """Hash of the settings the method reads: occlusion reads none."""
+        payload = {"method": self.method}
+        if self.method == "integrated_gradients":
+            payload.update(ig_steps=self.ig_steps, summarizer=self.summarizer)
+        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -170,18 +162,18 @@ def restrict_map(saliency: SaliencyMap, scope: Scope) -> SaliencyMap:
 
 
 class SaliencyCache:
-    """JSON-lines score cache keyed by (model_id, method, config_hash, instance_id).
+    """JSON-lines score cache keyed by (model_id, config_hash, instance_id).
 
     Floats survive the JSON round trip bit-identically (repr round-trip),
     so a cache hit equals recomputation exactly.
     """
 
     def __init__(self) -> None:
-        self._maps: dict[tuple[str, str, str, str], SaliencyMap] = {}
+        self._maps: dict[tuple[str, str, str], SaliencyMap] = {}
 
     @staticmethod
-    def key_of(saliency: SaliencyMap) -> tuple[str, str, str, str]:
-        return (saliency.model_id, saliency.method, saliency.config_hash, saliency.instance_id)
+    def key_of(saliency: SaliencyMap) -> tuple[str, str, str]:
+        return (saliency.model_id, saliency.config_hash, saliency.instance_id)
 
     def put(self, saliency: SaliencyMap) -> None:
         self._maps[self.key_of(saliency)] = saliency
@@ -189,7 +181,7 @@ class SaliencyCache:
     def get(
         self, model_id: str, config: SaliencyConfig, instance_id: str
     ) -> SaliencyMap | None:
-        return self._maps.get((model_id, config.method, config.config_hash, instance_id))
+        return self._maps.get((model_id, config.config_hash, instance_id))
 
     def __len__(self) -> int:
         return len(self._maps)

@@ -19,7 +19,6 @@ from rcaudit.alignment import (
     alignment_score,
     audit_alignment,
     calibrate,
-    calibration_rate,
     explanation_alignment,
     partition_test,
     record_to_dict,
@@ -349,26 +348,26 @@ class TestCalibration:
         assert report.n_draws == len(instances) * 3
         assert report.rate == report.n_significant / report.n_draws
         assert report.ci_low <= report.rate <= report.ci_high
-        assert report.rate == calibration_rate(
+        assert report.rate == calibrate(
             instances, gateway, config, n_partitions=3, seed=5
-        )
+        ).rate
 
     def test_different_seeds_can_move_the_draws(self, corpus):
         instances = corpus[:4]
         gateway = build_gateway("toy:7")
         config = SaliencyConfig(method="occlusion")
         # determinism holds per seed even if the rates happen to coincide
-        a = calibration_rate(instances, gateway, config, n_partitions=2, seed=1)
-        b = calibration_rate(instances, gateway, config, n_partitions=2, seed=1)
+        a = calibrate(instances, gateway, config, n_partitions=2, seed=1).rate
+        b = calibrate(instances, gateway, config, n_partitions=2, seed=1).rate
         assert a == b
 
     def test_validation(self, corpus):
         gateway = build_gateway("toy:7")
         config = SaliencyConfig(method="occlusion")
         with pytest.raises(InputError, match="n_partitions"):
-            calibration_rate(corpus[:2], gateway, config, n_partitions=0)
+            calibrate(corpus[:2], gateway, config, n_partitions=0)
         with pytest.raises(InputError, match="at least one instance"):
-            calibration_rate([], gateway, config, n_partitions=2)
+            calibrate([], gateway, config, n_partitions=2)
 
     def test_wilson_interval_matches_published_value(self):
         low, high = wilson_interval(5, 10)

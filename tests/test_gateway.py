@@ -130,6 +130,18 @@ class TestOutputValidation:
         with pytest.raises(GatewayError, match="shape"):
             check_output(inst, out)
 
+    def test_all_nan_scores_rejected_naming_the_instance(self):
+        class NanStart(GoldOracleModel):
+            def predict(self, instance):
+                out = super().predict(instance)
+                return ModelOutput(
+                    np.full(instance.n_context, np.nan), out.end_scores, out.predicted_span
+                )
+
+        inst = build_instance("v-5", "Who?", ["Ada wrote."], gold=(0, "Ada"))
+        with pytest.raises(GatewayError, match="v-5: start scores outside"):
+            predict(NanStart(), inst)
+
     def test_predict_wrapper_names_instance_on_failure(self):
         class Exploding(GoldOracleModel):
             def predict(self, instance):
@@ -224,7 +236,8 @@ class TestScripted:
 class TestFactory:
     def test_toy_spec_with_seed_and_dim(self):
         gateway = build_gateway("toy:9:8")
-        assert gateway.model_id == "toy:9"
+        assert gateway.model_id == "toy:9:8"
+        assert build_gateway("toy:9:16").model_id == "toy:9"
         inst = make_synthetic_corpus(1, seed=2)[0]
         assert gateway.embed(inst).shape[1] == 8
 

@@ -43,11 +43,11 @@ class TestHandleRequest:
     def test_info_reports_contract(self, local_toy):
         response = handle_request(local_toy, {"op": "info"})
         assert response["ok"]
-        info = response["result"]
-        assert info["model_id"] == TOY_SPEC
-        assert info["baseline_token"] == local_toy.baseline_token
-        assert info["max_answer_len"] == local_toy.max_answer_len
-        assert isinstance(info["concurrent_safe"], bool)
+        assert response["result"] == {
+            "model_id": TOY_SPEC,
+            "baseline_token": local_toy.baseline_token,
+            "max_answer_len": local_toy.max_answer_len,
+        }
 
     def test_predict_matches_local_gateway(self, local_toy, corpus):
         from rcaudit.corpus.schema import instance_to_dict
@@ -204,6 +204,13 @@ class TestSubprocessRoundTrip:
             RemoteGateway("tcp://127.0.0.1:not-a-port")
         with pytest.raises(GatewayError, match="cannot start"):
             RemoteGateway("./no-such-binary-anywhere")
+
+    def test_malformed_response_line_is_gateway_error(self):
+        script = "import sys; sys.stdin.readline(); print('not json', flush=True)"
+        endpoint = f"{shlex.quote(sys.executable)} -c {shlex.quote(script)}"
+        with pytest.raises(GatewayError, match="malformed") as raised:
+            RemoteGateway(endpoint)
+        assert repr(endpoint) in str(raised.value)
 
     def test_unreachable_tcp_endpoint(self):
         probe = socket.socket()

@@ -27,11 +27,11 @@ from rcaudit.synthetic import make_synthetic_corpus
 
 
 class CountingGateway(ModelGateway):
-    """Wraps another gateway and counts predict calls."""
+    """Wraps another gateway and counts calls to predict, embed and grad_start."""
 
     def __init__(self, inner: ModelGateway) -> None:
         self.inner = inner
-        self.predict_calls = 0
+        self.calls = 0
 
     @property
     def model_id(self) -> str:
@@ -42,13 +42,15 @@ class CountingGateway(ModelGateway):
         return self.inner.baseline_token
 
     def predict(self, instance):
-        self.predict_calls += 1
+        self.calls += 1
         return self.inner.predict(instance)
 
     def embed(self, instance):
+        self.calls += 1
         return self.inner.embed(instance)
 
     def grad_start(self, instance, embeddings, target_position):
+        self.calls += 1
         return self.inner.grad_start(instance, embeddings, target_position)
 
 
@@ -201,14 +203,14 @@ class TestConfig:
             SaliencyConfig(summarizer="max")
         with pytest.raises(InputError):
             SaliencyConfig(method="integrated_gradients", ig_steps=0)
-        with pytest.raises(InputError):
-            SaliencyConfig(baseline_policy="zeros")
 
     def test_hash_tracks_settings(self):
         a = SaliencyConfig(method="integrated_gradients", ig_steps=50)
         b = SaliencyConfig(method="integrated_gradients", ig_steps=64)
-        assert a.config_hash != b.config_hash
+        c = SaliencyConfig(method="integrated_gradients", ig_steps=50, summarizer="dot")
+        assert len({a.config_hash, b.config_hash, c.config_hash}) == 3
         assert a.config_hash == SaliencyConfig(method="integrated_gradients", ig_steps=50).config_hash
+        assert a.config_hash != SaliencyConfig(method="occlusion", ig_steps=50).config_hash
 
 
 class TestCache:
@@ -218,12 +220,30 @@ class TestCache:
         config = SaliencyConfig(method="occlusion")
         inst = corpus[0]
         first = cache.get_or_compute(gateway, inst, config)
-        calls = gateway.predict_calls
+        calls = gateway.calls
         assert calls == 1 + inst.n_question + inst.n_context
         second = cache.get_or_compute(gateway, inst, config)
-        assert gateway.predict_calls == calls  # no recomputation
+        assert gateway.calls == calls  # no recomputation
         assert second is first
         assert len(cache) == 1
+
+    def test_occlusion_hits_whatever_the_settings_it_does_not_read(self, corpus):
+        config = SaliencyConfig(method="occlusion", summarizer="dot", ig_steps=7)
+        assert config.config_hash == SaliencyConfig(method="occlusion").config_hash
+        gateway = CountingGateway(build_gateway("toy:7"))
+        cache = SaliencyCache()
+        first = cache.get_or_compute(gateway, corpus[0], config)
+        calls = gateway.calls
+        assert cache.get_or_compute(gateway, corpus[0], config) is first
+        assert gateway.calls == calls
+
+    def test_toy_embedding_dim_is_part_of_the_model_key(self, corpus):
+        cache = SaliencyCache()
+        config = SaliencyConfig(method="occlusion")
+        cache.get_or_compute(build_gateway("toy:7"), corpus[0], config)
+        assert cache.get("toy:7", config, corpus[0].id) is not None
+        wide = build_gateway("toy:7:32")
+        assert cache.get(wide.model_id, config, corpus[0].id) is None
 
     def test_keys_separate_methods_and_models(self, corpus):
         gateway = build_gateway("toy:7")
