@@ -10,6 +10,8 @@ from .base import (
     answer_span,
     check_output,
     decode_span,
+    embed,
+    grad_start_batch,
     predict,
     span_text,
 )
@@ -62,6 +64,8 @@ __all__ = [
     "build_gateway",
     "check_output",
     "decode_span",
+    "embed",
+    "grad_start_batch",
     "predict",
     "span_text",
 ]

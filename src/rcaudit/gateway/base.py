@@ -4,9 +4,13 @@ A gateway wraps any extractive-QA model behind four capabilities: predict
 (start/end probability vectors over context words plus the decoded span),
 embed (one vector per word, question words first), grad_start (derivative
 of the start probability at a target position with respect to every
-embedding coordinate), and a declared mask token. Gateways work at the
-word level; models with subword vocabularies must reduce subword scores to
-words internally (max over subwords) before returning.
+embedding coordinate; grad_start_batch takes a stack of embedding matrices
+at once), and a declared mask token. Gateways work at the word level;
+models with subword vocabularies must reduce subword scores to words
+internally (max over subwords) before returning.
+
+Callers go through the module functions `predict`, `embed` and
+`grad_start_batch`, which check every output against the contract.
 """
 
 from __future__ import annotations
@@ -58,6 +62,14 @@ class ModelGateway(ABC):
         self, instance: RCInstance, embeddings: np.ndarray, target_position: int
     ) -> np.ndarray:
         raise CapabilityError(f"{self.model_id} does not expose gradients")
+
+    def grad_start_batch(
+        self, instance: RCInstance, points: np.ndarray, target_position: int
+    ) -> np.ndarray:
+        """grad_start at each of the k embedding matrices in `points`
+        (shape (k, n, d)), stacked to (k, n, d). Gateways that can evaluate
+        several points in one pass (or one round trip) override this."""
+        return np.stack([self.grad_start(instance, point, target_position) for point in points])
 
     def close(self) -> None:
         """Release external resources (sockets, subprocesses). No-op here."""
@@ -134,15 +146,55 @@ def check_output(instance: RCInstance, output: ModelOutput) -> ModelOutput:
     return output
 
 
+def _call(gateway: ModelGateway, op: str, instance: RCInstance, *args):
+    """gateway.<op>(instance, *args); any exception that is not already a
+    GatewayError or CapabilityError becomes a GatewayError naming the instance."""
+    try:
+        return getattr(gateway, op)(instance, *args)
+    except (GatewayError, CapabilityError):
+        raise
+    except Exception as exc:
+        raise GatewayError(f"{instance.id}: gateway {gateway.model_id} failed: {exc}") from exc
+
+
+def _checked_array(instance: RCInstance, name: str, value, shape_ok, want: str) -> np.ndarray:
+    arr = np.asarray(value, dtype=float)
+    if not shape_ok(arr.shape):
+        raise GatewayError(f"{instance.id}: {name} have shape {arr.shape}, want {want}")
+    if not np.all(np.isfinite(arr)):
+        raise GatewayError(f"{instance.id}: {name} are not all finite")
+    return arr
+
+
 def predict(gateway: ModelGateway, instance: RCInstance) -> ModelOutput:
     """Call gateway.predict and enforce the output contract.
 
     Any gateway exception surfaces as a GatewayError naming the instance.
     """
-    try:
-        output = gateway.predict(instance)
-    except (GatewayError, CapabilityError):
-        raise
-    except Exception as exc:
-        raise GatewayError(f"{instance.id}: gateway {gateway.model_id} failed: {exc}") from exc
-    return check_output(instance, output)
+    return check_output(instance, _call(gateway, "predict", instance))
+
+
+def embed(gateway: ModelGateway, instance: RCInstance) -> np.ndarray:
+    """Call gateway.embed; the result must be a finite (n_q + n_c, d) matrix."""
+    n = instance.n_question + instance.n_context
+    return _checked_array(
+        instance,
+        "embeddings",
+        _call(gateway, "embed", instance),
+        lambda shape: len(shape) == 2 and shape[0] == n and shape[1] >= 1,
+        f"({n}, d)",
+    )
+
+
+def grad_start_batch(
+    gateway: ModelGateway, instance: RCInstance, points: np.ndarray, target_position: int
+) -> np.ndarray:
+    """Call gateway.grad_start_batch; the result must be finite and shaped
+    like `points`."""
+    return _checked_array(
+        instance,
+        "gradients",
+        _call(gateway, "grad_start_batch", instance, points, target_position),
+        lambda shape: shape == points.shape,
+        str(points.shape),
+    )

@@ -11,24 +11,34 @@ ModelGateway contract, so a fine-tuned encoder hosted in another process
 
 Requests are one JSON object per line:
 
-    {"op": "predict"|"embed"|"grad_start"|"info",
+    {"op": "info"|"predict"|"embed"|"grad_start_batch",
      "instance": {unified instance record}?,
-     "target": int?, "embeddings": [[...]]?}
+     "target": int?, "points": ARRAY?}
 
 Responses mirror the in-memory contract:
 
     {"ok": true, "result": {...}}
     {"ok": false, "error": "...", "kind": "input"|"capability"|"gateway"}
+
+Every array (scores, embeddings, path points, gradients) travels as
+ARRAY = {"shape": [...], "f8": "<base64 of little-endian C-order float64>"},
+so values cross the wire bit for bit and cost 8 bytes (plus a third for
+base64) instead of a decimal string each.
 """
 
 from __future__ import annotations
 
 import argparse
+import base64
+import binascii
 import json
+import math
+import os
 import shlex
 import socket
 import subprocess
 import sys
+import tempfile
 from typing import IO
 
 import numpy as np
@@ -43,6 +53,32 @@ _ERROR_KINDS = {
     "capability": CapabilityError,
     "gateway": GatewayError,
 }
+# Lines of the stdio server's stderr quoted when its connection breaks.
+_STDERR_TAIL_LINES = 10
+_STDERR_TAIL_BYTES = 4096
+
+
+def encode_array(values) -> dict:
+    """Pack an array as its shape plus base64 little-endian float64 bytes."""
+    arr = np.asarray(values, dtype="<f8")
+    return {"shape": list(arr.shape), "f8": base64.b64encode(arr.tobytes()).decode("ascii")}
+
+
+def decode_array(payload) -> np.ndarray:
+    """Inverse of encode_array; a malformed payload is an InputError."""
+    try:
+        shape = tuple(payload["shape"])
+        raw = base64.b64decode(payload["f8"], validate=True)
+    except (KeyError, TypeError, ValueError, binascii.Error) as exc:
+        raise InputError(f"bad packed array: {exc!r}") from None
+    if not all(type(dim) is int and dim >= 0 for dim in shape):
+        raise InputError(f"bad packed array shape {list(shape)}")
+    if len(raw) != 8 * math.prod(shape):
+        raise InputError(
+            f"packed array of shape {list(shape)} needs {8 * math.prod(shape)} bytes, "
+            f"got {len(raw)}"
+        )
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(float)
 
 
 def handle_request(gateway: ModelGateway, request: dict) -> dict:
@@ -55,14 +91,14 @@ def handle_request(gateway: ModelGateway, request: dict) -> dict:
                 "baseline_token": gateway.baseline_token,
                 "max_answer_len": gateway.max_answer_len,
             }
-        elif op in ("predict", "embed", "grad_start"):
+        elif op in ("predict", "embed", "grad_start_batch"):
             instance = instance_from_dict(request["instance"])
             if op == "predict":
                 output = gateway.predict(instance)
                 span = output.predicted_span
                 result = {
-                    "start_scores": np.asarray(output.start_scores).tolist(),
-                    "end_scores": np.asarray(output.end_scores).tolist(),
+                    "start_scores": encode_array(output.start_scores),
+                    "end_scores": encode_array(output.end_scores),
                     "predicted_span": {
                         "text": span.text,
                         "sent": span.sentence_index,
@@ -71,11 +107,13 @@ def handle_request(gateway: ModelGateway, request: dict) -> dict:
                     },
                 }
             elif op == "embed":
-                result = {"embeddings": gateway.embed(instance).tolist()}
+                result = {"embeddings": encode_array(gateway.embed(instance))}
             else:
-                embeddings = np.asarray(request["embeddings"], dtype=float)
-                grad = gateway.grad_start(instance, embeddings, int(request["target"]))
-                result = {"grad": grad.tolist()}
+                points = decode_array(request["points"])
+                if points.ndim != 3:
+                    raise InputError(f"points have shape {points.shape}, want (k, n, d)")
+                grads = gateway.grad_start_batch(instance, points, int(request["target"]))
+                result = {"grads": encode_array(grads)}
         else:
             raise InputError(f"unknown op {op!r}")
     except InputError as exc:
@@ -120,13 +158,15 @@ class RemoteGateway(ModelGateway):
     """Client half of the protocol; satisfies ModelGateway over a wire.
 
     Endpoints: "tcp://host:port" connects a socket; anything else is run
-    as a subprocess command line speaking the protocol on stdio.
+    as a subprocess command line speaking the protocol on stdio, with its
+    stderr kept in a temporary file and quoted when the connection breaks.
     """
 
     def __init__(self, endpoint: str) -> None:
         self.endpoint = endpoint
         self._proc: subprocess.Popen | None = None
         self._sock: socket.socket | None = None
+        self._stderr: IO[bytes] | None = None
         if endpoint.startswith("tcp://"):
             host, _, port = endpoint[len("tcp://") :].partition(":")
             if not port.isdigit():
@@ -141,22 +181,29 @@ class RemoteGateway(ModelGateway):
             argv = shlex.split(endpoint)
             if not argv:
                 raise InputError("empty remote endpoint")
+            self._stderr = tempfile.TemporaryFile()
             try:
                 self._proc = subprocess.Popen(
                     argv,
                     stdin=subprocess.PIPE,
                     stdout=subprocess.PIPE,
+                    stderr=self._stderr,
                     text=True,
                     encoding="utf-8",
                 )
             except OSError as exc:
+                self._stderr.close()
                 raise GatewayError(f"cannot start remote gateway {endpoint!r}: {exc}") from exc
             self._rfile = self._proc.stdout
             self._wfile = self._proc.stdin
-        info = self._request({"op": "info"})
-        self._model_id = info["model_id"]
-        self._baseline_token = info.get("baseline_token", "[MASK]")
-        self.max_answer_len = int(info.get("max_answer_len", self.max_answer_len))
+        try:
+            info = self._request({"op": "info"})
+            self._model_id = info["model_id"]
+            self._baseline_token = info.get("baseline_token", "[MASK]")
+            self.max_answer_len = int(info.get("max_answer_len", self.max_answer_len))
+        except BaseException:
+            self.close()
+            raise
 
     @property
     def model_id(self) -> str:
@@ -166,32 +213,69 @@ class RemoteGateway(ModelGateway):
     def baseline_token(self) -> str:
         return self._baseline_token
 
+    def _stderr_tail(self) -> str:
+        """The last lines the stdio server wrote to stderr ("" for TCP)."""
+        if self._stderr is None or self._stderr.closed:
+            return ""
+        try:
+            # It closed its end, so it is usually exiting: let it finish writing.
+            self._proc.wait(timeout=1)
+        except subprocess.TimeoutExpired:
+            pass
+        fd = self._stderr.fileno()
+        size = os.fstat(fd).st_size
+        # pread leaves the offset the server's writes share untouched.
+        offset = max(0, size - _STDERR_TAIL_BYTES)
+        data = os.pread(fd, size - offset, offset)
+        lines = data.decode("utf-8", "replace").splitlines()
+        return "\n".join(lines[-_STDERR_TAIL_LINES:])
+
+    def _broken(self, what: str) -> GatewayError:
+        message = f"remote gateway {self.endpoint!r} {what}"
+        tail = self._stderr_tail()
+        if tail:
+            message += f"; its stderr ends with:\n{tail}"
+        return GatewayError(message)
+
     def _request(self, request: dict) -> dict:
         try:
             self._wfile.write(json.dumps(request) + "\n")
             self._wfile.flush()
             line = self._rfile.readline()
         except (OSError, ValueError) as exc:
-            raise GatewayError(f"remote gateway i/o failed: {exc}") from exc
+            raise self._broken(f"i/o failed: {exc}") from exc
         if not line:
-            raise GatewayError(f"remote gateway {self.endpoint!r} closed the connection")
+            raise self._broken("closed the connection")
         try:
             response = json.loads(line)
         except json.JSONDecodeError as exc:
             raise GatewayError(
                 f"remote gateway {self.endpoint!r} sent a malformed response: {exc}"
             ) from exc
+        if not isinstance(response, dict):
+            raise GatewayError(
+                f"remote gateway {self.endpoint!r} sent a malformed response: "
+                f"{type(response).__name__}, not an object"
+            )
         if not response.get("ok"):
             exc_type = _ERROR_KINDS.get(response.get("kind"), GatewayError)
             raise exc_type(response.get("error", "remote gateway error"))
         return response["result"]
 
+    def _array(self, result: dict, field: str) -> np.ndarray:
+        try:
+            return decode_array(result[field])
+        except (InputError, KeyError) as exc:
+            raise GatewayError(
+                f"remote gateway {self.endpoint!r} sent a bad {field!r}: {exc}"
+            ) from exc
+
     def predict(self, instance: RCInstance) -> ModelOutput:
         result = self._request({"op": "predict", "instance": instance_to_dict(instance)})
         span = result["predicted_span"]
         return ModelOutput(
-            start_scores=np.asarray(result["start_scores"], dtype=float),
-            end_scores=np.asarray(result["end_scores"], dtype=float),
+            start_scores=self._array(result, "start_scores"),
+            end_scores=self._array(result, "end_scores"),
             predicted_span=AnswerSpan(
                 text=span["text"],
                 sentence_index=span["sent"],
@@ -202,20 +286,26 @@ class RemoteGateway(ModelGateway):
 
     def embed(self, instance: RCInstance) -> np.ndarray:
         result = self._request({"op": "embed", "instance": instance_to_dict(instance)})
-        return np.asarray(result["embeddings"], dtype=float)
+        return self._array(result, "embeddings")
 
     def grad_start(
         self, instance: RCInstance, embeddings: np.ndarray, target_position: int
     ) -> np.ndarray:
+        points = np.asarray(embeddings, dtype=float)[np.newaxis]
+        return self.grad_start_batch(instance, points, target_position)[0]
+
+    def grad_start_batch(
+        self, instance: RCInstance, points: np.ndarray, target_position: int
+    ) -> np.ndarray:
         result = self._request(
             {
-                "op": "grad_start",
+                "op": "grad_start_batch",
                 "instance": instance_to_dict(instance),
-                "embeddings": np.asarray(embeddings, dtype=float).tolist(),
+                "points": encode_array(points),
                 "target": target_position,
             }
         )
-        return np.asarray(result["grad"], dtype=float)
+        return self._array(result, "grads")
 
     def close(self) -> None:
         for stream in (getattr(self, "_wfile", None), getattr(self, "_rfile", None)):
@@ -232,6 +322,9 @@ class RemoteGateway(ModelGateway):
                 self._proc.wait(timeout=5)
             except subprocess.TimeoutExpired:
                 self._proc.kill()
+                self._proc.wait()
+        if self._stderr is not None:
+            self._stderr.close()
 
 
 def main(argv: list[str] | None = None) -> int:

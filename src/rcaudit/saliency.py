@@ -21,13 +21,16 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import InputError
-from .gateway.base import ModelGateway, predict
+from .errors import GatewayError, InputError
+from .gateway.base import ModelGateway, embed, grad_start_batch, predict
 from .masking import mask_all, mask_word
 from .types import RCInstance, Scope
 
 METHODS = ("occlusion", "integrated_gradients")
 SUMMARIZERS = ("l2", "l1", "dot")
+# Float64 values per grad_start_batch call: integrated gradients sends its
+# path points in chunks of max(1, IG_CHUNK_FLOATS // point size) points.
+IG_CHUNK_FLOATS = 8192
 
 
 @dataclass(frozen=True)
@@ -106,7 +109,9 @@ def ig_saliency(
 ) -> SaliencyMap:
     """Integrated gradients from a mask-all baseline to the real input.
 
-    Right-endpoint Riemann sum with config.ig_steps points; each word's
+    Right-endpoint Riemann sum with config.ig_steps points, sent to the
+    gateway in chunks of grad_start_batch; gradients are added in path
+    order, so the map does not depend on the chunk size. Each word's
     attribution vector is (E_k - B_k) times the path-averaged gradient row,
     then summarized to a scalar.
     """
@@ -114,14 +119,23 @@ def ig_saliency(
         config = SaliencyConfig(method="integrated_gradients")
     original = predict(gateway, instance)
     anchor = int(np.argmax(original.start_scores))
-    embeddings = gateway.embed(instance)
-    baseline = gateway.embed(mask_all(instance, gateway.baseline_token))
+    embeddings = embed(gateway, instance)
+    baseline = embed(gateway, mask_all(instance, gateway.baseline_token))
+    if baseline.shape != embeddings.shape:
+        raise GatewayError(
+            f"{instance.id}: baseline embeddings have shape {baseline.shape}, "
+            f"want {embeddings.shape}"
+        )
     delta = embeddings - baseline
     m = config.ig_steps
+    chunk = max(1, IG_CHUNK_FLOATS // embeddings.size)
     grad_total = np.zeros_like(embeddings)
-    for j in range(1, m + 1):
-        point = baseline + (j / m) * delta
-        grad_total += gateway.grad_start(instance, point, anchor)
+    for first in range(1, m + 1, chunk):
+        points = np.stack(
+            [baseline + (j / m) * delta for j in range(first, min(first + chunk, m + 1))]
+        )
+        for grad in grad_start_batch(gateway, instance, points, anchor):
+            grad_total += grad
     attributions = delta * (grad_total / m)
     scores = tuple(summarize(row, config.summarizer) for row in attributions)
     return SaliencyMap(

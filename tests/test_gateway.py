@@ -6,10 +6,20 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcaudit.errors import GatewayError, InputError
 from rcaudit.gateway import build_gateway
-from rcaudit.gateway.base import ModelOutput, check_output, decode_span, predict, span_text
+from rcaudit.gateway.base import (
+    ModelOutput,
+    check_output,
+    decode_span,
+    embed,
+    grad_start_batch,
+    predict,
+    span_text,
+)
 from rcaudit.gateway.baselines import FrequencyBaselineModel, GoldOracleModel
 from rcaudit.gateway.scripted import ScriptedModel
 from rcaudit.gateway.toy import ReferenceToyModel
@@ -107,6 +117,26 @@ class TestToyModel:
         grad = gateway.grad_start(inst, emb, 0)
         assert np.abs(grad).max() == 0.0
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        dim=st.integers(1, 24),
+        k=st.integers(1, 9),
+        instance_seed=st.integers(0, 50),
+        scale=st.floats(-3.0, 3.0, allow_nan=False),
+    )
+    def test_default_batch_equals_stacked_single_points(self, seed, dim, k, instance_seed, scale):
+        gateway = ReferenceToyModel(seed=seed, embedding_dim=dim)
+        inst = make_synthetic_corpus(1, seed=instance_seed)[0]
+        emb = gateway.embed(inst)
+        rng = np.random.default_rng(seed + k)
+        points = np.stack([emb + scale * rng.standard_normal(emb.shape) for _ in range(k)])
+        target = int(rng.integers(inst.n_context))
+        batch = gateway.grad_start_batch(inst, points, target)
+        single = np.stack([gateway.grad_start(inst, point, target) for point in points])
+        assert batch.shape == points.shape
+        assert batch.tobytes() == single.tobytes()
+
     def test_embedding_rows_are_unit_norm(self):
         gateway = ReferenceToyModel(seed=0)
         inst = make_synthetic_corpus(1, seed=1)[0]
@@ -150,6 +180,50 @@ class TestOutputValidation:
         inst = build_instance("v-3", "Who?", ["Ada wrote."], gold=(0, "Ada"))
         with pytest.raises(GatewayError, match="v-3"):
             predict(Exploding(), inst)
+
+    def test_embed_and_gradients_are_checked_naming_the_instance(self):
+        class Faulty(ReferenceToyModel):
+            def __init__(self, fault):
+                super().__init__(seed=1)
+                self.fault = fault
+
+            def embed(self, instance):
+                emb = super().embed(instance)
+                return emb[1:] if self.fault == "short" else emb
+
+            def grad_start(self, instance, embeddings, target_position):
+                grad = super().grad_start(instance, embeddings, target_position)
+                if self.fault == "nan":
+                    grad[0, 0] = np.nan
+                if self.fault == "inf":
+                    grad[-1, -1] = -np.inf
+                return grad
+
+            def grad_start_batch(self, instance, points, target_position):
+                grads = super().grad_start_batch(instance, points, target_position)
+                return grads[:-1] if self.fault == "drop" else grads
+
+        inst = build_instance("v-6", "Who?", ["Ada wrote."], gold=(0, "Ada"))
+        emb = ReferenceToyModel(seed=1).embed(inst)
+        points = np.stack([emb, emb / 2])
+        assert embed(Faulty(None), inst).shape == (5, 16)
+        assert grad_start_batch(Faulty(None), inst, points, 0).shape == (2, 5, 16)
+        with pytest.raises(GatewayError, match=r"v-6: embeddings have shape \(4, 16\), want \(5, d\)"):
+            embed(Faulty("short"), inst)
+        for fault in ("nan", "inf"):
+            with pytest.raises(GatewayError, match="v-6: gradients are not all finite"):
+                grad_start_batch(Faulty(fault), inst, points, 0)
+        with pytest.raises(GatewayError, match=r"v-6: gradients have shape \(1, 5, 16\)"):
+            grad_start_batch(Faulty("drop"), inst, points, 0)
+
+    def test_embed_wrapper_names_instance_on_failure(self):
+        class Exploding(ReferenceToyModel):
+            def embed(self, instance):
+                raise RuntimeError("boom")
+
+        inst = build_instance("v-7", "Who?", ["Ada wrote."], gold=(0, "Ada"))
+        with pytest.raises(GatewayError, match="v-7: gateway toy:0 failed: boom"):
+            embed(Exploding(seed=0), inst)
 
     def test_span_text_joins_across_sentences_with_spaces(self):
         inst = build_instance(

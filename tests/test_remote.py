@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import base64
+import gc
 import io
 import json
+import os
 import shlex
 import socket
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -16,13 +20,38 @@ import pytest
 from conftest import build_instance
 from rcaudit.errors import CapabilityError, GatewayError, InputError
 from rcaudit.gateway import build_gateway
-from rcaudit.gateway.remote import RemoteGateway, handle_request, serve_stream
+from rcaudit.gateway.remote import (
+    RemoteGateway,
+    decode_array,
+    encode_array,
+    handle_request,
+    serve_stream,
+)
+from rcaudit.saliency import SaliencyConfig, ig_saliency
 
 TOY_SPEC = "toy:7"
 
 
 def remote_endpoint(model_spec: str) -> str:
     return f"{shlex.quote(sys.executable)} -m rcaudit.gateway.remote --model {model_spec}"
+
+
+def python_endpoint(script: str) -> str:
+    return f"{shlex.quote(sys.executable)} -c {shlex.quote(script)}"
+
+
+def thirty_two_word_instance():
+    inst = build_instance(
+        "ig-32",
+        "Which keeper lit the harbour lamp?",
+        [
+            "Ivo Brandt lit the harbour lamp at dusk.",
+            "The fishing boats came home late that evening under a sky full of grey clouds.",
+        ],
+        gold=(0, "Ivo Brandt"),
+    )
+    assert inst.n_question + inst.n_context == 32
+    return inst
 
 
 @pytest.fixture(scope="module")
@@ -57,8 +86,8 @@ class TestHandleRequest:
         assert response["ok"]
         result = response["result"]
         local = local_toy.predict(inst)
-        assert result["start_scores"] == list(local.start_scores)
-        assert result["end_scores"] == list(local.end_scores)
+        assert list(decode_array(result["start_scores"])) == list(local.start_scores)
+        assert list(decode_array(result["end_scores"])) == list(local.end_scores)
         span = result["predicted_span"]
         assert span["text"] == local.predicted_span.text
         assert (span["tok_start"], span["tok_end"]) == (
@@ -73,16 +102,24 @@ class TestHandleRequest:
         record = instance_to_dict(inst)
         embedded = handle_request(local_toy, {"op": "embed", "instance": record})
         assert embedded["ok"]
-        embeddings = np.asarray(embedded["result"]["embeddings"])
+        embeddings = decode_array(embedded["result"]["embeddings"])
         assert np.array_equal(embeddings, local_toy.embed(inst))
 
+        points = np.stack([embeddings, 0.5 * embeddings])
         response = handle_request(
             local_toy,
-            {"op": "grad_start", "instance": record, "embeddings": embeddings.tolist(), "target": 0},
+            {
+                "op": "grad_start_batch",
+                "instance": record,
+                "points": encode_array(points),
+                "target": 0,
+            },
         )
         assert response["ok"]
-        expected = local_toy.grad_start(inst, embeddings, 0)
-        assert np.array_equal(np.asarray(response["result"]["grad"]), expected)
+        grads = decode_array(response["result"]["grads"])
+        assert grads.shape == points.shape
+        for point, grad in zip(points, grads):
+            assert np.array_equal(grad, local_toy.grad_start(inst, point, 0))
 
     def test_unknown_op_is_input_error(self, local_toy):
         response = handle_request(local_toy, {"op": "translate"})
@@ -103,9 +140,9 @@ class TestHandleRequest:
         response = handle_request(
             local_toy,
             {
-                "op": "grad_start",
+                "op": "grad_start_batch",
                 "instance": instance_to_dict(inst),
-                "embeddings": embeddings.tolist(),
+                "points": encode_array(embeddings[np.newaxis]),
                 "target": 10_000,
             },
         )
@@ -126,6 +163,88 @@ class TestHandleRequest:
         response = handle_request(gateway, {"op": "embed", "instance": instance_to_dict(inst)})
         assert not response["ok"]
         assert response["kind"] == "capability"
+
+
+    def test_short_packed_payload_is_input_error(self, local_toy, corpus):
+        from rcaudit.corpus.schema import instance_to_dict
+
+        inst = corpus[0]
+        points = encode_array(local_toy.embed(inst)[np.newaxis])
+        points["shape"] = [2] + points["shape"][1:]
+        response = handle_request(
+            local_toy,
+            {"op": "grad_start_batch", "instance": instance_to_dict(inst), "points": points, "target": 0},
+        )
+        assert not response["ok"]
+        assert response["kind"] == "input"
+        assert "bytes" in response["error"]
+
+    def test_points_must_be_a_stack_of_matrices(self, local_toy, corpus):
+        from rcaudit.corpus.schema import instance_to_dict
+
+        inst = corpus[0]
+        response = handle_request(
+            local_toy,
+            {
+                "op": "grad_start_batch",
+                "instance": instance_to_dict(inst),
+                "points": encode_array(local_toy.embed(inst)),
+                "target": 0,
+            },
+        )
+        assert not response["ok"]
+        assert response["kind"] == "input"
+
+    def test_single_point_op_is_gone(self, local_toy):
+        response = handle_request(local_toy, {"op": "grad_start"})
+        assert not response["ok"]
+        assert response["kind"] == "input"
+        assert "unknown op" in response["error"]
+
+
+class TestPackedArrays:
+    def test_round_trip_is_bit_exact_for_edge_values(self):
+        tiny = np.finfo(float).tiny
+        values = np.array(
+            [
+                [0.0, -0.0, 5e-324, -5e-324],
+                [tiny / 3, -tiny, np.finfo(float).max, -np.finfo(float).max],
+                [1e308, -1e-308, 1 / 3, 0.1],
+            ]
+        )
+        payload = json.loads(json.dumps(encode_array(values)))
+        assert payload["shape"] == [3, 4]
+        decoded = decode_array(payload)
+        assert decoded.shape == values.shape
+        assert decoded.tobytes() == values.tobytes()
+        assert np.signbit(decoded[0, 1])
+        decoded[0, 0] = 1.0  # decoded arrays are writable copies
+
+    def test_empty_and_scalar_shapes(self):
+        assert decode_array(encode_array(np.zeros((0, 16)))).shape == (0, 16)
+        assert decode_array(encode_array(2.5)).tolist() == 2.5
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"shape": [2], "f8": base64.b64encode(b"\0" * 8).decode()},
+            {"shape": [1], "f8": base64.b64encode(b"\0" * 9).decode()},
+            {"shape": [1], "f8": "not base64!"},
+            {"shape": [-1], "f8": ""},
+            {"shape": [1.5], "f8": ""},
+            {"f8": ""},
+            [0.0, 1.0],
+        ],
+    )
+    def test_malformed_payloads_are_input_errors(self, payload):
+        with pytest.raises(InputError):
+            decode_array(payload)
+
+    def test_client_rejects_mismatched_payload_as_gateway_error(self, remote_toy, corpus, monkeypatch):
+        bad = {"shape": [2, 2], "f8": base64.b64encode(b"\0" * 8).decode()}
+        monkeypatch.setattr(remote_toy, "_request", lambda request: {"embeddings": bad})
+        with pytest.raises(GatewayError, match="embeddings.*bytes"):
+            remote_toy.embed(corpus[0])
 
 
 class TestServeStream:
@@ -191,6 +310,30 @@ class TestSubprocessRoundTrip:
             with pytest.raises(CapabilityError):
                 gateway.embed(inst)
 
+    @pytest.mark.parametrize("steps", [1, 15, 16, 17, 256])
+    def test_ig_maps_equal_in_process_maps(self, remote_toy, local_toy, steps):
+        inst = thirty_two_word_instance()
+        config = SaliencyConfig(method="integrated_gradients", ig_steps=steps)
+        remote = ig_saliency(remote_toy, inst, config)
+        local = ig_saliency(local_toy, inst, config)
+        assert remote.scores == local.scores
+        assert remote.anchor_position == local.anchor_position
+
+    def test_ig_sends_path_points_in_chunks(self, remote_toy, monkeypatch):
+        inst = thirty_two_word_instance()
+        ops = []
+        request = remote_toy._request
+
+        def counting(payload):
+            ops.append(payload["op"])
+            return request(payload)
+
+        monkeypatch.setattr(remote_toy, "_request", counting)
+        ig_saliency(remote_toy, inst, SaliencyConfig(method="integrated_gradients", ig_steps=256))
+        # 32 words x 16 dims: 16 path points per request, 256 / 16 batches
+        assert ops.count("grad_start_batch") == 16
+        assert len(ops) <= 20
+
     def test_context_manager_stops_the_subprocess(self, corpus):
         with RemoteGateway(remote_endpoint(TOY_SPEC)) as gateway:
             gateway.predict(corpus[0])
@@ -206,11 +349,50 @@ class TestSubprocessRoundTrip:
             RemoteGateway("./no-such-binary-anywhere")
 
     def test_malformed_response_line_is_gateway_error(self):
-        script = "import sys; sys.stdin.readline(); print('not json', flush=True)"
-        endpoint = f"{shlex.quote(sys.executable)} -c {shlex.quote(script)}"
+        endpoint = python_endpoint("import sys; sys.stdin.readline(); print('not json', flush=True)")
         with pytest.raises(GatewayError, match="malformed") as raised:
             RemoteGateway(endpoint)
         assert repr(endpoint) in str(raised.value)
+
+    def test_json_line_that_is_not_an_object_is_gateway_error(self):
+        endpoint = python_endpoint("import sys; sys.stdin.readline(); print('[1, 2]', flush=True)")
+        with pytest.raises(GatewayError, match="malformed.*list"):
+            RemoteGateway(endpoint)
+
+    def test_failed_handshake_reaps_the_server(self, monkeypatch):
+        script = "import sys, time; sys.stdin.readline(); print('not json', flush=True); time.sleep(60)"
+        pids = []
+        popen = subprocess.Popen
+
+        def recording(*args, **kwargs):
+            proc = popen(*args, **kwargs)
+            pids.append(proc.pid)
+            return proc
+
+        monkeypatch.setattr(subprocess, "Popen", recording)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(GatewayError, match="malformed"):
+                RemoteGateway(python_endpoint(script))
+            gc.collect()
+        (pid,) = pids
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)  # already waited for: not our child any more
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_server_stderr_tail_is_in_the_error(self):
+        script = (
+            "import sys\n"
+            "for k in range(40): print(f'loading shard {k}', file=sys.stderr)\n"
+            "print('fatal: model weights missing', file=sys.stderr)\n"
+            "sys.exit(3)"
+        )
+        with pytest.raises(GatewayError) as raised:
+            RemoteGateway(python_endpoint(script))
+        message = str(raised.value)
+        assert "fatal: model weights missing" in message
+        assert "loading shard 39" in message
+        assert "loading shard 0\n" not in message  # only the last lines are kept
 
     def test_unreachable_tcp_endpoint(self):
         probe = socket.socket()

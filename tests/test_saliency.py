@@ -9,7 +9,7 @@ import pytest
 
 from conftest import build_instance
 from oracle_helpers import LinearStartGateway, oracle_occlusion
-from rcaudit.errors import InputError
+from rcaudit.errors import GatewayError, InputError
 from rcaudit.gateway import build_gateway
 from rcaudit.gateway.base import ModelGateway
 from rcaudit.masking import mask_all
@@ -147,6 +147,40 @@ class TestIntegratedGradients:
         assert all(s >= 0 for s in by_kind["l2"].scores)
         assert all(s >= 0 for s in by_kind["l1"].scores)
         assert by_kind["l1"].scores != by_kind["l2"].scores
+
+
+    @pytest.mark.parametrize("steps", [1, 7, 40])
+    def test_chunked_path_equals_one_point_at_a_time(self, corpus, steps):
+        """The sum over path points does not depend on how they are chunked."""
+        gateway = build_gateway("toy:7")
+        config = SaliencyConfig(method="integrated_gradients", ig_steps=steps)
+        for inst in corpus[:3]:
+            anchor = int(np.argmax(gateway.predict(inst).start_scores))
+            embeddings = gateway.embed(inst)
+            baseline = gateway.embed(mask_all(inst, gateway.baseline_token))
+            delta = embeddings - baseline
+            total = np.zeros_like(embeddings)
+            for j in range(1, steps + 1):
+                total += gateway.grad_start(inst, baseline + (j / steps) * delta, anchor)
+            expected = tuple(float(np.linalg.norm(row)) for row in delta * (total / steps))
+            assert ig_saliency(gateway, inst, config).scores == expected
+
+    def test_faulty_gradients_and_embeddings_are_rejected(self, corpus):
+        class NanGrads(CountingGateway):
+            def grad_start(self, instance, embeddings, target_position):
+                return np.full_like(embeddings, np.nan)
+
+        class NarrowBaseline(CountingGateway):
+            def embed(self, instance):
+                emb = self.inner.embed(instance)
+                return emb[:, :-1] if instance.question[0].text == self.baseline_token else emb
+
+        inst = corpus[0]
+        config = SaliencyConfig(method="integrated_gradients", ig_steps=4)
+        with pytest.raises(GatewayError, match=f"{inst.id}: gradients are not all finite"):
+            ig_saliency(NanGrads(build_gateway("toy:7")), inst, config)
+        with pytest.raises(GatewayError, match=f"{inst.id}: baseline embeddings have shape"):
+            ig_saliency(NarrowBaseline(build_gateway("toy:7")), inst, config)
 
 
 class TestSummarize:
