@@ -19,6 +19,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ..errors import CapabilityError, GatewayError, InputError
 from ..types import AnswerSpan, RCInstance
@@ -87,7 +88,8 @@ def decode_span(
     """Highest-scoring (start, end) pair with start <= end < start + max len.
 
     The score of a pair is start[i] + end[j]; ties break toward the smallest
-    start, then the smallest end.
+    start, then the smallest end, and a pair scoring NaN is never chosen.
+    When no pair scores above -inf the result is (0, 0).
     """
     start = np.asarray(start_scores, dtype=float)
     end = np.asarray(end_scores, dtype=float)
@@ -96,14 +98,20 @@ def decode_span(
         raise InputError("decode_span needs equal-length non-empty score vectors")
     if max_answer_len < 1:
         raise InputError("max_answer_len must be >= 1")
-    best = (-np.inf, 0, 0)
-    for i in range(n):
-        stop = min(n, i + max_answer_len)
-        for j in range(i, stop):
-            score = start[i] + end[j]
-            if score > best[0]:
-                best = (score, i, j)
-    return best[1], best[2]
+    # Row i of the band holds start[i] + end[i + k] for k < width; pairs past
+    # the end meet -inf padding. Row-major argmax returns the first maximum,
+    # which is the smallest start and then the smallest end. NaN never wins.
+    width = min(max_answer_len, n)
+    padded_end = np.concatenate([end, np.full(width - 1, -np.inf)])
+    # The read-only (n, width) window view of sliding_window_view, without its
+    # argument handling, which costs more than the whole decode for short n.
+    step = padded_end.strides[0]
+    windows = as_strided(padded_end, shape=(n, width), strides=(step, step), writeable=False)
+    with np.errstate(invalid="ignore"):
+        band = start[:, np.newaxis] + windows
+    band[np.isnan(band)] = -np.inf
+    i, k = divmod(int(np.argmax(band)), width)
+    return i, i + k
 
 
 def span_text(instance: RCInstance, token_start: int, token_end: int) -> str:

@@ -198,9 +198,9 @@ class RemoteGateway(ModelGateway):
             self._wfile = self._proc.stdin
         try:
             info = self._request({"op": "info"})
-            self._model_id = info["model_id"]
-            self._baseline_token = info.get("baseline_token", "[MASK]")
-            self.max_answer_len = int(info.get("max_answer_len", self.max_answer_len))
+            self._model_id = self._field(info, "model_id", str)
+            self._baseline_token = self._field(info, "baseline_token", str, "[MASK]")
+            self.max_answer_len = self._field(info, "max_answer_len", int, self.max_answer_len)
         except BaseException:
             self.close()
             raise
@@ -260,27 +260,42 @@ class RemoteGateway(ModelGateway):
         if not response.get("ok"):
             exc_type = _ERROR_KINDS.get(response.get("kind"), GatewayError)
             raise exc_type(response.get("error", "remote gateway error"))
-        return response["result"]
+        return self._field(response, "result", dict)
+
+    def _field(self, reply: dict, name: str, kind: type, default=None):
+        """reply[name], which must be a `kind`; otherwise a GatewayError
+        naming the endpoint. A missing field with a default gives the default."""
+        if name not in reply:
+            if default is not None:
+                return default
+            raise GatewayError(f"remote gateway {self.endpoint!r} sent a reply without {name!r}")
+        value = reply[name]
+        if not isinstance(value, kind):
+            raise GatewayError(
+                f"remote gateway {self.endpoint!r} sent {name!r} as "
+                f"{type(value).__name__}, want {kind.__name__}"
+            )
+        return value
 
     def _array(self, result: dict, field: str) -> np.ndarray:
         try:
-            return decode_array(result[field])
-        except (InputError, KeyError) as exc:
+            return decode_array(self._field(result, field, dict))
+        except InputError as exc:
             raise GatewayError(
                 f"remote gateway {self.endpoint!r} sent a bad {field!r}: {exc}"
             ) from exc
 
     def predict(self, instance: RCInstance) -> ModelOutput:
         result = self._request({"op": "predict", "instance": instance_to_dict(instance)})
-        span = result["predicted_span"]
+        span = self._field(result, "predicted_span", dict)
         return ModelOutput(
             start_scores=self._array(result, "start_scores"),
             end_scores=self._array(result, "end_scores"),
             predicted_span=AnswerSpan(
-                text=span["text"],
-                sentence_index=span["sent"],
-                token_start=span["tok_start"],
-                token_end=span["tok_end"],
+                text=self._field(span, "text", str),
+                sentence_index=self._field(span, "sent", int),
+                token_start=self._field(span, "tok_start", int),
+                token_end=self._field(span, "tok_end", int),
             ),
         )
 

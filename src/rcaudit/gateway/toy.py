@@ -20,6 +20,8 @@ from ..types import RCInstance
 from .base import ModelGateway, ModelOutput, answer_span, decode_span
 
 DEFAULT_EMBEDDING_DIM = 16
+# Rows the word-embedding table starts with.
+_INITIAL_TABLE_ROWS = 64
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -35,7 +37,9 @@ class ReferenceToyModel(ModelGateway):
         rng = np.random.default_rng(self.seed)
         self._m_start = rng.standard_normal((self.embedding_dim, self.embedding_dim))
         self._m_end = rng.standard_normal((self.embedding_dim, self.embedding_dim))
-        self._embeddings: dict[str, np.ndarray] = {}
+        # One cache for every word seen: its row in a table that grows by doubling.
+        self._rows: dict[str, int] = {}
+        self._table = np.empty((_INITIAL_TABLE_ROWS, self.embedding_dim))
 
     @property
     def model_id(self) -> str:
@@ -43,21 +47,32 @@ class ReferenceToyModel(ModelGateway):
             return f"toy:{self.seed}"
         return f"toy:{self.seed}:{self.embedding_dim}"
 
+    def _row(self, text: str) -> int:
+        row = self._rows.get(text)
+        if row is None:
+            row = len(self._rows)
+            if row == len(self._table):
+                grown = np.empty((2 * row, self.embedding_dim))
+                grown[:row] = self._table
+                self._table = grown
+            digest = hashlib.sha256(f"{self.seed}\x00{text}".encode("utf-8")).digest()
+            rng = np.random.default_rng(int.from_bytes(digest, "big"))
+            vec = rng.standard_normal(self.embedding_dim)
+            self._table[row] = vec / np.linalg.norm(vec)
+            self._rows[text] = row
+        return row
+
     def word_embedding(self, text: str) -> np.ndarray:
         """Deterministic unit vector for a word, keyed by (seed, text)."""
-        cached = self._embeddings.get(text)
-        if cached is not None:
-            return cached
-        digest = hashlib.sha256(f"{self.seed}\x00{text}".encode("utf-8")).digest()
-        rng = np.random.default_rng(int.from_bytes(digest, "big"))
-        vec = rng.standard_normal(self.embedding_dim)
-        vec = vec / np.linalg.norm(vec)
-        self._embeddings[text] = vec
-        return vec
+        row = self._row(text)  # before reading the table, which it may replace
+        return self._table[row].copy()
 
     def embed(self, instance: RCInstance) -> np.ndarray:
         words = [t.text for t in instance.question] + [t.text for t in instance.context_tokens]
-        return np.stack([self.word_embedding(w) for w in words])
+        # Rows first: adding a word may replace the table. Fancy indexing
+        # copies, so callers may write into the result.
+        rows = [self._row(w) for w in words]
+        return self._table[rows]
 
     def _distributions(self, embeddings: np.ndarray, n_question: int):
         q_bar = embeddings[:n_question].mean(axis=0)

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rcaudit.errors import GatewayError, InputError
@@ -22,7 +23,7 @@ from rcaudit.gateway.base import (
 )
 from rcaudit.gateway.baselines import FrequencyBaselineModel, GoldOracleModel
 from rcaudit.gateway.scripted import ScriptedModel
-from rcaudit.gateway.toy import ReferenceToyModel
+from rcaudit.gateway.toy import _INITIAL_TABLE_ROWS, ReferenceToyModel
 from rcaudit.synthetic import make_synthetic_corpus
 
 from conftest import build_instance
@@ -38,6 +39,36 @@ def brute_force_decode(start, end, max_answer_len=30):
             if score > best_score:
                 best, best_score = (i, j), score
     return best
+
+
+@np.errstate(invalid="ignore")  # inf + -inf; the suite turns RuntimeWarnings into errors
+def loop_decode(start_scores, end_scores, max_answer_len=30):
+    """The double loop decode_span ran before it became a banded argmax,
+    kept verbatim as the reference: best starts at (-inf, 0, 0), so inputs
+    where no pair beats -inf (all NaN, all -inf) decode to (0, 0)."""
+    start = np.asarray(start_scores, dtype=float)
+    end = np.asarray(end_scores, dtype=float)
+    n = start.shape[0]
+    best = (-np.inf, 0, 0)
+    for i in range(n):
+        stop = min(n, i + max_answer_len)
+        for j in range(i, stop):
+            score = start[i] + end[j]
+            if score > best[0]:
+                best = (score, i, j)
+    return best[1], best[2]
+
+
+def seeded_unit_vector(seed, text, dim):
+    """The toy model's word vector, computed from scratch."""
+    digest = hashlib.sha256(f"{seed}\x00{text}".encode("utf-8")).digest()
+    vec = np.random.default_rng(int.from_bytes(digest, "big")).standard_normal(dim)
+    return vec / np.linalg.norm(vec)
+
+
+# A coarse grid makes tied pair scores common; the specials cover NaN, both
+# infinities (whose sum is NaN) and the signed zero.
+DECODE_VALUES = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, -1.0, np.nan, np.inf, -np.inf])
 
 
 class TestDecode:
@@ -65,6 +96,36 @@ class TestDecode:
         end = np.array([1.0, 0.0])
         i, j = decode_span(start, end)
         assert i <= j
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        scores=st.integers(1, 60).flatmap(
+            lambda n: st.tuples(
+                st.lists(DECODE_VALUES, min_size=n, max_size=n),
+                st.lists(DECODE_VALUES, min_size=n, max_size=n),
+            )
+        ),
+        max_len=st.integers(1, 40),
+    )
+    # No pair above -inf: the loop keeps its initial (0, 0).
+    @example(scores=([np.nan] * 7, [np.nan] * 7), max_len=3)
+    @example(scores=([-np.inf] * 40, [-np.inf] * 40), max_len=30)
+    # start[2] = inf meets both the -inf padding and its one real end, -inf:
+    # every pair it starts is inf + -inf, which is NaN.
+    @example(scores=([0.0, 0.0, np.inf], [0.5, 0.0, -np.inf]), max_len=3)
+    def test_matches_the_loop_on_ties_and_non_finite_scores(self, scores, max_len):
+        start, end = np.array(scores[0]), np.array(scores[1])
+        got = decode_span(start, end, max_len)
+        assert got == loop_decode(start, end, max_len)
+        assert all(type(k) is int for k in got)
+
+    def test_bad_inputs_are_rejected(self):
+        with pytest.raises(InputError, match="equal-length"):
+            decode_span(np.array([]), np.array([]))
+        with pytest.raises(InputError, match="equal-length"):
+            decode_span(np.ones(3), np.ones(2))
+        with pytest.raises(InputError, match="max_answer_len"):
+            decode_span(np.ones(3), np.ones(3), max_answer_len=0)
 
 
 class TestToyModel:
@@ -136,6 +197,42 @@ class TestToyModel:
         single = np.stack([gateway.grad_start(inst, point, target) for point in points])
         assert batch.shape == points.shape
         assert batch.tobytes() == single.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        dim=st.sampled_from([1, 2, 16, 33]),
+        order=st.permutations(range(6)),
+    )
+    def test_embed_equals_stacked_word_vectors(self, seed, dim, order):
+        # Six instances of 30-40 fresh words each outgrow the table's first
+        # capacity, and their order decides which rows land before a regrowth.
+        rng = np.random.default_rng(seed)
+        instances = []
+        for k in range(6):
+            words = [f"w{k}x{int(rng.integers(10**6))}" for _ in range(int(rng.integers(30, 41)))]
+            instances.append(
+                build_instance(f"e-{k}", "Who wrote?", [" ".join(words) + "."], gold=(0, words[0]))
+            )
+        gateway = ReferenceToyModel(seed=seed, embedding_dim=dim)
+        for k in list(order) + list(order):
+            inst = instances[k]
+            words = [t.text for t in inst.question] + [t.text for t in inst.context_tokens]
+            want = np.stack([seeded_unit_vector(seed, w, dim) for w in words])
+            got = gateway.embed(inst)
+            assert got.shape == (len(words), dim)
+            assert got.tobytes() == want.tobytes()
+            assert gateway.word_embedding(words[-1]).tobytes() == want[-1].tobytes()
+        assert len(gateway._rows) > _INITIAL_TABLE_ROWS
+
+    def test_writing_into_results_leaves_the_table_alone(self):
+        gateway = ReferenceToyModel(seed=0)
+        inst = make_synthetic_corpus(1, seed=1)[0]
+        first = gateway.embed(inst)
+        before = first.copy()
+        first[:] = 7.0
+        gateway.word_embedding(inst.question[0].text)[:] = 7.0
+        assert gateway.embed(inst).tobytes() == before.tobytes()
 
     def test_embedding_rows_are_unit_norm(self):
         gateway = ReferenceToyModel(seed=0)

@@ -359,6 +359,83 @@ class TestSubprocessRoundTrip:
         with pytest.raises(GatewayError, match="malformed.*list"):
             RemoteGateway(endpoint)
 
+    def test_info_reply_without_result_is_gateway_error(self, monkeypatch):
+        script = (
+            "import sys, time\n"
+            "sys.stdin.readline()\n"
+            "print('{\"ok\": true}', flush=True)\n"
+            "time.sleep(60)"
+        )
+        endpoint = python_endpoint(script)
+        pids = []
+        popen = subprocess.Popen
+
+        def recording(*args, **kwargs):
+            proc = popen(*args, **kwargs)
+            pids.append(proc.pid)
+            return proc
+
+        monkeypatch.setattr(subprocess, "Popen", recording)
+        with pytest.raises(GatewayError, match="reply without 'result'") as raised:
+            RemoteGateway(endpoint)
+        assert repr(endpoint) in str(raised.value)
+        (pid,) = pids
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)  # the handshake failure stopped and reaped it
+
+    @pytest.mark.parametrize(
+        "info, message",
+        [
+            ({}, "reply without 'model_id'"),
+            ({"model_id": 7}, "'model_id' as int, want str"),
+            ({"model_id": "m", "max_answer_len": "30"}, "'max_answer_len' as str, want int"),
+            ({"model_id": "m", "baseline_token": None}, "'baseline_token' as NoneType, want str"),
+        ],
+    )
+    def test_malformed_info_reply_is_gateway_error(self, info, message):
+        reply = json.dumps({"ok": True, "result": info})
+        script = f"import sys; sys.stdin.readline(); print({reply!r}, flush=True)"
+        with pytest.raises(GatewayError, match=message):
+            RemoteGateway(python_endpoint(script))
+
+    def test_info_reply_defaults_the_optional_fields(self):
+        reply = json.dumps({"ok": True, "result": {"model_id": "m"}})
+        script = f"import sys; sys.stdin.readline(); print({reply!r}, flush=True); sys.stdin.read()"
+        with RemoteGateway(python_endpoint(script)) as gateway:
+            assert (gateway.model_id, gateway.baseline_token, gateway.max_answer_len) == ("m", "[MASK]", 30)
+
+    def test_predict_reply_without_predicted_span_is_gateway_error(self, corpus):
+        # Answers the handshake like a server, then drops the span from predict.
+        script = (
+            "import json, sys\n"
+            "for line in sys.stdin:\n"
+            "    if json.loads(line)['op'] == 'info':\n"
+            "        reply = {'ok': True, 'result': {'model_id': 'fake'}}\n"
+            "    else:\n"
+            "        reply = {'ok': True, 'result': {'start_scores': None}}\n"
+            "    print(json.dumps(reply), flush=True)\n"
+        )
+        endpoint = python_endpoint(script)
+        with RemoteGateway(endpoint) as gateway:
+            with pytest.raises(GatewayError, match="reply without 'predicted_span'") as raised:
+                gateway.predict(corpus[0])
+        assert repr(endpoint) in str(raised.value)
+
+    @pytest.mark.parametrize(
+        "span, message",
+        [
+            ({"sent": 0, "tok_start": 0, "tok_end": 0}, "reply without 'text'"),
+            ({"text": "Ada", "sent": 0, "tok_end": 0}, "reply without 'tok_start'"),
+            ({"text": "Ada", "sent": 0, "tok_start": "0", "tok_end": 0}, "'tok_start' as str, want int"),
+        ],
+    )
+    def test_malformed_span_fields_are_gateway_errors(self, remote_toy, corpus, monkeypatch, span, message):
+        scores = encode_array(np.full(corpus[0].n_context, 1.0 / corpus[0].n_context))
+        reply = {"start_scores": scores, "end_scores": scores, "predicted_span": span}
+        monkeypatch.setattr(remote_toy, "_request", lambda request: reply)
+        with pytest.raises(GatewayError, match=message):
+            remote_toy.predict(corpus[0])
+
     def test_failed_handshake_reaps_the_server(self, monkeypatch):
         script = "import sys, time; sys.stdin.readline(); print('not json', flush=True); time.sleep(60)"
         pids = []
