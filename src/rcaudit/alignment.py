@@ -11,13 +11,11 @@ freedom); signed saliency scores enter it as-is.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from scipy import stats
+from scipy.special import stdtr
 
 from .counterfactuals import CFPair
 from .errors import InputError
@@ -70,11 +68,20 @@ def t_test_one_tailed(
     else:
         se_pos = v_pos / n_pos
         se_neg = v_neg / n_neg
-        t = (m_pos - m_neg) / math.sqrt(se_pos + se_neg)
-        df = (se_pos + se_neg) ** 2 / (
-            se_pos**2 / (n_pos - 1) + se_neg**2 / (n_neg - 1)
-        )
-        p = float(stats.t.sf(t, df))
+        denom = se_pos**2 / (n_pos - 1) + se_neg**2 / (n_neg - 1)
+        if denom > 0.0:
+            t = (m_pos - m_neg) / math.sqrt(se_pos + se_neg)
+        else:
+            # The squares underflowed (variances below about 1e-150): the
+            # same formulas in units of the larger variance.
+            scale = max(v_pos, v_neg)
+            se_pos, se_neg = v_pos / scale / n_pos, v_neg / scale / n_neg
+            denom = se_pos**2 / (n_pos - 1) + se_neg**2 / (n_neg - 1)
+            t = (m_pos - m_neg) / (math.sqrt(scale) * math.sqrt(se_pos + se_neg))
+        df = (se_pos + se_neg) ** 2 / denom
+        # Student t survival function, sf(t) = cdf(-t): the same value as
+        # scipy.stats.t.sf without importing scipy.stats.
+        p = float(stdtr(df, -t))
     return SignificanceResult(
         t_statistic=t,
         degrees_of_freedom=df,
@@ -283,12 +290,6 @@ def record_to_dict(record: AlignmentRecord) -> dict:
         "mean_positive": sig.mean_positive,
         "mean_negative": sig.mean_negative,
     }
-
-
-def save_records(records: Iterable[AlignmentRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record_to_dict(record), sort_keys=True) + "\n")
 
 
 def alignment_csv(reports: Sequence[AlignmentReport]) -> str:

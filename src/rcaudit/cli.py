@@ -333,6 +333,7 @@ def run_align(args) -> int:
 
     cache_path = out / "saliency_cache.jsonl"
     cache = SaliencyCache.load(cache_path) if cache_path.exists() else SaliencyCache()
+    n_loaded = len(cache)
     reports: list[AlignmentReport] = []
     dataset_id = str(args.dataset)
     with build_gateway(args.model) as gateway:
@@ -348,7 +349,8 @@ def run_align(args) -> int:
     if not reports:
         raise InputError("no counterfactual pairs to audit; need comparison "
                          "instances or --cf-file")
-    cache.save(cache_path)
+    if len(cache) > n_loaded:  # a warm run leaves the file as it was
+        cache.save(cache_path)
 
     records = sorted(
         (r for report in reports for r in report.records), key=lambda r: r.instance_id

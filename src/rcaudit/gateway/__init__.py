@@ -12,6 +12,7 @@ from .base import (
     decode_span,
     embed,
     grad_start_batch,
+    masked_start_scores,
     predict,
     span_text,
 )
@@ -66,6 +67,7 @@ __all__ = [
     "decode_span",
     "embed",
     "grad_start_batch",
+    "masked_start_scores",
     "predict",
     "span_text",
 ]

@@ -1,7 +1,9 @@
 """Model gateway contract: scores, embeddings, gradients, span decoding.
 
-A gateway wraps any extractive-QA model behind four capabilities: predict
+A gateway wraps any extractive-QA model behind five capabilities: predict
 (start/end probability vectors over context words plus the decoded span),
+masked_start_scores (the start distribution with each word in turn
+replaced by the mask token, one row per word: what occlusion reads),
 embed (one vector per word, question words first), grad_start (derivative
 of the start probability at a target position with respect to every
 embedding coordinate; grad_start_batch takes a stack of embedding matrices
@@ -9,8 +11,9 @@ at once), and a declared mask token. Gateways work at the word level;
 models with subword vocabularies must reduce subword scores to words
 internally (max over subwords) before returning.
 
-Callers go through the module functions `predict`, `embed` and
-`grad_start_batch`, which check every output against the contract.
+Callers go through the module functions `predict`, `masked_start_scores`,
+`embed` and `grad_start_batch`, which check every output against the
+contract.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from ..errors import CapabilityError, GatewayError, InputError
+from ..masking import mask_word
 from ..types import AnswerSpan, RCInstance
 
 DEFAULT_MAX_ANSWER_LEN = 30
@@ -55,6 +59,19 @@ class ModelGateway(ABC):
 
     @abstractmethod
     def predict(self, instance: RCInstance) -> ModelOutput: ...
+
+    def masked_start_scores(self, instance: RCInstance) -> np.ndarray:
+        """Start distributions with word k (question words first, then
+        context words) replaced by `baseline_token`, stacked to shape
+        (n_question + n_context, n_context). This default predicts each
+        masked variant; gateways that can score them in one pass (or one
+        round trip) override it."""
+        return np.stack(
+            [
+                self.predict(mask_word(instance, k, self.baseline_token)).start_scores
+                for k in range(instance.n_question + instance.n_context)
+            ]
+        )
 
     def embed(self, instance: RCInstance) -> np.ndarray:
         raise CapabilityError(f"{self.model_id} does not expose embeddings")
@@ -138,16 +155,29 @@ def answer_span(instance: RCInstance, token_start: int, token_end: int) -> Answe
     )
 
 
+def _check_rows(instance: RCInstance, rows: np.ndarray, label: str) -> None:
+    """Each row of `rows` (its last axis) lies in [0, 1], so NaN fails, and
+    sums to 1 within 1e-6; `label.format(k)` names row k in the error."""
+    in_range = (rows >= 0) & (rows <= 1)
+    if not in_range.all():
+        k = np.argmin(in_range.all(axis=-1))
+        raise GatewayError(f"{instance.id}: {label.format(k)} outside [0,1]")
+    sums = rows.sum(axis=-1)
+    off = np.abs(sums - 1.0) > 1e-6
+    if off.any():
+        k = np.argmax(off)
+        raise GatewayError(
+            f"{instance.id}: {label.format(k)} sum to {np.ravel(sums)[k]:.8f}, want 1"
+        )
+
+
 def check_output(instance: RCInstance, output: ModelOutput) -> ModelOutput:
     n = instance.n_context
     for name, vec in (("start", output.start_scores), ("end", output.end_scores)):
         arr = np.asarray(vec, dtype=float)
         if arr.shape != (n,):
             raise GatewayError(f"{instance.id}: {name} scores have shape {arr.shape}, want ({n},)")
-        if not np.all((arr >= 0) & (arr <= 1)):
-            raise GatewayError(f"{instance.id}: {name} scores outside [0,1]")
-        if abs(float(arr.sum()) - 1.0) > 1e-6:
-            raise GatewayError(f"{instance.id}: {name} scores sum to {arr.sum():.8f}, want 1")
+        _check_rows(instance, arr, f"{name} scores")
     span = output.predicted_span
     if not (0 <= span.token_start <= span.token_end < n):
         raise GatewayError(f"{instance.id}: predicted span out of range")
@@ -180,6 +210,20 @@ def predict(gateway: ModelGateway, instance: RCInstance) -> ModelOutput:
     Any gateway exception surfaces as a GatewayError naming the instance.
     """
     return check_output(instance, _call(gateway, "predict", instance))
+
+
+def masked_start_scores(gateway: ModelGateway, instance: RCInstance) -> np.ndarray:
+    """Call gateway.masked_start_scores and hold every row to predict's
+    start-score checks: shape (n_q + n_c, n_c), in [0, 1], summing to 1."""
+    n_c = instance.n_context
+    want = (instance.n_question + n_c, n_c)
+    rows = np.asarray(_call(gateway, "masked_start_scores", instance), dtype=float)
+    if rows.shape != want:
+        raise GatewayError(
+            f"{instance.id}: masked start scores have shape {rows.shape}, want {want}"
+        )
+    _check_rows(instance, rows, "start scores with word {} masked")
+    return rows
 
 
 def embed(gateway: ModelGateway, instance: RCInstance) -> np.ndarray:

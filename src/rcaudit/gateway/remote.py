@@ -11,7 +11,7 @@ ModelGateway contract, so a fine-tuned encoder hosted in another process
 
 Requests are one JSON object per line:
 
-    {"op": "info"|"predict"|"embed"|"grad_start_batch",
+    {"op": "info"|"predict"|"masked_start_scores"|"embed"|"grad_start_batch",
      "instance": {unified instance record}?,
      "target": int?, "points": ARRAY?}
 
@@ -19,6 +19,12 @@ Responses mirror the in-memory contract:
 
     {"ok": true, "result": {...}}
     {"ok": false, "error": "...", "kind": "input"|"capability"|"gateway"}
+
+`info` answers model_id, baseline_token and max_answer_len; `predict`
+answers start_scores, end_scores and predicted_span; `masked_start_scores`
+answers scores, one row per masked word; `embed` answers embeddings;
+`grad_start_batch` answers grads. So an occlusion map costs two round
+trips whatever the instance length.
 
 Every array (scores, embeddings, path points, gradients) travels as
 ARRAY = {"shape": [...], "f8": "<base64 of little-endian C-order float64>"},
@@ -34,6 +40,7 @@ import binascii
 import json
 import math
 import os
+import select
 import shlex
 import socket
 import subprocess
@@ -56,6 +63,11 @@ _ERROR_KINDS = {
 # Lines of the stdio server's stderr quoted when its connection breaks.
 _STDERR_TAIL_LINES = 10
 _STDERR_TAIL_BYTES = 4096
+# Seconds the client waits to connect over TCP, and for its server to
+# take or send the next bytes of a request or reply over either transport.
+_TIMEOUT_S = 60
+# Bytes asked for per read of a reply.
+_READ_BYTES = 1 << 16
 
 
 def encode_array(values) -> dict:
@@ -91,7 +103,7 @@ def handle_request(gateway: ModelGateway, request: dict) -> dict:
                 "baseline_token": gateway.baseline_token,
                 "max_answer_len": gateway.max_answer_len,
             }
-        elif op in ("predict", "embed", "grad_start_batch"):
+        elif op in ("predict", "masked_start_scores", "embed", "grad_start_batch"):
             instance = instance_from_dict(request["instance"])
             if op == "predict":
                 output = gateway.predict(instance)
@@ -106,6 +118,8 @@ def handle_request(gateway: ModelGateway, request: dict) -> dict:
                         "tok_end": span.token_end,
                     },
                 }
+            elif op == "masked_start_scores":
+                result = {"scores": encode_array(gateway.masked_start_scores(instance))}
             elif op == "embed":
                 result = {"embeddings": encode_array(gateway.embed(instance))}
             else:
@@ -160,6 +174,8 @@ class RemoteGateway(ModelGateway):
     Endpoints: "tcp://host:port" connects a socket; anything else is run
     as a subprocess command line speaking the protocol on stdio, with its
     stderr kept in a temporary file and quoted when the connection breaks.
+    A server that takes or sends no bytes for _TIMEOUT_S raises a
+    GatewayError instead of blocking the audit.
     """
 
     def __init__(self, endpoint: str) -> None:
@@ -172,11 +188,10 @@ class RemoteGateway(ModelGateway):
             if not port.isdigit():
                 raise InputError(f"bad tcp endpoint {endpoint!r} (want tcp://host:port)")
             try:
-                self._sock = socket.create_connection((host, int(port)), timeout=60)
+                self._sock = socket.create_connection((host, int(port)), timeout=_TIMEOUT_S)
             except OSError as exc:
                 raise GatewayError(f"cannot connect to {endpoint}: {exc}") from exc
-            self._rfile = self._sock.makefile("r", encoding="utf-8")
-            self._wfile = self._sock.makefile("w", encoding="utf-8")
+            self._rfile = self._wfile = self._sock
         else:
             argv = shlex.split(endpoint)
             if not argv:
@@ -188,14 +203,17 @@ class RemoteGateway(ModelGateway):
                     stdin=subprocess.PIPE,
                     stdout=subprocess.PIPE,
                     stderr=self._stderr,
-                    text=True,
-                    encoding="utf-8",
                 )
             except OSError as exc:
                 self._stderr.close()
                 raise GatewayError(f"cannot start remote gateway {endpoint!r}: {exc}") from exc
             self._rfile = self._proc.stdout
             self._wfile = self._proc.stdin
+            # Writes return once the pipe is full, so a server that stops
+            # reading cannot block a request past the timeout.
+            os.set_blocking(self._wfile.fileno(), False)
+        # Bytes of the stream read past the end of the last reply line.
+        self._pending = b""
         try:
             info = self._request({"op": "info"})
             self._model_id = self._field(info, "model_id", str)
@@ -237,18 +255,57 @@ class RemoteGateway(ModelGateway):
             message += f"; its stderr ends with:\n{tail}"
         return GatewayError(message)
 
+    def _wait(self, stream, write: bool) -> None:
+        """Block until `stream` can be written or read. After _TIMEOUT_S
+        of silence the connection is closed (a stdio server is killed and
+        reaped) and a GatewayError names the endpoint."""
+        fds = [stream.fileno()]
+        if write:
+            ready = select.select([], fds, [], _TIMEOUT_S)[1]
+        else:
+            ready = select.select(fds, [], [], _TIMEOUT_S)[0]
+        if not ready:
+            if self._proc is not None:
+                self._proc.kill()
+            error = self._broken(f"did not answer within {_TIMEOUT_S} s")
+            self.close()
+            raise error
+
+    def _send(self, data: bytes) -> None:
+        view = memoryview(data)
+        while True:
+            try:
+                view = view[os.write(self._wfile.fileno(), view) :]
+            except BlockingIOError:
+                pass
+            if not view:
+                return
+            self._wait(self._wfile, write=True)
+
+    def _receive_line(self) -> bytes:
+        """The next line from the server, or b"" if it closes before one ends."""
+        chunks = [self._pending]
+        while (newline := chunks[-1].find(b"\n")) < 0:
+            self._wait(self._rfile, write=False)
+            chunk = os.read(self._rfile.fileno(), _READ_BYTES)
+            if not chunk:
+                return b""
+            chunks.append(chunk)
+        self._pending = chunks[-1][newline + 1 :]
+        chunks[-1] = chunks[-1][: newline + 1]
+        return b"".join(chunks)
+
     def _request(self, request: dict) -> dict:
         try:
-            self._wfile.write(json.dumps(request) + "\n")
-            self._wfile.flush()
-            line = self._rfile.readline()
+            self._send((json.dumps(request) + "\n").encode("utf-8"))
+            line = self._receive_line()
         except (OSError, ValueError) as exc:
             raise self._broken(f"i/o failed: {exc}") from exc
         if not line:
             raise self._broken("closed the connection")
         try:
             response = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or not UTF-8
             raise GatewayError(
                 f"remote gateway {self.endpoint!r} sent a malformed response: {exc}"
             ) from exc
@@ -298,6 +355,12 @@ class RemoteGateway(ModelGateway):
                 token_end=self._field(span, "tok_end", int),
             ),
         )
+
+    def masked_start_scores(self, instance: RCInstance) -> np.ndarray:
+        result = self._request(
+            {"op": "masked_start_scores", "instance": instance_to_dict(instance)}
+        )
+        return self._array(result, "scores")
 
     def embed(self, instance: RCInstance) -> np.ndarray:
         result = self._request({"op": "embed", "instance": instance_to_dict(instance)})

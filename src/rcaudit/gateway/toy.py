@@ -74,11 +74,13 @@ class ReferenceToyModel(ModelGateway):
         rows = [self._row(w) for w in words]
         return self._table[rows]
 
-    def _distributions(self, embeddings: np.ndarray, n_question: int):
+    def _distribution(self, embeddings: np.ndarray, n_question: int, matrix: np.ndarray):
         q_bar = embeddings[:n_question].mean(axis=0)
-        ctx = embeddings[n_question:]
-        p_start = softmax(ctx @ self._m_start @ q_bar)
-        p_end = softmax(ctx @ self._m_end @ q_bar)
+        return softmax(embeddings[n_question:] @ matrix @ q_bar)
+
+    def _distributions(self, embeddings: np.ndarray, n_question: int):
+        p_start = self._distribution(embeddings, n_question, self._m_start)
+        p_end = self._distribution(embeddings, n_question, self._m_end)
         return p_start, p_end
 
     def predict(self, instance: RCInstance) -> ModelOutput:
@@ -87,6 +89,21 @@ class ReferenceToyModel(ModelGateway):
         return ModelOutput(
             start_scores=p_start, end_scores=p_end, predicted_span=answer_span(instance, i, j)
         )
+
+    def masked_start_scores(self, instance: RCInstance) -> np.ndarray:
+        """Row k is predict(mask_word(instance, k)).start_scores, bit for bit:
+        the same start distribution, computed on one embedding matrix whose
+        row k holds the mask vector while row k is scored."""
+        working = self.embed(instance)
+        mask = self.word_embedding(self.baseline_token)
+        n_q = instance.n_question
+        rows = np.empty((len(working), instance.n_context))
+        for k in range(len(working)):
+            word = working[k].copy()
+            working[k] = mask
+            rows[k] = self._distribution(working, n_q, self._m_start)
+            working[k] = word
+        return rows
 
     def grad_start(
         self, instance: RCInstance, embeddings: np.ndarray, target_position: int

@@ -250,10 +250,6 @@ class HashingSentenceEmbedder:
         return vec
 
 
-NER_PLUGINS: dict[str, Callable[[], NerPlugin]] = {"rule_based": RuleBasedNER}
-EMBEDDER_PLUGINS: dict[str, Callable[[], EmbedderPlugin]] = {"hashing": HashingSentenceEmbedder}
-
-
 def heuristic_answer(
     instance: RCInstance,
     config: HeuristicConfig = HeuristicConfig(),

@@ -22,8 +22,10 @@ from typing import Iterable
 import numpy as np
 
 from .errors import GatewayError, InputError
-from .gateway.base import ModelGateway, embed, grad_start_batch, predict
-from .masking import mask_all, mask_word
+from .gateway.base import ModelGateway, embed, grad_start_batch, masked_start_scores, predict
+# mask_word is not called here any more; the benchmark's tracer still
+# patches it by name in this module (perfbench/tracing.py).
+from .masking import mask_all, mask_word  # noqa: F401
 from .types import RCInstance, Scope
 
 METHODS = ("occlusion", "integrated_gradients")
@@ -82,15 +84,15 @@ def summarize(vector: np.ndarray, kind: str) -> float:
 
 
 def occlusion_saliency(gateway: ModelGateway, instance: RCInstance) -> SaliencyMap:
-    """One score per word: drop in anchor start probability when masked."""
+    """One score per word: drop in anchor start probability when masked.
+
+    Two gateway calls: the unmasked prediction, then every masked start
+    distribution at once."""
     original = predict(gateway, instance)
     anchor = int(np.argmax(original.start_scores))
     p0 = float(original.start_scores[anchor])
-    scores = []
-    for position in range(instance.n_question + instance.n_context):
-        masked = mask_word(instance, position, gateway.baseline_token)
-        out = predict(gateway, masked)
-        scores.append(p0 - float(out.start_scores[anchor]))
+    rows = masked_start_scores(gateway, instance)
+    scores = [p0 - float(rows[k, anchor]) for k in range(len(rows))]
     config = SaliencyConfig(method="occlusion")
     return SaliencyMap(
         instance_id=instance.id,
@@ -175,27 +177,35 @@ def restrict_map(saliency: SaliencyMap, scope: Scope) -> SaliencyMap:
     return replace(saliency, scope=scope, scores=scores)
 
 
+def content_hash(instance: RCInstance) -> str:
+    """Hash of the question and context word texts, sentence by sentence:
+    the input a saliency map explains."""
+    words = [[t.text for t in instance.question]] + [
+        [t.text for t in sent.tokens] for sent in instance.context
+    ]
+    return hashlib.sha256(json.dumps(words).encode("utf-8")).hexdigest()[:16]
+
+
 class SaliencyCache:
-    """JSON-lines score cache keyed by (model_id, config_hash, instance_id).
+    """JSON-lines score cache keyed by (model_id, config_hash, instance_id,
+    content_hash), so an instance whose words changed under the same id
+    is recomputed rather than served a stale map.
 
     Floats survive the JSON round trip bit-identically (repr round-trip),
     so a cache hit equals recomputation exactly.
     """
 
     def __init__(self) -> None:
-        self._maps: dict[tuple[str, str, str], SaliencyMap] = {}
+        self._maps: dict[tuple[str, ...], SaliencyMap] = {}
 
     @staticmethod
-    def key_of(saliency: SaliencyMap) -> tuple[str, str, str]:
-        return (saliency.model_id, saliency.config_hash, saliency.instance_id)
-
-    def put(self, saliency: SaliencyMap) -> None:
-        self._maps[self.key_of(saliency)] = saliency
+    def _key(model_id: str, config: SaliencyConfig, instance: RCInstance) -> tuple[str, ...]:
+        return (model_id, config.config_hash, instance.id, content_hash(instance))
 
     def get(
-        self, model_id: str, config: SaliencyConfig, instance_id: str
+        self, model_id: str, config: SaliencyConfig, instance: RCInstance
     ) -> SaliencyMap | None:
-        return self._maps.get((model_id, config.config_hash, instance_id))
+        return self._maps.get(self._key(model_id, config, instance))
 
     def __len__(self) -> int:
         return len(self._maps)
@@ -206,11 +216,10 @@ class SaliencyCache:
     def get_or_compute(
         self, gateway: ModelGateway, instance: RCInstance, config: SaliencyConfig
     ) -> SaliencyMap:
-        hit = self.get(gateway.model_id, config, instance.id)
-        if hit is not None:
-            return hit
-        saliency = compute_saliency(gateway, instance, config)
-        self.put(saliency)
+        key = self._key(gateway.model_id, config, instance)
+        saliency = self._maps.get(key)
+        if saliency is None:
+            saliency = self._maps[key] = compute_saliency(gateway, instance, config)
         return saliency
 
     def save(self, path: str | Path) -> None:
@@ -224,6 +233,7 @@ class SaliencyCache:
                             "method": saliency.method,
                             "config_hash": saliency.config_hash,
                             "instance_id": saliency.instance_id,
+                            "content_hash": key[3],
                             "scope": saliency.scope,
                             "anchor_position": saliency.anchor_position,
                             "n_question": saliency.n_question,
@@ -235,6 +245,9 @@ class SaliencyCache:
 
     @classmethod
     def load(cls, path: str | Path) -> SaliencyCache:
+        """Read a file written by `save`. Records without a content hash,
+        written by earlier versions, are left out, so they miss and are
+        recomputed."""
         cache = cls()
         with open(path, "r", encoding="utf-8") as fh:
             for line_no, line in enumerate(fh):
@@ -253,7 +266,10 @@ class SaliencyCache:
                         anchor_position=doc["anchor_position"],
                         n_question=doc["n_question"],
                     )
+                    content = doc.get("content_hash")
                 except (json.JSONDecodeError, KeyError, TypeError) as exc:
                     raise InputError(f"{path}: bad cache record on line {line_no + 1}: {exc}")
-                cache.put(saliency)
+                if content is not None:
+                    key = (saliency.model_id, saliency.config_hash, saliency.instance_id, content)
+                    cache._maps[key] = saliency
         return cache

@@ -23,7 +23,6 @@ Skill = Literal["comparison", "coreference", "other"]
 Scope = Literal["question_tokens", "context_tokens", "all"]
 
 SKILLS = ("comparison", "coreference", "other")
-SCOPES = ("question_tokens", "context_tokens", "all")
 
 
 @dataclass(frozen=True)

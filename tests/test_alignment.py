@@ -8,6 +8,10 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import stats
+from scipy.special import stdtr
 
 from conftest import build_instance
 from oracle_helpers import oracle_welch
@@ -22,11 +26,11 @@ from rcaudit.alignment import (
     explanation_alignment,
     partition_test,
     record_to_dict,
-    save_records,
     t_test_one_tailed,
     wilson_interval,
 )
 from rcaudit.counterfactuals import ANTONYM_TABLES, CFPair, perturb_comparison, validate_cf
+from rcaudit.cli import write_jsonl
 from rcaudit.errors import InputError
 from rcaudit.gateway import build_gateway
 from rcaudit.gateway.scripted import ScriptedModel
@@ -56,6 +60,44 @@ class TestWelchTest:
             assert result.t_statistic == pytest.approx(t_ref, rel=1e-9, abs=1e-12)
             assert result.degrees_of_freedom == pytest.approx(df_ref, rel=1e-9)
             assert abs(result.p_value - p_ref) <= 1e-6, f"trial {trial}"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pos=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=30),
+        neg=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=30),
+    )
+    @example(pos=[0.0, 1e-300], neg=[0.0, 0.0])
+    @example(pos=[1.0, 2.0], neg=[1.0, 2.0])
+    @example(pos=[-1e6, 1e6], neg=[0.5, 0.5000001])
+    @example(pos=[0.0, 0.0], neg=[0.0, 1.3730299481933644e-137])  # squares underflow
+    def test_p_value_is_scipy_stats_t_sf_bit_for_bit(self, pos, neg):
+        result = t_test_one_tailed(pos, neg)
+        want = float(stats.t.sf(result.t_statistic, result.degrees_of_freedom))
+        assert result.p_value == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        t=st.floats(allow_nan=False),
+        df=st.one_of(st.floats(1.0, 1e3), st.floats(1e3, 1e300)),
+    )
+    @example(t=math.inf, df=3.0)
+    @example(t=-math.inf, df=3.0)
+    @example(t=0.0, df=1.0)
+    @example(t=-0.0, df=57.25)
+    def test_stdtr_equals_scipy_stats_t_sf(self, t, df):
+        assert stdtr(df, -t) == stats.t.sf(t, df)
+
+    def test_tiny_variances_give_a_finite_test(self):
+        # Welch's squared standard errors underflow to zero here; the test
+        # once divided by that zero.
+        result = t_test_one_tailed([0.0, 0.0], [0.0, 1e-140])
+        assert result.t_statistic == pytest.approx(-1.0, rel=1e-12)
+        assert result.degrees_of_freedom == 1.0 and result.p_value == pytest.approx(0.75)
+        tiny = t_test_one_tailed([1e-140, 3e-140, 2e-140], [0.0, 1e-141, 0.0])
+        scaled = t_test_one_tailed([1.0, 3.0, 2.0], [0.0, 0.1, 0.0])
+        assert tiny.t_statistic == pytest.approx(scaled.t_statistic, rel=1e-12)
+        assert tiny.degrees_of_freedom == pytest.approx(scaled.degrees_of_freedom, rel=1e-12)
+        assert tiny.p_value == pytest.approx(scaled.p_value, rel=1e-9)
 
     def test_antisymmetry_under_side_swap(self):
         rng = random.Random(7)
@@ -411,7 +453,7 @@ class TestReportsAndSerialization:
         sig = SignificanceResult(2.5, 3.7, 0.02, True, 0.9, 0.1)
         records = [AlignmentRecord("a", True, sig, True), AlignmentRecord("b", False, sig, False)]
         path = tmp_path / "records.jsonl"
-        save_records(records, path)
+        write_jsonl(path, (record_to_dict(r) for r in records))  # the CLI's record writer
         docs = [json.loads(line) for line in path.read_text().splitlines()]
         assert [d["instance_id"] for d in docs] == ["a", "b"]
         assert docs[0]["aligned"] is True and docs[1]["cf_both_correct"] is False

@@ -15,7 +15,7 @@ from conftest import make_engineered_alignment
 from rcaudit.cli import main, read_config
 from rcaudit.data import coref_cf_pairs_path, fixture_corpus_path
 from rcaudit.errors import InputError
-from rcaudit.saliency import SaliencyConfig
+from rcaudit.saliency import SaliencyCache, SaliencyConfig
 
 CORPUS = str(fixture_corpus_path())
 CF_PAIRS = str(coref_cf_pairs_path())
@@ -141,6 +141,34 @@ class TestAlign:
         assert run(*argv) == 0  # second run hits the saliency cache
         for name, payload in before.items():
             assert (out / name).read_bytes() == payload
+
+    def test_warm_run_leaves_the_cache_file_alone(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        argv = ("align", "--dataset", CORPUS, "--model", "toy:7", "--out", str(out))
+        assert run(*argv) == 0
+        cold = (out / "alignment_records.jsonl").read_bytes()
+
+        def refuse(self, path):
+            raise AssertionError("a run that added no map rewrote the cache")
+
+        monkeypatch.setattr(SaliencyCache, "save", refuse)
+        assert run(*argv) == 0
+        assert (out / "alignment_records.jsonl").read_bytes() == cold
+
+    def test_cache_records_from_older_versions_are_recomputed(self, tmp_path):
+        out = tmp_path / "out"
+        argv = ("align", "--dataset", CORPUS, "--model", "toy:7", "--out", str(out))
+        assert run(*argv) == 0
+        cache_path = out / "saliency_cache.jsonl"
+        current = cache_path.read_bytes()
+        cold = (out / "alignment_records.jsonl").read_bytes()
+        docs = [json.loads(line) for line in current.decode().splitlines()]
+        for doc in docs:
+            del doc["content_hash"]
+        cache_path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+        assert run(*argv) == 0
+        assert cache_path.read_bytes() == current  # recomputed and written again
+        assert (out / "alignment_records.jsonl").read_bytes() == cold
 
     def test_engineered_two_thirds_alignment(self, tmp_path):
         fx = make_engineered_alignment(tmp_path)

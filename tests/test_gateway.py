@@ -18,12 +18,15 @@ from rcaudit.gateway.base import (
     decode_span,
     embed,
     grad_start_batch,
+    masked_start_scores,
     predict,
     span_text,
 )
 from rcaudit.gateway.baselines import FrequencyBaselineModel, GoldOracleModel
 from rcaudit.gateway.scripted import ScriptedModel
 from rcaudit.gateway.toy import _INITIAL_TABLE_ROWS, ReferenceToyModel
+from rcaudit.masking import mask_word
+from rcaudit.saliency import occlusion_saliency
 from rcaudit.synthetic import make_synthetic_corpus
 
 from conftest import build_instance
@@ -239,6 +242,97 @@ class TestToyModel:
         inst = make_synthetic_corpus(1, seed=1)[0]
         emb = gateway.embed(inst)
         assert np.allclose(np.linalg.norm(emb, axis=1), 1.0)
+
+
+def stacked_masked_predictions(gateway, inst):
+    """The definition of masked_start_scores: predict each masked variant."""
+    return np.stack(
+        [
+            gateway.predict(mask_word(inst, k, gateway.baseline_token)).start_scores
+            for k in range(inst.n_question + inst.n_context)
+        ]
+    )
+
+
+# Few words, so instances repeat them; "[MASK]" in text splits into three
+# tokens, and `premasked` below puts the mask token itself in as a word.
+MASK_VOCAB = ["Ada", "Lin", "wrote", "older", "1901", "the", "[MASK]"]
+
+
+class TestMaskedStartScores:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        dim=st.sampled_from([16, 32]),
+        question=st.lists(st.sampled_from(MASK_VOCAB), min_size=1, max_size=6),
+        sentences=st.lists(
+            st.lists(st.sampled_from(MASK_VOCAB), min_size=1, max_size=12), min_size=1, max_size=3
+        ),
+        premasked=st.lists(st.integers(0, 10**6), max_size=3),
+    )
+    def test_toy_rows_equal_masked_predictions_bit_for_bit(
+        self, seed, dim, question, sentences, premasked
+    ):
+        inst = build_instance(
+            "ms-1",
+            " ".join(question) + " ?",
+            [" ".join(words) + " ." for words in sentences],
+            gold=(0, sentences[0][0]),
+        )
+        for position in premasked:
+            inst = mask_word(inst, position % (inst.n_question + inst.n_context))
+        gateway = ReferenceToyModel(seed=seed, embedding_dim=dim)
+        rows = gateway.masked_start_scores(inst)
+        want = stacked_masked_predictions(gateway, inst)
+        assert rows.shape == (inst.n_question + inst.n_context, inst.n_context)
+        assert np.array_equal(rows, want)
+        assert np.array_equal(masked_start_scores(gateway, inst), want)
+
+    def test_default_rows_are_masked_predictions(self, corpus, tmp_path):
+        inst = corpus[0]
+        n_words = inst.n_question + inst.n_context
+        script = {"instances": {inst.id: {"answer": [0, 0], "sensitivity": [0.01] * n_words}}}
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps(script))
+        for gateway in (ScriptedModel(path), GoldOracleModel(), FrequencyBaselineModel()):
+            assert "masked_start_scores" not in type(gateway).__dict__  # the default runs
+            for case in corpus[:1] if isinstance(gateway, ScriptedModel) else corpus[:5]:
+                want = stacked_masked_predictions(gateway, case)
+                assert np.array_equal(gateway.masked_start_scores(case), want)
+                assert np.array_equal(masked_start_scores(gateway, case), want)
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("nan", r"v-8: start scores with word 3 masked outside \[0,1\]"),
+            ("range", r"v-8: start scores with word 1 masked outside \[0,1\]"),
+            ("sum", "v-8: start scores with word 2 masked sum to 0.50000000, want 1"),
+            ("shape", r"v-8: masked start scores have shape \(4, 3\), want \(5, 3\)"),
+            ("raise", "v-8: gateway toy:1 failed: boom"),
+        ],
+    )
+    def test_bad_rows_are_rejected_naming_the_instance(self, fault, message):
+        class Faulty(ReferenceToyModel):
+            def masked_start_scores(self, instance):
+                rows = super().masked_start_scores(instance)
+                if fault == "nan":
+                    rows[3, 0] = np.nan
+                elif fault == "range":
+                    rows[1] = [1.5, -0.5, 0.0]
+                elif fault == "sum":
+                    rows[2] *= 0.5
+                elif fault == "shape":
+                    rows = rows[:-1]
+                else:
+                    raise RuntimeError("boom")
+                return rows
+
+        inst = build_instance("v-8", "Who?", ["Ada wrote."], gold=(0, "Ada"))
+        assert masked_start_scores(ReferenceToyModel(seed=1), inst).shape == (5, 3)
+        with pytest.raises(GatewayError, match=message):
+            masked_start_scores(Faulty(seed=1), inst)
+        with pytest.raises(GatewayError, match=message):
+            occlusion_saliency(Faulty(seed=1), inst)
 
 
 class TestOutputValidation:

@@ -20,6 +20,8 @@ import pytest
 from conftest import build_instance
 from rcaudit.errors import CapabilityError, GatewayError, InputError
 from rcaudit.gateway import build_gateway
+from rcaudit.gateway import remote as remote_module
+from rcaudit.gateway.base import masked_start_scores
 from rcaudit.gateway.remote import (
     RemoteGateway,
     decode_array,
@@ -27,7 +29,7 @@ from rcaudit.gateway.remote import (
     handle_request,
     serve_stream,
 )
-from rcaudit.saliency import SaliencyConfig, ig_saliency
+from rcaudit.saliency import SaliencyConfig, ig_saliency, occlusion_saliency
 
 TOY_SPEC = "toy:7"
 
@@ -52,6 +54,34 @@ def thirty_two_word_instance():
     )
     assert inst.n_question + inst.n_context == 32
     return inst
+
+
+def long_instance():
+    """About 200 words: a masked_start_scores reply of about 400 kB, many
+    pipe reads long."""
+    words = " ".join(f"w{k}" for k in range(190))
+    inst = build_instance(
+        "long-1",
+        "Which keeper lit the harbour lamp?",
+        ["Ivo Brandt lit the harbour lamp.", f"Then {words} happened."],
+        gold=(0, "Ivo Brandt"),
+    )
+    assert inst.n_context > 190
+    return inst
+
+
+def canned_server(reply: dict) -> str:
+    """stdio endpoint that answers info as model "canned" and every other
+    request with `reply`."""
+    script = (
+        "import json, sys\n"
+        "for line in sys.stdin:\n"
+        "    if json.loads(line)['op'] == 'info':\n"
+        "        print(json.dumps({'ok': True, 'result': {'model_id': 'canned'}}), flush=True)\n"
+        "    else:\n"
+        f"        print({json.dumps(reply)!r}, flush=True)\n"
+    )
+    return python_endpoint(script)
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +124,17 @@ class TestHandleRequest:
             local.predicted_span.token_start,
             local.predicted_span.token_end,
         )
+
+    def test_masked_start_scores_round_trip(self, local_toy, corpus):
+        from rcaudit.corpus.schema import instance_to_dict
+
+        inst = corpus[1]
+        request = {"op": "masked_start_scores", "instance": instance_to_dict(inst)}
+        response = handle_request(local_toy, request)
+        assert response["ok"]
+        scores = decode_array(response["result"]["scores"])
+        assert np.array_equal(scores, local_toy.masked_start_scores(inst))
+        assert scores.shape == (inst.n_question + inst.n_context, inst.n_context)
 
     def test_embed_and_grad_round_trip(self, local_toy, corpus):
         from rcaudit.corpus.schema import instance_to_dict
@@ -334,6 +375,25 @@ class TestSubprocessRoundTrip:
         assert ops.count("grad_start_batch") == 16
         assert len(ops) <= 20
 
+    def test_occlusion_maps_equal_in_process_maps(self, remote_toy, local_toy, corpus):
+        for inst in [thirty_two_word_instance(), long_instance(), *corpus[:3]]:
+            remote = occlusion_saliency(remote_toy, inst)
+            local = occlusion_saliency(local_toy, inst)
+            assert remote.scores == local.scores
+            assert remote.anchor_position == local.anchor_position
+
+    def test_occlusion_costs_two_round_trips(self, remote_toy, monkeypatch):
+        ops = []
+        request = remote_toy._request
+
+        def counting(payload):
+            ops.append(payload["op"])
+            return request(payload)
+
+        monkeypatch.setattr(remote_toy, "_request", counting)
+        occlusion_saliency(remote_toy, long_instance())
+        assert ops == ["predict", "masked_start_scores"]
+
     def test_context_manager_stops_the_subprocess(self, corpus):
         with RemoteGateway(remote_endpoint(TOY_SPEC)) as gateway:
             gateway.predict(corpus[0])
@@ -480,30 +540,107 @@ class TestSubprocessRoundTrip:
             RemoteGateway(f"tcp://127.0.0.1:{port}")
 
 
-class TestTcpRoundTrip:
-    def test_predict_over_tcp(self, local_toy, corpus):
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
-        server = subprocess.Popen(
-            [sys.executable, "-m", "rcaudit.gateway.remote", "--model", TOY_SPEC, "--tcp", str(port)],
-            stderr=subprocess.DEVNULL,
+class TestFaultyServers:
+    """Servers that hang or answer garbage give a typed error in bounded time."""
+
+    def test_server_that_never_answers_times_out_and_is_reaped(self, monkeypatch, corpus):
+        script = (
+            "import json, sys, time\n"
+            "sys.stdin.readline()\n"
+            "print(json.dumps({'ok': True, 'result': {'model_id': 'hung'}}), flush=True)\n"
+            "sys.stdin.readline()\n"
+            "time.sleep(60)\n"
         )
-        gateway = None
-        try:
-            for _ in range(100):
-                try:
-                    gateway = RemoteGateway(f"tcp://127.0.0.1:{port}")
-                    break
-                except GatewayError:
-                    time.sleep(0.05)
-            assert gateway is not None, "server never came up"
-            assert gateway.model_id == TOY_SPEC
-            inst = corpus[0]
-            remote = gateway.predict(inst)
-            assert remote.predicted_span == local_toy.predict(inst).predicted_span
-            gateway.close()
-        finally:
-            server.terminate()
-            server.wait(timeout=5)
+        endpoint = python_endpoint(script)
+        gateway = RemoteGateway(endpoint)
+        proc = gateway._proc
+        monkeypatch.setattr(remote_module, "_TIMEOUT_S", 0.5)
+        began = time.monotonic()
+        with pytest.raises(GatewayError, match="did not answer within 0.5 s") as raised:
+            gateway.masked_start_scores(corpus[0])
+        assert time.monotonic() - began < 5
+        assert repr(endpoint) in str(raised.value)
+        assert proc.returncode is not None  # stopped and waited for
+        with pytest.raises(GatewayError, match="i/o failed"):
+            gateway.predict(corpus[0])
+        gateway.close()
+
+    def test_server_that_stops_reading_times_out(self, monkeypatch, corpus):
+        # The request is larger than a pipe holds, so only a bounded write returns.
+        script = (
+            "import json, sys, time\n"
+            "sys.stdin.readline()\n"
+            "print(json.dumps({'ok': True, 'result': {'model_id': 'deaf'}}), flush=True)\n"
+            "time.sleep(60)\n"
+        )
+        inst = corpus[0]
+        points = np.zeros((64, inst.n_question + inst.n_context, 16))
+        assert points.nbytes > 1 << 17
+        with RemoteGateway(python_endpoint(script)) as gateway:
+            monkeypatch.setattr(remote_module, "_TIMEOUT_S", 0.5)
+            began = time.monotonic()
+            with pytest.raises(GatewayError, match="did not answer within 0.5 s"):
+                gateway.grad_start_batch(inst, points, 0)
+            assert time.monotonic() - began < 5
+            assert gateway._proc.returncode is not None
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("nan", r"start scores with word 2 masked outside \[0,1\]"),
+            ("shape", "masked start scores have shape"),
+            ("range", r"start scores with word 0 masked outside \[0,1\]"),
+        ],
+    )
+    def test_bad_masked_start_scores_are_rejected_naming_the_instance(self, corpus, fault, message):
+        inst = corpus[0]
+        n_c = inst.n_context
+        scores = np.full((inst.n_question + n_c, n_c), 1.0 / n_c)
+        if fault == "nan":
+            scores[2, 1] = np.nan
+        elif fault == "shape":
+            scores = scores[:, :-1]
+        else:
+            scores[0, :2] = [1.25, -0.25]  # still sums to 1
+        with RemoteGateway(canned_server({"ok": True, "result": {"scores": encode_array(scores)}})) as gateway:
+            with pytest.raises(GatewayError, match=f"{inst.id}: {message}"):
+                masked_start_scores(gateway, inst)
+
+
+@pytest.fixture
+def tcp_toy():
+    """A toy server on a free localhost port, and a client connected to it."""
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()
+    server = subprocess.Popen(
+        [sys.executable, "-m", "rcaudit.gateway.remote", "--model", TOY_SPEC, "--tcp", str(port)],
+        stderr=subprocess.DEVNULL,
+    )
+    gateway = None
+    try:
+        for _ in range(100):
+            try:
+                gateway = RemoteGateway(f"tcp://127.0.0.1:{port}")
+                break
+            except GatewayError:
+                time.sleep(0.05)
+        assert gateway is not None, "server never came up"
+        with gateway:
+            yield gateway
+    finally:
+        server.terminate()
+        server.wait(timeout=5)
+
+
+class TestTcpRoundTrip:
+    def test_predict_over_tcp(self, tcp_toy, local_toy, corpus):
+        assert tcp_toy.model_id == TOY_SPEC
+        inst = corpus[0]
+        remote = tcp_toy.predict(inst)
+        assert remote.predicted_span == local_toy.predict(inst).predicted_span
+
+    def test_occlusion_over_tcp_equals_in_process(self, tcp_toy, local_toy):
+        inst = long_instance()
+        assert occlusion_saliency(tcp_toy, inst) == occlusion_saliency(local_toy, inst)

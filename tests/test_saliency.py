@@ -83,6 +83,18 @@ class TestOcclusion:
         saliency = occlusion_saliency(build_gateway(f"scripted:{path}"), inst)
         assert list(saliency.scores) == pytest.approx(sensitivity, abs=1e-12)
 
+    def test_a_map_costs_two_gateway_calls(self, corpus):
+        class BatchCounting(CountingGateway):
+            def masked_start_scores(self, instance):
+                self.calls += 1
+                return self.inner.masked_start_scores(instance)
+
+        for inst in corpus[:3]:
+            gateway = BatchCounting(build_gateway("toy:7"))
+            saliency = occlusion_saliency(gateway, inst)
+            assert gateway.calls == 2  # predict, then masked_start_scores
+            assert saliency == occlusion_saliency(build_gateway("toy:7"), inst)
+
     def test_position_locked_model_scores_zero_everywhere(self, corpus):
         gateway = build_gateway("oracle")
         saliency = occlusion_saliency(gateway, corpus[0])
@@ -271,13 +283,53 @@ class TestCache:
         assert cache.get_or_compute(gateway, corpus[0], config) is first
         assert gateway.calls == calls
 
+    def test_edited_words_under_the_same_id_are_recomputed(self, tmp_path):
+        def version(word):
+            return build_instance(
+                "same-id", "Who wrote the code?", [f"Ada wrote the {word}."], gold=(0, "Ada")
+            )
+
+        first, edited = version("code"), version("poem")
+        gateway = CountingGateway(build_gateway("toy:7"))
+        cache = SaliencyCache()
+        config = SaliencyConfig(method="occlusion")
+        old_map = cache.get_or_compute(gateway, first, config)
+        calls = gateway.calls
+        new_map = cache.get_or_compute(gateway, edited, config)
+        assert gateway.calls > calls  # a miss, not the stale map
+        assert new_map == occlusion_saliency(build_gateway("toy:7"), edited)
+        assert new_map.scores != old_map.scores
+        assert cache.get("toy:7", config, first) is old_map
+        assert cache.get("toy:7", config, edited) is new_map
+        path = tmp_path / "cache.jsonl"
+        cache.save(path)
+        loaded = SaliencyCache.load(path)
+        assert loaded.get("toy:7", config, edited) == new_map
+        assert loaded.get("toy:7", config, first) == old_map
+
+    def test_records_without_a_content_hash_are_misses(self, tmp_path, corpus):
+        config = SaliencyConfig(method="occlusion")
+        cache = SaliencyCache()
+        for inst in corpus[:2]:
+            cache.get_or_compute(build_gateway("toy:7"), inst, config)
+        path = tmp_path / "cache.jsonl"
+        cache.save(path)
+        docs = [json.loads(line) for line in path.read_text().splitlines()]
+        assert all(len(doc.pop("content_hash")) == 16 for doc in docs)
+        path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))  # an older version's file
+        loaded = SaliencyCache.load(path)
+        assert len(loaded) == 0
+        gateway = CountingGateway(build_gateway("toy:7"))
+        assert loaded.get_or_compute(gateway, corpus[0], config) == cache.get("toy:7", config, corpus[0])
+        assert gateway.calls > 0
+
     def test_toy_embedding_dim_is_part_of_the_model_key(self, corpus):
         cache = SaliencyCache()
         config = SaliencyConfig(method="occlusion")
         cache.get_or_compute(build_gateway("toy:7"), corpus[0], config)
-        assert cache.get("toy:7", config, corpus[0].id) is not None
+        assert cache.get("toy:7", config, corpus[0]) is not None
         wide = build_gateway("toy:7:32")
-        assert cache.get(wide.model_id, config, corpus[0].id) is None
+        assert cache.get(wide.model_id, config, corpus[0]) is None
 
     def test_keys_separate_methods_and_models(self, corpus):
         gateway = build_gateway("toy:7")
@@ -288,8 +340,8 @@ class TestCache:
         cache.get_or_compute(gateway, inst, occ)
         cache.get_or_compute(gateway, inst, ig)
         assert len(cache) == 2
-        assert cache.get("toy:7", occ, inst.id) is not None
-        assert cache.get("toy:9", occ, inst.id) is None
+        assert cache.get("toy:7", occ, inst) is not None
+        assert cache.get("toy:9", occ, inst) is None
 
     def test_file_round_trip_is_bit_identical(self, tmp_path, corpus):
         gateway = build_gateway("toy:7")
@@ -303,6 +355,7 @@ class TestCache:
         cache.save(first)
         loaded = SaliencyCache.load(first)
         assert len(loaded) == len(cache)
+        by_id = {inst.id: inst for inst in corpus[:3]}
         for saliency in cache.maps():
             again = loaded.get(
                 saliency.model_id,
@@ -310,7 +363,7 @@ class TestCache:
                     method=saliency.method,
                     ig_steps=4 if saliency.method == "integrated_gradients" else 50,
                 ),
-                saliency.instance_id,
+                by_id[saliency.instance_id],
             )
             assert again is not None
             assert again.scores == saliency.scores  # exact float round trip
