@@ -33,7 +33,7 @@ from .counterfactuals import (
     save_cf_pairs,
 )
 from .errors import AuditError, CapabilityError, InputError
-from .gateway import ModelGateway, build_gateway, predict
+from .gateway import build_gateway, predict
 from .heuristic import SELECTION_STRATEGIES, HeuristicConfig, heuristic_answer
 from .metrics import evaluate_dataset, exact_match, token_f1
 from .saliency import SaliencyCache, SaliencyConfig

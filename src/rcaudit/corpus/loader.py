@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import AnchorError, InputError
-from ..types import AnswerSpan, RCInstance, Sentence, validate_instance
+from ..types import AnswerSpan, RCInstance, validate_instance
 from .adapters import FORMAT_ADAPTERS
 from .schema import load_jsonl
 

@@ -11,7 +11,7 @@ from .base import (
     check_output,
     decode_span,
     embed,
-    grad_start_batch,
+    integrated_gradients,
     masked_start_scores,
     predict,
     span_text,
@@ -66,7 +66,7 @@ __all__ = [
     "check_output",
     "decode_span",
     "embed",
-    "grad_start_batch",
+    "integrated_gradients",
     "masked_start_scores",
     "predict",
     "span_text",

@@ -1,18 +1,19 @@
 """Model gateway contract: scores, embeddings, gradients, span decoding.
 
-A gateway wraps any extractive-QA model behind five capabilities: predict
+A gateway wraps any extractive-QA model behind six capabilities: predict
 (start/end probability vectors over context words plus the decoded span),
 masked_start_scores (the start distribution with each word in turn
 replaced by the mask token, one row per word: what occlusion reads),
 embed (one vector per word, question words first), grad_start (derivative
 of the start probability at a target position with respect to every
-embedding coordinate; grad_start_batch takes a stack of embedding matrices
-at once), and a declared mask token. Gateways work at the word level;
-models with subword vocabularies must reduce subword scores to words
-internally (max over subwords) before returning.
+embedding coordinate), integrated_gradients (grad_start summed over the
+straight path from the mask-all baseline to the instance: what integrated
+gradients reads), and a declared mask token. Gateways work at the word
+level; models with subword vocabularies must reduce subword scores to
+words internally (max over subwords) before returning.
 
 Callers go through the module functions `predict`, `masked_start_scores`,
-`embed` and `grad_start_batch`, which check every output against the
+`embed` and `integrated_gradients`, which check every output against the
 contract.
 """
 
@@ -25,7 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from ..errors import CapabilityError, GatewayError, InputError
-from ..masking import mask_word
+from ..masking import mask_all, mask_word
 from ..types import AnswerSpan, RCInstance
 
 DEFAULT_MAX_ANSWER_LEN = 30
@@ -81,13 +82,21 @@ class ModelGateway(ABC):
     ) -> np.ndarray:
         raise CapabilityError(f"{self.model_id} does not expose gradients")
 
-    def grad_start_batch(
-        self, instance: RCInstance, points: np.ndarray, target_position: int
-    ) -> np.ndarray:
-        """grad_start at each of the k embedding matrices in `points`
-        (shape (k, n, d)), stacked to (k, n, d). Gateways that can evaluate
-        several points in one pass (or one round trip) override this."""
-        return np.stack([self.grad_start(instance, point, target_position) for point in points])
+    def integrated_gradients(
+        self, instance: RCInstance, steps: int, target_position: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(embeddings, mask-all baseline, sum over j = 1..steps in path order
+        of grad_start at baseline + (j / steps) * (embeddings - baseline)).
+        Gateways that can evaluate several points at once override this."""
+        embeddings = _checked_embeddings(instance, self.embed(instance))
+        masked = self.embed(mask_all(instance, self.baseline_token))
+        baseline = _checked_array(instance, "baseline embeddings", masked, embeddings.shape)
+        delta = embeddings - baseline
+        total = np.zeros_like(embeddings)
+        for j in range(1, steps + 1):
+            grad = self.grad_start(instance, baseline + (j / steps) * delta, target_position)
+            total += _checked_array(instance, "gradients", grad, embeddings.shape)
+        return embeddings, baseline, total
 
     def close(self) -> None:
         """Release external resources (sockets, subprocesses). No-op here."""
@@ -195,9 +204,10 @@ def _call(gateway: ModelGateway, op: str, instance: RCInstance, *args):
         raise GatewayError(f"{instance.id}: gateway {gateway.model_id} failed: {exc}") from exc
 
 
-def _checked_array(instance: RCInstance, name: str, value, shape_ok, want: str) -> np.ndarray:
+def _checked_array(instance: RCInstance, name: str, value, want: tuple) -> np.ndarray:
+    """`value` as a finite float array of shape `want`."""
     arr = np.asarray(value, dtype=float)
-    if not shape_ok(arr.shape):
+    if arr.shape != want:
         raise GatewayError(f"{instance.id}: {name} have shape {arr.shape}, want {want}")
     if not np.all(np.isfinite(arr)):
         raise GatewayError(f"{instance.id}: {name} are not all finite")
@@ -226,27 +236,26 @@ def masked_start_scores(gateway: ModelGateway, instance: RCInstance) -> np.ndarr
     return rows
 
 
+def _checked_embeddings(instance: RCInstance, value) -> np.ndarray:
+    """`value` as a finite (n_q + n_c, d) matrix."""
+    n = instance.n_question + instance.n_context
+    shape = np.shape(value)
+    if len(shape) != 2 or shape[0] != n or shape[1] < 1:
+        raise GatewayError(f"{instance.id}: embeddings have shape {shape}, want ({n}, d)")
+    return _checked_array(instance, "embeddings", value, shape)
+
+
 def embed(gateway: ModelGateway, instance: RCInstance) -> np.ndarray:
     """Call gateway.embed; the result must be a finite (n_q + n_c, d) matrix."""
-    n = instance.n_question + instance.n_context
-    return _checked_array(
-        instance,
-        "embeddings",
-        _call(gateway, "embed", instance),
-        lambda shape: len(shape) == 2 and shape[0] == n and shape[1] >= 1,
-        f"({n}, d)",
-    )
+    return _checked_embeddings(instance, _call(gateway, "embed", instance))
 
 
-def grad_start_batch(
-    gateway: ModelGateway, instance: RCInstance, points: np.ndarray, target_position: int
-) -> np.ndarray:
-    """Call gateway.grad_start_batch; the result must be finite and shaped
-    like `points`."""
-    return _checked_array(
-        instance,
-        "gradients",
-        _call(gateway, "grad_start_batch", instance, points, target_position),
-        lambda shape: shape == points.shape,
-        str(points.shape),
-    )
+def integrated_gradients(
+    gateway: ModelGateway, instance: RCInstance, steps: int, target: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Call gateway.integrated_gradients; the embeddings must be a finite (n_q
+    + n_c, d) matrix, the baseline and the gradient sum finite and that shape."""
+    embeddings, baseline, total = _call(gateway, "integrated_gradients", instance, steps, target)
+    embeddings = _checked_embeddings(instance, embeddings)
+    baseline = _checked_array(instance, "baseline embeddings", baseline, embeddings.shape)
+    return embeddings, baseline, _checked_array(instance, "gradients", total, embeddings.shape)

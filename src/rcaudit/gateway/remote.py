@@ -11,9 +11,10 @@ ModelGateway contract, so a fine-tuned encoder hosted in another process
 
 Requests are one JSON object per line:
 
-    {"op": "info"|"predict"|"masked_start_scores"|"embed"|"grad_start_batch",
+    {"op": "info"|"predict"|"masked_start_scores"|"embed"|"grad_start"
+          |"integrated_gradients",
      "instance": {unified instance record}?,
-     "target": int?, "points": ARRAY?}
+     "target": int?, "embeddings": ARRAY?, "steps": int?}
 
 Responses mirror the in-memory contract:
 
@@ -23,10 +24,11 @@ Responses mirror the in-memory contract:
 `info` answers model_id, baseline_token and max_answer_len; `predict`
 answers start_scores, end_scores and predicted_span; `masked_start_scores`
 answers scores, one row per masked word; `embed` answers embeddings;
-`grad_start_batch` answers grads. So an occlusion map costs two round
-trips whatever the instance length.
+`grad_start` answers grad; `integrated_gradients` answers embeddings,
+baseline and the path-summed grads. So an occlusion or IG map costs two
+round trips, however long the instance or the path.
 
-Every array (scores, embeddings, path points, gradients) travels as
+Every array (scores, embeddings, gradients) travels as
 ARRAY = {"shape": [...], "f8": "<base64 of little-endian C-order float64>"},
 so values cross the wire bit for bit and cost 8 bytes (plus a third for
 base64) instead of a decimal string each.
@@ -64,10 +66,14 @@ _ERROR_KINDS = {
 _STDERR_TAIL_LINES = 10
 _STDERR_TAIL_BYTES = 4096
 # Seconds the client waits to connect over TCP, and for its server to
-# take or send the next bytes of a request or reply over either transport.
+# take or send the next bytes of a request or reply over either transport;
+# steps times that for an integrated_gradients reply (one pass per step).
 _TIMEOUT_S = 60
 # Bytes asked for per read of a reply.
 _READ_BYTES = 1 << 16
+# Reply fields of integrated_gradients, in the order the contract returns them.
+_IG_FIELDS = ("embeddings", "baseline", "grads")
+_INSTANCE_OPS = ("predict", "masked_start_scores", "embed", "grad_start", "integrated_gradients")
 
 
 def encode_array(values) -> dict:
@@ -103,7 +109,7 @@ def handle_request(gateway: ModelGateway, request: dict) -> dict:
                 "baseline_token": gateway.baseline_token,
                 "max_answer_len": gateway.max_answer_len,
             }
-        elif op in ("predict", "masked_start_scores", "embed", "grad_start_batch"):
+        elif op in _INSTANCE_OPS:
             instance = instance_from_dict(request["instance"])
             if op == "predict":
                 output = gateway.predict(instance)
@@ -122,12 +128,17 @@ def handle_request(gateway: ModelGateway, request: dict) -> dict:
                 result = {"scores": encode_array(gateway.masked_start_scores(instance))}
             elif op == "embed":
                 result = {"embeddings": encode_array(gateway.embed(instance))}
+            elif op == "grad_start":
+                embeddings = decode_array(request["embeddings"])
+                if embeddings.ndim != 2:
+                    raise InputError(f"embeddings have shape {embeddings.shape}, want (n, d)")
+                grad = gateway.grad_start(instance, embeddings, int(request["target"]))
+                result = {"grad": encode_array(grad)}
             else:
-                points = decode_array(request["points"])
-                if points.ndim != 3:
-                    raise InputError(f"points have shape {points.shape}, want (k, n, d)")
-                grads = gateway.grad_start_batch(instance, points, int(request["target"]))
-                result = {"grads": encode_array(grads)}
+                arrays = gateway.integrated_gradients(
+                    instance, int(request["steps"]), int(request["target"])
+                )
+                result = dict(zip(_IG_FIELDS, map(encode_array, arrays)))
         else:
             raise InputError(f"unknown op {op!r}")
     except InputError as exc:
@@ -174,8 +185,8 @@ class RemoteGateway(ModelGateway):
     Endpoints: "tcp://host:port" connects a socket; anything else is run
     as a subprocess command line speaking the protocol on stdio, with its
     stderr kept in a temporary file and quoted when the connection breaks.
-    A server that takes or sends no bytes for _TIMEOUT_S raises a
-    GatewayError instead of blocking the audit.
+    A server that takes or sends no bytes for _TIMEOUT_S (see there) raises
+    a GatewayError instead of blocking the audit.
     """
 
     def __init__(self, endpoint: str) -> None:
@@ -255,19 +266,19 @@ class RemoteGateway(ModelGateway):
             message += f"; its stderr ends with:\n{tail}"
         return GatewayError(message)
 
-    def _wait(self, stream, write: bool) -> None:
-        """Block until `stream` can be written or read. After _TIMEOUT_S
+    def _wait(self, stream, write: bool, timeout_s: float) -> None:
+        """Block until `stream` can be written or read. After `timeout_s`
         of silence the connection is closed (a stdio server is killed and
         reaped) and a GatewayError names the endpoint."""
         fds = [stream.fileno()]
         if write:
-            ready = select.select([], fds, [], _TIMEOUT_S)[1]
+            ready = select.select([], fds, [], timeout_s)[1]
         else:
-            ready = select.select(fds, [], [], _TIMEOUT_S)[0]
+            ready = select.select(fds, [], [], timeout_s)[0]
         if not ready:
             if self._proc is not None:
                 self._proc.kill()
-            error = self._broken(f"did not answer within {_TIMEOUT_S} s")
+            error = self._broken(f"did not answer within {timeout_s} s")
             self.close()
             raise error
 
@@ -280,13 +291,13 @@ class RemoteGateway(ModelGateway):
                 pass
             if not view:
                 return
-            self._wait(self._wfile, write=True)
+            self._wait(self._wfile, write=True, timeout_s=_TIMEOUT_S)
 
-    def _receive_line(self) -> bytes:
+    def _receive_line(self, timeout_s: float) -> bytes:
         """The next line from the server, or b"" if it closes before one ends."""
         chunks = [self._pending]
         while (newline := chunks[-1].find(b"\n")) < 0:
-            self._wait(self._rfile, write=False)
+            self._wait(self._rfile, write=False, timeout_s=timeout_s)
             chunk = os.read(self._rfile.fileno(), _READ_BYTES)
             if not chunk:
                 return b""
@@ -295,10 +306,10 @@ class RemoteGateway(ModelGateway):
         chunks[-1] = chunks[-1][: newline + 1]
         return b"".join(chunks)
 
-    def _request(self, request: dict) -> dict:
+    def _request(self, request: dict, passes: int = 1) -> dict:
         try:
             self._send((json.dumps(request) + "\n").encode("utf-8"))
-            line = self._receive_line()
+            line = self._receive_line(passes * _TIMEOUT_S)
         except (OSError, ValueError) as exc:
             raise self._broken(f"i/o failed: {exc}") from exc
         if not line:
@@ -334,6 +345,10 @@ class RemoteGateway(ModelGateway):
             )
         return value
 
+    def _ask(self, op: str, instance: RCInstance, passes: int = 1, **fields) -> dict:
+        request = {"op": op, "instance": instance_to_dict(instance), **fields}
+        return self._request(request, passes)
+
     def _array(self, result: dict, field: str) -> np.ndarray:
         try:
             return decode_array(self._field(result, field, dict))
@@ -343,7 +358,7 @@ class RemoteGateway(ModelGateway):
             ) from exc
 
     def predict(self, instance: RCInstance) -> ModelOutput:
-        result = self._request({"op": "predict", "instance": instance_to_dict(instance)})
+        result = self._ask("predict", instance)
         span = self._field(result, "predicted_span", dict)
         return ModelOutput(
             start_scores=self._array(result, "start_scores"),
@@ -357,33 +372,26 @@ class RemoteGateway(ModelGateway):
         )
 
     def masked_start_scores(self, instance: RCInstance) -> np.ndarray:
-        result = self._request(
-            {"op": "masked_start_scores", "instance": instance_to_dict(instance)}
-        )
-        return self._array(result, "scores")
+        return self._array(self._ask("masked_start_scores", instance), "scores")
 
     def embed(self, instance: RCInstance) -> np.ndarray:
-        result = self._request({"op": "embed", "instance": instance_to_dict(instance)})
-        return self._array(result, "embeddings")
+        return self._array(self._ask("embed", instance), "embeddings")
 
     def grad_start(
         self, instance: RCInstance, embeddings: np.ndarray, target_position: int
     ) -> np.ndarray:
-        points = np.asarray(embeddings, dtype=float)[np.newaxis]
-        return self.grad_start_batch(instance, points, target_position)[0]
-
-    def grad_start_batch(
-        self, instance: RCInstance, points: np.ndarray, target_position: int
-    ) -> np.ndarray:
-        result = self._request(
-            {
-                "op": "grad_start_batch",
-                "instance": instance_to_dict(instance),
-                "points": encode_array(points),
-                "target": target_position,
-            }
+        result = self._ask(
+            "grad_start", instance, embeddings=encode_array(embeddings), target=target_position
         )
-        return self._array(result, "grads")
+        return self._array(result, "grad")
+
+    def integrated_gradients(
+        self, instance: RCInstance, steps: int, target_position: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        result = self._ask(
+            "integrated_gradients", instance, steps, steps=steps, target=target_position
+        )
+        return tuple(self._array(result, name) for name in _IG_FIELDS)
 
     def close(self) -> None:
         for stream in (getattr(self, "_wfile", None), getattr(self, "_rfile", None)):

@@ -21,18 +21,15 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import GatewayError, InputError
-from .gateway.base import ModelGateway, embed, grad_start_batch, masked_start_scores, predict
-# mask_word is not called here any more; the benchmark's tracer still
-# patches it by name in this module (perfbench/tracing.py).
+from .errors import InputError
+from .gateway.base import ModelGateway, integrated_gradients, masked_start_scores, predict
+# mask_all and mask_word are not called here any more; the benchmark's
+# tracer still patches them by name in this module (perfbench/tracing.py).
 from .masking import mask_all, mask_word  # noqa: F401
 from .types import RCInstance, Scope
 
 METHODS = ("occlusion", "integrated_gradients")
 SUMMARIZERS = ("l2", "l1", "dot")
-# Float64 values per grad_start_batch call: integrated gradients sends its
-# path points in chunks of max(1, IG_CHUNK_FLOATS // point size) points.
-IG_CHUNK_FLOATS = 8192
 
 
 @dataclass(frozen=True)
@@ -111,34 +108,19 @@ def ig_saliency(
 ) -> SaliencyMap:
     """Integrated gradients from a mask-all baseline to the real input.
 
-    Right-endpoint Riemann sum with config.ig_steps points, sent to the
-    gateway in chunks of grad_start_batch; gradients are added in path
-    order, so the map does not depend on the chunk size. Each word's
-    attribution vector is (E_k - B_k) times the path-averaged gradient row,
-    then summarized to a scalar.
+    Two gateway calls: the prediction that fixes the anchor, then
+    integrated_gradients, which sums the gradient over the config.ig_steps
+    points of a right-endpoint Riemann sum where the model lives. Each
+    word's attribution vector is (E_k - B_k) times the path-averaged
+    gradient row, then summarized to a scalar.
     """
     if config is None:
         config = SaliencyConfig(method="integrated_gradients")
     original = predict(gateway, instance)
     anchor = int(np.argmax(original.start_scores))
-    embeddings = embed(gateway, instance)
-    baseline = embed(gateway, mask_all(instance, gateway.baseline_token))
-    if baseline.shape != embeddings.shape:
-        raise GatewayError(
-            f"{instance.id}: baseline embeddings have shape {baseline.shape}, "
-            f"want {embeddings.shape}"
-        )
-    delta = embeddings - baseline
     m = config.ig_steps
-    chunk = max(1, IG_CHUNK_FLOATS // embeddings.size)
-    grad_total = np.zeros_like(embeddings)
-    for first in range(1, m + 1, chunk):
-        points = np.stack(
-            [baseline + (j / m) * delta for j in range(first, min(first + chunk, m + 1))]
-        )
-        for grad in grad_start_batch(gateway, instance, points, anchor):
-            grad_total += grad
-    attributions = delta * (grad_total / m)
+    embeddings, baseline, grad_total = integrated_gradients(gateway, instance, m, anchor)
+    attributions = (embeddings - baseline) * (grad_total / m)
     scores = tuple(summarize(row, config.summarizer) for row in attributions)
     return SaliencyMap(
         instance_id=instance.id,

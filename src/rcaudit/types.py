@@ -13,7 +13,7 @@ Conventions used throughout the toolkit:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal
 

@@ -17,7 +17,7 @@ from rcaudit.gateway.base import (
     check_output,
     decode_span,
     embed,
-    grad_start_batch,
+    integrated_gradients,
     masked_start_scores,
     predict,
     span_text,
@@ -25,7 +25,7 @@ from rcaudit.gateway.base import (
 from rcaudit.gateway.baselines import FrequencyBaselineModel, GoldOracleModel
 from rcaudit.gateway.scripted import ScriptedModel
 from rcaudit.gateway.toy import _INITIAL_TABLE_ROWS, ReferenceToyModel
-from rcaudit.masking import mask_word
+from rcaudit.masking import mask_all, mask_word
 from rcaudit.saliency import occlusion_saliency
 from rcaudit.synthetic import make_synthetic_corpus
 
@@ -185,21 +185,26 @@ class TestToyModel:
     @given(
         seed=st.integers(0, 2**16),
         dim=st.integers(1, 24),
-        k=st.integers(1, 9),
+        steps=st.integers(1, 40),
         instance_seed=st.integers(0, 50),
-        scale=st.floats(-3.0, 3.0, allow_nan=False),
+        target_seed=st.integers(0, 2**16),
     )
-    def test_default_batch_equals_stacked_single_points(self, seed, dim, k, instance_seed, scale):
+    def test_default_integrated_gradients_equals_per_point_loop(
+        self, seed, dim, steps, instance_seed, target_seed
+    ):
         gateway = ReferenceToyModel(seed=seed, embedding_dim=dim)
         inst = make_synthetic_corpus(1, seed=instance_seed)[0]
-        emb = gateway.embed(inst)
-        rng = np.random.default_rng(seed + k)
-        points = np.stack([emb + scale * rng.standard_normal(emb.shape) for _ in range(k)])
-        target = int(rng.integers(inst.n_context))
-        batch = gateway.grad_start_batch(inst, points, target)
-        single = np.stack([gateway.grad_start(inst, point, target) for point in points])
-        assert batch.shape == points.shape
-        assert batch.tobytes() == single.tobytes()
+        target = target_seed % inst.n_context
+        embeddings = gateway.embed(inst)
+        baseline = gateway.embed(mask_all(inst, gateway.baseline_token))
+        delta = embeddings - baseline
+        total = np.zeros_like(embeddings)
+        for j in range(1, steps + 1):
+            total += gateway.grad_start(inst, baseline + (j / steps) * delta, target)
+        got = gateway.integrated_gradients(inst, steps, target)
+        for have, want in zip(got, (embeddings, baseline, total)):
+            assert have.shape == want.shape
+            assert have.tobytes() == want.tobytes()
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -388,24 +393,28 @@ class TestOutputValidation:
                     grad[0, 0] = np.nan
                 if self.fault == "inf":
                     grad[-1, -1] = -np.inf
-                return grad
+                return grad[0] if self.fault == "row" else grad
 
-            def grad_start_batch(self, instance, points, target_position):
-                grads = super().grad_start_batch(instance, points, target_position)
-                return grads[:-1] if self.fault == "drop" else grads
+            def integrated_gradients(self, instance, steps, target_position):
+                emb, base, grads = super().integrated_gradients(instance, steps, target_position)
+                return emb, base, grads[:-1] if self.fault == "drop" else grads
 
         inst = build_instance("v-6", "Who?", ["Ada wrote."], gold=(0, "Ada"))
-        emb = ReferenceToyModel(seed=1).embed(inst)
-        points = np.stack([emb, emb / 2])
         assert embed(Faulty(None), inst).shape == (5, 16)
-        assert grad_start_batch(Faulty(None), inst, points, 0).shape == (2, 5, 16)
+        shapes = [a.shape for a in integrated_gradients(Faulty(None), inst, 2, 0)]
+        assert shapes == [(5, 16)] * 3
         with pytest.raises(GatewayError, match=r"v-6: embeddings have shape \(4, 16\), want \(5, d\)"):
             embed(Faulty("short"), inst)
+        with pytest.raises(GatewayError, match=r"v-6: embeddings have shape \(4, 16\), want \(5, d\)"):
+            integrated_gradients(Faulty("short"), inst, 2, 0)
         for fault in ("nan", "inf"):
             with pytest.raises(GatewayError, match="v-6: gradients are not all finite"):
-                grad_start_batch(Faulty(fault), inst, points, 0)
-        with pytest.raises(GatewayError, match=r"v-6: gradients have shape \(1, 5, 16\)"):
-            grad_start_batch(Faulty("drop"), inst, points, 0)
+                integrated_gradients(Faulty(fault), inst, 2, 0)
+        with pytest.raises(GatewayError, match=r"v-6: gradients have shape \(4, 16\), want \(5, 16\)"):
+            integrated_gradients(Faulty("drop"), inst, 2, 0)
+        # One row would broadcast into the sum unnoticed: each point is checked.
+        with pytest.raises(GatewayError, match=r"v-6: gradients have shape \(16,\), want \(5, 16\)"):
+            integrated_gradients(Faulty("row"), inst, 2, 0)
 
     def test_embed_wrapper_names_instance_on_failure(self):
         class Exploding(ReferenceToyModel):

@@ -7,6 +7,7 @@ import gc
 import io
 import json
 import os
+import re
 import shlex
 import socket
 import subprocess
@@ -21,7 +22,7 @@ from conftest import build_instance
 from rcaudit.errors import CapabilityError, GatewayError, InputError
 from rcaudit.gateway import build_gateway
 from rcaudit.gateway import remote as remote_module
-from rcaudit.gateway.base import masked_start_scores
+from rcaudit.gateway.base import integrated_gradients, masked_start_scores
 from rcaudit.gateway.remote import (
     RemoteGateway,
     decode_array,
@@ -146,21 +147,37 @@ class TestHandleRequest:
         embeddings = decode_array(embedded["result"]["embeddings"])
         assert np.array_equal(embeddings, local_toy.embed(inst))
 
-        points = np.stack([embeddings, 0.5 * embeddings])
-        response = handle_request(
-            local_toy,
-            {
-                "op": "grad_start_batch",
-                "instance": record,
-                "points": encode_array(points),
-                "target": 0,
-            },
-        )
-        assert response["ok"]
-        grads = decode_array(response["result"]["grads"])
-        assert grads.shape == points.shape
-        for point, grad in zip(points, grads):
+        for point in (embeddings, 0.5 * embeddings):
+            response = handle_request(
+                local_toy,
+                {
+                    "op": "grad_start",
+                    "instance": record,
+                    "embeddings": encode_array(point),
+                    "target": 0,
+                },
+            )
+            assert response["ok"]
+            grad = decode_array(response["result"]["grad"])
+            assert grad.shape == point.shape
             assert np.array_equal(grad, local_toy.grad_start(inst, point, 0))
+
+    def test_integrated_gradients_round_trip(self, local_toy, corpus):
+        from rcaudit.corpus.schema import instance_to_dict
+
+        inst = corpus[1]
+        request = {
+            "op": "integrated_gradients",
+            "instance": instance_to_dict(inst),
+            "steps": 9,
+            "target": 1,
+        }
+        response = handle_request(local_toy, request)
+        assert response["ok"]
+        result = response["result"]
+        local = local_toy.integrated_gradients(inst, 9, 1)
+        for name, want in zip(("embeddings", "baseline", "grads"), local):
+            assert decode_array(result[name]).tobytes() == want.tobytes()
 
     def test_unknown_op_is_input_error(self, local_toy):
         response = handle_request(local_toy, {"op": "translate"})
@@ -181,9 +198,9 @@ class TestHandleRequest:
         response = handle_request(
             local_toy,
             {
-                "op": "grad_start_batch",
+                "op": "grad_start",
                 "instance": instance_to_dict(inst),
-                "points": encode_array(embeddings[np.newaxis]),
+                "embeddings": encode_array(embeddings),
                 "target": 10_000,
             },
         )
@@ -210,34 +227,34 @@ class TestHandleRequest:
         from rcaudit.corpus.schema import instance_to_dict
 
         inst = corpus[0]
-        points = encode_array(local_toy.embed(inst)[np.newaxis])
-        points["shape"] = [2] + points["shape"][1:]
+        embeddings = encode_array(local_toy.embed(inst))
+        embeddings["shape"] = [2 * embeddings["shape"][0]] + embeddings["shape"][1:]
         response = handle_request(
             local_toy,
-            {"op": "grad_start_batch", "instance": instance_to_dict(inst), "points": points, "target": 0},
+            {"op": "grad_start", "instance": instance_to_dict(inst), "embeddings": embeddings, "target": 0},
         )
         assert not response["ok"]
         assert response["kind"] == "input"
         assert "bytes" in response["error"]
 
-    def test_points_must_be_a_stack_of_matrices(self, local_toy, corpus):
+    def test_grad_start_embeddings_must_be_a_matrix(self, local_toy, corpus):
         from rcaudit.corpus.schema import instance_to_dict
 
         inst = corpus[0]
         response = handle_request(
             local_toy,
             {
-                "op": "grad_start_batch",
+                "op": "grad_start",
                 "instance": instance_to_dict(inst),
-                "points": encode_array(local_toy.embed(inst)),
+                "embeddings": encode_array(local_toy.embed(inst)[np.newaxis]),
                 "target": 0,
             },
         )
         assert not response["ok"]
         assert response["kind"] == "input"
 
-    def test_single_point_op_is_gone(self, local_toy):
-        response = handle_request(local_toy, {"op": "grad_start"})
+    def test_batch_op_is_gone(self, local_toy):
+        response = handle_request(local_toy, {"op": "grad_start_batch"})
         assert not response["ok"]
         assert response["kind"] == "input"
         assert "unknown op" in response["error"]
@@ -283,7 +300,7 @@ class TestPackedArrays:
 
     def test_client_rejects_mismatched_payload_as_gateway_error(self, remote_toy, corpus, monkeypatch):
         bad = {"shape": [2, 2], "f8": base64.b64encode(b"\0" * 8).decode()}
-        monkeypatch.setattr(remote_toy, "_request", lambda request: {"embeddings": bad})
+        monkeypatch.setattr(remote_toy, "_request", lambda request, passes=1: {"embeddings": bad})
         with pytest.raises(GatewayError, match="embeddings.*bytes"):
             remote_toy.embed(corpus[0])
 
@@ -350,6 +367,8 @@ class TestSubprocessRoundTrip:
             assert output.predicted_span.text == "Nora Quist"
             with pytest.raises(CapabilityError):
                 gateway.embed(inst)
+            with pytest.raises(CapabilityError):
+                gateway.integrated_gradients(inst, 4, 0)
 
     @pytest.mark.parametrize("steps", [1, 15, 16, 17, 256])
     def test_ig_maps_equal_in_process_maps(self, remote_toy, local_toy, steps):
@@ -360,20 +379,18 @@ class TestSubprocessRoundTrip:
         assert remote.scores == local.scores
         assert remote.anchor_position == local.anchor_position
 
-    def test_ig_sends_path_points_in_chunks(self, remote_toy, monkeypatch):
+    def test_ig_costs_two_round_trips(self, remote_toy, monkeypatch):
         inst = thirty_two_word_instance()
         ops = []
         request = remote_toy._request
 
-        def counting(payload):
+        def counting(payload, *args, **kwargs):
             ops.append(payload["op"])
-            return request(payload)
+            return request(payload, *args, **kwargs)
 
         monkeypatch.setattr(remote_toy, "_request", counting)
         ig_saliency(remote_toy, inst, SaliencyConfig(method="integrated_gradients", ig_steps=256))
-        # 32 words x 16 dims: 16 path points per request, 256 / 16 batches
-        assert ops.count("grad_start_batch") == 16
-        assert len(ops) <= 20
+        assert ops == ["predict", "integrated_gradients"]
 
     def test_occlusion_maps_equal_in_process_maps(self, remote_toy, local_toy, corpus):
         for inst in [thirty_two_word_instance(), long_instance(), *corpus[:3]]:
@@ -386,9 +403,9 @@ class TestSubprocessRoundTrip:
         ops = []
         request = remote_toy._request
 
-        def counting(payload):
+        def counting(payload, *args, **kwargs):
             ops.append(payload["op"])
-            return request(payload)
+            return request(payload, *args, **kwargs)
 
         monkeypatch.setattr(remote_toy, "_request", counting)
         occlusion_saliency(remote_toy, long_instance())
@@ -492,7 +509,7 @@ class TestSubprocessRoundTrip:
     def test_malformed_span_fields_are_gateway_errors(self, remote_toy, corpus, monkeypatch, span, message):
         scores = encode_array(np.full(corpus[0].n_context, 1.0 / corpus[0].n_context))
         reply = {"start_scores": scores, "end_scores": scores, "predicted_span": span}
-        monkeypatch.setattr(remote_toy, "_request", lambda request: reply)
+        monkeypatch.setattr(remote_toy, "_request", lambda request, passes=1: reply)
         with pytest.raises(GatewayError, match=message):
             remote_toy.predict(corpus[0])
 
@@ -574,13 +591,13 @@ class TestFaultyServers:
             "time.sleep(60)\n"
         )
         inst = corpus[0]
-        points = np.zeros((64, inst.n_question + inst.n_context, 16))
-        assert points.nbytes > 1 << 17
+        wide = np.zeros((inst.n_question + inst.n_context, 1024))
+        assert wide.nbytes > 1 << 17
         with RemoteGateway(python_endpoint(script)) as gateway:
             monkeypatch.setattr(remote_module, "_TIMEOUT_S", 0.5)
             began = time.monotonic()
             with pytest.raises(GatewayError, match="did not answer within 0.5 s"):
-                gateway.grad_start_batch(inst, points, 0)
+                gateway.grad_start(inst, wide, 0)
             assert time.monotonic() - began < 5
             assert gateway._proc.returncode is not None
 
@@ -605,6 +622,68 @@ class TestFaultyServers:
         with RemoteGateway(canned_server({"ok": True, "result": {"scores": encode_array(scores)}})) as gateway:
             with pytest.raises(GatewayError, match=f"{inst.id}: {message}"):
                 masked_start_scores(gateway, inst)
+
+    def test_ig_reply_may_take_steps_times_the_timeout(self, monkeypatch, corpus):
+        script = (
+            "import json, sys, time\n"
+            "sys.stdin.readline()\n"
+            "print(json.dumps({'ok': True, 'result': {'model_id': 'slow'}}), flush=True)\n"
+            "sys.stdin.readline()\n"
+            "time.sleep(60)\n"
+        )
+        endpoint = python_endpoint(script)
+        gateway = RemoteGateway(endpoint)
+        proc = gateway._proc
+        monkeypatch.setattr(remote_module, "_TIMEOUT_S", 0.25)
+        began = time.monotonic()
+        with pytest.raises(GatewayError, match="did not answer within 1.0 s") as raised:
+            gateway.integrated_gradients(corpus[0], 4, 0)
+        assert 0.9 <= time.monotonic() - began < 5  # longer than one _TIMEOUT_S
+        assert repr(endpoint) in str(raised.value)
+        assert proc.returncode is not None  # stopped and waited for
+        gateway.close()
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("nan", "{id}: gradients are not all finite"),
+            ("baseline", r"{id}: baseline embeddings have shape \(\d+, 15\), want \(\d+, 16\)"),
+            ("missing", "{endpoint}.* reply without 'grads'"),
+            ("list", "{endpoint}.* 'grads' as list, want dict"),
+        ],
+    )
+    def test_bad_integrated_gradients_replies_are_rejected(self, local_toy, corpus, fault, message):
+        inst = corpus[0]
+        embeddings, baseline, grads = local_toy.integrated_gradients(inst, 4, 0)
+        result = {
+            "embeddings": encode_array(embeddings),
+            "baseline": encode_array(baseline),
+            "grads": encode_array(grads),
+        }
+        if fault == "nan":
+            grads[1, 2] = np.nan
+            result["grads"] = encode_array(grads)
+        elif fault == "baseline":
+            result["baseline"] = encode_array(baseline[:, :-1])
+        elif fault == "missing":
+            del result["grads"]
+        else:
+            result["grads"] = grads.tolist()
+        endpoint = canned_server({"ok": True, "result": result})
+        with RemoteGateway(endpoint) as gateway:
+            with pytest.raises(GatewayError) as raised:
+                integrated_gradients(gateway, inst, 4, 0)
+        pattern = message.format(id=re.escape(inst.id), endpoint=re.escape(repr(endpoint)))
+        assert re.search(pattern, str(raised.value), re.DOTALL)
+
+    def test_server_without_the_ig_op_gives_an_input_error_naming_it(self, corpus):
+        reply = {"ok": False, "error": "unknown op 'integrated_gradients'", "kind": "input"}
+        inst = corpus[0]
+        with RemoteGateway(canned_server(reply)) as gateway:
+            with pytest.raises(InputError, match="unknown op 'integrated_gradients'"):
+                gateway.integrated_gradients(inst, 4, 0)
+            with pytest.raises(GatewayError, match=f"{inst.id}: .*'integrated_gradients'"):
+                integrated_gradients(gateway, inst, 4, 0)
 
 
 @pytest.fixture
@@ -644,3 +723,9 @@ class TestTcpRoundTrip:
     def test_occlusion_over_tcp_equals_in_process(self, tcp_toy, local_toy):
         inst = long_instance()
         assert occlusion_saliency(tcp_toy, inst) == occlusion_saliency(local_toy, inst)
+
+    @pytest.mark.parametrize("steps", [1, 15, 16, 17, 256])
+    def test_ig_over_tcp_equals_in_process(self, tcp_toy, local_toy, steps):
+        inst = thirty_two_word_instance()
+        config = SaliencyConfig(method="integrated_gradients", ig_steps=steps)
+        assert ig_saliency(tcp_toy, inst, config) == ig_saliency(local_toy, inst, config)

@@ -163,7 +163,7 @@ class TestIntegratedGradients:
 
     @pytest.mark.parametrize("steps", [1, 7, 40])
     def test_chunked_path_equals_one_point_at_a_time(self, corpus, steps):
-        """The sum over path points does not depend on how they are chunked."""
+        """The map equals a hand-written sum over the path, one point at a time."""
         gateway = build_gateway("toy:7")
         config = SaliencyConfig(method="integrated_gradients", ig_steps=steps)
         for inst in corpus[:3]:
@@ -187,10 +187,18 @@ class TestIntegratedGradients:
                 emb = self.inner.embed(instance)
                 return emb[:, :-1] if instance.question[0].text == self.baseline_token else emb
 
+        class InfiniteSum(CountingGateway):
+            def integrated_gradients(self, instance, steps, target_position):
+                emb, base, total = super().integrated_gradients(instance, steps, target_position)
+                total[-1, 0] = np.inf
+                return emb, base, total
+
         inst = corpus[0]
         config = SaliencyConfig(method="integrated_gradients", ig_steps=4)
         with pytest.raises(GatewayError, match=f"{inst.id}: gradients are not all finite"):
             ig_saliency(NanGrads(build_gateway("toy:7")), inst, config)
+        with pytest.raises(GatewayError, match=f"{inst.id}: gradients are not all finite"):
+            ig_saliency(InfiniteSum(build_gateway("toy:7")), inst, config)
         with pytest.raises(GatewayError, match=f"{inst.id}: baseline embeddings have shape"):
             ig_saliency(NarrowBaseline(build_gateway("toy:7")), inst, config)
 
