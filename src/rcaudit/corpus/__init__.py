@@ -1,9 +1,8 @@
 """Dataset ingestion: unified schema, format adapters, filters, annotation."""
 
-from .annotate import annotate_all, annotate_question, rule_verb_tagger, surface_entity_matcher
+from .annotate import annotate_question, rule_verb_tagger, surface_entity_matcher
 from .filters import (
-    DEFAULT_LEXICON,
-    ComparativeLexicon,
+    OPERATOR_ANTONYMS,
     filter_comparison,
     filter_coref_answer_in_cluster,
     match_operator,
@@ -21,13 +20,11 @@ from .schema import instance_from_dict, instance_to_dict, load_jsonl, save_jsonl
 
 __all__ = [
     "CONTEXT_MODES",
-    "DEFAULT_LEXICON",
     "FORMATS",
-    "ComparativeLexicon",
+    "OPERATOR_ANTONYMS",
     "DatasetDescriptor",
     "LoadResult",
     "SkippedRecord",
-    "annotate_all",
     "annotate_question",
     "filter_comparison",
     "filter_coref_answer_in_cluster",

@@ -1,22 +1,20 @@
 """Automatic question annotation for the comparison skill.
 
 Fills the compared-entity, value, and verb token sets that partition
-building and counterfactual generation consume. Entity and verb detection
-are pluggable callables so better taggers can be swapped in; the built-in
-ones are rule-based and deterministic.
+building and counterfactual generation consume. Entities and verbs are
+found by deterministic rules: capitalized question runs that recur in the
+context, and a verb wordlist. It runs only inside the synthetic corpus
+generator and the fixture generator (tools/gen_fixtures.py); a loaded
+dataset is not annotated, so a unified file carries its own annotations.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Iterable
 
 from ..errors import InputError
 from ..text import capitalized_runs, find_token_run
 from ..types import QuestionAnnotations, RCInstance
-
-EntityMatcher = Callable[[RCInstance], list[frozenset[int]]]
-VerbTagger = Callable[[RCInstance], frozenset[int]]
 
 _LEADING_STOPWORDS = frozenset({"the", "a", "an"})
 
@@ -73,11 +71,7 @@ def value_token_indices(instance: RCInstance) -> frozenset[int]:
     )
 
 
-def annotate_question(
-    instance: RCInstance,
-    entity_matcher: EntityMatcher = surface_entity_matcher,
-    verb_tagger: VerbTagger = rule_verb_tagger,
-) -> RCInstance:
+def annotate_question(instance: RCInstance) -> RCInstance:
     """Fill compared entities, value tokens, and verb tokens on a comparison
     instance, keeping all annotation sets disjoint (operator wins, then
     entities, then values, then verbs). Instances with fewer than two
@@ -87,14 +81,14 @@ def annotate_question(
     ann = instance.annotations or QuestionAnnotations()
     claimed: set[int] = set(ann.comparison_operator)
     entities: list[frozenset[int]] = []
-    for entity in entity_matcher(instance):
+    for entity in surface_entity_matcher(instance):
         entity = frozenset(entity - claimed)
         if entity:
             entities.append(entity)
             claimed |= entity
     values = value_token_indices(instance) - claimed
     claimed |= values
-    verbs = frozenset(verb_tagger(instance)) - claimed
+    verbs = rule_verb_tagger(instance) - claimed
     return replace(
         instance,
         annotations=replace(
@@ -105,11 +99,3 @@ def annotate_question(
         ),
         unannotatable=len(entities) < 2,
     )
-
-
-def annotate_all(
-    instances: Iterable[RCInstance],
-    entity_matcher: EntityMatcher = surface_entity_matcher,
-    verb_tagger: VerbTagger = rule_verb_tagger,
-) -> list[RCInstance]:
-    return [annotate_question(inst, entity_matcher, verb_tagger) for inst in instances]

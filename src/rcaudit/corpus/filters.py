@@ -2,51 +2,32 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Iterable, Mapping, Sequence
 
-from ..errors import InputError
 from ..metrics import normalize_answer
 from ..text import find_token_run, tokenize
 from ..types import AnswerSpan, QuestionAnnotations, RCInstance
 
 
-@dataclass(frozen=True)
-class ComparativeLexicon:
-    """Comparative surface forms with their in-distribution antonyms."""
-
-    entries: tuple[tuple[str, str], ...]
-
-    def __post_init__(self) -> None:
-        if not self.entries:
-            raise InputError("comparative lexicon must be non-empty")
-        for surface, partner in self.entries:
-            if surface != surface.lower() or partner != partner.lower():
-                raise InputError(f"lexicon forms must be lowercase: {surface!r} -> {partner!r}")
-
-    def surfaces(self) -> tuple[str, ...]:
-        return tuple(surface for surface, _ in self.entries)
-
-
-DEFAULT_LEXICON = ComparativeLexicon(
-    entries=(
-        ("earlier", "later"),
-        ("later", "earlier"),
-        ("first", "later"),
-        ("more recently", "earlier"),
-        ("older", "younger"),
-        ("younger", "older"),
-    )
+# The in-distribution comparative operators, each with its in-distribution
+# antonym: the comparison filter, the synthetic generator and the
+# in-distribution antonym table all read this one list.
+OPERATOR_ANTONYMS = (
+    ("earlier", "later"),
+    ("later", "earlier"),
+    ("first", "later"),
+    ("more recently", "earlier"),
+    ("older", "younger"),
+    ("younger", "older"),
 )
 
 
-def match_operator(
-    instance: RCInstance, lexicon: ComparativeLexicon = DEFAULT_LEXICON
-) -> frozenset[int] | None:
-    """Question token indices of the longest lexicon entry present, if any."""
+def match_operator(instance: RCInstance) -> frozenset[int] | None:
+    """Question token indices of the longest operator present, if any."""
     best: frozenset[int] | None = None
     best_len = 0
-    for surface, _ in lexicon.entries:
+    for surface, _ in OPERATOR_ANTONYMS:
         needle = tuple(t.text for t in tokenize(surface))
         if len(needle) <= best_len:
             continue
@@ -57,13 +38,11 @@ def match_operator(
     return best
 
 
-def filter_comparison(
-    instances: Iterable[RCInstance], lexicon: ComparativeLexicon = DEFAULT_LEXICON
-) -> list[RCInstance]:
-    """Keep questions containing a comparative form; mark skill and operator."""
+def filter_comparison(instances: Iterable[RCInstance]) -> list[RCInstance]:
+    """Keep questions containing a comparative operator; mark skill and operator."""
     kept = []
     for instance in instances:
-        operator = match_operator(instance, lexicon)
+        operator = match_operator(instance)
         if operator is None:
             continue
         base = instance.annotations or QuestionAnnotations()

@@ -43,14 +43,6 @@ class LoadResult:
     instances: list[RCInstance]
     skipped: list[SkippedRecord] = field(default_factory=list)
 
-    @property
-    def n_loaded(self) -> int:
-        return len(self.instances)
-
-    @property
-    def n_skipped(self) -> int:
-        return len(self.skipped)
-
 
 def reduce_context(instance: RCInstance, mode: str) -> RCInstance:
     """Restrict the context to supporting-fact sentences, or pass through.

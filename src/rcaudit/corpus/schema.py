@@ -39,7 +39,9 @@ def _tokens_from_dicts(items: list[dict]) -> tuple[Token, ...]:
     )
 
 
-def _span_to_dict(span: AnswerSpan) -> dict:
+def span_to_dict(span: AnswerSpan) -> dict:
+    """The answer record {text, sent, tok_start, tok_end} of the schema, also
+    used by counterfactual files and the remote protocol's predicted span."""
     return {
         "text": span.text,
         "sent": span.sentence_index,
@@ -48,7 +50,7 @@ def _span_to_dict(span: AnswerSpan) -> dict:
     }
 
 
-def _span_from_dict(d: dict) -> AnswerSpan:
+def span_from_dict(d: dict) -> AnswerSpan:
     return AnswerSpan(
         text=d["text"],
         sentence_index=d["sent"],
@@ -72,7 +74,7 @@ def instance_to_dict(instance: RCInstance) -> dict:
             }
             for s in instance.context
         ],
-        "answers": [_span_to_dict(a) for a in instance.gold_answers],
+        "answers": [span_to_dict(a) for a in instance.gold_answers],
         "skill": instance.skill,
     }
     ann: dict = {}
@@ -92,7 +94,7 @@ def instance_to_dict(instance: RCInstance) -> dict:
         doc["annotations"] = ann
     if instance.coref_clusters:
         doc["coref_clusters"] = [
-            [_span_to_dict(m) for m in cluster] for cluster in instance.coref_clusters
+            [span_to_dict(m) for m in cluster] for cluster in instance.coref_clusters
         ]
     return doc
 
@@ -125,11 +127,11 @@ def instance_from_dict(doc: dict) -> RCInstance:
                 )
                 for s in doc["context"]
             ),
-            gold_answers=tuple(_span_from_dict(a) for a in doc["answers"]),
+            gold_answers=tuple(span_from_dict(a) for a in doc["answers"]),
             skill=doc.get("skill", "other"),
             annotations=annotations,
             coref_clusters=tuple(
-                tuple(_span_from_dict(m) for m in cluster)
+                tuple(span_from_dict(m) for m in cluster)
                 for cluster in doc.get("coref_clusters", ())
             ),
             relevant_cluster=ann_doc.get("relevant_cluster"),
@@ -145,7 +147,7 @@ def save_jsonl(instances: Iterable[RCInstance], path: str | Path) -> None:
             fh.write(json.dumps(instance_to_dict(instance), ensure_ascii=False) + "\n")
 
 
-def load_jsonl(path: str | Path, validate: bool = True) -> list[RCInstance]:
+def load_jsonl(path: str | Path) -> list[RCInstance]:
     instances = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh):
@@ -156,8 +158,5 @@ def load_jsonl(path: str | Path, validate: bool = True) -> list[RCInstance]:
                 doc = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise InputError(f"{path}: bad JSON on line {line_no + 1}: {exc}") from exc
-            instance = instance_from_dict(doc)
-            if validate:
-                validate_instance(instance)
-            instances.append(instance)
+            instances.append(validate_instance(instance_from_dict(doc)))
     return instances

@@ -20,6 +20,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .corpus.filters import OPERATOR_ANTONYMS
+from .corpus.schema import span_from_dict, span_to_dict
 from .errors import InputError
 from .gateway.base import ModelGateway, predict
 from .metrics import exact_match, normalize_answer, token_f1
@@ -48,14 +50,7 @@ class AntonymTable:
 
 
 IN_DISTRIBUTION_TABLE = AntonymTable(
-    entries={
-        "earlier": ("later",),
-        "later": ("earlier",),
-        "first": ("later",),
-        "more recently": ("earlier",),
-        "older": ("younger",),
-        "younger": ("older",),
-    },
+    entries={operator: (antonym,) for operator, antonym in OPERATOR_ANTONYMS},
     distribution_tag="in_distribution",
 )
 
@@ -299,16 +294,10 @@ def save_cf_pairs(pairs: Iterable[CFPair], path: str | Path) -> None:
     """Write pairs to the JSON-lines CF file format."""
     with open(path, "w", encoding="utf-8") as fh:
         for pair in pairs:
-            gold = pair.perturbed.gold_answers[0]
             record: dict = {
                 "original_id": pair.original.id,
                 "perturbation": pair.perturbation,
-                "new_answer": {
-                    "text": gold.text,
-                    "sent": gold.sentence_index,
-                    "tok_start": gold.token_start,
-                    "tok_end": gold.token_end,
-                },
+                "new_answer": span_to_dict(pair.perturbed.gold_answers[0]),
                 "distribution_tag": pair.distribution_tag,
             }
             if pair.replaced_operator is not None:
@@ -319,13 +308,7 @@ def save_cf_pairs(pairs: Iterable[CFPair], path: str | Path) -> None:
 
 
 def _pair_from_record(record: dict, original: RCInstance) -> CFPair:
-    answer = record["new_answer"]
-    gold = AnswerSpan(
-        text=answer["text"],
-        sentence_index=answer["sent"],
-        token_start=answer["tok_start"],
-        token_end=answer["tok_end"],
-    )
+    gold = span_from_dict(record["new_answer"])
     perturbation = record["perturbation"]
     if perturbation == "antonym_swap":
         old_surface, new_surface = record["replaced_operator"]

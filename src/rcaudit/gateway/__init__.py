@@ -10,7 +10,6 @@ from .base import (
     answer_span,
     check_output,
     decode_span,
-    embed,
     integrated_gradients,
     masked_start_scores,
     predict,
@@ -65,7 +64,6 @@ __all__ = [
     "build_gateway",
     "check_output",
     "decode_span",
-    "embed",
     "integrated_gradients",
     "masked_start_scores",
     "predict",

@@ -12,9 +12,10 @@ gradients reads), and a declared mask token. Gateways work at the word
 level; models with subword vocabularies must reduce subword scores to
 words internally (max over subwords) before returning.
 
-Callers go through the module functions `predict`, `masked_start_scores`,
-`embed` and `integrated_gradients`, which check every output against the
-contract.
+Callers go through the module functions `predict`, `masked_start_scores`
+and `integrated_gradients`, which check every output against the contract.
+`embed` and `grad_start` are the primitives of the default
+`integrated_gradients`; gateways that override it need not provide them.
 """
 
 from __future__ import annotations
@@ -243,11 +244,6 @@ def _checked_embeddings(instance: RCInstance, value) -> np.ndarray:
     if len(shape) != 2 or shape[0] != n or shape[1] < 1:
         raise GatewayError(f"{instance.id}: embeddings have shape {shape}, want ({n}, d)")
     return _checked_array(instance, "embeddings", value, shape)
-
-
-def embed(gateway: ModelGateway, instance: RCInstance) -> np.ndarray:
-    """Call gateway.embed; the result must be a finite (n_q + n_c, d) matrix."""
-    return _checked_embeddings(instance, _call(gateway, "embed", instance))
 
 
 def integrated_gradients(

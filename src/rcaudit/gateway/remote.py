@@ -11,10 +11,8 @@ ModelGateway contract, so a fine-tuned encoder hosted in another process
 
 Requests are one JSON object per line:
 
-    {"op": "info"|"predict"|"masked_start_scores"|"embed"|"grad_start"
-          |"integrated_gradients",
-     "instance": {unified instance record}?,
-     "target": int?, "embeddings": ARRAY?, "steps": int?}
+    {"op": "info"|"predict"|"masked_start_scores"|"integrated_gradients",
+     "instance": {unified instance record}?, "steps": int?, "target": int?}
 
 Responses mirror the in-memory contract:
 
@@ -22,13 +20,14 @@ Responses mirror the in-memory contract:
     {"ok": false, "error": "...", "kind": "input"|"capability"|"gateway"}
 
 `info` answers model_id, baseline_token and max_answer_len; `predict`
-answers start_scores, end_scores and predicted_span; `masked_start_scores`
-answers scores, one row per masked word; `embed` answers embeddings;
-`grad_start` answers grad; `integrated_gradients` answers embeddings,
-baseline and the path-summed grads. So an occlusion or IG map costs two
-round trips, however long the instance or the path.
+answers start_scores, end_scores and predicted_span (an answer record of
+the instance schema); `masked_start_scores` answers scores, one row per
+masked word; `integrated_gradients` answers embeddings, baseline and the
+path-summed grads. So an occlusion or IG map costs two round trips, however
+long the instance or the path. The client's embed and grad_start are the
+contract's defaults, which raise CapabilityError without a round trip.
 
-Every array (scores, embeddings, gradients) travels as
+Every array in a reply (scores, embeddings, gradients) travels as
 ARRAY = {"shape": [...], "f8": "<base64 of little-endian C-order float64>"},
 so values cross the wire bit for bit and cost 8 bytes (plus a third for
 base64) instead of a decimal string each.
@@ -48,11 +47,12 @@ import socket
 import subprocess
 import sys
 import tempfile
+import threading
 from typing import IO
 
 import numpy as np
 
-from ..corpus.schema import instance_from_dict, instance_to_dict
+from ..corpus.schema import instance_from_dict, instance_to_dict, span_to_dict
 from ..errors import CapabilityError, GatewayError, InputError
 from ..types import AnswerSpan, RCInstance
 from .base import ModelGateway, ModelOutput
@@ -67,13 +67,14 @@ _STDERR_TAIL_LINES = 10
 _STDERR_TAIL_BYTES = 4096
 # Seconds the client waits to connect over TCP, and for its server to
 # take or send the next bytes of a request or reply over either transport;
-# steps times that for an integrated_gradients reply (one pass per step).
+# steps times that for an integrated_gradients reply (one pass per step),
+# up to the longest wait select accepts.
 _TIMEOUT_S = 60
 # Bytes asked for per read of a reply.
 _READ_BYTES = 1 << 16
 # Reply fields of integrated_gradients, in the order the contract returns them.
 _IG_FIELDS = ("embeddings", "baseline", "grads")
-_INSTANCE_OPS = ("predict", "masked_start_scores", "embed", "grad_start", "integrated_gradients")
+_INSTANCE_OPS = ("predict", "masked_start_scores", "integrated_gradients")
 
 
 def encode_array(values) -> dict:
@@ -113,27 +114,13 @@ def handle_request(gateway: ModelGateway, request: dict) -> dict:
             instance = instance_from_dict(request["instance"])
             if op == "predict":
                 output = gateway.predict(instance)
-                span = output.predicted_span
                 result = {
                     "start_scores": encode_array(output.start_scores),
                     "end_scores": encode_array(output.end_scores),
-                    "predicted_span": {
-                        "text": span.text,
-                        "sent": span.sentence_index,
-                        "tok_start": span.token_start,
-                        "tok_end": span.token_end,
-                    },
+                    "predicted_span": span_to_dict(output.predicted_span),
                 }
             elif op == "masked_start_scores":
                 result = {"scores": encode_array(gateway.masked_start_scores(instance))}
-            elif op == "embed":
-                result = {"embeddings": encode_array(gateway.embed(instance))}
-            elif op == "grad_start":
-                embeddings = decode_array(request["embeddings"])
-                if embeddings.ndim != 2:
-                    raise InputError(f"embeddings have shape {embeddings.shape}, want (n, d)")
-                grad = gateway.grad_start(instance, embeddings, int(request["target"]))
-                result = {"grad": encode_array(grad)}
             else:
                 arrays = gateway.integrated_gradients(
                     instance, int(request["steps"]), int(request["target"])
@@ -309,7 +296,7 @@ class RemoteGateway(ModelGateway):
     def _request(self, request: dict, passes: int = 1) -> dict:
         try:
             self._send((json.dumps(request) + "\n").encode("utf-8"))
-            line = self._receive_line(passes * _TIMEOUT_S)
+            line = self._receive_line(min(passes * _TIMEOUT_S, threading.TIMEOUT_MAX))
         except (OSError, ValueError) as exc:
             raise self._broken(f"i/o failed: {exc}") from exc
         if not line:
@@ -373,17 +360,6 @@ class RemoteGateway(ModelGateway):
 
     def masked_start_scores(self, instance: RCInstance) -> np.ndarray:
         return self._array(self._ask("masked_start_scores", instance), "scores")
-
-    def embed(self, instance: RCInstance) -> np.ndarray:
-        return self._array(self._ask("embed", instance), "embeddings")
-
-    def grad_start(
-        self, instance: RCInstance, embeddings: np.ndarray, target_position: int
-    ) -> np.ndarray:
-        result = self._ask(
-            "grad_start", instance, embeddings=encode_array(embeddings), target=target_position
-        )
-        return self._array(result, "grad")
 
     def integrated_gradients(
         self, instance: RCInstance, steps: int, target_position: int

@@ -26,7 +26,6 @@ from .text import capitalized_runs, tokenize
 from .types import RCInstance
 
 SELECTION_STRATEGIES = ("token_overlap", "lcs", "position", "sentence_encoder")
-ENTITY_TYPE_SOURCES = ("wh_mapping", "learned_predictor")
 
 NerEntity = tuple[int, int, str]
 NerPlugin = Callable[[str], list[NerEntity]]
@@ -37,13 +36,10 @@ TypeClassifier = Callable[[str], str]
 @dataclass(frozen=True)
 class HeuristicConfig:
     selection_strategy: str = "token_overlap"
-    entity_type_source: str = "wh_mapping"
 
     def __post_init__(self) -> None:
         if self.selection_strategy not in SELECTION_STRATEGIES:
             raise InputError(f"unknown selection strategy {self.selection_strategy!r}")
-        if self.entity_type_source not in ENTITY_TYPE_SOURCES:
-            raise InputError(f"unknown entity type source {self.entity_type_source!r}")
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
@@ -153,19 +149,14 @@ _HEAD_NOUN_TYPES = {
 }
 
 
-def predict_entity_type(
-    question: str,
-    source: str = "wh_mapping",
-    classifier: TypeClassifier | None = None,
-) -> str:
+def predict_entity_type(question: str, classifier: TypeClassifier | None = None) -> str:
     """Expected answer entity type; always returns some label.
 
-    wh_mapping keys off the first interrogative word ("how many/much" maps
-    to CARDINAL; "which"/"what" scan the following words for a typed head
-    noun). learned_predictor delegates to the classifier plugin, falling
-    back to wh_mapping when none is supplied.
+    A supplied classifier plugin decides. Otherwise the wh-word mapping keys
+    off the first interrogative word ("how many/much" maps to CARDINAL;
+    "which"/"what" scan the following words for a typed head noun).
     """
-    if source == "learned_predictor" and classifier is not None:
+    if classifier is not None:
         return classifier(question)
     tokens = normalize_answer(question).split()
     for i, tok in enumerate(tokens):
@@ -266,7 +257,5 @@ def heuristic_answer(
     index = select_sentence(
         instance.question_text, sentences, config.selection_strategy, embedder
     )
-    entity_type = predict_entity_type(
-        instance.question_text, config.entity_type_source, classifier
-    )
+    entity_type = predict_entity_type(instance.question_text, classifier)
     return extract_phrase(sentences[index], entity_type, ner)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .corpus.annotate import annotate_question
-from .corpus.filters import filter_comparison
+from .corpus.filters import OPERATOR_ANTONYMS, filter_comparison
 from .errors import InputError
 from .text import make_sentence, tokenize
 from .types import AnswerSpan, RCInstance, validate_instance
@@ -20,8 +20,6 @@ _SYLLABLES = (
     "jor", "kel", "lam", "mor", "nel", "ola", "pra", "quin", "ras", "sol",
     "tam", "ur", "vel", "wex", "yor", "zan",
 )
-
-_OPERATORS = ("earlier", "later", "first", "more recently", "older", "younger")
 
 
 def _title(rng: np.random.Generator) -> str:
@@ -41,7 +39,7 @@ def make_synthetic_corpus(n: int, seed: int = 0) -> list[RCInstance]:
     instances: list[RCInstance] = []
     while len(instances) < n:
         k = len(instances)
-        operator = _OPERATORS[k % len(_OPERATORS)]
+        operator = OPERATOR_ANTONYMS[k % len(OPERATOR_ANTONYMS)][0]
         title_a = _title(rng)
         title_b = _title(rng)
         if title_a.casefold() == title_b.casefold():

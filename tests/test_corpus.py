@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import replace
 
 import pytest
 
 from rcaudit.corpus import (
-    ComparativeLexicon,
+    OPERATOR_ANTONYMS,
     DatasetDescriptor,
     annotate_question,
     filter_comparison,
@@ -21,7 +22,9 @@ from rcaudit.corpus import (
     reduce_context,
     save_jsonl,
 )
+from rcaudit.counterfactuals import OUT_OF_DISTRIBUTION_TABLE
 from rcaudit.errors import InputError
+from rcaudit.synthetic import make_synthetic_corpus
 from rcaudit.text import tokenize
 from rcaudit.types import RCInstance
 
@@ -44,12 +47,25 @@ class TestSchema:
         save_jsonl(corpus, b)
         assert a.read_bytes() == b.read_bytes()
 
+    # The recorded occlusion-longctx calibration of the benchmark rests on these bytes.
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (0, "73ce611c3c692a3eb65a878ee90a6b8731c338bd7c05c1b66379fb660210ff53"),
+            (7, "f8306cc6981cb3a75ab341fbe8ab530f0e1c1f4267256e0e4b28d116d62a906d"),
+        ],
+    )
+    def test_synthetic_corpus_bytes_are_pinned(self, tmp_path, seed, digest):
+        path = tmp_path / "synthetic.jsonl"
+        save_jsonl(make_synthetic_corpus(200, seed), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
 
 class TestAdapters:
     def test_squad_like_anchors_by_char_hint(self):
         desc = DatasetDescriptor("sq", str(DATA_DIR / "squad_like.json"), format="squad_like")
         result = load_dataset(desc)
-        assert result.n_loaded == 1 and result.n_skipped == 1
+        assert len(result.instances) == 1 and len(result.skipped) == 1
         inst = result.instances[0]
         assert inst.id == "sq-1"
         assert inst.gold_answers[0].text == "Hawaii"
@@ -161,7 +177,7 @@ class TestContextModes:
         save_jsonl([inst], path)
         desc = DatasetDescriptor("u", str(path), context_mode="supporting_facts")
         result = load_dataset(desc)
-        assert result.n_loaded == 0 and result.n_skipped == 1
+        assert len(result.instances) == 0 and len(result.skipped) == 1
         assert result.skipped[0].instance_id == "r-3"
 
     def test_cluster_mentions_outside_reduction_dropped(self):
@@ -187,7 +203,7 @@ class TestContextModes:
         for mode in ("paragraphs", "supporting_facts"):
             desc = DatasetDescriptor("fx", str(fixture_corpus_path()), context_mode=mode)
             result = load_dataset(desc)
-            assert result.n_loaded == 20 and result.n_skipped == 0
+            assert len(result.instances) == 20 and len(result.skipped) == 0
 
 
 class TestFilters:
@@ -199,18 +215,27 @@ class TestFilters:
             assert operator == inst.annotations.comparison_operator
 
     def test_longest_match_wins(self):
-        lexicon = ComparativeLexicon(
-            entries=(("recently", "earlier"), ("more recently", "earlier"))
-        )
+        # "earlier" comes first in the operator list and in the question.
         inst = build_instance(
             "f-1",
-            "Which film came out more recently, Blind Shaft or The Mask Of Fu Manchu?",
+            "Did Blind Shaft come out earlier or more recently than The Mask Of Fu Manchu?",
             ["Blind Shaft is a 2003 film.", "The Mask Of Fu Manchu is a 1932 film."],
             gold=(0, "Blind Shaft"),
         )
-        operator = match_operator(inst, lexicon)
+        operator = match_operator(inst)
         texts = sorted(inst.question[i].text for i in operator)
         assert texts == ["more", "recently"]
+
+    def test_ood_table_covers_exactly_the_operators(self):
+        assert set(OUT_OF_DISTRIBUTION_TABLE.entries) == {op for op, _ in OPERATOR_ANTONYMS}
+
+    def test_synthetic_corpus_cycles_through_every_operator(self):
+        corpus = make_synthetic_corpus(6)
+        used = [
+            " ".join(inst.question[i].text for i in sorted(inst.annotations.comparison_operator))
+            for inst in corpus
+        ]
+        assert used == [op for op, _ in OPERATOR_ANTONYMS]
 
     def test_no_comparative_dropped(self):
         inst = build_instance(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import replace
 
@@ -212,6 +213,25 @@ class TestValidateCf:
 
 
 class TestFileRoundTrip:
+    @pytest.mark.parametrize(
+        "kind, digest",
+        [
+            ("in_dist", "603b748c7f44c190481e293f554f2d7d772e6be2604ba3ea768fdf40a830b353"),
+            ("ood", "4c07de5770b7a5f9303cf3615d101586f6b1341851415c76147c571d60a2a9d8"),
+            ("coref", "6ca4be064c2405d6a07afeba2b08b87e7ecbe17fe1fd457c804d6d15e33f9e0e"),
+        ],
+    )
+    def test_cf_file_bytes_are_pinned(self, tmp_path, corpus, manual_pairs, kind, digest):
+        if kind == "coref":
+            pairs = manual_pairs
+        else:
+            comparisons = [inst for inst in corpus if inst.skill == "comparison"]
+            pairs = [perturb_comparison(inst, ANTONYM_TABLES[kind]) for inst in comparisons]
+        assert len(pairs) == 10
+        path = tmp_path / "pairs.jsonl"
+        save_cf_pairs(pairs, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_antonym_pairs_round_trip(self, tmp_path, corpus):
         comparisons = [inst for inst in corpus if inst.skill == "comparison"]
         pairs = [perturb_comparison(inst, IN_DIST) for inst in comparisons]

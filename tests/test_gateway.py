@@ -16,7 +16,6 @@ from rcaudit.gateway.base import (
     ModelOutput,
     check_output,
     decode_span,
-    embed,
     integrated_gradients,
     masked_start_scores,
     predict,
@@ -400,11 +399,8 @@ class TestOutputValidation:
                 return emb, base, grads[:-1] if self.fault == "drop" else grads
 
         inst = build_instance("v-6", "Who?", ["Ada wrote."], gold=(0, "Ada"))
-        assert embed(Faulty(None), inst).shape == (5, 16)
         shapes = [a.shape for a in integrated_gradients(Faulty(None), inst, 2, 0)]
         assert shapes == [(5, 16)] * 3
-        with pytest.raises(GatewayError, match=r"v-6: embeddings have shape \(4, 16\), want \(5, d\)"):
-            embed(Faulty("short"), inst)
         with pytest.raises(GatewayError, match=r"v-6: embeddings have shape \(4, 16\), want \(5, d\)"):
             integrated_gradients(Faulty("short"), inst, 2, 0)
         for fault in ("nan", "inf"):
@@ -423,7 +419,7 @@ class TestOutputValidation:
 
         inst = build_instance("v-7", "Who?", ["Ada wrote."], gold=(0, "Ada"))
         with pytest.raises(GatewayError, match="v-7: gateway toy:0 failed: boom"):
-            embed(Exploding(seed=0), inst)
+            integrated_gradients(Exploding(seed=0), inst, 2, 0)
 
     def test_span_text_joins_across_sentences_with_spaces(self):
         inst = build_instance(

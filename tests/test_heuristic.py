@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, build_instance
 from rcaudit.errors import CapabilityError, InputError
 from rcaudit.heuristic import (
     SELECTION_STRATEGIES,
@@ -127,8 +127,16 @@ class TestEntityTypePrediction:
 
     def test_learned_predictor_plugin_and_fallback(self):
         classifier = lambda q: "CUSTOM"
-        assert predict_entity_type("Who?", "learned_predictor", classifier) == "CUSTOM"
-        assert predict_entity_type("Who?", "learned_predictor", None) == "PERSON"
+        assert predict_entity_type("Who?", classifier) == "CUSTOM"
+        assert predict_entity_type("Who?", None) == "PERSON"
+
+    def test_heuristic_answer_asks_a_supplied_classifier(self):
+        inst = build_instance(
+            "h-1", "Who was born in Hawaii?", ["Barack Obama was born in 1961 in Hawaii."],
+            gold=(0, "Barack Obama"),
+        )
+        assert heuristic_answer(inst) == "Barack Obama"
+        assert heuristic_answer(inst, classifier=lambda q: "DATE") == "1961"
 
 
 class TestRuleBasedNER:
@@ -225,5 +233,3 @@ class TestHeuristicAnswer:
     def test_config_validation(self):
         with pytest.raises(InputError):
             HeuristicConfig(selection_strategy="tfidf")
-        with pytest.raises(InputError):
-            HeuristicConfig(entity_type_source="oracle")

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import build_instance
+from rcaudit.corpus.schema import instance_to_dict
 from rcaudit.errors import CapabilityError, GatewayError, InputError
 from rcaudit.gateway import build_gateway
 from rcaudit.gateway import remote as remote_module
@@ -110,8 +111,6 @@ class TestHandleRequest:
         }
 
     def test_predict_matches_local_gateway(self, local_toy, corpus):
-        from rcaudit.corpus.schema import instance_to_dict
-
         inst = corpus[0]
         response = handle_request(local_toy, {"op": "predict", "instance": instance_to_dict(inst)})
         assert response["ok"]
@@ -127,8 +126,6 @@ class TestHandleRequest:
         )
 
     def test_masked_start_scores_round_trip(self, local_toy, corpus):
-        from rcaudit.corpus.schema import instance_to_dict
-
         inst = corpus[1]
         request = {"op": "masked_start_scores", "instance": instance_to_dict(inst)}
         response = handle_request(local_toy, request)
@@ -137,34 +134,15 @@ class TestHandleRequest:
         assert np.array_equal(scores, local_toy.masked_start_scores(inst))
         assert scores.shape == (inst.n_question + inst.n_context, inst.n_context)
 
-    def test_embed_and_grad_round_trip(self, local_toy, corpus):
-        from rcaudit.corpus.schema import instance_to_dict
-
-        inst = corpus[1]
-        record = instance_to_dict(inst)
-        embedded = handle_request(local_toy, {"op": "embed", "instance": record})
-        assert embedded["ok"]
-        embeddings = decode_array(embedded["result"]["embeddings"])
-        assert np.array_equal(embeddings, local_toy.embed(inst))
-
-        for point in (embeddings, 0.5 * embeddings):
-            response = handle_request(
-                local_toy,
-                {
-                    "op": "grad_start",
-                    "instance": record,
-                    "embeddings": encode_array(point),
-                    "target": 0,
-                },
-            )
-            assert response["ok"]
-            grad = decode_array(response["result"]["grad"])
-            assert grad.shape == point.shape
-            assert np.array_equal(grad, local_toy.grad_start(inst, point, 0))
+    def test_embed_and_grad_start_ops_are_gone(self, local_toy, corpus):
+        for op in ("embed", "grad_start"):
+            request = {"op": op, "instance": instance_to_dict(corpus[1]), "target": 0}
+            response = handle_request(local_toy, request)
+            assert not response["ok"]
+            assert response["kind"] == "input"
+            assert response["error"] == f"unknown op {op!r}"
 
     def test_integrated_gradients_round_trip(self, local_toy, corpus):
-        from rcaudit.corpus.schema import instance_to_dict
-
         inst = corpus[1]
         request = {
             "op": "integrated_gradients",
@@ -191,16 +169,13 @@ class TestHandleRequest:
         assert "instance" in response["error"]
 
     def test_internal_failure_is_gateway_error(self, local_toy, corpus):
-        from rcaudit.corpus.schema import instance_to_dict
-
         inst = corpus[0]
-        embeddings = local_toy.embed(inst)
         response = handle_request(
             local_toy,
             {
-                "op": "grad_start",
+                "op": "integrated_gradients",
                 "instance": instance_to_dict(inst),
-                "embeddings": encode_array(embeddings),
+                "steps": 2,
                 "target": 10_000,
             },
         )
@@ -208,8 +183,6 @@ class TestHandleRequest:
         assert response["kind"] == "gateway"
 
     def test_capability_kind_for_scripted_embed(self, tmp_path, corpus):
-        from rcaudit.corpus.schema import instance_to_dict
-
         inst = corpus[0]
         script = {
             "name": "wire",
@@ -218,40 +191,15 @@ class TestHandleRequest:
         path = tmp_path / "script.json"
         path.write_text(json.dumps(script))
         gateway = build_gateway(f"scripted:{path}")
-        response = handle_request(gateway, {"op": "embed", "instance": instance_to_dict(inst)})
+        request = {
+            "op": "integrated_gradients",
+            "instance": instance_to_dict(inst),
+            "steps": 2,
+            "target": 0,
+        }
+        response = handle_request(gateway, request)
         assert not response["ok"]
         assert response["kind"] == "capability"
-
-
-    def test_short_packed_payload_is_input_error(self, local_toy, corpus):
-        from rcaudit.corpus.schema import instance_to_dict
-
-        inst = corpus[0]
-        embeddings = encode_array(local_toy.embed(inst))
-        embeddings["shape"] = [2 * embeddings["shape"][0]] + embeddings["shape"][1:]
-        response = handle_request(
-            local_toy,
-            {"op": "grad_start", "instance": instance_to_dict(inst), "embeddings": embeddings, "target": 0},
-        )
-        assert not response["ok"]
-        assert response["kind"] == "input"
-        assert "bytes" in response["error"]
-
-    def test_grad_start_embeddings_must_be_a_matrix(self, local_toy, corpus):
-        from rcaudit.corpus.schema import instance_to_dict
-
-        inst = corpus[0]
-        response = handle_request(
-            local_toy,
-            {
-                "op": "grad_start",
-                "instance": instance_to_dict(inst),
-                "embeddings": encode_array(local_toy.embed(inst)[np.newaxis]),
-                "target": 0,
-            },
-        )
-        assert not response["ok"]
-        assert response["kind"] == "input"
 
     def test_batch_op_is_gone(self, local_toy):
         response = handle_request(local_toy, {"op": "grad_start_batch"})
@@ -302,7 +250,7 @@ class TestPackedArrays:
         bad = {"shape": [2, 2], "f8": base64.b64encode(b"\0" * 8).decode()}
         monkeypatch.setattr(remote_toy, "_request", lambda request, passes=1: {"embeddings": bad})
         with pytest.raises(GatewayError, match="embeddings.*bytes"):
-            remote_toy.embed(corpus[0])
+            remote_toy.integrated_gradients(corpus[0], 2, 0)
 
 
 class TestServeStream:
@@ -333,18 +281,28 @@ class TestSubprocessRoundTrip:
 
     def test_embed_and_grad_parity_with_local(self, remote_toy, local_toy, corpus):
         inst = corpus[2]
-        embeddings = remote_toy.embed(inst)
-        assert np.array_equal(embeddings, local_toy.embed(inst))
         target = local_toy.predict(inst).predicted_span.token_start
-        remote_grad = remote_toy.grad_start(inst, embeddings, target)
-        local_grad = local_toy.grad_start(inst, embeddings, target)
-        assert np.array_equal(remote_grad, local_grad)
+        remote = remote_toy.integrated_gradients(inst, 5, target)
+        local = local_toy.integrated_gradients(inst, 5, target)
+        assert np.array_equal(remote[0], local_toy.embed(inst))
+        for got, want in zip(remote, local):
+            assert got.tobytes() == want.tobytes()
+
+    def test_embed_and_grad_start_raise_without_a_round_trip(self, remote_toy, corpus, monkeypatch):
+        def no_wire(*args, **kwargs):
+            raise AssertionError("made a round trip")
+
+        monkeypatch.setattr(remote_toy, "_request", no_wire)
+        inst = corpus[0]
+        with pytest.raises(CapabilityError, match=TOY_SPEC):
+            remote_toy.embed(inst)
+        with pytest.raises(CapabilityError, match=TOY_SPEC):
+            remote_toy.grad_start(inst, np.zeros((inst.n_question + inst.n_context, 16)), 0)
 
     def test_errors_map_to_typed_exceptions(self, remote_toy, corpus):
         inst = corpus[0]
-        embeddings = remote_toy.embed(inst)
         with pytest.raises(GatewayError):
-            remote_toy.grad_start(inst, embeddings, 10_000)
+            remote_toy.integrated_gradients(inst, 2, 10_000)
         with pytest.raises(InputError):
             remote_toy._request({"op": "translate"})
 
@@ -365,8 +323,6 @@ class TestSubprocessRoundTrip:
             assert gateway.model_id == "scripted:wire"
             output = gateway.predict(inst)
             assert output.predicted_span.text == "Nora Quist"
-            with pytest.raises(CapabilityError):
-                gateway.embed(inst)
             with pytest.raises(CapabilityError):
                 gateway.integrated_gradients(inst, 4, 0)
 
@@ -582,7 +538,7 @@ class TestFaultyServers:
             gateway.predict(corpus[0])
         gateway.close()
 
-    def test_server_that_stops_reading_times_out(self, monkeypatch, corpus):
+    def test_server_that_stops_reading_times_out(self, monkeypatch):
         # The request is larger than a pipe holds, so only a bounded write returns.
         script = (
             "import json, sys, time\n"
@@ -590,14 +546,17 @@ class TestFaultyServers:
             "print(json.dumps({'ok': True, 'result': {'model_id': 'deaf'}}), flush=True)\n"
             "time.sleep(60)\n"
         )
-        inst = corpus[0]
-        wide = np.zeros((inst.n_question + inst.n_context, 1024))
-        assert wide.nbytes > 1 << 17
+        words = " ".join(f"w{k}" for k in range(4000))
+        inst = build_instance(
+            "wide-1", "Who lit the lamp?", ["Ivo Brandt lit the lamp.", f"Then {words} slept."],
+            gold=(0, "Ivo Brandt"),
+        )
+        assert len(json.dumps(instance_to_dict(inst))) > 1 << 17
         with RemoteGateway(python_endpoint(script)) as gateway:
             monkeypatch.setattr(remote_module, "_TIMEOUT_S", 0.5)
             began = time.monotonic()
             with pytest.raises(GatewayError, match="did not answer within 0.5 s"):
-                gateway.grad_start(inst, wide, 0)
+                gateway.predict(inst)
             assert time.monotonic() - began < 5
             assert gateway._proc.returncode is not None
 
@@ -642,6 +601,15 @@ class TestFaultyServers:
         assert repr(endpoint) in str(raised.value)
         assert proc.returncode is not None  # stopped and waited for
         gateway.close()
+
+    def test_ig_reply_wait_is_bounded_for_any_steps(self, local_toy, corpus):
+        # steps * _TIMEOUT_S is past the longest wait select accepts.
+        inst = corpus[0]
+        arrays = local_toy.integrated_gradients(inst, 2, 0)
+        result = dict(zip(("embeddings", "baseline", "grads"), map(encode_array, arrays)))
+        with RemoteGateway(canned_server({"ok": True, "result": result})) as gateway:
+            got = gateway.integrated_gradients(inst, 10**9, 0)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in arrays]
 
     @pytest.mark.parametrize(
         "fault, message",
