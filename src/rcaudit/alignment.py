@@ -157,7 +157,6 @@ def alignment_score(records: Sequence[AlignmentRecord]) -> float:
 
 @dataclass(frozen=True)
 class AlignmentReport:
-    dataset_id: str
     model_id: str
     reasoning_step: str
     method: str
@@ -207,13 +206,16 @@ def audit_alignment(
     if not records:
         raise InputError(f"{dataset_id}: no usable pairs for the alignment audit")
     return AlignmentReport(
-        dataset_id=dataset_id,
         model_id=gateway.model_id,
         reasoning_step="+".join(sorted(steps)),
         method=config.method,
         records=tuple(records),
         skipped=tuple(skipped),
     )
+
+
+# Two-sided 95% standard normal quantile.
+_Z_95 = 1.959963984540054
 
 
 @dataclass(frozen=True)
@@ -227,10 +229,11 @@ class CalibrationReport:
     ci_high: float
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (default 95%)."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise InputError("wilson_interval requires trials > 0")
+    z = _Z_95
     phat = successes / trials
     denom = 1 + z**2 / trials
     center = (phat + z**2 / (2 * trials)) / denom

@@ -34,7 +34,7 @@ from .counterfactuals import (
 )
 from .errors import AuditError, CapabilityError, InputError
 from .gateway import build_gateway, predict
-from .heuristic import SELECTION_STRATEGIES, HeuristicConfig, heuristic_answer
+from .heuristic import SELECTION_STRATEGIES, heuristic_answer
 from .metrics import evaluate_dataset, exact_match, token_f1
 from .saliency import SaliencyCache, SaliencyConfig
 from .synthetic import make_synthetic_corpus
@@ -422,13 +422,11 @@ def run_calibrate(args) -> int:
 
 def run_heuristic(args) -> int:
     instances, _ = load_instances(args)
-    config = HeuristicConfig(selection_strategy=args.strategy)
-    out = out_dir(args)
     instances = sorted(instances, key=lambda i: i.id)
     predictions = {}
     rows = []
     for inst in instances:
-        answer = heuristic_answer(inst, config)
+        answer = heuristic_answer(inst, args.strategy)
         golds = [a.text for a in inst.gold_answers]
         predictions[inst.id] = answer
         rows.append(
@@ -441,6 +439,7 @@ def run_heuristic(args) -> int:
             }
         )
     overall = evaluate_dataset(predictions, instances)
+    out = out_dir(args)
     write_jsonl(out / "heuristic_predictions.jsonl", rows)
     write_json(
         out / "heuristic_summary.json",

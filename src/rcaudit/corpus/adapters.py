@@ -24,12 +24,10 @@ from typing import Callable, Iterator
 
 from ..errors import AnchorError, InputError
 from ..text import find_token_run, split_sentences, tokenize
-from ..types import AnswerSpan, RCInstance, Sentence
+from ..types import AnswerSpan, RCInstance, Sentence, sentence_at
 
 
-def paragraph_sentences(
-    text: str, paragraph_id: str, supporting: bool = False
-) -> tuple[list[Sentence], list[int]]:
+def paragraph_sentences(text: str, paragraph_id: str) -> tuple[list[Sentence], list[int]]:
     """Split a paragraph into Sentences plus each sentence's char offset."""
     sentences: list[Sentence] = []
     offsets: list[int] = []
@@ -40,9 +38,7 @@ def paragraph_sentences(
         pos = start + len(piece)
         if not toks:
             continue
-        sentences.append(
-            Sentence(tokens=toks, is_supporting_fact=supporting, paragraph_id=paragraph_id)
-        )
+        sentences.append(Sentence(tokens=toks, paragraph_id=paragraph_id))
         offsets.append(start)
     if not sentences:
         raise InputError(f"paragraph {paragraph_id!r} has no tokens")
@@ -102,10 +98,7 @@ def anchor_answer(
     if not needle:
         raise AnchorError(f"empty answer text {answer_text!r}")
     if char_hint is not None and sentence_char_offsets is not None:
-        sent_idx = 0
-        for i, off in enumerate(sentence_char_offsets):
-            if off <= char_hint:
-                sent_idx = i
+        sent_idx = sentence_at(sentence_char_offsets, char_hint)
         sent = context[sent_idx]
         local_hint = char_hint - sentence_char_offsets[sent_idx]
         for local_start, tok in enumerate(sent.tokens):
@@ -160,10 +153,7 @@ def _mention_span(
     char_end: int,
 ) -> AnswerSpan | None:
     """Convert a character range into the covered token span, if clean."""
-    sent_idx = 0
-    for i, off in enumerate(sentence_char_offsets):
-        if off <= char_start:
-            sent_idx = i
+    sent_idx = sentence_at(sentence_char_offsets, char_start)
     sent = context[sent_idx]
     local_start = char_start - sentence_char_offsets[sent_idx]
     local_end = char_end - sentence_char_offsets[sent_idx]

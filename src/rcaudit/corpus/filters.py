@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
 from ..metrics import normalize_answer
 from ..text import find_token_run, tokenize
-from ..types import AnswerSpan, QuestionAnnotations, RCInstance
+from ..types import QuestionAnnotations, RCInstance
 
 
 # The in-distribution comparative operators, each with its in-distribution
@@ -56,25 +56,15 @@ def filter_comparison(instances: Iterable[RCInstance]) -> list[RCInstance]:
     return kept
 
 
-def filter_coref_answer_in_cluster(
-    instances: Iterable[RCInstance],
-    clusters: Mapping[str, Sequence[Sequence[AnswerSpan]]] | None = None,
-) -> list[RCInstance]:
-    """Keep instances where some coreference cluster contains the answer.
+def filter_coref_answer_in_cluster(instances: Iterable[RCInstance]) -> list[RCInstance]:
+    """Keep instances whose own coreference clusters hold the answer.
 
-    `clusters` optionally supplies externally resolved clusters by instance
-    id, overriding any stored on the instance. The first cluster holding a
-    mention that normalizes to a gold answer is recorded as relevant and the
-    instance is marked with the coreference skill.
+    The first cluster holding a mention that normalizes to a gold answer is
+    recorded as relevant and the instance is marked with the coreference
+    skill.
     """
     kept = []
     for instance in instances:
-        if clusters is not None and instance.id in clusters:
-            instance = replace(
-                instance,
-                coref_clusters=tuple(tuple(c) for c in clusters[instance.id]),
-                relevant_cluster=None,
-            )
         golds = {normalize_answer(a.text) for a in instance.gold_answers}
         relevant = None
         for c_idx, cluster in enumerate(instance.coref_clusters):

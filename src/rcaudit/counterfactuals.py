@@ -18,8 +18,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .corpus.filters import OPERATOR_ANTONYMS
 from .corpus.schema import span_from_dict, span_to_dict
 from .errors import InputError
@@ -56,9 +54,9 @@ IN_DISTRIBUTION_TABLE = AntonymTable(
 
 OUT_OF_DISTRIBUTION_TABLE = AntonymTable(
     entries={
-        "first": ("less recently",),
+        "first": ("last",),
         "older": ("less old", "more junior", "less mature", "less grown-up"),
-        "earlier": ("subsequently", "thereafter", "less recently"),
+        "earlier": ("subsequently", "thereafter"),
         "later": ("less recently",),
         "younger": ("more old", "less junior", "more mature", "more grown-up"),
         "more recently": ("less recently", "longer ago"),
@@ -148,13 +146,11 @@ def _entity_context_span(instance: RCInstance, entity: frozenset[int]) -> Answer
 def perturb_comparison(
     instance: RCInstance,
     table: AntonymTable = IN_DISTRIBUTION_TABLE,
-    replacement_index: int | None = None,
-    choose_seed: int | None = None,
+    replacement_index: int = 0,
 ) -> CFPair:
     """Swap the comparative operator for an antonym and flip the gold answer.
 
-    The replacement is the table's first candidate unless an explicit index
-    or a seed (uniform choice) is given. Requires a two-entity comparison
+    The replacement is the table's candidate at `replacement_index`. Requires a two-entity comparison
     whose gold answer names one of the compared entities.
     """
     if instance.skill != "comparison" or instance.annotations is None:
@@ -167,13 +163,6 @@ def perturb_comparison(
     replacements = table.entries.get(key)
     if replacements is None:
         raise InputError(f"{instance.id}: operator {key!r} not in the {table.distribution_tag} table")
-    if replacement_index is None:
-        if choose_seed is not None:
-            replacement_index = int(
-                np.random.default_rng(choose_seed).integers(len(replacements))
-            )
-        else:
-            replacement_index = 0
     if not 0 <= replacement_index < len(replacements):
         raise InputError(f"{instance.id}: replacement index {replacement_index} out of range")
     new_surface = replacements[replacement_index]

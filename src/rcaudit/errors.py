@@ -20,7 +20,7 @@ class AnchorError(InputError):
 
 
 class CapabilityError(AuditError):
-    """A gateway or plugin does not support the requested operation."""
+    """A gateway does not support the requested operation."""
 
 
 class GatewayError(AuditError):

@@ -128,14 +128,11 @@ def handle_request(gateway: ModelGateway, request: dict) -> dict:
                 result = dict(zip(_IG_FIELDS, map(encode_array, arrays)))
         else:
             raise InputError(f"unknown op {op!r}")
-    except InputError as exc:
-        return {"ok": False, "error": str(exc), "kind": "input"}
-    except CapabilityError as exc:
-        return {"ok": False, "error": str(exc), "kind": "capability"}
     except KeyError as exc:
         return {"ok": False, "error": f"missing request field {exc}", "kind": "input"}
     except Exception as exc:
-        return {"ok": False, "error": str(exc), "kind": "gateway"}
+        kind = next((k for k, cls in _ERROR_KINDS.items() if isinstance(exc, cls)), "gateway")
+        return {"ok": False, "error": str(exc), "kind": kind}
     return {"ok": True, "result": result}
 
 

@@ -7,39 +7,26 @@ question's wh-word, then return the first entity of that type in the
 chosen sentence. Its accuracy ceiling is what a dataset gives away to
 shortcut strategies, so it doubles as a difficulty probe.
 
-Plugins (sentence embedder, named-entity recognizer, entity-type
-classifier) are callables; deterministic rule-based defaults ship with the
-module so everything runs hermetically.
+The entity tagger and the sentence embedding are deterministic rules
+(capitalized runs and digits; feature hashing), so everything runs
+hermetically.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import CapabilityError, InputError
+from .errors import InputError
 from .metrics import normalize_answer
 from .text import capitalized_runs, tokenize
 from .types import RCInstance
 
 SELECTION_STRATEGIES = ("token_overlap", "lcs", "position", "sentence_encoder")
-
-NerEntity = tuple[int, int, str]
-NerPlugin = Callable[[str], list[NerEntity]]
-EmbedderPlugin = Callable[[str], np.ndarray]
-TypeClassifier = Callable[[str], str]
-
-
-@dataclass(frozen=True)
-class HeuristicConfig:
-    selection_strategy: str = "token_overlap"
-
-    def __post_init__(self) -> None:
-        if self.selection_strategy not in SELECTION_STRATEGIES:
-            raise InputError(f"unknown selection strategy {self.selection_strategy!r}")
+# Length of the feature-hashing sentence embedding.
+_EMBED_DIM = 64
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
@@ -70,7 +57,6 @@ def select_sentence(
     question: str,
     sentences: Sequence[str],
     strategy: str = "token_overlap",
-    embedder: EmbedderPlugin | None = None,
 ) -> int:
     """Index of the sentence the strategy scores highest; ties pick the
     earliest sentence. token_overlap counts distinct shared normalized
@@ -86,10 +72,8 @@ def select_sentence(
     elif strategy == "lcs":
         scores = [_lcs_length(q_tokens, normalize_answer(s).split()) for s in sentences]
     elif strategy == "sentence_encoder":
-        if embedder is None:
-            raise CapabilityError("sentence_encoder strategy needs an embedder plugin")
-        q_vec = np.asarray(embedder(question), dtype=float)
-        scores = [_cosine(q_vec, np.asarray(embedder(s), dtype=float)) for s in sentences]
+        q_vec = embed_sentence(question)
+        scores = [_cosine(q_vec, embed_sentence(s)) for s in sentences]
     else:
         raise InputError(f"unknown selection strategy {strategy!r}")
     best = 0
@@ -149,15 +133,13 @@ _HEAD_NOUN_TYPES = {
 }
 
 
-def predict_entity_type(question: str, classifier: TypeClassifier | None = None) -> str:
+def predict_entity_type(question: str) -> str:
     """Expected answer entity type; always returns some label.
 
-    A supplied classifier plugin decides. Otherwise the wh-word mapping keys
-    off the first interrogative word ("how many/much" maps to CARDINAL;
-    "which"/"what" scan the following words for a typed head noun).
+    The wh-word mapping keys off the first interrogative word ("how
+    many/much" maps to CARDINAL; "which"/"what" scan the following words
+    for a typed head noun).
     """
-    if classifier is not None:
-        return classifier(question)
     tokens = normalize_answer(question).split()
     for i, tok in enumerate(tokens):
         if tok in _WH_TABLE:
@@ -174,88 +156,56 @@ def predict_entity_type(question: str, classifier: TypeClassifier | None = None)
     return "ENTITY"
 
 
-class RuleBasedNER:
-    """Deterministic fixture-scale recognizer: digits and capitalized runs.
-
-    Four-digit numbers in 1000..2999 label as DATE, other digit-bearing
-    tokens as CARDINAL, capitalized runs by gazetteer lookup (casefolded
-    surface) with ENTITY as the default.
-    """
-
-    def __init__(self, gazetteer: dict[str, str] | None = None) -> None:
-        self.gazetteer = {k.casefold(): v for k, v in (gazetteer or {}).items()}
-
-    def __call__(self, text: str) -> list[NerEntity]:
-        tokens = tokenize(text)
-        entities: list[NerEntity] = []
-        in_run = set()
-        for lo, hi in capitalized_runs(tokens):
-            surface = text[tokens[lo].char_start : tokens[hi].char_end]
-            label = self.gazetteer.get(surface.casefold(), "ENTITY")
-            entities.append((tokens[lo].char_start, tokens[hi].char_end, label))
-            in_run.update(range(lo, hi + 1))
-        for i, tok in enumerate(tokens):
-            if i in in_run:
-                continue
-            if tok.text.isdigit() and len(tok.text) == 4 and tok.text[0] in "12":
-                entities.append((tok.char_start, tok.char_end, "DATE"))
-            elif any(ch.isdigit() for ch in tok.text):
-                entities.append((tok.char_start, tok.char_end, "CARDINAL"))
-        entities.sort()
-        return entities
+def recognize_entities(text: str) -> list[tuple[int, int, str]]:
+    """Sorted (char start, char end, label) entities: capitalized runs label
+    as ENTITY, four-digit numbers in 1000..2999 as DATE, other digit-bearing
+    tokens as CARDINAL."""
+    tokens = tokenize(text)
+    entities: list[tuple[int, int, str]] = []
+    in_run = set()
+    for lo, hi in capitalized_runs(tokens):
+        entities.append((tokens[lo].char_start, tokens[hi].char_end, "ENTITY"))
+        in_run.update(range(lo, hi + 1))
+    for i, tok in enumerate(tokens):
+        if i in in_run:
+            continue
+        if tok.text.isdigit() and len(tok.text) == 4 and tok.text[0] in "12":
+            entities.append((tok.char_start, tok.char_end, "DATE"))
+        elif any(ch.isdigit() for ch in tok.text):
+            entities.append((tok.char_start, tok.char_end, "CARDINAL"))
+    entities.sort()
+    return entities
 
 
-def extract_phrase(sentence: str, entity_type: str, ner: NerPlugin) -> str:
-    """First entity of the wanted type; any-type, then capitalized-run,
-    then first-word fallbacks keep the answer non-empty."""
+def extract_phrase(sentence: str, entity_type: str) -> str:
+    """First entity of the wanted type; any-type, then first-word fallbacks
+    keep the answer non-empty."""
     if not sentence.strip():
         raise InputError("extract_phrase needs a non-empty sentence")
-    entities = ner(sentence)
+    entities = recognize_entities(sentence)
     for start, end, label in entities:
         if label == entity_type:
             return sentence[start:end]
     if entities:
         start, end, _ = entities[0]
         return sentence[start:end]
-    tokens = tokenize(sentence)
-    runs = capitalized_runs(tokens)
-    if runs:
-        lo, hi = max(runs, key=lambda r: tokens[r[1]].char_end - tokens[r[0]].char_start)
-        return sentence[tokens[lo].char_start : tokens[hi].char_end]
-    return tokens[0].text
+    return tokenize(sentence)[0].text
 
 
-class HashingSentenceEmbedder:
+def embed_sentence(text: str) -> np.ndarray:
     """Dependency-free deterministic bag-of-words embedding (feature hashing)."""
-
-    def __init__(self, dim: int = 64) -> None:
-        self.dim = dim
-
-    def __call__(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dim)
-        for token in normalize_answer(text).split():
-            digest = hashlib.sha256(token.encode("utf-8")).digest()
-            index = int.from_bytes(digest[:4], "big") % self.dim
-            sign = 1.0 if digest[4] % 2 == 0 else -1.0
-            vec[index] += sign
-        return vec
+    vec = np.zeros(_EMBED_DIM)
+    for token in normalize_answer(text).split():
+        digest = hashlib.sha256(token.encode("utf-8")).digest()
+        index = int.from_bytes(digest[:4], "big") % _EMBED_DIM
+        sign = 1.0 if digest[4] % 2 == 0 else -1.0
+        vec[index] += sign
+    return vec
 
 
-def heuristic_answer(
-    instance: RCInstance,
-    config: HeuristicConfig = HeuristicConfig(),
-    ner: NerPlugin | None = None,
-    embedder: EmbedderPlugin | None = None,
-    classifier: TypeClassifier | None = None,
-) -> str:
+def heuristic_answer(instance: RCInstance, strategy: str) -> str:
     """Sentence selection composed with typed phrase extraction."""
-    if ner is None:
-        ner = RuleBasedNER()
-    if embedder is None and config.selection_strategy == "sentence_encoder":
-        embedder = HashingSentenceEmbedder()
     sentences = [s.text for s in instance.context]
-    index = select_sentence(
-        instance.question_text, sentences, config.selection_strategy, embedder
-    )
-    entity_type = predict_entity_type(instance.question_text, classifier)
-    return extract_phrase(sentences[index], entity_type, ner)
+    index = select_sentence(instance.question_text, sentences, strategy)
+    entity_type = predict_entity_type(instance.question_text)
+    return extract_phrase(sentences[index], entity_type)

@@ -92,9 +92,7 @@ def build_comparison_partition(instance: RCInstance) -> TokenPartition:
     )
 
 
-def build_coref_partition(
-    instance: RCInstance, relevant_cluster: int | None = None
-) -> TokenPartition:
+def build_coref_partition(instance: RCInstance) -> TokenPartition:
     """Context-scope partition: cluster mention words against the rest.
 
     Negative excludes (besides the cluster itself) context words whose
@@ -103,7 +101,7 @@ def build_coref_partition(
     """
     if instance.skill != "coreference":
         raise InputError(f"{instance.id}: coreference partition needs the coreference skill")
-    cluster_idx = instance.relevant_cluster if relevant_cluster is None else relevant_cluster
+    cluster_idx = instance.relevant_cluster
     if cluster_idx is None or not 0 <= cluster_idx < len(instance.coref_clusters):
         raise InputError(f"{instance.id}: no relevant coreference cluster recorded")
     positive: set[int] = set()
@@ -139,34 +137,22 @@ def build_skill_partition(instance: RCInstance) -> TokenPartition:
     raise InputError(f"{instance.id}: no partition defined for skill {instance.skill!r}")
 
 
-def random_partition(
-    instance: RCInstance,
-    pos_size: int | None = None,
-    neg_size: int | None = None,
-    seed: int = 0,
-    scope: Scope | None = None,
-) -> TokenPartition:
-    """Uniform disjoint index sets of the requested sizes; seeded.
+def random_partition(instance: RCInstance, seed: int) -> TokenPartition:
+    """Uniform disjoint index sets in the instance's skill scope; seeded.
 
-    Sizes default to the instance's own skill-partition sizes so calibration
-    draws are size-matched; instances without a usable skill partition fall
-    back to a 2 / rest split. Sizes below 2 are clamped up to 2.
+    Sizes are the instance's own skill-partition sizes so calibration draws
+    are size-matched; instances without a usable skill partition fall back
+    to a 2 / rest split. Sizes below 2 are clamped up to 2.
     """
-    if scope is None:
-        scope = "context_tokens" if instance.skill == "coreference" else "question_tokens"
+    scope: Scope = "context_tokens" if instance.skill == "coreference" else "question_tokens"
     n = scope_size(instance, scope)
-    if pos_size is None or neg_size is None:
-        try:
-            skill = build_skill_partition(instance)
-            default_pos, default_neg = len(skill.positive), len(skill.negative)
-        except InputError:
-            default_pos, default_neg = 2, n - 2
-        if pos_size is None:
-            pos_size = default_pos
-        if neg_size is None:
-            neg_size = default_neg
-    pos_size = max(2, int(pos_size))
-    neg_size = max(2, int(neg_size))
+    try:
+        skill = build_skill_partition(instance)
+        pos_size, neg_size = len(skill.positive), len(skill.negative)
+    except InputError:
+        pos_size, neg_size = 2, n - 2
+    pos_size = max(2, pos_size)
+    neg_size = max(2, neg_size)
     if pos_size + neg_size > n:
         raise InputError(
             f"{instance.id}: cannot draw {pos_size}+{neg_size} indices from {n} {scope}"

@@ -47,16 +47,14 @@ def make_sentence(text: str, supporting: bool = False, paragraph_id: str = "0") 
     return Sentence(tokens=toks, is_supporting_fact=supporting, paragraph_id=paragraph_id)
 
 
-def find_token_run(
-    haystack: tuple[Token, ...], needle_texts: tuple[str, ...], start: int = 0
-) -> int | None:
+def find_token_run(haystack: tuple[Token, ...], needle_texts: tuple[str, ...]) -> int | None:
     """First index where the casefolded token texts of `needle_texts` occur
     contiguously in `haystack`, or None."""
     if not needle_texts:
         return None
     needle = [t.casefold() for t in needle_texts]
     limit = len(haystack) - len(needle)
-    for i in range(start, limit + 1):
+    for i in range(limit + 1):
         if all(haystack[i + k].text.casefold() == needle[k] for k in range(len(needle))):
             return i
     return None

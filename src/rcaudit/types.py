@@ -13,9 +13,10 @@ Conventions used throughout the toolkit:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Literal
+from typing import Literal, Sequence
 
 from .errors import InputError
 
@@ -111,11 +112,7 @@ class RCInstance:
         """Sentence index containing the flattened context token index."""
         if flat_index < 0 or flat_index >= self.n_context:
             raise InputError(f"{self.id}: context index {flat_index} out of range")
-        sent = 0
-        for i, off in enumerate(self.sentence_offsets):
-            if off <= flat_index:
-                sent = i
-        return sent
+        return sentence_at(self.sentence_offsets, flat_index)
 
     def span_surface(self, token_start: int, token_end: int) -> str:
         """Context surface text covered by an inclusive flattened token range."""
@@ -134,6 +131,12 @@ class EvalResult:
     f1: float
     exact_match: float
     n_instances: int
+
+
+def sentence_at(starts: Sequence[int], position: int) -> int:
+    """Index of the last sentence whose start (ascending `starts`, in tokens
+    or characters) is at or before `position`; 0 when none is."""
+    return max(bisect_right(starts, position) - 1, 0)
 
 
 def render_tokens(tokens: tuple[Token, ...]) -> str:

@@ -36,7 +36,6 @@ from rcaudit.gateway import build_gateway
 from rcaudit.gateway.base import ModelGateway, ModelOutput, answer_span, span_text
 from rcaudit.heuristic import (
     SELECTION_STRATEGIES,
-    HeuristicConfig,
     heuristic_answer,
     select_sentence,
 )
@@ -338,8 +337,7 @@ def test_09_answer_metrics_exactness():
 def test_10_heuristic_pipeline_is_deterministic(corpus):
     frozen = json.loads((DATA_DIR / "heuristic_expected.json").read_text())
     for strategy in SELECTION_STRATEGIES:
-        config = HeuristicConfig(selection_strategy=strategy)
-        answers = {inst.id: heuristic_answer(inst, config) for inst in corpus}
+        answers = {inst.id: heuristic_answer(inst, strategy) for inst in corpus}
         block = frozen["strategies"][strategy]
         assert answers == block["answers"]
         result = evaluate_dataset(answers, corpus)

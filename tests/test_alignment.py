@@ -431,8 +431,7 @@ class TestReportsAndSerialization:
 
         def report(model, method, step, records):
             return AlignmentReport(
-                dataset_id="d", model_id=model, reasoning_step=step, method=method,
-                records=tuple(records),
+                model_id=model, reasoning_step=step, method=method, records=tuple(records)
             )
 
         reports = [

@@ -241,6 +241,7 @@ class TestHeuristic:
     def test_unknown_strategy(self, tmp_path):
         assert run("heuristic", "--dataset", CORPUS, "--strategy", "psychic",
                    "--out", str(tmp_path / "x")) == 2
+        assert not (tmp_path / "x").exists()
 
 
 class TestConfigFile:

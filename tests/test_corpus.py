@@ -251,13 +251,12 @@ class TestFilters:
             ["Barack Obama was the 44th president of the US.", "He was born in Hawaii."],
             gold=(0, "Barack Obama"),
         )
-        cluster = [
-            [
-                # mention does not normalize to the gold answer
-                span_at(inst.context, 1, "Hawaii"),
-            ]
-        ]
-        assert filter_coref_answer_in_cluster([inst], {"f-3": cluster}) == []
+        hawaii = (span_at(inst.context, 1, "Hawaii"),)
+        # the instance's only cluster holds no mention of the gold answer
+        assert filter_coref_answer_in_cluster([replace(inst, coref_clusters=(hawaii,))]) == []
+        obama = (span_at(inst.context, 0, "Barack Obama"), span_at(inst.context, 1, "He"))
+        (kept,) = filter_coref_answer_in_cluster([replace(inst, coref_clusters=(hawaii, obama))])
+        assert kept.skill == "coreference" and kept.relevant_cluster == 1
 
     def test_coref_filter_records_first_matching_cluster(self, corpus_by_id):
         inst = corpus_by_id["cor-01"]

@@ -10,17 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import DATA_DIR, build_instance
-from rcaudit.errors import CapabilityError, InputError
+from conftest import DATA_DIR
+from rcaudit.errors import InputError
 from rcaudit.heuristic import (
     SELECTION_STRATEGIES,
-    HashingSentenceEmbedder,
-    HeuristicConfig,
-    RuleBasedNER,
     _lcs_length,
+    embed_sentence,
     extract_phrase,
     heuristic_answer,
     predict_entity_type,
+    recognize_entities,
     select_sentence,
 )
 from rcaudit.metrics import evaluate_dataset, normalize_answer
@@ -66,16 +65,13 @@ class TestSelectSentence:
         assert select_sentence("Who sang?", ["The dog barked.", "The cat sat."]) == 0
         assert select_sentence("Who sang?", ["A song played.", "A song played."], "lcs") == 0
 
-    def test_sentence_encoder_needs_a_plugin(self):
-        with pytest.raises(CapabilityError, match="embedder"):
-            select_sentence("Who?", ["A.", "B."], "sentence_encoder")
+    def test_sentence_encoder_needs_no_plugin(self):
         picked = select_sentence(
             "the red fox jumped",
-            ["the red fox jumped over a log", "a dog slept indoors"],
+            ["a dog slept indoors", "the red fox jumped over a log"],
             "sentence_encoder",
-            embedder=HashingSentenceEmbedder(),
         )
-        assert picked == 0
+        assert picked == 1
 
     def test_validation(self):
         with pytest.raises(InputError, match="at least one sentence"):
@@ -125,35 +121,18 @@ class TestEntityTypePrediction:
         # "who" always maps to PERSON even when a team is the right type
         assert predict_entity_type("Who won the World Cup in 2002?") == "PERSON"
 
-    def test_learned_predictor_plugin_and_fallback(self):
-        classifier = lambda q: "CUSTOM"
-        assert predict_entity_type("Who?", classifier) == "CUSTOM"
-        assert predict_entity_type("Who?", None) == "PERSON"
-
-    def test_heuristic_answer_asks_a_supplied_classifier(self):
-        inst = build_instance(
-            "h-1", "Who was born in Hawaii?", ["Barack Obama was born in 1961 in Hawaii."],
-            gold=(0, "Barack Obama"),
-        )
-        assert heuristic_answer(inst) == "Barack Obama"
-        assert heuristic_answer(inst, classifier=lambda q: "DATE") == "1961"
-
 
 class TestRuleBasedNER:
     def test_runs_dates_and_cardinals(self):
-        ner = RuleBasedNER(gazetteer={"Barack Obama": "PERSON"})
         text = "Barack Obama visited 3 cities in 2008."
-        entities = ner(text)
+        entities = recognize_entities(text)
         surfaces = [(text[s:e], label) for s, e, label in entities]
-        assert ("Barack Obama", "PERSON") in surfaces
-        assert ("3", "CARDINAL") in surfaces
-        assert ("2008", "DATE") in surfaces
+        assert surfaces == [("Barack Obama", "ENTITY"), ("3", "CARDINAL"), ("2008", "DATE")]
         assert entities == sorted(entities)
 
     def test_year_window_and_defaults(self):
-        ner = RuleBasedNER()
         def labels(text):
-            return {text[s:e]: label for s, e, label in ner(text)}
+            return {text[s:e]: label for s, e, label in recognize_entities(text)}
 
         out = labels("The ship sank in 3019 but 1999 was fine for 123 crews.")
         assert out["3019"] == "CARDINAL"  # outside the 1000..2999 date window
@@ -163,37 +142,32 @@ class TestRuleBasedNER:
 
 
 class TestExtractPhrase:
-    NER = RuleBasedNER(gazetteer={"Barack Obama": "PERSON"})
-
     def test_prefers_the_requested_type(self):
         sentence = "Barack Obama was born in 1961."
-        assert extract_phrase(sentence, "DATE", self.NER) == "1961"
-        assert extract_phrase(sentence, "PERSON", self.NER) == "Barack Obama"
+        assert extract_phrase(sentence, "DATE") == "1961"
+        assert extract_phrase(sentence, "ENTITY") == "Barack Obama"
 
     def test_any_entity_fallback(self):
         sentence = "Barack Obama was born in 1961."
-        assert extract_phrase(sentence, "GPE", self.NER) == "Barack Obama"
+        assert extract_phrase(sentence, "GPE") == "Barack Obama"
 
     def test_capitalized_run_and_first_word_fallbacks(self):
-        silent = lambda text: []
-        assert (
-            extract_phrase("Karl met The Glass Orchard cast.", "PERSON", silent)
-            == "The Glass Orchard"
-        )
-        assert extract_phrase("the cat sat down.", "PERSON", silent) == "the"
+        # the tagger labels every capitalized run, so the first run is the
+        # any-entity fallback
+        assert extract_phrase("Karl met The Glass Orchard cast.", "PERSON") == "Karl"
+        assert extract_phrase("the cat sat down.", "PERSON") == "the"
         with pytest.raises(InputError):
-            extract_phrase("   ", "PERSON", silent)
+            extract_phrase("   ", "PERSON")
 
 
 class TestHashingEmbedder:
     def test_deterministic_bag_of_words(self):
-        embedder = HashingSentenceEmbedder(dim=32)
-        a = embedder("the red fox jumped")
-        b = embedder("the red fox jumped")
+        a = embed_sentence("the red fox jumped")
+        b = embed_sentence("the red fox jumped")
         assert np.array_equal(a, b)
-        assert a.shape == (32,)
-        assert np.array_equal(embedder("red fox"), embedder("fox red"))
-        assert not np.array_equal(embedder("red fox"), embedder("blue whale"))
+        assert a.shape == (64,)
+        assert np.array_equal(embed_sentence("red fox"), embed_sentence("fox red"))
+        assert not np.array_equal(embed_sentence("red fox"), embed_sentence("blue whale"))
 
 
 @pytest.fixture(scope="module")
@@ -205,8 +179,7 @@ class TestHeuristicAnswer:
     def test_matches_frozen_snapshot(self, corpus, expected):
         for strategy in SELECTION_STRATEGIES:
             block = expected["strategies"][strategy]
-            config = HeuristicConfig(selection_strategy=strategy)
-            answers = {inst.id: heuristic_answer(inst, config) for inst in corpus}
+            answers = {inst.id: heuristic_answer(inst, strategy) for inst in corpus}
             assert answers == block["answers"], f"strategy {strategy} drifted"
             result = evaluate_dataset(answers, corpus)
             assert result.exact_match == block["exact_match"]
@@ -227,9 +200,8 @@ class TestHeuristicAnswer:
         answers = expected["strategies"]["position"]["answers"]
         assert answers["cor-01"] == "Barack Obama"
         assert answers["cmp-01"] == "Blind Shaft"
-        config = HeuristicConfig(selection_strategy="position")
-        assert heuristic_answer(corpus_by_id["cor-01"], config) == "Barack Obama"
+        assert heuristic_answer(corpus_by_id["cor-01"], "position") == "Barack Obama"
 
-    def test_config_validation(self):
-        with pytest.raises(InputError):
-            HeuristicConfig(selection_strategy="tfidf")
+    def test_config_validation(self, corpus_by_id):
+        with pytest.raises(InputError, match="strategy"):
+            heuristic_answer(corpus_by_id["cor-01"], "tfidf")

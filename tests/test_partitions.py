@@ -144,10 +144,10 @@ class TestCorefPartition:
         inst = corpus_by_id["cor-01"]
         extra = (span_at(inst.context, 0, "the US"),)
         two = replace(inst, coref_clusters=inst.coref_clusters + (extra,))
-        part = build_coref_partition(two, relevant_cluster=1)
+        part = build_coref_partition(replace(two, relevant_cluster=1))
         assert part.positive == frozenset({7, 8})
         with pytest.raises(InputError, match="cluster"):
-            build_coref_partition(two, relevant_cluster=5)
+            build_coref_partition(replace(two, relevant_cluster=5))
 
     def test_empty_negative_side_is_an_error(self):
         inst = build_instance(
@@ -175,15 +175,15 @@ class TestSkillDispatch:
 
 
 class TestRandomPartition:
-    def test_deterministic_disjoint_and_sized(self, corpus):
-        inst = next(i for i in corpus if i.skill == "comparison")
+    def test_deterministic_disjoint_and_sized(self, corpus_by_id):
+        inst = corpus_by_id["cmp-02"]  # "more recently": 2 operator words, 4 negatives
         seen = set()
         for draw in range(50):
             seed = seed_for(7, inst.id, draw)
-            part = random_partition(inst, pos_size=3, neg_size=4, seed=seed)
-            again = random_partition(inst, pos_size=3, neg_size=4, seed=seed)
+            part = random_partition(inst, seed=seed)
+            again = random_partition(inst, seed=seed)
             assert part.positive == again.positive and part.negative == again.negative
-            assert len(part.positive) == 3 and len(part.negative) == 4
+            assert len(part.positive) == 2 and len(part.negative) == 4
             assert not part.positive & part.negative
             assert all(0 <= i < inst.n_question for i in part.positive | part.negative)
             assert part.skill_step == "random"
@@ -210,13 +210,13 @@ class TestRandomPartition:
         assert len(build_comparison_partition(cmp01).positive) == 1
         rand = random_partition(cmp01, seed=5)
         assert len(rand.positive) == 2
-        explicit = random_partition(cmp01, pos_size=1, neg_size=1, seed=5)
-        assert len(explicit.positive) == 2 and len(explicit.negative) == 2
+        assert len(rand.negative) == len(build_comparison_partition(cmp01).negative)
 
-    def test_infeasible_sizes_error(self, corpus_by_id):
-        inst = corpus_by_id["cmp-02"]  # 16 question words
-        with pytest.raises(InputError, match="cannot draw"):
-            random_partition(inst, pos_size=10, neg_size=10, seed=0)
+    def test_infeasible_sizes_error(self):
+        # no skill partition: a 2 / rest split, both clamped to 2, from 3 words
+        inst = build_instance("tiny", "Who won?", ["Ana won."], gold=(0, "Ana"))
+        with pytest.raises(InputError, match=r"cannot draw 2\+2 indices from 3"):
+            random_partition(inst, seed=0)
 
     def test_fallback_split_for_other_skills(self):
         inst = build_instance(

@@ -8,6 +8,11 @@ from pathlib import Path
 import rcaudit
 
 PACKAGE_DIR = Path(rcaudit.__file__).parent
+REPO_DIR = Path(__file__).resolve().parents[1]
+# Directories whose calls count as the program's callers of the package.
+CALLER_DIRS = ("src", "tools", "perfbench")
+# Defaulted parameters that no call sets and that stay, with the reason.
+KNOB_ALLOWLIST = {("serve_tcp", "host"): "address, a deployment setting"}
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -111,3 +116,125 @@ def test_package_has_no_unread_private_names():
         for line, name in unread_private_names(path.read_text(encoding="utf-8"))
     }
     assert not found, sorted(found)
+
+
+def defaulted_parameters(source: str) -> list[tuple[int, str, str, str, int | None]]:
+    """(line, qualified name, callee name, parameter, positional index or
+    None) for each defaulted parameter of a public top-level function or a
+    public method of a public class. A constructor is called by its class
+    name; nested closures are not scanned."""
+    found = []
+
+    def scan(fn, qualname: str, callee: str, is_method: bool) -> None:
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        if is_method and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list
+        ):
+            positional = positional[1:]
+        first = len(positional) - len(args.defaults)
+        for index, arg in enumerate(positional[first:], start=first):
+            found.append((fn.lineno, qualname, callee, arg.arg, index))
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                found.append((fn.lineno, qualname, callee, arg.arg, None))
+
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in ast.parse(source).body:
+        if isinstance(node, functions) and not node.name.startswith("_"):
+            scan(node, node.name, node.name, False)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for fn in node.body:
+                if not isinstance(fn, functions):
+                    continue
+                if fn.name == "__init__":
+                    scan(fn, f"{node.name}.__init__", node.name, True)
+                elif not fn.name.startswith("_"):
+                    scan(fn, f"{node.name}.{fn.name}", fn.name, True)
+    return found
+
+
+def parameters_set(sources: list[str]) -> dict[str, tuple[float, set[str]]]:
+    """Callee name -> (most positional arguments any call passes, keywords
+    passed). A call that unpacks `*args` or `**kwargs` may set any
+    positional or keyword parameter."""
+    calls: dict[str, tuple[float, set[str]]] = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name):
+                name = node.func.id
+            elif isinstance(node.func, ast.Attribute):
+                name = node.func.attr
+            else:
+                continue
+            most, keywords = calls.get(name, (0, set()))
+            n_args = len(node.args)
+            if any(isinstance(a, ast.Starred) for a in node.args):
+                n_args = float("inf")
+            keywords = keywords | {k.arg for k in node.keywords}
+            calls[name] = (max(most, n_args), keywords)
+    return calls
+
+
+def unset_knobs(source: str, calls: dict[str, tuple[float, set[str]]]) -> list[tuple[int, str, str]]:
+    """(line, qualified name, parameter) for each defaulted parameter in
+    `source` that no call in `calls` sets by keyword or by position."""
+    unset = []
+    for line, qualname, callee, param, index in defaulted_parameters(source):
+        most, keywords = calls.get(callee, (0, set()))
+        if param in keywords or None in keywords:
+            continue
+        if index is not None and most > index:
+            continue
+        unset.append((line, qualname, param))
+    return unset
+
+
+def test_knob_detector_flags_only_unset_defaults():
+    package = (
+        "def run(a, b=1, c=2, *, d=3):\n"
+        "    def build(x=0):\n"
+        "        return x\n"
+        "    return build()\n"
+        "def _private(e=4):\n"
+        "    pass\n"
+        "class Box:\n"
+        "    def __init__(self, size=1, tag=''):\n"
+        "        pass\n"
+        "    def grow(self, by=1):\n"
+        "        pass\n"
+        "    @staticmethod\n"
+        "    def make(kind='a', n=0):\n"
+        "        pass\n"
+        "    def unpack(self, first=0, second=0):\n"
+        "        pass\n"
+        "    def _hidden(self, f=5):\n"
+        "        pass\n"
+        "def send(x, retries=0):\n"
+        "    pass\n"
+    )
+    callers = [
+        "run(0, 5)\nrun(0, d=6)\nBox(3)\nBox(tag='x').grow()\n",
+        "Box.make('b')\nbox.unpack(*pair)\nsend(1, **options)\n",
+    ]
+    assert unset_knobs(package, parameters_set(callers)) == [
+        (1, "run", "c"), (10, "Box.grow", "by"), (13, "Box.make", "n"),
+    ]
+
+
+def test_every_default_is_set_by_a_caller():
+    calls = parameters_set([
+        path.read_text(encoding="utf-8")
+        for directory in CALLER_DIRS
+        for path in sorted((REPO_DIR / directory).rglob("*.py"))
+    ])
+    found = {
+        (f"{path.relative_to(PACKAGE_DIR)}:{line}", qualname, param)
+        for path in sorted(PACKAGE_DIR.rglob("*.py"))
+        for line, qualname, param in unset_knobs(path.read_text(encoding="utf-8"), calls)
+    }
+    allowed = {item for item in found if item[1:] in KNOB_ALLOWLIST}
+    assert {item[1:] for item in allowed} == set(KNOB_ALLOWLIST)
+    assert not found - allowed, sorted(found - allowed)

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rcaudit.errors import InputError
 from rcaudit.text import (
@@ -15,7 +17,7 @@ from rcaudit.text import (
     tokenize,
     tokens_from_words,
 )
-from rcaudit.types import AnswerSpan, render_tokens, validate_instance
+from rcaudit.types import AnswerSpan, render_tokens, sentence_at, validate_instance
 
 from conftest import build_instance, span_at
 
@@ -76,10 +78,6 @@ class TestRuns:
         assert find_token_run(hay, ("fu", "manchu")) == 3
         assert find_token_run(hay, ("mask", "fu")) is None
 
-    def test_find_token_run_start_offset(self):
-        hay = tokenize("He saw Him and He waved.")
-        assert find_token_run(hay, ("he",), start=1) == 4
-
     def test_capitalized_runs_drop_pronoun_only_runs(self):
         toks = tokenize("He met Barack Obama in Hawaii.")
         runs = capitalized_runs(toks)
@@ -112,6 +110,17 @@ class TestInstance:
         assert inst.sentence_offsets == (0, 10)
         assert inst.sentence_of(9) == 0 and inst.sentence_of(10) == 1
         assert inst.span_surface(13, 14) == "in Hawaii"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 40)).map(sorted), st.integers(-5, 50))
+    @example(starts=[3, 9], position=1)  # a character hint before the first sentence
+    @example(starts=[0, 4, 4, 8], position=4)  # an empty sentence shares its start
+    def test_sentence_at_matches_the_linear_scan(self, starts, position):
+        sent = 0
+        for i, off in enumerate(starts):
+            if off <= position:
+                sent = i
+        assert sentence_at(starts, position) == sent
 
     def test_span_surface_rejects_cross_sentence(self):
         inst = build_instance(

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from rcaudit.corpus import load_jsonl
 from rcaudit.data import fixture_corpus_path
-from rcaudit.heuristic import SELECTION_STRATEGIES, HeuristicConfig, heuristic_answer
+from rcaudit.heuristic import SELECTION_STRATEGIES, heuristic_answer
 from rcaudit.metrics import evaluate_dataset
 
 OUT = Path(__file__).resolve().parent.parent / "tests" / "data" / "heuristic_expected.json"
@@ -23,8 +23,7 @@ def main() -> None:
     instances = load_jsonl(fixture_corpus_path())
     doc: dict = {"strategies": {}}
     for strategy in SELECTION_STRATEGIES:
-        config = HeuristicConfig(selection_strategy=strategy)
-        answers = {inst.id: heuristic_answer(inst, config) for inst in instances}
+        answers = {inst.id: heuristic_answer(inst, strategy) for inst in instances}
         result = evaluate_dataset(answers, instances)
         doc["strategies"][strategy] = {
             "answers": dict(sorted(answers.items())),
