@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Callable, Iterator
 
 from ..errors import AnchorError, InputError
-from ..text import find_token_run, split_sentences, tokenize
+from ..text import find_token_run, split_sentences, tokenize, words
 from ..types import AnswerSpan, RCInstance, Sentence, sentence_at
 
 
@@ -94,7 +94,7 @@ def anchor_answer(
     token-level search (supporting sentences first) when the hint is absent
     or does not pan out.
     """
-    needle = tuple(t.text.casefold() for t in tokenize(answer_text))
+    needle = tuple(w.casefold() for w in words(answer_text))
     if not needle:
         raise AnchorError(f"empty answer text {answer_text!r}")
     if char_hint is not None and sentence_char_offsets is not None:

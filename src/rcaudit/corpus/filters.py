@@ -6,7 +6,7 @@ from dataclasses import replace
 from typing import Iterable
 
 from ..metrics import normalize_answer
-from ..text import find_token_run, tokenize
+from ..text import find_token_run, words
 from ..types import QuestionAnnotations, RCInstance
 
 
@@ -28,7 +28,7 @@ def match_operator(instance: RCInstance) -> frozenset[int] | None:
     best: frozenset[int] | None = None
     best_len = 0
     for surface, _ in OPERATOR_ANTONYMS:
-        needle = tuple(t.text for t in tokenize(surface))
+        needle = words(surface)
         if len(needle) <= best_len:
             continue
         hit = find_token_run(instance.question, needle)

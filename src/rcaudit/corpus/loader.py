@@ -137,12 +137,16 @@ def load_dataset(desc: DatasetDescriptor) -> LoadResult:
                 result.skipped.append(SkippedRecord(idx, None, str(exc)))
             except (KeyError, TypeError, AttributeError) as exc:
                 raise InputError(f"{path}: malformed record {idx}: {exc!r}") from exc
+    # load_jsonl has validated every unified record; what an adapter built,
+    # and what reduce_context replaced, is checked here.
+    checked = desc.format == "unified"
     for idx, instance in candidates:
         try:
-            instance = reduce_context(instance, desc.context_mode)
-            validate_instance(instance)
+            reduced = reduce_context(instance, desc.context_mode)
+            if reduced is not instance or not checked:
+                validate_instance(reduced)
         except InputError as exc:
             result.skipped.append(SkippedRecord(idx, instance.id, str(exc)))
             continue
-        result.instances.append(instance)
+        result.instances.append(reduced)
     return result

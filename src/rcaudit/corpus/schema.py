@@ -33,10 +33,7 @@ def _tokens_to_dicts(tokens: tuple[Token, ...]) -> list[dict]:
 
 
 def _tokens_from_dicts(items: list[dict]) -> tuple[Token, ...]:
-    return tuple(
-        Token(text=d["text"], index=i, char_start=d["start"], char_end=d["end"])
-        for i, d in enumerate(items)
-    )
+    return tuple([Token(d["text"], i, d["start"], d["end"]) for i, d in enumerate(items)])
 
 
 def span_to_dict(span: AnswerSpan) -> dict:

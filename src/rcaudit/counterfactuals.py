@@ -23,7 +23,7 @@ from .corpus.schema import span_from_dict, span_to_dict
 from .errors import InputError
 from .gateway.base import ModelGateway, predict
 from .metrics import exact_match, normalize_answer, token_f1
-from .text import find_token_run, tokenize
+from .text import find_token_run, tokenize, words
 from .types import AnswerSpan, EvalResult, QuestionAnnotations, RCInstance, Sentence
 
 PERTURBATIONS = ("antonym_swap", "cluster_insertion")
@@ -80,6 +80,8 @@ class CFPair:
 
 
 def _contiguous(indices: frozenset[int], what: str, instance_id: str) -> tuple[int, int]:
+    if not indices:
+        raise InputError(f"{instance_id}: {what} token set is empty")
     lo, hi = min(indices), max(indices)
     if len(indices) != hi - lo + 1:
         raise InputError(f"{instance_id}: {what} token indices are not contiguous")
@@ -103,7 +105,7 @@ def _swap_operator(
     old_start = instance.question[lo].char_start
     old_end = instance.question[hi].char_end
     new_text = instance.question_text[:old_start] + new_surface + instance.question_text[old_end:]
-    n_new_op = len(tokenize(new_surface))
+    n_new_op = len(words(new_surface))
     delta = n_new_op - (hi - lo + 1)
     return replace(
         instance,
@@ -194,7 +196,7 @@ def _context_words(instance: RCInstance) -> list[str]:
 
 
 def _occurs_in_context(instance: RCInstance, text: str) -> bool:
-    needle = tuple(t.text for t in tokenize(text))
+    needle = words(text)
     return bool(needle) and find_token_run(instance.context_tokens, needle) is not None
 
 
@@ -224,28 +226,24 @@ def validate_cf(pair: CFPair) -> list[str]:
         if surface != gold.text:
             violations.append(f"new answer {gold.text!r} does not match its span")
     if pair.perturbation == "antonym_swap":
-        if _context_words(orig) != _context_words(pert):
+        # The swap shares the original's context tuple; only a different
+        # tuple needs comparing word for word.
+        if pert.context is not orig.context and _context_words(orig) != _context_words(pert):
             violations.append("context changed under antonym swap")
         if pair.replaced_operator is None:
             violations.append("antonym swap lacks replaced_operator")
         else:
-            old_op = tuple(t.text for t in tokenize(pair.replaced_operator[0]))
-            new_op = tuple(t.text for t in tokenize(pair.replaced_operator[1]))
+            old_op = words(pair.replaced_operator[0])
+            new_op = words(pair.replaced_operator[1])
             o_hit = find_token_run(orig.question, old_op)
             p_hit = find_token_run(pert.question, new_op)
             if o_hit is None or p_hit is None or o_hit != p_hit:
                 violations.append("operator positions do not line up")
             else:
-                o_rest = [
-                    t.text
-                    for i, t in enumerate(orig.question)
-                    if not o_hit <= i < o_hit + len(old_op)
-                ]
-                p_rest = [
-                    t.text
-                    for i, t in enumerate(pert.question)
-                    if not p_hit <= i < p_hit + len(new_op)
-                ]
+                o_words = [t.text for t in orig.question]
+                p_words = [t.text for t in pert.question]
+                o_rest = o_words[:o_hit] + o_words[o_hit + len(old_op) :]
+                p_rest = p_words[:p_hit] + p_words[p_hit + len(new_op) :]
                 if o_rest != p_rest:
                     violations.append("question differs outside the operator")
     elif pair.perturbation == "cluster_insertion":
@@ -301,7 +299,7 @@ def _pair_from_record(record: dict, original: RCInstance) -> CFPair:
     perturbation = record["perturbation"]
     if perturbation == "antonym_swap":
         old_surface, new_surface = record["replaced_operator"]
-        old_op = tuple(t.text for t in tokenize(old_surface))
+        old_op = words(old_surface)
         hit = find_token_run(original.question, old_op)
         if hit is None:
             raise InputError(
@@ -360,7 +358,7 @@ def load_cf_pairs(path: str | Path, originals: Iterable[RCInstance]) -> list[CFP
                 raise InputError(f"{path}: unknown original instance {original_id!r}")
             try:
                 pair = _pair_from_record(record, original)
-            except (KeyError, TypeError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise InputError(f"{path}: malformed record for {original_id!r}: {exc}") from exc
             violations = validate_cf(pair)
             if violations:

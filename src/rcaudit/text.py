@@ -8,6 +8,7 @@ handling is a gateway concern and never leaks out of it.
 from __future__ import annotations
 
 import re
+from typing import Sequence
 
 from .types import Sentence, Token
 
@@ -22,9 +23,13 @@ _SENTENCE_RE = re.compile(r"(?<=[.!?])\s+(?=[\"'(A-Z0-9])")
 def tokenize(text: str) -> tuple[Token, ...]:
     """Tokenize text, keeping character offsets into the original string."""
     return tuple(
-        Token(text=m.group(), index=i, char_start=m.start(), char_end=m.end())
-        for i, m in enumerate(_TOKEN_RE.finditer(text))
+        [Token(m.group(), i, m.start(), m.end()) for i, m in enumerate(_TOKEN_RE.finditer(text))]
     )
+
+
+def words(text: str) -> list[str]:
+    """The texts of `tokenize(text)`, for callers that read no offsets."""
+    return _TOKEN_RE.findall(text)
 
 
 def tokens_from_words(words: list[str]) -> tuple[Token, ...]:
@@ -47,15 +52,16 @@ def make_sentence(text: str, supporting: bool = False, paragraph_id: str = "0") 
     return Sentence(tokens=toks, is_supporting_fact=supporting, paragraph_id=paragraph_id)
 
 
-def find_token_run(haystack: tuple[Token, ...], needle_texts: tuple[str, ...]) -> int | None:
+def find_token_run(haystack: tuple[Token, ...], needle_texts: Sequence[str]) -> int | None:
     """First index where the casefolded token texts of `needle_texts` occur
     contiguously in `haystack`, or None."""
     if not needle_texts:
         return None
     needle = [t.casefold() for t in needle_texts]
-    limit = len(haystack) - len(needle)
-    for i in range(limit + 1):
-        if all(haystack[i + k].text.casefold() == needle[k] for k in range(len(needle))):
+    folded = [t.text.casefold() for t in haystack]
+    first, n = needle[0], len(needle)
+    for i in range(len(folded) - n + 1):
+        if folded[i] == first and folded[i : i + n] == needle:
             return i
     return None
 

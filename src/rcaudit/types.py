@@ -26,7 +26,7 @@ Scope = Literal["question_tokens", "context_tokens", "all"]
 SKILLS = ("comparison", "coreference", "other")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     text: str
     index: int

@@ -88,6 +88,21 @@ class TestSaliency:
         assert code == 2
 
 
+EMPTY_ENTITY_REASON = "cmp-01: annotation token set is empty"
+
+
+def corpus_with_an_empty_entity(tmp_path) -> Path:
+    """The bundled corpus with cmp-01's first compared entity emptied; it
+    still loads, as the annotation sets stay disjoint and in range."""
+    docs = [json.loads(line) for line in Path(CORPUS).read_text().splitlines()]
+    for doc in docs:
+        if doc["id"] == "cmp-01":
+            doc["annotations"]["compared_entities"][0] = []
+    path = tmp_path / "empty_entity.jsonl"
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+    return path
+
+
 class TestCfGenerate:
     def test_in_distribution_table(self, tmp_path):
         out = tmp_path / "out"
@@ -110,8 +125,34 @@ class TestCfGenerate:
         assert run("cf-generate", "--dataset", CORPUS, "--antonyms", "nope",
                    "--out", str(tmp_path / "y")) == 2
 
+    def test_empty_compared_entity_is_skipped_with_its_reason(self, tmp_path):
+        dataset = corpus_with_an_empty_entity(tmp_path)
+        out = tmp_path / "out"
+        assert run("cf-generate", "--dataset", str(dataset), "--out", str(out)) == 0
+        report = json.loads((out / "cf_report.json").read_text())
+        assert report["n_pairs"] == 9
+        assert ["cmp-01", EMPTY_ENTITY_REASON] in report["skipped"]
+
 
 class TestAlign:
+    def test_empty_compared_entity_is_skipped_with_its_reason(self, tmp_path):
+        dataset = corpus_with_an_empty_entity(tmp_path)
+        out = tmp_path / "out"
+        assert run("align", "--dataset", str(dataset), "--model", "toy:7", "--out", str(out)) == 0
+        doc = json.loads((out / "alignment.json").read_text())
+        assert doc["cf_generation_skipped"] == [["cmp-01", EMPTY_ENTITY_REASON]]
+
+    def test_malformed_cf_record_exits_2(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.jsonl"
+        assert run("cf-generate", "--dataset", CORPUS, "--out", str(tmp_path / "cf")) == 0
+        docs = [json.loads(l) for l in (tmp_path / "cf" / "cf_pairs.jsonl").read_text().splitlines()]
+        docs[0]["replaced_operator"].append("sooner")
+        pairs.write_text(json.dumps(docs[0]) + "\n")
+        code = run("align", "--dataset", CORPUS, "--model", "toy:7",
+                   "--cf-file", str(pairs), "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert f"malformed record for {docs[0]['original_id']!r}" in capsys.readouterr().err
+
     def test_bundled_audit_with_cache_reuse(self, tmp_path):
         out = tmp_path / "out"
         argv = (

@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import pytest
 
+import rcaudit.corpus.loader as loader_module
+import rcaudit.corpus.schema as schema_module
 from rcaudit.corpus import (
     OPERATOR_ANTONYMS,
     DatasetDescriptor,
@@ -23,10 +25,11 @@ from rcaudit.corpus import (
     save_jsonl,
 )
 from rcaudit.counterfactuals import OUT_OF_DISTRIBUTION_TABLE
+from rcaudit.data import fixture_corpus_path
 from rcaudit.errors import InputError
 from rcaudit.synthetic import make_synthetic_corpus
 from rcaudit.text import tokenize
-from rcaudit.types import RCInstance
+from rcaudit.types import RCInstance, validate_instance
 
 from conftest import DATA_DIR, build_instance, span_at
 
@@ -179,6 +182,7 @@ class TestContextModes:
         result = load_dataset(desc)
         assert len(result.instances) == 0 and len(result.skipped) == 1
         assert result.skipped[0].instance_id == "r-3"
+        assert "outside the supporting facts" in result.skipped[0].reason
 
     def test_cluster_mentions_outside_reduction_dropped(self):
         inst = build_instance(
@@ -204,6 +208,70 @@ class TestContextModes:
             desc = DatasetDescriptor("fx", str(fixture_corpus_path()), context_mode=mode)
             result = load_dataset(desc)
             assert len(result.instances) == 20 and len(result.skipped) == 0
+
+
+def count_validations(monkeypatch) -> list[RCInstance]:
+    """Record every instance the schema reader and the loader validate."""
+    seen: list[RCInstance] = []
+
+    def spy(instance):
+        seen.append(instance)
+        return validate_instance(instance)
+
+    monkeypatch.setattr(schema_module, "validate_instance", spy)
+    monkeypatch.setattr(loader_module, "validate_instance", spy)
+    return seen
+
+
+class TestValidatedOnce:
+    def test_each_unified_record_is_validated_once(self, monkeypatch, corpus):
+        seen = count_validations(monkeypatch)
+        desc = DatasetDescriptor("fx", str(fixture_corpus_path()))
+        result = load_dataset(desc)
+        assert len(result.instances) == len(corpus) == 20
+        assert [inst.id for inst in seen] == [inst.id for inst in corpus]
+
+    def test_a_reduced_instance_is_validated_again(self, monkeypatch, tmp_path):
+        inst = build_instance(
+            "r-5",
+            "Who was born in Hawaii?",
+            ["Filler sentence about nothing.", "He was born in Hawaii."],
+            gold=(1, "Hawaii"),
+            supporting=[False, True],
+        )
+        path = tmp_path / "uni.jsonl"
+        save_jsonl([inst], path)
+        seen = count_validations(monkeypatch)
+        result = load_dataset(DatasetDescriptor("u", str(path), context_mode="supporting_facts"))
+        (reduced,) = result.instances
+        assert len(reduced.context) == 1
+        assert [i.id for i in seen] == ["r-5", "r-5"]
+        assert seen[0] is not reduced and seen[1] is reduced
+
+    def test_an_unchanged_instance_is_not_validated_again(self, monkeypatch, tmp_path):
+        inst = build_instance("r-6", "Who sang?", ["Maria Duval sang."], gold=(0, "Maria Duval"))
+        path = tmp_path / "uni.jsonl"
+        save_jsonl([inst], path)
+        seen = count_validations(monkeypatch)
+        result = load_dataset(DatasetDescriptor("u", str(path), context_mode="supporting_facts"))
+        assert len(result.instances) == 1 and len(seen) == 1
+
+    def test_a_bad_adapter_record_is_skipped(self, monkeypatch, tmp_path):
+        good = build_instance("a-1", "Who sang?", ["Maria Duval sang."], gold=(0, "Maria Duval"))
+        drifted = replace(good.gold_answers[0], text="Ira Boone")
+        bad = replace(good, id="a-0", gold_answers=(drifted,))
+        monkeypatch.setitem(
+            loader_module.FORMAT_ADAPTERS, "hotpot_like", lambda doc: iter([(0, lambda: bad), (1, lambda: good)])
+        )
+        path = tmp_path / "native.json"
+        path.write_text("[]")
+        seen = count_validations(monkeypatch)
+        result = load_dataset(DatasetDescriptor("h", str(path), format="hotpot_like"))
+        assert result.instances == [good]
+        (skip,) = result.skipped
+        assert (skip.record_index, skip.instance_id) == (0, "a-0")
+        assert "does not match context" in skip.reason
+        assert seen == [bad, good]
 
 
 class TestFilters:

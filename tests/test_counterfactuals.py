@@ -23,6 +23,7 @@ from rcaudit.counterfactuals import (
 from rcaudit.errors import InputError
 from rcaudit.gateway import build_gateway
 from rcaudit.metrics import normalize_answer
+from rcaudit.text import make_sentence
 
 IN_DIST = ANTONYM_TABLES["in_dist"]
 OOD = ANTONYM_TABLES["ood"]
@@ -127,6 +128,13 @@ class TestAntonymSwap:
         with pytest.raises(InputError, match="neither"):
             perturb_comparison(year, IN_DIST)
 
+    def test_rejects_an_empty_compared_entity(self, corpus_by_id):
+        inst = corpus_by_id["cmp-01"]
+        entities = (frozenset(), inst.annotations.compared_entities[1])
+        emptied = replace(inst, annotations=replace(inst.annotations, compared_entities=entities))
+        with pytest.raises(InputError, match="cmp-01: annotation token set is empty"):
+            perturb_comparison(emptied, IN_DIST)
+
     def test_rejects_operator_missing_from_table(self, corpus_by_id):
         table = AntonymTable(entries={"later": ("earlier",)}, distribution_tag="in_distribution")
         with pytest.raises(InputError, match="not in the"):
@@ -207,6 +215,18 @@ class TestValidateCf:
         broken = replace(pair, perturbed=replace(pair.perturbed, context=edited_context))
         violations = validate_cf(broken)
         assert any("context changed under antonym swap" in v for v in violations)
+
+    def test_swap_context_is_compared_word_for_word(self, corpus_by_id):
+        pair = perturb_comparison(corpus_by_id["cmp-01"], IN_DIST)
+        assert pair.perturbed.context is pair.original.context
+        copied = tuple(list(pair.original.context))
+        assert copied is not pair.original.context
+        same_words = replace(pair, perturbed=replace(pair.perturbed, context=copied))
+        assert validate_cf(same_words) == []
+        last = copied[-1]
+        reworded = make_sentence(last.text.replace(last.tokens[0].text, "Nobody", 1))
+        changed = replace(pair, perturbed=replace(pair.perturbed, context=copied[:-1] + (reworded,)))
+        assert "context changed under antonym swap" in validate_cf(changed)
 
     def test_swap_operator_bookkeeping_is_checked(self, corpus_by_id):
         pair = perturb_comparison(corpus_by_id["cmp-01"], IN_DIST)
@@ -291,6 +311,15 @@ class TestFileRoundTrip:
             load_cf_pairs(path, corpus)
         path.write_text("{nope\n")
         with pytest.raises(InputError, match="bad JSON on line 1"):
+            load_cf_pairs(path, corpus)
+
+    def test_load_reports_a_three_item_operator_as_malformed(self, tmp_path, corpus_by_id, corpus):
+        path = tmp_path / "pairs.jsonl"
+        save_cf_pairs([perturb_comparison(corpus_by_id["cmp-01"], IN_DIST)], path)
+        doc = json.loads(path.read_text())
+        doc["replaced_operator"].append("sooner")
+        path.write_text(json.dumps(doc) + "\n")
+        with pytest.raises(InputError, match=f"{path}: malformed record for 'cmp-01'"):
             load_cf_pairs(path, corpus)
 
     def test_manual_loader_rejects_antonym_records(self, tmp_path, corpus_by_id, corpus):

@@ -16,6 +16,7 @@ from rcaudit.text import (
     split_sentences,
     tokenize,
     tokens_from_words,
+    words,
 )
 from rcaudit.types import AnswerSpan, render_tokens, sentence_at, validate_instance
 
@@ -71,7 +72,47 @@ class TestSentences:
         assert render_tokens(toks) == "a bb ccc"
 
 
+def loop_find_token_run(haystack, needle_texts):
+    """The start-position loop find_token_run ran before it casefolded the
+    haystack once per call, kept verbatim as the reference."""
+    if not needle_texts:
+        return None
+    needle = [t.casefold() for t in needle_texts]
+    limit = len(haystack) - len(needle)
+    for i in range(limit + 1):
+        if all(haystack[i + k].text.casefold() == needle[k] for k in range(len(needle))):
+            return i
+    return None
+
+
+# Surfaces whose casefolding changes their length or merges them with others.
+_FOLD_WORDS = ["ß", "SS", "ss", "İ", "i̇", "i", "ﬁ", "fi", "FI", "a", "A"]
+
+
 class TestRuns:
+    @given(
+        st.lists(st.sampled_from(_FOLD_WORDS), max_size=12),
+        st.lists(st.sampled_from(_FOLD_WORDS), max_size=4),
+    )
+    @example(hay=["Straße", "SS"], needle=["STRASSE", "ß"])
+    @example(hay=["İstanbul", "x"], needle=["i̇stanbul"])
+    @example(hay=["ﬁre", "ﬁ"], needle=["FIRE", "fi"])
+    @example(hay=["fi", "ﬁ", "FI"], needle=["Fi"])  # the first of several hits
+    @example(hay=["a", "b"], needle=[])  # an empty needle finds nothing
+    @example(hay=["a"], needle=["a", "a"])  # a needle longer than the haystack
+    @example(hay=[], needle=["a"])
+    def test_find_token_run_matches_the_loop(self, hay, needle):
+        haystack = tokens_from_words(hay)
+        assert find_token_run(haystack, tuple(needle)) == loop_find_token_run(
+            haystack, tuple(needle)
+        )
+
+    @given(st.text(alphabet=st.sampled_from(list("aZ9 '.,-?!ßİéñ漢\u2019\t_")), max_size=40))
+    @example(text="Górecki's aunt wasn't there.")
+    @example(text="'tis o'clock '' x'")
+    def test_words_are_the_token_texts(self, text):
+        assert words(text) == [tok.text for tok in tokenize(text)]
+
     def test_find_token_run_casefolded(self):
         hay = tokenize("The Mask Of Fu Manchu is old.")
         assert find_token_run(hay, ("the", "mask")) == 0

@@ -37,7 +37,7 @@ from rcaudit.counterfactuals import (
 )
 from rcaudit.gateway.baselines import FrequencyBaselineModel, GoldOracleModel
 from rcaudit.partitions import build_comparison_partition, build_coref_partition
-from rcaudit.text import find_token_run, make_sentence, tokenize
+from rcaudit.text import find_token_run, make_sentence, tokenize, words
 from rcaudit.types import AnswerSpan, RCInstance, validate_instance
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "rcaudit" / "data"
@@ -207,7 +207,7 @@ def build_context(specs):
 
 
 def span_at(context, sent_idx: int, surface: str) -> AnswerSpan:
-    needle = tuple(t.text for t in tokenize(surface))
+    needle = words(surface)
     hit = find_token_run(context[sent_idx].tokens, needle)
     if hit is None:
         raise SystemExit(f"surface {surface!r} not found in sentence {sent_idx}")
