@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from scipy.special import stdtr
 
@@ -21,7 +21,13 @@ from .counterfactuals import CFPair
 from .errors import InputError
 from .gateway.base import ModelGateway, predict
 from .metrics import exact_match
-from .partitions import TokenPartition, build_skill_partition, random_partition, seed_for
+from .partitions import (
+    MIN_SIDE,
+    TokenPartition,
+    build_skill_partition,
+    random_partition,
+    seed_for,
+)
 from .saliency import SaliencyCache, SaliencyConfig, SaliencyMap, compute_saliency, restrict_map
 from .types import RCInstance
 
@@ -43,6 +49,19 @@ def _sample_stats(values: Sequence[float]) -> tuple[float, float, int]:
     return mean, var, n
 
 
+def _check_sides(n_positive: int, n_negative: int) -> None:
+    if n_positive < MIN_SIDE or n_negative < MIN_SIDE:
+        raise InputError(f"t-test requires at least {MIN_SIDE} values per side")
+
+
+def screen_partition(instance: RCInstance) -> TokenPartition:
+    """The instance's skill partition, screened before any work is done for
+    it: raises what building the partition or the Welch test would."""
+    partition = build_skill_partition(instance)
+    _check_sides(len(partition.positive), len(partition.negative))
+    return partition
+
+
 def t_test_one_tailed(
     positive: Sequence[float], negative: Sequence[float], alpha: float = 0.05
 ) -> SignificanceResult:
@@ -52,8 +71,7 @@ def t_test_one_tailed(
     identical constant samples give t=0, p=0.5; strictly ordered constant
     samples give t=+/-inf with p=0 or 1.
     """
-    if len(positive) < 2 or len(negative) < 2:
-        raise InputError("t-test requires at least 2 values per side")
+    _check_sides(len(positive), len(negative))
     if not 0 < alpha < 1:
         raise InputError(f"alpha must lie in (0,1), got {alpha}")
     m_pos, v_pos, n_pos = _sample_stats(positive)
@@ -175,33 +193,36 @@ def audit_alignment(
     alpha: float = 0.05,
     cache: SaliencyCache | None = None,
     dataset_id: str = "dataset",
+    partitions: Mapping[str, TokenPartition] | None = None,
+    untestable: Sequence[tuple[str, str]] = (),
 ) -> AlignmentReport:
     """Run the full alignment audit over CF pairs with one saliency config.
 
-    Pairs whose original lacks a buildable skill partition, or whose
-    partition leaves a side too small for the significance test, are skipped
-    and listed in the report instead of failing the run. Records are ordered
-    by instance id so reports are deterministic regardless of scheduling.
+    Each pair's original is screened with `screen_partition` before its
+    saliency map is looked up or computed; a pair that fails is skipped and
+    listed in the report instead of failing the run. A caller that screened
+    the originals already passes the partitions it built, by original id,
+    and the ids it screened out with their reasons, as `untestable`.
+    Records and skips are ordered by instance id so reports are
+    deterministic regardless of scheduling.
     """
     if cache is None:
         cache = SaliencyCache()
+    if partitions is None:
+        partitions = {}
     records: list[AlignmentRecord] = []
-    skipped: list[tuple[str, str]] = []
+    skipped: list[tuple[str, str]] = list(untestable)
     steps: set[str] = set()
     for pair in sorted(pairs, key=lambda p: p.original.id):
-        try:
-            partition = build_skill_partition(pair.original)
-        except InputError as exc:
-            skipped.append((pair.original.id, str(exc)))
-            continue
+        partition = partitions.get(pair.original.id)
+        if partition is None:
+            try:
+                partition = screen_partition(pair.original)
+            except InputError as exc:
+                skipped.append((pair.original.id, str(exc)))
+                continue
         saliency = cache.get_or_compute(gateway, pair.original, config)
-        try:
-            record = explanation_alignment(pair, saliency, partition, gateway, alpha)
-        except InputError as exc:
-            # e.g. a single-token operator leaves one side too small to test
-            skipped.append((pair.original.id, str(exc)))
-            continue
-        records.append(record)
+        records.append(explanation_alignment(pair, saliency, partition, gateway, alpha))
         steps.add(partition.skill_step)
     if not records:
         raise InputError(f"{dataset_id}: no usable pairs for the alignment audit")
@@ -210,7 +231,7 @@ def audit_alignment(
         reasoning_step="+".join(sorted(steps)),
         method=config.method,
         records=tuple(records),
-        skipped=tuple(skipped),
+        skipped=tuple(sorted(skipped, key=lambda s: s[0])),
     )
 
 

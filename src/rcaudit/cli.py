@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Sequence
 
@@ -23,19 +24,23 @@ from .alignment import (
     audit_alignment,
     calibrate,
     record_to_dict,
+    screen_partition,
 )
 from .corpus import DatasetDescriptor, LoadResult, load_dataset
 from .counterfactuals import (
     ANTONYM_TABLES,
+    AntonymTable,
     CFPair,
     load_manual_coref_cf,
     perturb_comparison,
+    plan_antonym_swap,
     save_cf_pairs,
 )
 from .errors import AuditError, CapabilityError, InputError
 from .gateway import build_gateway, predict
 from .heuristic import SELECTION_STRATEGIES, heuristic_answer
 from .metrics import evaluate_dataset, exact_match, token_f1
+from .partitions import TokenPartition
 from .saliency import SaliencyCache, SaliencyConfig
 from .synthetic import make_synthetic_corpus
 from .types import RCInstance
@@ -256,7 +261,7 @@ def run_evaluate(args) -> int:
 
 
 def run_saliency(args) -> int:
-    instances, _ = load_instances(args)
+    instances, skipped = load_instances(args)
     config = saliency_config(args)
     out = out_dir(args)
     cache = SaliencyCache()
@@ -275,18 +280,23 @@ def run_saliency(args) -> int:
             "ig_steps": config.ig_steps,
             "config_hash": config.config_hash,
             "n_maps": len(instances),
+            "skipped_records": skipped,
         },
     )
     print(f"saliency: wrote {len(instances)} maps ({config.method})")
     return 0
 
 
-def _comparison_pairs(
-    instances: Sequence[RCInstance], table_tag: str
-) -> tuple[list[CFPair], list[list]]:
-    table = ANTONYM_TABLES.get(table_tag)
+def _antonym_table(tag: str) -> AntonymTable:
+    table = ANTONYM_TABLES.get(tag)
     if table is None:
-        raise InputError(f"unknown antonym table {table_tag!r}; choose in_dist or ood")
+        raise InputError(f"unknown antonym table {tag!r}; choose in_dist or ood")
+    return table
+
+
+def _comparison_pairs(
+    instances: Sequence[RCInstance], table: AntonymTable
+) -> tuple[list[CFPair], list[list]]:
     pairs: list[CFPair] = []
     skipped: list[list] = []
     for inst in sorted(instances, key=lambda i: i.id):
@@ -300,9 +310,44 @@ def _comparison_pairs(
     return pairs, skipped
 
 
+def _testable_comparison_pairs(
+    instances: Sequence[RCInstance], table: AntonymTable
+) -> tuple[list[CFPair], dict[str, TokenPartition], list[tuple[str, str]], list[list]]:
+    """Twins only for the comparison instances whose partition the Welch
+    test can judge: the pairs, their partitions by id, the instances the
+    screen rejected with its reason, and the counterfactual skips.
+
+    The cheap partition screen runs first. An instance it rejects is still
+    checked on its own by `plan_antonym_swap`, so a counterfactual reason
+    wins over the screen's, as it would if the twin were built first.
+    """
+    pairs: list[CFPair] = []
+    partitions: dict[str, TokenPartition] = {}
+    untestable: list[tuple[str, str]] = []
+    cf_skipped: list[list] = []
+    for inst in sorted(instances, key=lambda i: i.id):
+        try:
+            partition = screen_partition(inst)
+        except InputError as screened:
+            try:
+                plan_antonym_swap(inst, table)
+            except InputError as exc:
+                cf_skipped.append([inst.id, str(exc)])
+            else:
+                untestable.append((inst.id, str(screened)))
+            continue
+        try:
+            pairs.append(perturb_comparison(inst, table=table))
+        except InputError as exc:
+            cf_skipped.append([inst.id, str(exc)])
+            continue
+        partitions[inst.id] = partition
+    return pairs, partitions, untestable, cf_skipped
+
+
 def run_cf_generate(args) -> int:
-    instances, _ = load_instances(args)
-    pairs, skipped = _comparison_pairs(instances, args.antonyms)
+    instances, skipped_records = load_instances(args)
+    pairs, skipped = _comparison_pairs(instances, _antonym_table(args.antonyms))
     out = out_dir(args)
     save_cf_pairs(pairs, out / "cf_pairs.jsonl")
     write_json(
@@ -313,20 +358,35 @@ def run_cf_generate(args) -> int:
             "n_instances": len(instances),
             "n_pairs": len(pairs),
             "skipped": skipped,
+            "skipped_records": skipped_records,
         },
     )
     print(f"cf-generate: {len(pairs)} pairs, {len(skipped)} skipped")
     return 0
 
 
+def _coverage(report: AlignmentReport) -> dict:
+    """How many of a report's pairs were audited, and why the rest were not
+    (reasons without their leading instance id, with counts)."""
+    reasons = Counter(reason.removeprefix(f"{iid}: ") for iid, reason in report.skipped)
+    return {
+        "n_pairs": len(report.records) + len(report.skipped),
+        "n_audited": len(report.records),
+        "n_skipped": len(report.skipped),
+        "skip_reasons": dict(reasons),
+    }
+
+
 def run_align(args) -> int:
-    instances, _ = load_instances(args)
+    instances, skipped_records = load_instances(args)
     config = saliency_config(args)
     out = out_dir(args)
     cmp_instances = [i for i in instances if i.skill == "comparison"]
-    cmp_pairs, cf_skipped = ([], [])
+    cmp_pairs, partitions, untestable, cf_skipped = [], {}, [], []
     if cmp_instances:
-        cmp_pairs, cf_skipped = _comparison_pairs(cmp_instances, args.antonyms)
+        cmp_pairs, partitions, untestable, cf_skipped = _testable_comparison_pairs(
+            cmp_instances, _antonym_table(args.antonyms)
+        )
     coref_pairs: list[CFPair] = []
     if args.cf_file:
         coref_pairs = load_manual_coref_cf(args.cf_file, instances)
@@ -336,13 +396,14 @@ def run_align(args) -> int:
     n_loaded = len(cache)
     reports: list[AlignmentReport] = []
     dataset_id = str(args.dataset)
+    groups = ((cmp_pairs, partitions, untestable), (coref_pairs, None, ()))
     with build_gateway(args.model) as gateway:
-        for group in (cmp_pairs, coref_pairs):
-            if group:
+        for pairs, screened, screened_out in groups:
+            if pairs or screened_out:
                 reports.append(
                     audit_alignment(
-                        gateway, group, config, alpha=args.alpha, cache=cache,
-                        dataset_id=dataset_id,
+                        gateway, pairs, config, alpha=args.alpha, cache=cache,
+                        dataset_id=dataset_id, partitions=screened, untestable=screened_out,
                     )
                 )
         model_id = gateway.model_id
@@ -372,20 +433,23 @@ def run_align(args) -> int:
                     "n_records": len(report.records),
                     "n_aligned": sum(r.aligned for r in report.records),
                     "skipped": [list(s) for s in report.skipped],
+                    **_coverage(report),
                 }
                 for report in reports
             ],
             "cf_generation_skipped": cf_skipped,
+            "skipped_records": skipped_records,
         },
     )
     for report in reports:
+        coverage = _coverage(report)
         print(f"align: {report.reasoning_step} score={report.score:.4f} "
-              f"({len(report.records)} pairs)")
+              f"(audited {coverage['n_audited']} of {coverage['n_pairs']} pairs)")
     return 0
 
 
 def run_calibrate(args) -> int:
-    instances, _ = load_instances(args)
+    instances, skipped = load_instances(args)
     config = saliency_config(args)
     with build_gateway(args.model) as gateway:
         report = calibrate(
@@ -413,6 +477,7 @@ def run_calibrate(args) -> int:
             "seed": report.seed,
             "ci_low": report.ci_low,
             "ci_high": report.ci_high,
+            "skipped_records": skipped,
         },
     )
     print(f"calibrate: rate={report.rate:.4f} on {report.n_draws} draws "
@@ -421,7 +486,7 @@ def run_calibrate(args) -> int:
 
 
 def run_heuristic(args) -> int:
-    instances, _ = load_instances(args)
+    instances, skipped = load_instances(args)
     instances = sorted(instances, key=lambda i: i.id)
     predictions = {}
     rows = []
@@ -450,6 +515,7 @@ def run_heuristic(args) -> int:
             "exact_match": overall.exact_match,
             "f1": overall.f1,
             "per_skill": _skill_breakdown(predictions, instances),
+            "skipped_records": skipped,
         },
     )
     print(f"heuristic[{args.strategy}]: em={overall.exact_match:.4f} f1={overall.f1:.4f}")

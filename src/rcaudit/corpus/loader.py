@@ -135,6 +135,8 @@ def load_dataset(desc: DatasetDescriptor) -> LoadResult:
                 candidates.append((idx, build()))
             except AnchorError as exc:
                 result.skipped.append(SkippedRecord(idx, None, str(exc)))
+            except InputError as exc:
+                raise InputError(f"{path}: malformed record {idx}: {exc}") from exc
             except (KeyError, TypeError, AttributeError) as exc:
                 raise InputError(f"{path}: malformed record {idx}: {exc!r}") from exc
     # load_jsonl has validated every unified record; what an adapter built,

@@ -145,15 +145,26 @@ def _entity_context_span(instance: RCInstance, entity: frozenset[int]) -> Answer
     )
 
 
-def perturb_comparison(
-    instance: RCInstance,
-    table: AntonymTable = IN_DISTRIBUTION_TABLE,
-    replacement_index: int = 0,
-) -> CFPair:
-    """Swap the comparative operator for an antonym and flip the gold answer.
+@dataclass(frozen=True)
+class AntonymSwap:
+    """An original that passed the antonym swap's checks on its own, with
+    the edit that makes its twin."""
 
-    The replacement is the table's candidate at `replacement_index`. Requires a two-entity comparison
-    whose gold answer names one of the compared entities.
+    original: RCInstance
+    old_surface: str
+    new_surface: str
+    new_gold: AnswerSpan
+    distribution_tag: str
+
+
+def plan_antonym_swap(
+    instance: RCInstance, table: AntonymTable, replacement_index: int = 0
+) -> AntonymSwap:
+    """Check the original alone and plan its antonym swap; no twin is built.
+
+    The replacement is the table's candidate at `replacement_index`. Requires
+    a two-entity comparison whose gold answer names one of the compared
+    entities, and the other entity's words in the context.
     """
     if instance.skill != "comparison" or instance.annotations is None:
         raise InputError(f"{instance.id}: antonym swap needs an annotated comparison instance")
@@ -167,7 +178,6 @@ def perturb_comparison(
         raise InputError(f"{instance.id}: operator {key!r} not in the {table.distribution_tag} table")
     if not 0 <= replacement_index < len(replacements):
         raise InputError(f"{instance.id}: replacement index {replacement_index} out of range")
-    new_surface = replacements[replacement_index]
     if len(ann.compared_entities) != 2:
         raise InputError(f"{instance.id}: antonym swap needs exactly two compared entities")
     gold_norms = {normalize_answer(a.text) for a in instance.gold_answers}
@@ -176,19 +186,40 @@ def perturb_comparison(
     if not matches:
         raise InputError(f"{instance.id}: gold answer names neither compared entity")
     other = ann.compared_entities[1 - matches[0]]
-    new_gold = _entity_context_span(instance, other)
-    perturbed = _swap_operator(instance, ann, new_surface, new_gold)
+    return AntonymSwap(
+        original=instance,
+        old_surface=old_surface,
+        new_surface=replacements[replacement_index],
+        new_gold=_entity_context_span(instance, other),
+        distribution_tag=table.distribution_tag,
+    )
+
+
+def build_antonym_twin(swap: AntonymSwap) -> CFPair:
+    """Build the planned twin and validate the pair."""
+    instance = swap.original
+    perturbed = _swap_operator(instance, instance.annotations, swap.new_surface, swap.new_gold)
     pair = CFPair(
         original=instance,
         perturbed=perturbed,
         perturbation="antonym_swap",
-        distribution_tag=table.distribution_tag,
-        replaced_operator=(old_surface, new_surface),
+        distribution_tag=swap.distribution_tag,
+        replaced_operator=(swap.old_surface, swap.new_surface),
     )
     violations = validate_cf(pair)
     if violations:
         raise InputError(f"{instance.id}: generated pair is invalid: {'; '.join(violations)}")
     return pair
+
+
+def perturb_comparison(
+    instance: RCInstance,
+    table: AntonymTable = IN_DISTRIBUTION_TABLE,
+    replacement_index: int = 0,
+) -> CFPair:
+    """Swap the comparative operator for an antonym and flip the gold answer:
+    `plan_antonym_swap`, then `build_antonym_twin`."""
+    return build_antonym_twin(plan_antonym_swap(instance, table, replacement_index))
 
 
 def _context_words(instance: RCInstance) -> list[str]:

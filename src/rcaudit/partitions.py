@@ -19,6 +19,8 @@ from .errors import InputError
 from .types import RCInstance, Scope
 
 SKILL_STEPS = ("comparison_operation", "coreference_resolution", "random")
+# Fewest indices on either side of a partition that the Welch test can judge.
+MIN_SIDE = 2
 
 
 @dataclass(frozen=True)
@@ -142,7 +144,7 @@ def random_partition(instance: RCInstance, seed: int) -> TokenPartition:
 
     Sizes are the instance's own skill-partition sizes so calibration draws
     are size-matched; instances without a usable skill partition fall back
-    to a 2 / rest split. Sizes below 2 are clamped up to 2.
+    to a MIN_SIDE / rest split. Sizes below MIN_SIDE are clamped up to it.
     """
     scope: Scope = "context_tokens" if instance.skill == "coreference" else "question_tokens"
     n = scope_size(instance, scope)
@@ -150,9 +152,9 @@ def random_partition(instance: RCInstance, seed: int) -> TokenPartition:
         skill = build_skill_partition(instance)
         pos_size, neg_size = len(skill.positive), len(skill.negative)
     except InputError:
-        pos_size, neg_size = 2, n - 2
-    pos_size = max(2, pos_size)
-    neg_size = max(2, neg_size)
+        pos_size, neg_size = MIN_SIDE, n - MIN_SIDE
+    pos_size = max(MIN_SIDE, pos_size)
+    neg_size = max(MIN_SIDE, neg_size)
     if pos_size + neg_size > n:
         raise InputError(
             f"{instance.id}: cannot draw {pos_size}+{neg_size} indices from {n} {scope}"

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import stdtr
 
+import rcaudit.alignment as alignment_module
 from conftest import build_instance
 from oracle_helpers import oracle_welch
 from rcaudit.alignment import (
@@ -27,14 +28,16 @@ from rcaudit.alignment import (
     partition_test,
     record_to_dict,
     t_test_one_tailed,
+    screen_partition,
     wilson_interval,
 )
 from rcaudit.counterfactuals import ANTONYM_TABLES, CFPair, perturb_comparison, validate_cf
-from rcaudit.cli import write_jsonl
+from rcaudit.cli import main, write_jsonl
+from rcaudit.data import coref_cf_pairs_path, fixture_corpus_path
 from rcaudit.errors import InputError
 from rcaudit.gateway import build_gateway
 from rcaudit.gateway.scripted import ScriptedModel
-from rcaudit.partitions import TokenPartition, build_skill_partition
+from rcaudit.partitions import MIN_SIDE, TokenPartition, build_skill_partition
 from rcaudit.saliency import SaliencyCache, SaliencyConfig, SaliencyMap
 
 
@@ -362,6 +365,54 @@ class TestAuditAlignment:
         assert len(report.skipped) == 8
         assert all("2 values" in reason for _, reason in report.skipped)
         assert report.reasoning_step == "comparison_operation"
+
+    def test_screen_runs_before_the_saliency_op(self, corpus):
+        gateway = build_gateway("toy:7")
+        seen: list[str] = []
+        op = gateway.masked_start_scores
+
+        def counted(instance):
+            seen.append(instance.id)
+            return op(instance)
+
+        gateway.masked_start_scores = counted
+        comparisons = [inst for inst in corpus if inst.skill == "comparison"]
+        pairs = [perturb_comparison(inst, ANTONYM_TABLES["in_dist"]) for inst in comparisons]
+        report = audit_alignment(gateway, pairs, SaliencyConfig(method="occlusion"))
+        assert seen == ["cmp-02", "cmp-09"] == [r.instance_id for r in report.records]
+
+    def test_screen_raises_what_the_test_would(self, corpus_by_id):
+        one_word = corpus_by_id["cmp-01"]  # "earlier": a one-word positive side
+        with pytest.raises(InputError) as screened:
+            screen_partition(one_word)
+        partition = build_skill_partition(one_word)
+        scores = [0.0] * one_word.n_question
+        with pytest.raises(InputError) as tested:
+            t_test_one_tailed(
+                [scores[i] for i in partition.positive], [scores[i] for i in partition.negative]
+            )
+        assert str(screened.value) == str(tested.value) == (
+            f"t-test requires at least {MIN_SIDE} values per side"
+        )
+        assert screen_partition(corpus_by_id["cmp-02"]) == build_skill_partition(
+            corpus_by_id["cmp-02"]
+        )
+
+    def test_align_builds_each_partition_once(self, tmp_path, monkeypatch):
+        built: list[str] = []
+        build = alignment_module.build_skill_partition
+
+        def counted(instance):
+            built.append(instance.id)
+            return build(instance)
+
+        monkeypatch.setattr(alignment_module, "build_skill_partition", counted)
+        code = main([
+            "align", "--dataset", str(fixture_corpus_path()), "--model", "toy:7",
+            "--cf-file", str(coref_cf_pairs_path()), "--out", str(tmp_path / "out"),
+        ])
+        assert code == 0
+        assert len(built) == len(set(built)) == 20
 
     def test_no_usable_pairs_is_an_error(self, corpus_by_id):
         pair = perturb_comparison(corpus_by_id["cmp-01"], ANTONYM_TABLES["in_dist"])

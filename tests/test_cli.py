@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 import subprocess
@@ -11,8 +12,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import make_engineered_alignment
+import rcaudit.cli as cli_module
+import rcaudit.counterfactuals as cf_module
+import rcaudit.saliency as saliency_module
+from conftest import build_instance, make_engineered_alignment
 from rcaudit.cli import main, read_config
+from rcaudit.corpus import load_jsonl, save_jsonl
+from rcaudit.counterfactuals import perturb_comparison
 from rcaudit.data import coref_cf_pairs_path, fixture_corpus_path
 from rcaudit.errors import InputError
 from rcaudit.saliency import SaliencyCache, SaliencyConfig
@@ -239,6 +245,213 @@ class TestAlign:
         code = run("align", "--dataset", str(fx["corpus"]),
                    "--model", f"scripted:{fx['script']}", "--out", str(tmp_path / "o"))
         assert code == 2
+
+
+TTEST_REASON = "t-test requires at least 2 values per side"
+COVERAGE_KEYS = ("n_pairs", "n_audited", "n_skipped", "skip_reasons")
+
+# sha256 of alignment_records.jsonl, alignment.csv and alignment.json (with
+# its dataset path, coverage keys and loader skips left out) as written
+# before pairs were screened: screening must not change a byte of them.
+SCREEN_PINS = {
+    "bundled": (
+        "206ea4d75e1bf7b244dddf9d4866e82edeaf8e3f74994ba3d642afce09d9dfa6",
+        "630d6c9cde7ad52639afe57e8b160818f9e63e257beb47fd9466f446ac0ebb56",
+        "c8443122c72f9cc34f7e1b3709b756d9f6886468c6274404be777ea98b163e37",
+    ),
+    "bundled+cf-file": (
+        "6fdfcf9a9a52e4037168d10d0f4333cb34ac2a2dc5450f1e6871c052cfd2595b",
+        "9fa00463cb3f5cfe3fd789145eb167c3dd5476e69afe7e4520fa02705f6a33b5",
+        "04ef0622556caaddadf66a614723cb38bff48694172f209de6cbdc79c5b93c22",
+    ),
+    "synthetic:300": (
+        "342b17e8de7fefc0530f2dbabae1b65f042fa744c09c5d37cfe7f889825615ad",
+        "630d6c9cde7ad52639afe57e8b160818f9e63e257beb47fd9466f446ac0ebb56",
+        "636824b49e6f5d69f6fd182d6d7cd8751cabd4bf52f13ccabb500f99fa427632",
+    ),
+}
+
+
+def alignment_without_coverage(out: Path) -> str:
+    doc = json.loads((out / "alignment.json").read_text())
+    del doc["dataset"], doc["skipped_records"]
+    for report in doc["reports"]:
+        for key in COVERAGE_KEYS:
+            del report[key]
+    return json.dumps(doc, sort_keys=True, ensure_ascii=False, indent=2)
+
+
+def counting_saliency_op(monkeypatch) -> list[str]:
+    """Ids of the instances the gateway's occlusion op is asked about."""
+    seen: list[str] = []
+    build = cli_module.build_gateway
+
+    def build_counting(spec):
+        gateway = build(spec)
+        op = gateway.masked_start_scores
+
+        def counted(instance):
+            seen.append(instance.id)
+            return op(instance)
+
+        gateway.masked_start_scores = counted
+        return gateway
+
+    monkeypatch.setattr(cli_module, "build_gateway", build_counting)
+    return seen
+
+
+class TestAlignScreen:
+    """`align` decides whether a pair's partition can be tested before it
+    builds the pair's twin or looks up its saliency map."""
+
+    @pytest.mark.parametrize("case", sorted(SCREEN_PINS))
+    def test_outputs_match_the_unscreened_audit(self, tmp_path, case):
+        out = tmp_path / "out"
+        dataset = "synthetic:300" if case == "synthetic:300" else CORPUS
+        cf_file = ("--cf-file", CF_PAIRS) if case == "bundled+cf-file" else ()
+        assert run("align", "--dataset", dataset, "--model", "toy:7", *cf_file,
+                   "--out", str(out)) == 0
+        got = (
+            hashlib.sha256((out / "alignment_records.jsonl").read_bytes()).hexdigest(),
+            hashlib.sha256((out / "alignment.csv").read_bytes()).hexdigest(),
+            hashlib.sha256(alignment_without_coverage(out).encode("utf-8")).hexdigest(),
+        )
+        assert got == SCREEN_PINS[case]
+
+    def test_coverage_counts_every_pair(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("align", "--dataset", CORPUS, "--model", "toy:7",
+                   "--cf-file", CF_PAIRS, "--out", str(out)) == 0
+        doc = json.loads((out / "alignment.json").read_text())
+        by_step = {r["reasoning_step"]: r for r in doc["reports"]}
+        assert {k: by_step["comparison_operation"][k] for k in COVERAGE_KEYS} == {
+            "n_pairs": 10, "n_audited": 2, "n_skipped": 8, "skip_reasons": {TTEST_REASON: 8},
+        }
+        assert {k: by_step["coreference_resolution"][k] for k in COVERAGE_KEYS} == {
+            "n_pairs": 10, "n_audited": 10, "n_skipped": 0, "skip_reasons": {},
+        }
+        stdout = capsys.readouterr().out
+        assert "align: comparison_operation score=0.0000 (audited 2 of 10 pairs)" in stdout
+        assert "align: coreference_resolution score=0.0000 (audited 10 of 10 pairs)" in stdout
+
+    def test_untestable_pairs_never_reach_the_saliency_op(self, tmp_path, monkeypatch):
+        seen = counting_saliency_op(monkeypatch)
+        out = tmp_path / "out"
+        assert run("align", "--dataset", CORPUS, "--model", "toy:7",
+                   "--cf-file", CF_PAIRS, "--out", str(out)) == 0
+        audited = [
+            json.loads(line)["instance_id"]
+            for line in (out / "alignment_records.jsonl").read_text().splitlines()
+        ]
+        assert sorted(seen) == audited
+        assert "cmp-02" in seen and "cmp-01" not in seen
+        assert len(SaliencyCache.load(out / "saliency_cache.jsonl")) == 12
+
+    def test_twins_are_built_only_for_testable_pairs(self, tmp_path, monkeypatch):
+        built: list[str] = []
+        build = cf_module.build_antonym_twin
+
+        def counted(swap):
+            built.append(swap.original.id)
+            return build(swap)
+
+        monkeypatch.setattr(cf_module, "build_antonym_twin", counted)
+        out = tmp_path / "out"
+        assert run("align", "--dataset", "synthetic:1500", "--seed", "7",
+                   "--model", "toy:7", "--out", str(out)) == 0
+        (report,) = json.loads((out / "alignment.json").read_text())["reports"]
+        assert (report["n_pairs"], report["n_audited"]) == (1500, 250)
+        assert len(built) == 250
+        assert built == [
+            json.loads(line)["instance_id"]
+            for line in (out / "alignment_records.jsonl").read_text().splitlines()
+        ]
+
+    def test_all_untestable_still_exits_2(self, tmp_path, capsys):
+        testable = {"cmp-02", "cmp-09"}
+        dataset = tmp_path / "untestable.jsonl"
+        save_jsonl([i for i in load_jsonl(CORPUS) if i.id not in testable], dataset)
+        code = run("align", "--dataset", str(dataset), "--model", "toy:7",
+                   "--cf-file", CF_PAIRS, "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {dataset}: no usable pairs for the alignment audit\n"
+        )
+
+    def test_an_invalid_untestable_twin_is_skipped_by_the_audit(self, tmp_path):
+        # Both compared entities normalize to "smiths", so the twin's label
+        # cannot change; "earlier" is one word, so the partition cannot be
+        # tested either. The screen decides first: the pair lands in the
+        # report's skipped list, not in cf_generation_skipped.
+        inst = build_instance(
+            "cmp-smiths",
+            "Which band formed earlier, The Smiths or Smiths?",
+            ["The Smiths formed in 1982.", "Smiths formed in 1990."],
+            gold=(0, "The Smiths"),
+            annotate=True,
+        )
+        with pytest.raises(InputError, match="generated pair is invalid: label did not change"):
+            perturb_comparison(inst)
+        dataset = tmp_path / "smiths.jsonl"
+        save_jsonl(load_jsonl(CORPUS) + [inst], dataset)
+        out = tmp_path / "out"
+        assert run("align", "--dataset", str(dataset), "--model", "toy:7", "--out", str(out)) == 0
+        doc = json.loads((out / "alignment.json").read_text())
+        (report,) = doc["reports"]
+        assert ["cmp-smiths", TTEST_REASON] in report["skipped"]
+        assert doc["cf_generation_skipped"] == []
+
+    def test_warm_run_over_an_older_full_cache(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        # `saliency` writes one map for every instance, as `align` once did
+        assert run("saliency", "--dataset", CORPUS, "--model", "toy:7",
+                   "--out", str(out)) == 0
+        full = (out / "saliency.jsonl").read_bytes()
+        (out / "saliency_cache.jsonl").write_bytes(full)
+
+        def refuse(*args):
+            raise AssertionError("a map was computed on a warm run")
+
+        monkeypatch.setattr(saliency_module, "compute_saliency", refuse)
+        monkeypatch.setattr(SaliencyCache, "save", refuse)
+        argv = ("align", "--dataset", CORPUS, "--model", "toy:7", "--cf-file", CF_PAIRS)
+        assert run(*argv, "--out", str(out)) == 0
+        assert (out / "saliency_cache.jsonl").read_bytes() == full
+        monkeypatch.undo()
+        assert run(*argv, "--out", str(tmp_path / "cold")) == 0
+        for name in ("alignment_records.jsonl", "alignment.csv"):
+            assert (out / name).read_bytes() == (tmp_path / "cold" / name).read_bytes()
+
+
+LOADER_SKIP_COMMANDS = {
+    "evaluate": "summary.json",
+    "align": "alignment.json",
+    "calibrate": "calibration.json",
+    "cf-generate": "cf_report.json",
+    "saliency": "saliency_summary.json",
+    "heuristic": "heuristic_summary.json",
+}
+
+
+class TestLoaderSkips:
+    @pytest.mark.parametrize("command", sorted(LOADER_SKIP_COMMANDS))
+    def test_every_command_reports_skipped_records(self, tmp_path, command):
+        # cmp-01's gold answer lies in a sentence no longer flagged as a
+        # supporting fact, so the supporting_facts reduction skips it.
+        docs = [json.loads(line) for line in Path(CORPUS).read_text().splitlines()]
+        (doc,) = [d for d in docs if d["id"] == "cmp-01"]
+        gold = doc["answers"][0]
+        doc["context"][gold["sent"]]["supporting"] = False
+        dataset = tmp_path / "unflagged.jsonl"
+        dataset.write_text("".join(json.dumps(d) + "\n" for d in docs))
+        out = tmp_path / "out"
+        assert run(command, "--dataset", str(dataset), "--model", "toy:7",
+                   "--context-mode", "supporting_facts", "--out", str(out)) == 0
+        report = json.loads((out / LOADER_SKIP_COMMANDS[command]).read_text())
+        assert report["skipped_records"] == [
+            [None, "cmp-01", f"cmp-01: gold answer {gold['text']!r} lies outside the supporting facts"]
+        ]
 
 
 class TestCalibrate:

@@ -124,6 +124,16 @@ class TestAdapters:
         with pytest.raises(InputError, match="record 0"):
             load_dataset(desc)
 
+    def test_blank_question_aborts_with_index(self, tmp_path):
+        records = json.loads((DATA_DIR / "hotpot_like.json").read_text())
+        records.append(dict(records[0], _id="hp-2", question="   "))
+        path = tmp_path / "blank.json"
+        path.write_text(json.dumps(records))
+        desc = DatasetDescriptor("b", str(path), format="hotpot_like")
+        with pytest.raises(InputError) as caught:
+            load_dataset(desc)
+        assert str(caught.value) == f"{path}: malformed record 1: empty question"
+
     def test_missing_file_is_input_error(self):
         desc = DatasetDescriptor("m", "/definitely/not/here.json")
         with pytest.raises(InputError, match="not found"):

@@ -13,10 +13,12 @@ from rcaudit.counterfactuals import (
     ANTONYM_TABLES,
     CFPair,
     AntonymTable,
+    build_antonym_twin,
     cf_accuracy,
     load_cf_pairs,
     load_manual_coref_cf,
     perturb_comparison,
+    plan_antonym_swap,
     save_cf_pairs,
     validate_cf,
 )
@@ -139,6 +141,25 @@ class TestAntonymSwap:
         table = AntonymTable(entries={"later": ("earlier",)}, distribution_tag="in_distribution")
         with pytest.raises(InputError, match="not in the"):
             perturb_comparison(corpus_by_id["cmp-01"], table)
+
+    def test_the_plan_checks_the_original_alone(self, corpus_by_id):
+        inst = corpus_by_id["cmp-01"]
+        year = replace(inst, gold_answers=(span_at(inst.context, 1, "1932"),))
+        entities = (frozenset(), inst.annotations.compared_entities[1])
+        emptied = replace(inst, annotations=replace(inst.annotations, compared_entities=entities))
+        missing = AntonymTable(entries={"later": ("earlier",)}, distribution_tag="in_distribution")
+        for bad, table in ((corpus_by_id["cor-01"], IN_DIST), (year, IN_DIST),
+                           (emptied, IN_DIST), (inst, missing)):
+            with pytest.raises(InputError) as planned:
+                plan_antonym_swap(bad, table)
+            with pytest.raises(InputError) as perturbed:
+                perturb_comparison(bad, table)
+            assert str(planned.value) == str(perturbed.value)
+        for inst in corpus_by_id.values():
+            if inst.skill == "comparison":
+                for table in (IN_DIST, OOD):
+                    plan = plan_antonym_swap(inst, table)
+                    assert build_antonym_twin(plan) == perturb_comparison(inst, table)
 
     def test_table_validation(self):
         with pytest.raises(InputError, match="no replacements"):
