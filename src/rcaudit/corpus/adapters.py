@@ -20,10 +20,11 @@ records raise InputError with the record index.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Iterator
 
 from ..errors import AnchorError, InputError
-from ..text import find_token_run, split_sentences, tokenize, words
+from ..text import find_token_run, split_sentences, split_words, words
 from ..types import AnswerSpan, RCInstance, Sentence, sentence_at
 
 
@@ -34,11 +35,11 @@ def paragraph_sentences(text: str, paragraph_id: str) -> tuple[list[Sentence], l
     pos = 0
     for piece in split_sentences(text):
         start = text.find(piece, pos)
-        toks = tokenize(piece)
+        sent_words, starts = split_words(piece)
         pos = start + len(piece)
-        if not toks:
+        if not sent_words:
             continue
-        sentences.append(Sentence(tokens=toks, paragraph_id=paragraph_id))
+        sentences.append(Sentence(sent_words, starts, paragraph_id=paragraph_id))
         offsets.append(start)
     if not sentences:
         raise InputError(f"paragraph {paragraph_id!r} has no tokens")
@@ -46,17 +47,15 @@ def paragraph_sentences(text: str, paragraph_id: str) -> tuple[list[Sentence], l
 
 
 def _flat_start(context: tuple[Sentence, ...], sent_idx: int) -> int:
-    return sum(len(s.tokens) for s in context[:sent_idx])
+    return sum(len(s.words) for s in context[:sent_idx])
 
 
 def _span_from_local(
     context: tuple[Sentence, ...], sent_idx: int, local_start: int, local_end: int
 ) -> AnswerSpan:
-    sent = context[sent_idx]
     base = _flat_start(context, sent_idx)
-    text = sent.text[sent.tokens[local_start].char_start : sent.tokens[local_end].char_end]
     return AnswerSpan(
-        text=text,
+        text=context[sent_idx].surface(local_start, local_end),
         sentence_index=sent_idx,
         token_start=base + local_start,
         token_end=base + local_end,
@@ -64,10 +63,10 @@ def _span_from_local(
 
 
 def _match_at(sent: Sentence, local_start: int, needle: tuple[str, ...]) -> bool:
-    if local_start + len(needle) > len(sent.tokens):
+    if local_start + len(needle) > len(sent.words):
         return False
     return all(
-        sent.tokens[local_start + k].text.casefold() == needle[k] for k in range(len(needle))
+        sent.words[local_start + k].casefold() == needle[k] for k in range(len(needle))
     )
 
 
@@ -75,7 +74,7 @@ def _search_sentences(
     context: tuple[Sentence, ...], needle: tuple[str, ...], order: list[int]
 ) -> tuple[int, int] | None:
     for sent_idx in order:
-        hit = find_token_run(context[sent_idx].tokens, needle)
+        hit = find_token_run(context[sent_idx].words, needle)
         if hit is not None:
             return sent_idx, hit
     return None
@@ -101,8 +100,8 @@ def anchor_answer(
         sent_idx = sentence_at(sentence_char_offsets, char_hint)
         sent = context[sent_idx]
         local_hint = char_hint - sentence_char_offsets[sent_idx]
-        for local_start, tok in enumerate(sent.tokens):
-            if tok.char_end > local_hint:
+        for local_start, (word, start) in enumerate(zip(sent.words, sent.starts)):
+            if start + len(word) > local_hint:
                 if _match_at(sent, local_start, needle):
                     return _span_from_local(
                         context, sent_idx, local_start, local_start + len(needle) - 1
@@ -140,10 +139,7 @@ def _mark_supporting(
 ) -> tuple[Sentence, ...]:
     """Flag the sentences containing gold answers as supporting facts."""
     hot = {span.sentence_index for span in spans}
-    return tuple(
-        Sentence(tokens=s.tokens, is_supporting_fact=i in hot, paragraph_id=s.paragraph_id)
-        for i, s in enumerate(context)
-    )
+    return tuple(replace(s, is_supporting_fact=i in hot) for i, s in enumerate(context))
 
 
 def _mention_span(
@@ -159,19 +155,24 @@ def _mention_span(
     local_end = char_end - sentence_char_offsets[sent_idx]
     covered = [
         i
-        for i, tok in enumerate(sent.tokens)
-        if tok.char_end > local_start and tok.char_start < local_end
+        for i, (word, start) in enumerate(zip(sent.words, sent.starts))
+        if start + len(word) > local_start and start < local_end
     ]
     if not covered:
         return None
     return _span_from_local(context, sent_idx, covered[0], covered[-1])
 
 
-def _question(text: str):
-    toks = tokenize(text)
-    if not toks:
+def _question(text: str) -> dict:
+    """The question fields of an RCInstance asking `text`."""
+    question_words, question_starts = split_words(text)
+    if not question_words:
         raise InputError("empty question")
-    return toks, text
+    return {
+        "question_words": question_words,
+        "question_starts": question_starts,
+        "question_text": text,
+    }
 
 
 def _iter_squad_paragraphs(doc: dict) -> Iterator[tuple[int, dict, str]]:
@@ -200,11 +201,9 @@ def _build_squad_instance(
                     mentions.append(span)
             if mentions:
                 clusters.append(tuple(mentions))
-    q_tokens, q_text = _question(qa["question"])
     return RCInstance(
         id=str(qa["id"]),
-        question=q_tokens,
-        question_text=q_text,
+        **_question(qa["question"]),
         context=context,
         gold_answers=spans,
         coref_clusters=tuple(clusters),
@@ -236,12 +235,13 @@ def _build_hotpot_instance(record: dict) -> RCInstance:
     sentences: list[Sentence] = []
     for title, sents in record["context"]:
         for i, sent_text in enumerate(sents):
-            toks = tokenize(sent_text)
-            if not toks:
+            sent_words, starts = split_words(sent_text)
+            if not sent_words:
                 continue
             sentences.append(
                 Sentence(
-                    tokens=toks,
+                    sent_words,
+                    starts,
                     is_supporting_fact=(title, i) in supporting,
                     paragraph_id=str(title),
                 )
@@ -250,11 +250,9 @@ def _build_hotpot_instance(record: dict) -> RCInstance:
         raise InputError("record has no context tokens")
     context = tuple(sentences)
     spans = _anchor_all(context, [(record["answer"], None)], None)
-    q_tokens, q_text = _question(record["question"])
     return RCInstance(
         id=str(record["_id"]),
-        question=q_tokens,
-        question_text=q_text,
+        **_question(record["question"]),
         context=context,
         gold_answers=spans,
     )
@@ -275,11 +273,9 @@ def _build_wiki2hop_instance(record: dict) -> RCInstance:
     context = tuple(sentences)
     spans = _anchor_all(context, [(record["answer"], None)], None)
     context = _mark_supporting(context, spans)
-    q_tokens, q_text = _question(record["query"])
     return RCInstance(
         id=str(record["id"]),
-        question=q_tokens,
-        question_text=q_text,
+        **_question(record["query"]),
         context=context,
         gold_answers=spans,
     )

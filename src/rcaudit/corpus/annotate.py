@@ -26,10 +26,10 @@ def surface_entity_matcher(instance: RCInstance) -> list[frozenset[int]]:
     without its leading article before being given up on.
     """
     entities: list[frozenset[int]] = []
-    for start, end in capitalized_runs(instance.question):
-        surface = tuple(t.text for t in instance.question[start : end + 1])
+    for start, end in capitalized_runs(instance.question_words):
+        surface = instance.question_words[start : end + 1]
         while surface:
-            if find_token_run(instance.context_tokens, surface) is not None:
+            if find_token_run(instance.context_words, surface) is not None:
                 first = end - len(surface) + 1
                 entities.append(frozenset(range(first, end + 1)))
                 break
@@ -55,8 +55,8 @@ _PARTICLES = frozenset({"out", "up", "off", "on"})
 def rule_verb_tagger(instance: RCInstance) -> frozenset[int]:
     """Wordlist verb tagging plus the trailing particle of phrasal verbs."""
     tagged: set[int] = set()
-    for i, tok in enumerate(instance.question):
-        low = tok.text.casefold()
+    for i, word in enumerate(instance.question_words):
+        low = word.casefold()
         if low in _VERB_WORDS:
             tagged.add(i)
         elif low in _PARTICLES and (i - 1) in tagged:
@@ -67,7 +67,7 @@ def rule_verb_tagger(instance: RCInstance) -> frozenset[int]:
 def value_token_indices(instance: RCInstance) -> frozenset[int]:
     """Digit-bearing question tokens (years, counts, ordinals like 2nd)."""
     return frozenset(
-        i for i, tok in enumerate(instance.question) if any(ch.isdigit() for ch in tok.text)
+        i for i, word in enumerate(instance.question_words) if any(ch.isdigit() for ch in word)
     )
 
 

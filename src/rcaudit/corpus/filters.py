@@ -31,7 +31,7 @@ def match_operator(instance: RCInstance) -> frozenset[int] | None:
         needle = words(surface)
         if len(needle) <= best_len:
             continue
-        hit = find_token_run(instance.question, needle)
+        hit = find_token_run(instance.question_words, needle)
         if hit is not None:
             best = frozenset(range(hit, hit + len(needle)))
             best_len = len(needle)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from ..errors import AnchorError, InputError
@@ -66,7 +66,7 @@ def reduce_context(instance: RCInstance, mode: str) -> RCInstance:
     total = 0
     for old in keep:
         new_base.append(total)
-        total += len(instance.context[old].tokens)
+        total += len(instance.context[old].words)
 
     def remap(span: AnswerSpan) -> AnswerSpan | None:
         if span.sentence_index not in new_index:
@@ -96,17 +96,12 @@ def reduce_context(instance: RCInstance, mode: str) -> RCInstance:
             if c_idx == instance.relevant_cluster:
                 relevant = len(clusters)
             clusters.append(moved)
-    return RCInstance(
-        id=instance.id,
-        question=instance.question,
-        question_text=instance.question_text,
+    return replace(
+        instance,
         context=tuple(instance.context[i] for i in keep),
         gold_answers=tuple(golds),
-        skill=instance.skill,
-        annotations=instance.annotations,
         coref_clusters=tuple(clusters),
         relevant_cluster=relevant,
-        unannotatable=instance.unannotatable,
     )
 
 

@@ -7,8 +7,10 @@ One instance per line:
      "answers": [{"text","sent","tok_start","tok_end"}],
      "skill": ..., "annotations": {...}?, "coref_clusters": [[span...]]?}
 
-Loading a file written by `save_jsonl` reproduces the in-memory instances
-exactly, field for field.
+In memory a question or sentence keeps only the token texts and starts:
+each token's `end` is checked to equal start plus length on load, then
+dropped, and written back as start plus length. Loading a file written by
+`save_jsonl` reproduces the in-memory instances exactly, field for field.
 """
 
 from __future__ import annotations
@@ -23,17 +25,24 @@ from ..types import (
     QuestionAnnotations,
     RCInstance,
     Sentence,
-    Token,
     validate_instance,
 )
 
 
-def _tokens_to_dicts(tokens: tuple[Token, ...]) -> list[dict]:
-    return [{"text": t.text, "start": t.char_start, "end": t.char_end} for t in tokens]
+def _tokens_to_dicts(words: tuple[str, ...], starts: tuple[int, ...]) -> list[dict]:
+    return [{"text": w, "start": s, "end": s + len(w)} for w, s in zip(words, starts)]
 
 
-def _tokens_from_dicts(items: list[dict]) -> tuple[Token, ...]:
-    return tuple([Token(d["text"], i, d["start"], d["end"]) for i, d in enumerate(items)])
+def _words_from_dicts(items: list[dict], what: str) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """The texts and starts of token records whose `end` is start plus length."""
+    words, starts = [], []
+    for i, d in enumerate(items):
+        word, start = d["text"], d["start"]
+        if d["end"] - start != len(word):
+            raise InputError(f"{what}: text length mismatch at token {i}")
+        words.append(word)
+        starts.append(start)
+    return tuple(words), tuple(starts)
 
 
 def span_to_dict(span: AnswerSpan) -> dict:
@@ -61,13 +70,13 @@ def instance_to_dict(instance: RCInstance) -> dict:
         "id": instance.id,
         "question": {
             "text": instance.question_text,
-            "tokens": _tokens_to_dicts(instance.question),
+            "tokens": _tokens_to_dicts(instance.question_words, instance.question_starts),
         },
         "context": [
             {
                 "paragraph_id": s.paragraph_id,
                 "supporting": s.is_supporting_fact,
-                "tokens": _tokens_to_dicts(s.tokens),
+                "tokens": _tokens_to_dicts(s.words, s.starts),
             }
             for s in instance.context
         ],
@@ -112,17 +121,22 @@ def instance_from_dict(doc: dict) -> RCInstance:
                 value_tokens=frozenset(ann_doc.get("value_tokens", ())),
                 verb_tokens=frozenset(ann_doc.get("verb_tokens", ())),
             )
+        iid = doc["id"]
+        question_words, question_starts = _words_from_dicts(
+            doc["question"]["tokens"], f"{iid} question"
+        )
         return RCInstance(
-            id=doc["id"],
-            question=_tokens_from_dicts(doc["question"]["tokens"]),
+            id=iid,
+            question_words=question_words,
+            question_starts=question_starts,
             question_text=doc["question"]["text"],
             context=tuple(
                 Sentence(
-                    tokens=_tokens_from_dicts(s["tokens"]),
+                    *_words_from_dicts(s["tokens"], f"{iid} sentence {s_idx}"),
                     is_supporting_fact=bool(s["supporting"]),
                     paragraph_id=str(s["paragraph_id"]),
                 )
-                for s in doc["context"]
+                for s_idx, s in enumerate(doc["context"])
             ),
             gold_answers=tuple(span_from_dict(a) for a in doc["answers"]),
             skill=doc.get("skill", "other"),

@@ -23,7 +23,7 @@ from .corpus.schema import span_from_dict, span_to_dict
 from .errors import InputError
 from .gateway.base import ModelGateway, predict
 from .metrics import exact_match, normalize_answer, token_f1
-from .text import find_token_run, tokenize, words
+from .text import find_token_run, split_words, words
 from .types import AnswerSpan, EvalResult, QuestionAnnotations, RCInstance, Sentence
 
 PERTURBATIONS = ("antonym_swap", "cluster_insertion")
@@ -89,10 +89,7 @@ def _contiguous(indices: frozenset[int], what: str, instance_id: str) -> tuple[i
 
 
 def _question_surface(instance: RCInstance, indices: frozenset[int]) -> str:
-    lo, hi = _contiguous(indices, "annotation", instance.id)
-    return instance.question_text[
-        instance.question[lo].char_start : instance.question[hi].char_end
-    ]
+    return instance.question_surface(*_contiguous(indices, "annotation", instance.id))
 
 
 def _swap_operator(
@@ -102,15 +99,17 @@ def _swap_operator(
     `new_surface`, with later annotation indices shifted and `gold` as the
     only answer."""
     lo, hi = _contiguous(ann.comparison_operator, "operator", instance.id)
-    old_start = instance.question[lo].char_start
-    old_end = instance.question[hi].char_end
+    old_start = instance.question_starts[lo]
+    old_end = instance.question_starts[hi] + len(instance.question_words[hi])
     new_text = instance.question_text[:old_start] + new_surface + instance.question_text[old_end:]
+    new_words, new_starts = split_words(new_text)
     n_new_op = len(words(new_surface))
     delta = n_new_op - (hi - lo + 1)
     return replace(
         instance,
         id=f"{instance.id}::cf",
-        question=tokenize(new_text),
+        question_words=new_words,
+        question_starts=new_starts,
         question_text=new_text,
         gold_answers=(gold,),
         annotations=QuestionAnnotations(
@@ -127,13 +126,13 @@ def _shift_indices(indices: frozenset[int], after: int, delta: int) -> frozenset
 
 
 def _entity_context_span(instance: RCInstance, entity: frozenset[int]) -> AnswerSpan:
-    words = tuple(instance.question[i].text for i in sorted(entity))
-    hit = find_token_run(instance.context_tokens, words)
+    needle = [instance.question_words[i] for i in sorted(entity)]
+    hit = find_token_run(instance.context_words, needle)
     if hit is None:
         raise InputError(
-            f"{instance.id}: compared entity {' '.join(words)!r} not found in context"
+            f"{instance.id}: compared entity {' '.join(needle)!r} not found in context"
         )
-    start, end = hit, hit + len(words) - 1
+    start, end = hit, hit + len(needle) - 1
     sent_idx = instance.sentence_of(start)
     if instance.sentence_of(end) != sent_idx:
         raise InputError(f"{instance.id}: entity span crosses a sentence boundary")
@@ -170,9 +169,7 @@ def plan_antonym_swap(
         raise InputError(f"{instance.id}: antonym swap needs an annotated comparison instance")
     ann = instance.annotations
     old_surface = _question_surface(instance, ann.comparison_operator)
-    key = " ".join(
-        instance.question[i].text for i in sorted(ann.comparison_operator)
-    ).casefold()
+    key = " ".join(instance.question_words[i] for i in sorted(ann.comparison_operator)).casefold()
     replacements = table.entries.get(key)
     if replacements is None:
         raise InputError(f"{instance.id}: operator {key!r} not in the {table.distribution_tag} table")
@@ -222,13 +219,9 @@ def perturb_comparison(
     return build_antonym_twin(plan_antonym_swap(instance, table, replacement_index))
 
 
-def _context_words(instance: RCInstance) -> list[str]:
-    return [t.text for t in instance.context_tokens]
-
-
 def _occurs_in_context(instance: RCInstance, text: str) -> bool:
     needle = words(text)
-    return bool(needle) and find_token_run(instance.context_tokens, needle) is not None
+    return bool(needle) and find_token_run(instance.context_words, needle) is not None
 
 
 def validate_cf(pair: CFPair) -> list[str]:
@@ -259,28 +252,27 @@ def validate_cf(pair: CFPair) -> list[str]:
     if pair.perturbation == "antonym_swap":
         # The swap shares the original's context tuple; only a different
         # tuple needs comparing word for word.
-        if pert.context is not orig.context and _context_words(orig) != _context_words(pert):
+        if pert.context is not orig.context and orig.context_words != pert.context_words:
             violations.append("context changed under antonym swap")
         if pair.replaced_operator is None:
             violations.append("antonym swap lacks replaced_operator")
         else:
             old_op = words(pair.replaced_operator[0])
             new_op = words(pair.replaced_operator[1])
-            o_hit = find_token_run(orig.question, old_op)
-            p_hit = find_token_run(pert.question, new_op)
+            o_words, p_words = orig.question_words, pert.question_words
+            o_hit = find_token_run(o_words, old_op)
+            p_hit = find_token_run(p_words, new_op)
             if o_hit is None or p_hit is None or o_hit != p_hit:
                 violations.append("operator positions do not line up")
             else:
-                o_words = [t.text for t in orig.question]
-                p_words = [t.text for t in pert.question]
                 o_rest = o_words[:o_hit] + o_words[o_hit + len(old_op) :]
                 p_rest = p_words[:p_hit] + p_words[p_hit + len(new_op) :]
                 if o_rest != p_rest:
                     violations.append("question differs outside the operator")
     elif pair.perturbation == "cluster_insertion":
-        if [t.text for t in orig.question] != [t.text for t in pert.question]:
+        if orig.question_words != pert.question_words:
             violations.append("question changed under cluster insertion")
-        if _context_words(orig) == _context_words(pert):
+        if orig.context_words == pert.context_words:
             violations.append("context unchanged under cluster insertion")
     return violations
 
@@ -295,12 +287,13 @@ def _sentence_docs(instance: RCInstance) -> list[dict]:
 def _context_from_docs(docs: Sequence[dict]) -> tuple[Sentence, ...]:
     sentences = []
     for doc in docs:
-        toks = tokenize(doc["text"])
-        if not toks:
+        sent_words, starts = split_words(doc["text"])
+        if not sent_words:
             raise InputError("empty sentence in perturbed context")
         sentences.append(
             Sentence(
-                tokens=toks,
+                sent_words,
+                starts,
                 is_supporting_fact=bool(doc.get("supporting", False)),
                 paragraph_id=str(doc.get("paragraph_id", "0")),
             )
@@ -331,7 +324,7 @@ def _pair_from_record(record: dict, original: RCInstance) -> CFPair:
     if perturbation == "antonym_swap":
         old_surface, new_surface = record["replaced_operator"]
         old_op = words(old_surface)
-        hit = find_token_run(original.question, old_op)
+        hit = find_token_run(original.question_words, old_op)
         if hit is None:
             raise InputError(
                 f"{original.id}: operator {old_surface!r} not found in the original question"

@@ -151,8 +151,8 @@ def span_text(instance: RCInstance, token_start: int, token_end: int) -> str:
         base = instance.sentence_offsets[s_idx]
         sent = instance.context[s_idx]
         lo = max(token_start, base) - base
-        hi = min(token_end, base + len(sent.tokens) - 1) - base
-        pieces.append(sent.text[sent.tokens[lo].char_start : sent.tokens[hi].char_end])
+        hi = min(token_end, base + len(sent.words) - 1) - base
+        pieces.append(sent.surface(lo, hi))
     return " ".join(pieces)
 
 

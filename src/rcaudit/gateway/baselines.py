@@ -59,8 +59,8 @@ class FrequencyBaselineModel(ModelGateway):
         first_span: dict[str, tuple[int, int]] = {}
         for s_idx, sent in enumerate(instance.context):
             base = instance.sentence_offsets[s_idx]
-            for lo, hi in capitalized_runs(sent.tokens):
-                surface = " ".join(t.text for t in sent.tokens[lo : hi + 1]).casefold()
+            for lo, hi in capitalized_runs(sent.words):
+                surface = " ".join(sent.words[lo : hi + 1]).casefold()
                 counts[surface] += 1
                 first_span.setdefault(surface, (base + lo, base + hi))
         if not counts:

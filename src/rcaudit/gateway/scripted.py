@@ -55,9 +55,7 @@ class ScriptedModel(ModelGateway):
         tok_start, tok_end = entry["answer"]
         base = float(entry.get("base", 0.9))
         sensitivity = entry.get("sensitivity")
-        words = [t.text for t in instance.question] + [
-            t.text for t in instance.context_tokens
-        ]
+        words = instance.question_words + instance.context_words
         drop = 0.0
         if sensitivity is not None:
             if len(sensitivity) != len(words):

@@ -68,7 +68,7 @@ class ReferenceToyModel(ModelGateway):
         return self._table[row].copy()
 
     def embed(self, instance: RCInstance) -> np.ndarray:
-        words = [t.text for t in instance.question] + [t.text for t in instance.context_tokens]
+        words = instance.question_words + instance.context_words
         # Rows first: adding a word may replace the table. Fancy indexing
         # copies, so callers may write into the result.
         rows = [self._row(w) for w in words]
@@ -91,18 +91,32 @@ class ReferenceToyModel(ModelGateway):
         )
 
     def masked_start_scores(self, instance: RCInstance) -> np.ndarray:
-        """Row k is predict(mask_word(instance, k)).start_scores, bit for bit:
-        the same start distribution, computed on one embedding matrix whose
-        row k holds the mask vector while row k is scored."""
+        """Row k is predict(mask_word(instance, k)).start_scores, bit for bit.
+
+        A masked question word moves q_bar, so those rows are scored one at
+        a time on an embedding matrix whose row k holds the mask vector.
+        Masking context word k changes only logit k, so the context rows
+        are the unmasked logits with the masked logits on the diagonal,
+        normalized in place. Each logit is computed at the row position the
+        one-row-at-a-time product would use, so every row matches it."""
         working = self.embed(instance)
         mask = self.word_embedding(self.baseline_token)
         n_q = instance.n_question
         rows = np.empty((len(working), instance.n_context))
-        for k in range(len(working)):
+        for k in range(n_q):
             word = working[k].copy()
             working[k] = mask
             rows[k] = self._distribution(working, n_q, self._m_start)
             working[k] = word
+        q_bar = working[:n_q].mean(axis=0)
+        context_rows = rows[n_q:]
+        context_rows[:] = working[n_q:] @ self._m_start @ q_bar
+        mask_rows = np.empty_like(working[n_q:])
+        mask_rows[:] = mask
+        np.fill_diagonal(context_rows, mask_rows @ self._m_start @ q_bar)
+        context_rows -= context_rows.max(axis=1, keepdims=True)
+        np.exp(context_rows, out=context_rows)
+        context_rows /= context_rows.sum(axis=1, keepdims=True)
         return rows
 
     def grad_start(

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InputError
 from .metrics import normalize_answer
-from .text import capitalized_runs, tokenize
+from .text import capitalized_runs, tokenize, words
 from .types import RCInstance
 
 SELECTION_STRATEGIES = ("token_overlap", "lcs", "position", "sentence_encoder")
@@ -163,7 +163,7 @@ def recognize_entities(text: str) -> list[tuple[int, int, str]]:
     tokens = tokenize(text)
     entities: list[tuple[int, int, str]] = []
     in_run = set()
-    for lo, hi in capitalized_runs(tokens):
+    for lo, hi in capitalized_runs([tok.text for tok in tokens]):
         entities.append((tokens[lo].char_start, tokens[hi].char_end, "ENTITY"))
         in_run.update(range(lo, hi + 1))
     for i, tok in enumerate(tokens):
@@ -189,7 +189,7 @@ def extract_phrase(sentence: str, entity_type: str) -> str:
     if entities:
         start, end, _ = entities[0]
         return sentence[start:end]
-    return tokenize(sentence)[0].text
+    return words(sentence)[0]
 
 
 def embed_sentence(text: str) -> np.ndarray:

@@ -12,15 +12,27 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .errors import InputError
-from .text import tokens_from_words
+from .text import spaced_starts
 from .types import AnswerSpan, RCInstance, Sentence
 
 
 def _rebuilt_sentence(sent: Sentence, words: list[str]) -> Sentence:
+    """`sent` with its words replaced by `words`, single-spaced."""
     return Sentence(
-        tokens=tokens_from_words(words),
+        tuple(words),
+        spaced_starts(words),
         is_supporting_fact=sent.is_supporting_fact,
         paragraph_id=sent.paragraph_id,
+    )
+
+
+def _with_question(instance: RCInstance, words: list[str]) -> RCInstance:
+    """`instance` asking the single-spaced question `words`."""
+    return replace(
+        instance,
+        question_words=tuple(words),
+        question_starts=spaced_starts(words),
+        question_text=" ".join(words),
     )
 
 
@@ -41,16 +53,14 @@ def mask_word(instance: RCInstance, position: int, mask_token: str = "[MASK]") -
     if not 0 <= position < n_q + instance.n_context:
         raise InputError(f"{instance.id}: word position {position} out of range")
     if position < n_q:
-        words = [t.text for t in instance.question]
+        words = list(instance.question_words)
         words[position] = mask_token
-        return replace(
-            instance, question=tokens_from_words(words), question_text=" ".join(words)
-        )
+        return _with_question(instance, words)
     flat = position - n_q
     s_idx = instance.sentence_of(flat)
     local = flat - instance.sentence_offsets[s_idx]
     sent = instance.context[s_idx]
-    words = [t.text for t in sent.tokens]
+    words = list(sent.words)
     words[local] = mask_token
     context = list(instance.context)
     context[s_idx] = _rebuilt_sentence(sent, words)
@@ -59,15 +69,8 @@ def mask_word(instance: RCInstance, position: int, mask_token: str = "[MASK]") -
 
 def mask_all(instance: RCInstance, mask_token: str = "[MASK]") -> RCInstance:
     """Replace every question and context word with the mask token."""
-    q_words = [mask_token] * instance.n_question
     context = tuple(
-        _rebuilt_sentence(sent, [mask_token] * len(sent.tokens)) for sent in instance.context
+        _rebuilt_sentence(sent, [mask_token] * len(sent.words)) for sent in instance.context
     )
-    return _refresh_spans(
-        replace(
-            instance,
-            question=tokens_from_words(q_words),
-            question_text=" ".join(q_words),
-            context=context,
-        )
-    )
+    masked = _with_question(instance, [mask_token] * instance.n_question)
+    return _refresh_spans(replace(masked, context=context))

@@ -76,9 +76,7 @@ def build_comparison_partition(instance: RCInstance) -> TokenPartition:
     excluded |= ann.value_tokens
     excluded |= ann.verb_tokens
     negative = frozenset(
-        i
-        for i, tok in enumerate(instance.question)
-        if i not in excluded and tok.text != ","
+        i for i, word in enumerate(instance.question_words) if i not in excluded and word != ","
     )
     if not negative:
         raise InputError(f"{instance.id}: comparison partition has an empty negative side")
@@ -109,11 +107,11 @@ def build_coref_partition(instance: RCInstance) -> TokenPartition:
     positive: set[int] = set()
     for mention in instance.coref_clusters[cluster_idx]:
         positive.update(range(mention.token_start, mention.token_end + 1))
-    question_words = {tok.text.casefold() for tok in instance.question}
+    question_words = {word.casefold() for word in instance.question_words}
     negative = frozenset(
         i
-        for i, tok in enumerate(instance.context_tokens)
-        if i not in positive and tok.text.casefold() not in question_words
+        for i, word in enumerate(instance.context_words)
+        if i not in positive and word.casefold() not in question_words
     )
     if not positive:
         raise InputError(f"{instance.id}: coreference partition has an empty positive side")

@@ -162,9 +162,7 @@ def restrict_map(saliency: SaliencyMap, scope: Scope) -> SaliencyMap:
 def content_hash(instance: RCInstance) -> str:
     """Hash of the question and context word texts, sentence by sentence:
     the input a saliency map explains."""
-    words = [[t.text for t in instance.question]] + [
-        [t.text for t in sent.tokens] for sent in instance.context
-    ]
+    words = [instance.question_words, *(sent.words for sent in instance.context)]
     return hashlib.sha256(json.dumps(words).encode("utf-8")).hexdigest()[:16]
 
 

@@ -12,7 +12,7 @@ import numpy as np
 from .corpus.annotate import annotate_question
 from .corpus.filters import OPERATOR_ANTONYMS, filter_comparison
 from .errors import InputError
-from .text import make_sentence, tokenize
+from .text import make_sentence, split_words, words
 from .types import AnswerSpan, RCInstance, validate_instance
 
 _SYLLABLES = (
@@ -23,12 +23,12 @@ _SYLLABLES = (
 
 
 def _title(rng: np.random.Generator) -> str:
-    words = []
+    parts = []
     for _ in range(int(rng.integers(2, 4))):
         n_syl = int(rng.integers(2, 4))
         word = "".join(_SYLLABLES[int(rng.integers(len(_SYLLABLES)))] for _ in range(n_syl))
-        words.append(word.capitalize())
-    return " ".join(words)
+        parts.append(word.capitalize())
+    return " ".join(parts)
 
 
 def make_synthetic_corpus(n: int, seed: int = 0) -> list[RCInstance]:
@@ -53,11 +53,13 @@ def make_synthetic_corpus(n: int, seed: int = 0) -> list[RCInstance]:
         s2 = make_sentence(
             f"{title_b} was released in {year_b}.", supporting=True, paragraph_id="b"
         )
-        n_a = len(tokenize(title_a))
+        n_a = len(words(title_a))
         gold = AnswerSpan(text=title_a, sentence_index=0, token_start=0, token_end=n_a - 1)
+        question_words, question_starts = split_words(question)
         instance = RCInstance(
             id=f"syn-{seed}-{k:04d}",
-            question=tokenize(question),
+            question_words=question_words,
+            question_starts=question_starts,
             question_text=question,
             context=(s1, s2),
             gold_answers=(gold,),

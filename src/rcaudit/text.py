@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from typing import Sequence
 
-from .types import Sentence, Token
+from .types import Sentence, Token, token_view
 
 _TOKEN_RE = re.compile(r"\w+(?:'\w+)*|[^\w\s]", re.UNICODE)
 
@@ -20,25 +20,29 @@ _TOKEN_RE = re.compile(r"\w+(?:'\w+)*|[^\w\s]", re.UNICODE)
 _SENTENCE_RE = re.compile(r"(?<=[.!?])\s+(?=[\"'(A-Z0-9])")
 
 
+def split_words(text: str) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """The words of `text` and each word's start offset into it."""
+    matches = list(_TOKEN_RE.finditer(text))
+    return tuple([m.group() for m in matches]), tuple([m.start() for m in matches])
+
+
 def tokenize(text: str) -> tuple[Token, ...]:
     """Tokenize text, keeping character offsets into the original string."""
-    return tuple(
-        [Token(m.group(), i, m.start(), m.end()) for i, m in enumerate(_TOKEN_RE.finditer(text))]
-    )
+    return token_view(*split_words(text))
 
 
 def words(text: str) -> list[str]:
-    """The texts of `tokenize(text)`, for callers that read no offsets."""
+    """The words of `split_words(text)`, for callers that read no offsets."""
     return _TOKEN_RE.findall(text)
 
 
-def tokens_from_words(words: list[str]) -> tuple[Token, ...]:
-    """Build a token sequence from bare words, single-space separated."""
-    toks, pos = [], 0
-    for i, word in enumerate(words):
-        toks.append(Token(text=word, index=i, char_start=pos, char_end=pos + len(word)))
+def spaced_starts(words: Sequence[str]) -> tuple[int, ...]:
+    """Start offsets of `words` joined by single spaces."""
+    starts, pos = [], 0
+    for word in words:
+        starts.append(pos)
         pos += len(word) + 1
-    return tuple(toks)
+    return tuple(starts)
 
 
 def split_sentences(text: str) -> list[str]:
@@ -46,19 +50,19 @@ def split_sentences(text: str) -> list[str]:
 
 
 def make_sentence(text: str, supporting: bool = False, paragraph_id: str = "0") -> Sentence:
-    toks = tokenize(text)
-    if not toks:
+    sent_words, starts = split_words(text)
+    if not sent_words:
         raise ValueError("cannot build a sentence from empty text")
-    return Sentence(tokens=toks, is_supporting_fact=supporting, paragraph_id=paragraph_id)
+    return Sentence(sent_words, starts, is_supporting_fact=supporting, paragraph_id=paragraph_id)
 
 
-def find_token_run(haystack: tuple[Token, ...], needle_texts: Sequence[str]) -> int | None:
-    """First index where the casefolded token texts of `needle_texts` occur
-    contiguously in `haystack`, or None."""
+def find_token_run(haystack: Sequence[str], needle_texts: Sequence[str]) -> int | None:
+    """First index where the casefolded words of `needle_texts` occur
+    contiguously in the words `haystack`, or None."""
     if not needle_texts:
         return None
     needle = [t.casefold() for t in needle_texts]
-    folded = [t.text.casefold() for t in haystack]
+    folded = [t.casefold() for t in haystack]
     first, n = needle[0], len(needle)
     for i in range(len(folded) - n + 1):
         if folded[i] == first and folded[i : i + n] == needle:
@@ -72,20 +76,20 @@ _RUN_STOPWORDS = frozenset(
 )
 
 
-def capitalized_runs(tokens: tuple[Token, ...]) -> list[tuple[int, int]]:
-    """Maximal runs of capitalized tokens as inclusive (start, end) index pairs.
+def capitalized_runs(words: Sequence[str]) -> list[tuple[int, int]]:
+    """Maximal runs of capitalized words as inclusive (start, end) index pairs.
 
     Runs consisting solely of stopwords (sentence-initial 'The', pronouns)
     are dropped; runs may start with a stopword when it leads a longer name.
     """
     runs: list[tuple[int, int]] = []
     i = 0
-    while i < len(tokens):
-        if tokens[i].text[:1].isupper():
+    while i < len(words):
+        if words[i][:1].isupper():
             j = i
-            while j + 1 < len(tokens) and tokens[j + 1].text[:1].isupper():
+            while j + 1 < len(words) and words[j + 1][:1].isupper():
                 j += 1
-            if any(tokens[k].text.casefold() not in _RUN_STOPWORDS for k in range(i, j + 1)):
+            if any(words[k].casefold() not in _RUN_STOPWORDS for k in range(i, j + 1)):
                 runs.append((i, j))
             i = j + 1
         else:

@@ -1,14 +1,19 @@
-"""Core domain types: tokens, sentences, instances, and evaluation results.
+"""Core domain types: sentences, instances, and evaluation results.
 
 Conventions used throughout the toolkit:
 
-- Question tokens are indexed 0..n-1 within the question; their character
-  offsets point into the question text.
-- Context tokens are indexed 0..n-1 within their own sentence; character
-  offsets point into the sentence text. Operations that need a single
-  context-wide index use the *flattened* ordering (sentence 0 tokens,
-  then sentence 1 tokens, ...), which is what AnswerSpan and coreference
-  mention spans store.
+- A question and each context sentence are held as a tuple of words plus a
+  tuple of each word's start offset; a word ends at its start plus its
+  length. Question offsets point into the question text, sentence offsets
+  into the sentence text.
+- Question words are indexed 0..n-1 within the question, and context words
+  0..n-1 within their own sentence. Operations that need a single
+  context-wide index use the *flattened* ordering (sentence 0 words, then
+  sentence 1 words, ...), which is what AnswerSpan and coreference mention
+  spans store.
+- `Token` objects are read-only views built on first read, for code that
+  wants a word with its offsets as one object; nothing in the audit needs
+  them.
 """
 
 from __future__ import annotations
@@ -34,16 +39,45 @@ class Token:
     char_end: int
 
 
+def token_view(words: Sequence[str], starts: Sequence[int]) -> tuple[Token, ...]:
+    """One Token per word, indexed in order, ending at start + length."""
+    return tuple([Token(w, i, s, s + len(w)) for i, (w, s) in enumerate(zip(words, starts))])
+
+
+def _render(words: Sequence[str], starts: Sequence[int], lo: int, hi: int, pos: int) -> str:
+    """Words lo..hi placed at their starts, with spaces in between, from
+    character position `pos` on."""
+    parts: list[str] = []
+    for i in range(lo, hi + 1):
+        start = starts[i]
+        if start < pos:
+            raise InputError(f"overlapping token offsets at index {i}")
+        parts.append(" " * (start - pos))
+        parts.append(words[i])
+        pos = start + len(words[i])
+    return "".join(parts)
+
+
 @dataclass(frozen=True)
 class Sentence:
-    tokens: tuple[Token, ...]
+    words: tuple[str, ...]
+    starts: tuple[int, ...]
     is_supporting_fact: bool = False
     paragraph_id: str = "0"
 
     @cached_property
     def text(self) -> str:
-        """Sentence surface reconstructed from token offsets."""
-        return render_tokens(self.tokens)
+        """Sentence surface rebuilt from the words and their start offsets."""
+        return _render(self.words, self.starts, 0, len(self.words) - 1, 0)
+
+    @cached_property
+    def tokens(self) -> tuple[Token, ...]:
+        return token_view(self.words, self.starts)
+
+    def surface(self, lo: int, hi: int) -> str:
+        """`text` covered by the inclusive word range lo..hi, rendered
+        without building `text`."""
+        return _render(self.words, self.starts, lo, hi, self.starts[lo])
 
 
 @dataclass(frozen=True)
@@ -77,7 +111,8 @@ class QuestionAnnotations:
 @dataclass(frozen=True)
 class RCInstance:
     id: str
-    question: tuple[Token, ...]
+    question_words: tuple[str, ...]
+    question_starts: tuple[int, ...]
     question_text: str
     context: tuple[Sentence, ...]
     gold_answers: tuple[AnswerSpan, ...]
@@ -88,25 +123,34 @@ class RCInstance:
     unannotatable: bool = False
 
     @cached_property
+    def question(self) -> tuple[Token, ...]:
+        return token_view(self.question_words, self.question_starts)
+
+    @cached_property
+    def context_words(self) -> tuple[str, ...]:
+        """Context words in flattened order."""
+        return tuple([w for sent in self.context for w in sent.words])
+
+    @cached_property
     def context_tokens(self) -> tuple[Token, ...]:
         return tuple(tok for sent in self.context for tok in sent.tokens)
 
     @cached_property
     def sentence_offsets(self) -> tuple[int, ...]:
-        """Flattened index of the first token of each sentence."""
+        """Flattened index of the first word of each sentence."""
         offsets, total = [], 0
         for sent in self.context:
             offsets.append(total)
-            total += len(sent.tokens)
+            total += len(sent.words)
         return tuple(offsets)
 
     @property
     def n_question(self) -> int:
-        return len(self.question)
+        return len(self.question_words)
 
     @property
     def n_context(self) -> int:
-        return len(self.context_tokens)
+        return len(self.context_words)
 
     def sentence_of(self, flat_index: int) -> int:
         """Sentence index containing the flattened context token index."""
@@ -114,16 +158,18 @@ class RCInstance:
             raise InputError(f"{self.id}: context index {flat_index} out of range")
         return sentence_at(self.sentence_offsets, flat_index)
 
+    def question_surface(self, lo: int, hi: int) -> str:
+        """Question text covered by the inclusive word range lo..hi."""
+        end = self.question_starts[hi] + len(self.question_words[hi])
+        return self.question_text[self.question_starts[lo] : end]
+
     def span_surface(self, token_start: int, token_end: int) -> str:
         """Context surface text covered by an inclusive flattened token range."""
         sent_idx = self.sentence_of(token_start)
         if self.sentence_of(token_end) != sent_idx:
             raise InputError(f"{self.id}: span crosses sentence boundary")
         off = self.sentence_offsets[sent_idx]
-        sent = self.context[sent_idx]
-        first = sent.tokens[token_start - off]
-        last = sent.tokens[token_end - off]
-        return sent.text[first.char_start : last.char_end]
+        return self.context[sent_idx].surface(token_start - off, token_end - off)
 
 
 @dataclass(frozen=True)
@@ -139,42 +185,34 @@ def sentence_at(starts: Sequence[int], position: int) -> int:
     return max(bisect_right(starts, position) - 1, 0)
 
 
-def render_tokens(tokens: tuple[Token, ...]) -> str:
-    """Rebuild the source string of a token sequence from character offsets."""
-    parts: list[str] = []
+def _check_words(
+    words: tuple[str, ...], starts: tuple[int, ...], source: str | None, what: str
+) -> None:
+    if len(words) != len(starts):
+        raise InputError(f"{what}: {len(words)} words but {len(starts)} start offsets")
     pos = 0
-    for tok in tokens:
-        if tok.char_start < pos:
-            raise InputError(f"overlapping token offsets at index {tok.index}")
-        parts.append(" " * (tok.char_start - pos))
-        parts.append(tok.text)
-        pos = tok.char_end
-    return "".join(parts)
-
-
-def _check_token_sequence(tokens: tuple[Token, ...], source: str | None, what: str) -> None:
-    pos = 0
-    for i, tok in enumerate(tokens):
-        if tok.index != i:
-            raise InputError(f"{what}: token index {tok.index} at position {i}")
-        if tok.char_start >= tok.char_end:
+    for i, (word, start) in enumerate(zip(words, starts)):
+        if not word:
             raise InputError(f"{what}: empty char range for token {i}")
-        if tok.char_start < pos:
+        if start < pos:
             raise InputError(f"{what}: overlapping char offsets at token {i}")
-        if len(tok.text) != tok.char_end - tok.char_start:
-            raise InputError(f"{what}: text length mismatch at token {i}")
-        if source is not None and source[tok.char_start : tok.char_end] != tok.text:
+        pos = start + len(word)
+        if source is not None and source[start:pos] != word:
             raise InputError(f"{what}: token {i} does not match source text")
-        pos = tok.char_end
 
 
 def validate_instance(instance: RCInstance) -> RCInstance:
     """Check all structural invariants; returns the instance for chaining."""
-    _check_token_sequence(instance.question, instance.question_text, f"{instance.id} question")
+    _check_words(
+        instance.question_words,
+        instance.question_starts,
+        instance.question_text,
+        f"{instance.id} question",
+    )
     for s_idx, sent in enumerate(instance.context):
-        if not sent.tokens:
+        if not sent.words:
             raise InputError(f"{instance.id}: sentence {s_idx} is empty")
-        _check_token_sequence(sent.tokens, None, f"{instance.id} sentence {s_idx}")
+        _check_words(sent.words, sent.starts, None, f"{instance.id} sentence {s_idx}")
     if not instance.gold_answers:
         raise InputError(f"{instance.id}: no gold answers")
     n_ctx = instance.n_context

@@ -18,7 +18,7 @@ from rcaudit.corpus.schema import save_jsonl
 from rcaudit.counterfactuals import CFPair, load_manual_coref_cf, save_cf_pairs, validate_cf
 from rcaudit.data import coref_cf_pairs_path, fixture_corpus_path
 from rcaudit.partitions import build_skill_partition
-from rcaudit.text import find_token_run, make_sentence, tokenize
+from rcaudit.text import find_token_run, make_sentence, split_words, words
 from rcaudit.types import AnswerSpan, RCInstance, validate_instance
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -26,10 +26,10 @@ DATA_DIR = Path(__file__).parent / "data"
 
 def span_at(context, sent_idx: int, surface: str) -> AnswerSpan:
     """AnswerSpan for the first occurrence of `surface` in the given sentence."""
-    needle = tuple(t.text for t in tokenize(surface))
-    hit = find_token_run(context[sent_idx].tokens, needle)
+    needle = words(surface)
+    hit = find_token_run(context[sent_idx].words, needle)
     assert hit is not None, f"{surface!r} not found in sentence {sent_idx}"
-    offset = sum(len(s.tokens) for s in context[:sent_idx])
+    offset = sum(len(s.words) for s in context[:sent_idx])
     return AnswerSpan(
         text=surface,
         sentence_index=sent_idx,
@@ -60,9 +60,11 @@ def build_instance(
         make_sentence(text, supporting=sup) for text, sup in zip(sentences, supporting)
     )
     gold_sent, gold_surface = gold
+    question_words, question_starts = split_words(question)
     inst = RCInstance(
         id=iid,
-        question=tokenize(question),
+        question_words=question_words,
+        question_starts=question_starts,
         question_text=question,
         context=context,
         gold_answers=(span_at(context, gold_sent, gold_surface),),

@@ -16,7 +16,7 @@ import mpmath as mp
 import numpy as np
 
 from rcaudit.gateway.base import ModelGateway, ModelOutput, answer_span
-from rcaudit.text import tokens_from_words
+from rcaudit.text import spaced_starts
 from rcaudit.types import RCInstance, Sentence
 
 mp.mp.dps = 30
@@ -31,7 +31,10 @@ def oracle_occlusion(gateway, instance):
             words = [t.text for t in inst.question]
             words[position] = mask
             return replace(
-                inst, question=tokens_from_words(words), question_text=" ".join(words)
+                inst,
+                question_words=tuple(words),
+                question_starts=spaced_starts(words),
+                question_text=" ".join(words),
             )
         flat = position - inst.n_question
         context = []
@@ -42,7 +45,8 @@ def oracle_occlusion(gateway, instance):
             flat -= len(sent.tokens)
             context.append(
                 Sentence(
-                    tokens=tokens_from_words(words),
+                    tuple(words),
+                    spaced_starts(words),
                     is_supporting_fact=sent.is_supporting_fact,
                     paragraph_id=sent.paragraph_id,
                 )

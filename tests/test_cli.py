@@ -22,6 +22,8 @@ from rcaudit.counterfactuals import perturb_comparison
 from rcaudit.data import coref_cf_pairs_path, fixture_corpus_path
 from rcaudit.errors import InputError
 from rcaudit.saliency import SaliencyCache, SaliencyConfig
+from rcaudit.synthetic import make_synthetic_corpus
+from rcaudit.types import Token
 
 CORPUS = str(fixture_corpus_path())
 CF_PAIRS = str(coref_cf_pairs_path())
@@ -422,6 +424,25 @@ class TestAlignScreen:
         assert run(*argv, "--out", str(tmp_path / "cold")) == 0
         for name in ("alignment_records.jsonl", "alignment.csv"):
             assert (out / name).read_bytes() == (tmp_path / "cold" / name).read_bytes()
+
+
+class TestAlignBuildsNoToken:
+    def test_a_warm_align_builds_no_token(self, tmp_path, monkeypatch):
+        argv = ["align", "--dataset", "synthetic:300", "--model", "toy:7", "--out", str(tmp_path)]
+        assert run(*argv) == 0  # cold: fills the saliency cache
+        built = []
+        init = Token.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args[:1])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Token, "__init__", counting_init)
+        assert run(*argv) == 0
+        assert built == []
+        # the count sees the Token views of an instance read after the run
+        inst = make_synthetic_corpus(1)[0]
+        assert len(inst.question) + len(inst.context_tokens) == len(built) > 0
 
 
 LOADER_SKIP_COMMANDS = {

@@ -7,6 +7,8 @@ import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rcaudit.corpus.loader as loader_module
 import rcaudit.corpus.schema as schema_module
@@ -29,7 +31,7 @@ from rcaudit.data import fixture_corpus_path
 from rcaudit.errors import InputError
 from rcaudit.synthetic import make_synthetic_corpus
 from rcaudit.text import tokenize
-from rcaudit.types import RCInstance, validate_instance
+from rcaudit.types import SKILLS, RCInstance, validate_instance
 
 from conftest import DATA_DIR, build_instance, span_at
 
@@ -62,6 +64,134 @@ class TestSchema:
         path = tmp_path / "synthetic.jsonl"
         save_jsonl(make_synthetic_corpus(200, seed), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+_RECORD_WORDS = st.text(alphabet=st.sampled_from(list("aZ9'.,?ß漢")), min_size=1, max_size=5)
+
+
+def _token_records(draw, min_size: int) -> tuple[str, list[dict]]:
+    """A source text and its token records, words spaced by 0-2 spaces."""
+    record_words = draw(st.lists(_RECORD_WORDS, min_size=min_size, max_size=8))
+    text, records = "", []
+    for word in record_words:
+        text += " " * draw(st.integers(0, 2))
+        records.append({"text": word, "start": len(text), "end": len(text) + len(word)})
+        text += word
+    return text, records
+
+
+def _index_set(draw, n: int) -> list[int]:
+    return sorted(draw(st.sets(st.integers(0, n + 1), max_size=3)))
+
+
+def _span_record(draw) -> dict:
+    start = draw(st.integers(0, 30))
+    return {
+        "text": draw(_RECORD_WORDS),
+        "sent": draw(st.integers(0, 3)),
+        "tok_start": start,
+        "tok_end": start + draw(st.integers(0, 3)),
+    }
+
+
+@st.composite
+def unified_records(draw) -> dict:
+    """Unified records in the form `instance_to_dict` writes; they need not
+    pass `validate_instance`."""
+    question_text, question_tokens = _token_records(draw, 0)
+    doc: dict = {
+        "id": draw(st.text(min_size=1, max_size=4)),
+        "question": {"text": question_text, "tokens": question_tokens},
+        "context": [
+            {
+                "paragraph_id": draw(st.sampled_from(["0", "a", "p7"])),
+                "supporting": draw(st.booleans()),
+                "tokens": _token_records(draw, 1)[1],
+            }
+            for _ in range(draw(st.integers(0, 3)))
+        ],
+        "answers": [_span_record(draw) for _ in range(draw(st.integers(0, 2)))],
+        "skill": draw(st.sampled_from(SKILLS)),
+    }
+    n_q = len(question_tokens)
+    annotations: dict = {}
+    if draw(st.booleans()):
+        annotations = {
+            "comparison_operator": _index_set(draw, n_q),
+            "compared_entities": [
+                _index_set(draw, n_q) for _ in range(draw(st.integers(0, 2)))
+            ],
+            "value_tokens": _index_set(draw, n_q),
+            "verb_tokens": _index_set(draw, n_q),
+        }
+    if draw(st.booleans()):
+        annotations["relevant_cluster"] = draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        annotations["unannotatable"] = True
+    if annotations:
+        doc["annotations"] = annotations
+    clusters = [
+        [_span_record(draw) for _ in range(draw(st.integers(1, 2)))]
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    if clusters:
+        doc["coref_clusters"] = clusters
+    return doc
+
+
+def _bundled_record(edit) -> dict:
+    """cmp-01 of the bundled corpus as a unified record, changed by `edit`."""
+    (inst,) = [i for i in load_jsonl(fixture_corpus_path()) if i.id == "cmp-01"]
+    doc = instance_to_dict(inst)
+    edit(doc)
+    return doc
+
+
+def _overlap_question_words(doc: dict) -> None:
+    second = doc["question"]["tokens"][1]
+    second.update(start=0, end=len(second["text"]))
+
+
+def _empty_context_word(doc: dict) -> None:
+    third = doc["context"][0]["tokens"][2]
+    third.update(text="", end=third["start"])
+
+
+def _stretch_context_word(doc: dict) -> None:
+    doc["context"][1]["tokens"][0]["end"] += 1
+
+
+def _respell_question_word(doc: dict) -> None:
+    first = doc["question"]["tokens"][0]
+    first["text"] = "W" * len(first["text"])
+
+
+def _stretch_answer(doc: dict) -> None:
+    doc["answers"][0]["tok_end"] = 999
+
+
+class TestWordsForm:
+    """Instances hold words and start offsets; the records keep `end`."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(unified_records())
+    def test_records_round_trip(self, doc):
+        assert instance_to_dict(instance_from_dict(doc)) == doc
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (_overlap_question_words, "cmp-01 question: overlapping char offsets at token 1"),
+            (_empty_context_word, "cmp-01 sentence 0: empty char range for token 2"),
+            (_stretch_context_word, "cmp-01 sentence 1: text length mismatch at token 0"),
+            (_respell_question_word, "cmp-01 question: token 0 does not match source text"),
+            (_stretch_answer, r"cmp-01: span \d+\.\.999 out of range"),
+        ],
+    )
+    def test_each_broken_record_names_its_fault(self, edit, message):
+        doc = _bundled_record(edit)
+        with pytest.raises(InputError, match=message):
+            validate_instance(instance_from_dict(doc))
 
 
 class TestAdapters:

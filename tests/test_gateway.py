@@ -27,6 +27,8 @@ from rcaudit.gateway.toy import _INITIAL_TABLE_ROWS, ReferenceToyModel
 from rcaudit.masking import mask_all, mask_word
 from rcaudit.saliency import occlusion_saliency
 from rcaudit.synthetic import make_synthetic_corpus
+from rcaudit.text import spaced_starts
+from rcaudit.types import AnswerSpan, RCInstance, Sentence
 
 from conftest import build_instance
 
@@ -291,6 +293,37 @@ class TestMaskedStartScores:
         assert rows.shape == (inst.n_question + inst.n_context, inst.n_context)
         assert np.array_equal(rows, want)
         assert np.array_equal(masked_start_scores(gateway, inst), want)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        dim=st.sampled_from([16, 32]),
+        n_context=st.integers(30, 400),
+        words_seed=st.integers(0, 2**16),
+    )
+    def test_toy_rows_equal_masked_predictions_on_long_contexts(
+        self, seed, dim, n_context, words_seed
+    ):
+        rng = np.random.default_rng(words_seed)
+        vocab = MASK_VOCAB + [f"w{i}" for i in range(40)]
+        drawn = [vocab[i] for i in rng.integers(len(vocab), size=n_context)]
+        cuts = list(range(0, n_context, 17)) + [n_context]
+        context = tuple(
+            Sentence(tuple(drawn[a:b]), spaced_starts(drawn[a:b])) for a, b in zip(cuts, cuts[1:])
+        )
+        question = [vocab[i] for i in rng.integers(len(vocab), size=int(rng.integers(1, 9)))]
+        inst = RCInstance(
+            id="ms-long",
+            question_words=tuple(question),
+            question_starts=spaced_starts(question),
+            question_text=" ".join(question),
+            context=context,
+            gold_answers=(AnswerSpan(drawn[0], 0, 0, 0),),
+        )
+        gateway = ReferenceToyModel(seed=seed, embedding_dim=dim)
+        assert np.array_equal(
+            gateway.masked_start_scores(inst), stacked_masked_predictions(gateway, inst)
+        )
 
     def test_default_rows_are_masked_predictions(self, corpus, tmp_path):
         inst = corpus[0]

@@ -13,12 +13,12 @@ from rcaudit.text import (
     capitalized_runs,
     find_token_run,
     make_sentence,
+    spaced_starts,
     split_sentences,
     tokenize,
-    tokens_from_words,
     words,
 )
-from rcaudit.types import AnswerSpan, render_tokens, sentence_at, validate_instance
+from rcaudit.types import AnswerSpan, Sentence, sentence_at, token_view, validate_instance
 
 from conftest import build_instance, span_at
 
@@ -34,7 +34,7 @@ class TestTokenize:
 
     def test_char_offsets_recover_source(self):
         source = "He was born  in Hawaii."
-        assert render_tokens(tokenize(source)) == source
+        assert make_sentence(source).text == source
 
     def test_indices_are_sequential(self):
         toks = tokenize("a b c d")
@@ -67,9 +67,10 @@ class TestSentences:
         with pytest.raises(ValueError):
             make_sentence("   ")
 
-    def test_tokens_from_words_single_spaced(self):
-        toks = tokens_from_words(["a", "bb", "ccc"])
-        assert render_tokens(toks) == "a bb ccc"
+    def test_spaced_starts_single_spaced(self):
+        starts = spaced_starts(["a", "bb", "ccc"])
+        assert starts == (0, 2, 5)
+        assert Sentence(("a", "bb", "ccc"), starts).text == "a bb ccc"
 
 
 def loop_find_token_run(haystack, needle_texts):
@@ -102,8 +103,8 @@ class TestRuns:
     @example(hay=["a"], needle=["a", "a"])  # a needle longer than the haystack
     @example(hay=[], needle=["a"])
     def test_find_token_run_matches_the_loop(self, hay, needle):
-        haystack = tokens_from_words(hay)
-        assert find_token_run(haystack, tuple(needle)) == loop_find_token_run(
+        haystack = token_view(hay, spaced_starts(hay))
+        assert find_token_run(hay, tuple(needle)) == loop_find_token_run(
             haystack, tuple(needle)
         )
 
@@ -114,27 +115,27 @@ class TestRuns:
         assert words(text) == [tok.text for tok in tokenize(text)]
 
     def test_find_token_run_casefolded(self):
-        hay = tokenize("The Mask Of Fu Manchu is old.")
+        hay = words("The Mask Of Fu Manchu is old.")
         assert find_token_run(hay, ("the", "mask")) == 0
         assert find_token_run(hay, ("fu", "manchu")) == 3
         assert find_token_run(hay, ("mask", "fu")) is None
 
     def test_capitalized_runs_drop_pronoun_only_runs(self):
-        toks = tokenize("He met Barack Obama in Hawaii.")
+        toks = words("He met Barack Obama in Hawaii.")
         runs = capitalized_runs(toks)
-        surfaces = [" ".join(t.text for t in toks[a : b + 1]) for a, b in runs]
+        surfaces = [" ".join(toks[a : b + 1]) for a, b in runs]
         assert surfaces == ["Barack Obama", "Hawaii"]
 
     def test_capitalized_run_may_start_with_article(self):
-        toks = tokenize("She read The Glass Orchard twice.")
+        toks = words("She read The Glass Orchard twice.")
         runs = capitalized_runs(toks)
-        surfaces = [" ".join(t.text for t in toks[a : b + 1]) for a, b in runs]
+        surfaces = [" ".join(toks[a : b + 1]) for a, b in runs]
         assert surfaces == ["The Glass Orchard"]
 
     def test_possessive_pronoun_runs_dropped(self):
-        toks = tokenize("His rival Karl Voss agreed.")
+        toks = words("His rival Karl Voss agreed.")
         runs = capitalized_runs(toks)
-        surfaces = [" ".join(t.text for t in toks[a : b + 1]) for a, b in runs]
+        surfaces = [" ".join(toks[a : b + 1]) for a, b in runs]
         assert surfaces == ["Karl Voss"]
 
 

@@ -37,7 +37,7 @@ from rcaudit.counterfactuals import (
 )
 from rcaudit.gateway.baselines import FrequencyBaselineModel, GoldOracleModel
 from rcaudit.partitions import build_comparison_partition, build_coref_partition
-from rcaudit.text import find_token_run, make_sentence, tokenize, words
+from rcaudit.text import find_token_run, make_sentence, split_words, words
 from rcaudit.types import AnswerSpan, RCInstance, validate_instance
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "rcaudit" / "data"
@@ -208,10 +208,10 @@ def build_context(specs):
 
 def span_at(context, sent_idx: int, surface: str) -> AnswerSpan:
     needle = words(surface)
-    hit = find_token_run(context[sent_idx].tokens, needle)
+    hit = find_token_run(context[sent_idx].words, needle)
     if hit is None:
         raise SystemExit(f"surface {surface!r} not found in sentence {sent_idx}")
-    offset = sum(len(s.tokens) for s in context[:sent_idx])
+    offset = sum(len(s.words) for s in context[:sent_idx])
     return AnswerSpan(
         text=surface,
         sentence_index=sent_idx,
@@ -222,9 +222,11 @@ def span_at(context, sent_idx: int, surface: str) -> AnswerSpan:
 
 def comparison_instance(iid, question, gold_sent, gold_surface, sentences) -> RCInstance:
     context = build_context(sentences)
+    question_words, question_starts = split_words(question)
     inst = RCInstance(
         id=iid,
-        question=tokenize(question),
+        question_words=question_words,
+        question_starts=question_starts,
         question_text=question,
         context=context,
         gold_answers=(span_at(context, gold_sent, gold_surface),),
@@ -242,10 +244,12 @@ def comparison_instance(iid, question, gold_sent, gold_surface, sentences) -> RC
 
 def coref_instance(iid, question, gold_sent, gold_surface, sentences, mentions) -> RCInstance:
     context = build_context(sentences)
+    question_words, question_starts = split_words(question)
     cluster = tuple(span_at(context, s, surf) for s, surf in mentions)
     inst = RCInstance(
         id=iid,
-        question=tokenize(question),
+        question_words=question_words,
+        question_starts=question_starts,
         question_text=question,
         context=context,
         gold_answers=(span_at(context, gold_sent, gold_surface),),
@@ -286,15 +290,15 @@ def check_expected_partitions(by_id) -> None:
     """The two reference fixtures must produce the documented colorings."""
     cmp02 = by_id["cmp-02"]
     part = build_comparison_partition(cmp02)
-    texts = lambda idx: sorted(cmp02.question[i].text for i in idx)
+    texts = lambda idx: sorted(cmp02.question_words[i] for i in idx)
     assert texts(part.positive) == ["more", "recently"], texts(part.positive)
     assert texts(part.negative) == ["?", "Which", "film", "or"], texts(part.negative)
 
     cor01 = by_id["cor-01"]
     part = build_coref_partition(cor01)
-    ctx = cor01.context_tokens
-    pos = sorted(ctx[i].text for i in part.positive)
-    neg = sorted(ctx[i].text for i in part.negative)
+    ctx = cor01.context_words
+    pos = sorted(ctx[i] for i in part.positive)
+    neg = sorted(ctx[i] for i in part.negative)
     assert pos == ["Barack", "He", "Obama"], pos
     assert sorted(set(neg)) == sorted([".", "44th", "US", "of", "president", "the"]), neg
     assert neg == sorted([".", ".", "44th", "US", "of", "president", "the", "the"]), neg
@@ -322,14 +326,14 @@ def check_comparison_cfs(instances) -> None:
         for table in ANTONYM_TABLES.values():
             pair = perturb_comparison(inst, table=table)
             assert not validate_cf(pair), inst.id
-        op = " ".join(inst.question[i].text for i in sorted(inst.annotations.comparison_operator))
+        op = " ".join(inst.question_words[i] for i in sorted(inst.annotations.comparison_operator))
         if op.casefold() in {"earlier", "later", "older", "younger"}:
             once = perturb_comparison(inst)
             twice = perturb_comparison(
                 replace(once.perturbed, id=inst.id), replacement_index=0
             )
             assert twice.perturbed.question_text == inst.question_text, inst.id
-            assert [t.text for t in twice.perturbed.question] == [t.text for t in inst.question]
+            assert twice.perturbed.question_words == inst.question_words
 
 
 def main() -> None:
