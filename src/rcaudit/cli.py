@@ -31,7 +31,7 @@ from .counterfactuals import (
     ANTONYM_TABLES,
     AntonymTable,
     CFPair,
-    load_manual_coref_cf,
+    load_cf_pairs,
     perturb_comparison,
     plan_antonym_swap,
     save_cf_pairs,
@@ -167,9 +167,7 @@ def load_instances(args) -> tuple[list[RCInstance], list]:
         except ValueError:
             raise InputError(f"bad synthetic dataset spec {spec!r}")
         return make_synthetic_corpus(n, args.seed), []
-    descriptor = DatasetDescriptor(
-        name=Path(spec).stem, path=spec, format=args.format, context_mode=args.context_mode
-    )
+    descriptor = DatasetDescriptor(path=spec, format=args.format, context_mode=args.context_mode)
     result: LoadResult = load_dataset(descriptor)
     skipped = [[s.record_index, s.instance_id, s.reason] for s in result.skipped]
     return result.instances, skipped
@@ -389,7 +387,7 @@ def run_align(args) -> int:
         )
     coref_pairs: list[CFPair] = []
     if args.cf_file:
-        coref_pairs = load_manual_coref_cf(args.cf_file, instances)
+        coref_pairs = load_cf_pairs(args.cf_file, instances)
 
     cache_path = out / "saliency_cache.jsonl"
     cache = SaliencyCache.load(cache_path) if cache_path.exists() else SaliencyCache()

@@ -17,7 +17,6 @@ CONTEXT_MODES = ("supporting_facts", "paragraphs")
 
 @dataclass(frozen=True)
 class DatasetDescriptor:
-    name: str
     path: str
     format: str = "unified"
     context_mode: str = "paragraphs"

@@ -92,12 +92,11 @@ def _question_surface(instance: RCInstance, indices: frozenset[int]) -> str:
     return instance.question_surface(*_contiguous(indices, "annotation", instance.id))
 
 
-def _swap_operator(
-    instance: RCInstance, ann: QuestionAnnotations, new_surface: str, gold: AnswerSpan
-) -> RCInstance:
-    """The `::cf` twin whose operator words (`ann.comparison_operator`) read
-    `new_surface`, with later annotation indices shifted and `gold` as the
-    only answer."""
+def _swap_operator(instance: RCInstance, new_surface: str, gold: AnswerSpan) -> RCInstance:
+    """The `::cf` twin whose operator words (`comparison_operator` in the
+    annotations) read `new_surface`, with later annotation indices shifted
+    and `gold` as the only answer."""
+    ann = instance.annotations
     lo, hi = _contiguous(ann.comparison_operator, "operator", instance.id)
     old_start = instance.question_starts[lo]
     old_end = instance.question_starts[hi] + len(instance.question_words[hi])
@@ -156,14 +155,12 @@ class AntonymSwap:
     distribution_tag: str
 
 
-def plan_antonym_swap(
-    instance: RCInstance, table: AntonymTable, replacement_index: int = 0
-) -> AntonymSwap:
+def plan_antonym_swap(instance: RCInstance, table: AntonymTable) -> AntonymSwap:
     """Check the original alone and plan its antonym swap; no twin is built.
 
-    The replacement is the table's candidate at `replacement_index`. Requires
-    a two-entity comparison whose gold answer names one of the compared
-    entities, and the other entity's words in the context.
+    The replacement is the table's first candidate. Requires a two-entity
+    comparison whose gold answer names one of the compared entities, and
+    the other entity's words in the context.
     """
     if instance.skill != "comparison" or instance.annotations is None:
         raise InputError(f"{instance.id}: antonym swap needs an annotated comparison instance")
@@ -173,8 +170,6 @@ def plan_antonym_swap(
     replacements = table.entries.get(key)
     if replacements is None:
         raise InputError(f"{instance.id}: operator {key!r} not in the {table.distribution_tag} table")
-    if not 0 <= replacement_index < len(replacements):
-        raise InputError(f"{instance.id}: replacement index {replacement_index} out of range")
     if len(ann.compared_entities) != 2:
         raise InputError(f"{instance.id}: antonym swap needs exactly two compared entities")
     gold_norms = {normalize_answer(a.text) for a in instance.gold_answers}
@@ -186,7 +181,7 @@ def plan_antonym_swap(
     return AntonymSwap(
         original=instance,
         old_surface=old_surface,
-        new_surface=replacements[replacement_index],
+        new_surface=replacements[0],
         new_gold=_entity_context_span(instance, other),
         distribution_tag=table.distribution_tag,
     )
@@ -195,7 +190,7 @@ def plan_antonym_swap(
 def build_antonym_twin(swap: AntonymSwap) -> CFPair:
     """Build the planned twin and validate the pair."""
     instance = swap.original
-    perturbed = _swap_operator(instance, instance.annotations, swap.new_surface, swap.new_gold)
+    perturbed = _swap_operator(instance, swap.new_surface, swap.new_gold)
     pair = CFPair(
         original=instance,
         perturbed=perturbed,
@@ -209,14 +204,10 @@ def build_antonym_twin(swap: AntonymSwap) -> CFPair:
     return pair
 
 
-def perturb_comparison(
-    instance: RCInstance,
-    table: AntonymTable = IN_DISTRIBUTION_TABLE,
-    replacement_index: int = 0,
-) -> CFPair:
+def perturb_comparison(instance: RCInstance, table: AntonymTable = IN_DISTRIBUTION_TABLE) -> CFPair:
     """Swap the comparative operator for an antonym and flip the gold answer:
     `plan_antonym_swap`, then `build_antonym_twin`."""
-    return build_antonym_twin(plan_antonym_swap(instance, table, replacement_index))
+    return build_antonym_twin(plan_antonym_swap(instance, table))
 
 
 def _occurs_in_context(instance: RCInstance, text: str) -> bool:
@@ -320,49 +311,29 @@ def save_cf_pairs(pairs: Iterable[CFPair], path: str | Path) -> None:
 
 def _pair_from_record(record: dict, original: RCInstance) -> CFPair:
     gold = span_from_dict(record["new_answer"])
-    perturbation = record["perturbation"]
-    if perturbation == "antonym_swap":
-        old_surface, new_surface = record["replaced_operator"]
-        old_op = words(old_surface)
-        hit = find_token_run(original.question_words, old_op)
-        if hit is None:
-            raise InputError(
-                f"{original.id}: operator {old_surface!r} not found in the original question"
-            )
-        op_indices = frozenset(range(hit, hit + len(old_op)))
-        ann = original.annotations or QuestionAnnotations()
-        perturbed = _swap_operator(
-            original, replace(ann, comparison_operator=op_indices), new_surface, gold
-        )
-        return CFPair(
-            original=original,
-            perturbed=perturbed,
-            perturbation="antonym_swap",
-            distribution_tag=record["distribution_tag"],
-            replaced_operator=(old_surface, new_surface),
-        )
-    if perturbation == "cluster_insertion":
-        perturbed = replace(
-            original,
-            id=f"{original.id}::cf",
-            context=_context_from_docs(record["perturbed_context"]),
-            gold_answers=(gold,),
-            coref_clusters=(),
-            relevant_cluster=None,
-        )
-        return CFPair(
-            original=original,
-            perturbed=perturbed,
-            perturbation="cluster_insertion",
-            distribution_tag=record["distribution_tag"],
-        )
-    raise InputError(f"{original.id}: unknown perturbation {perturbation!r}")
+    perturbed = replace(
+        original,
+        id=f"{original.id}::cf",
+        context=_context_from_docs(record["perturbed_context"]),
+        gold_answers=(gold,),
+        coref_clusters=(),
+        relevant_cluster=None,
+    )
+    return CFPair(
+        original=original,
+        perturbed=perturbed,
+        perturbation="cluster_insertion",
+        distribution_tag=record["distribution_tag"],
+    )
 
 
 def load_cf_pairs(path: str | Path, originals: Iterable[RCInstance]) -> list[CFPair]:
-    """Read a CF file and rebuild validated pairs against their originals.
+    """Read a CF file of hand-authored cluster-insertion pairs and rebuild
+    them, validated, against their originals.
 
-    Raises InputError listing every pair that fails validation.
+    Antonym twins are made from the corpus by `perturb_comparison`, so a
+    record of any other perturbation is refused. Raises InputError listing
+    every pair that fails validation.
     """
     by_id = {inst.id: inst for inst in originals}
     pairs: list[CFPair] = []
@@ -376,8 +347,16 @@ def load_cf_pairs(path: str | Path, originals: Iterable[RCInstance]) -> list[CFP
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise InputError(f"{path}: bad JSON on line {line_no + 1}: {exc}") from exc
+            if not isinstance(record, dict):
+                raise InputError(f"{path}: line {line_no + 1} is not a JSON object")
             original_id = record.get("original_id")
-            original = by_id.get(original_id)
+            perturbation = record.get("perturbation")
+            if perturbation != "cluster_insertion":
+                raise InputError(
+                    f"{path}: record for {original_id!r} has perturbation {perturbation!r};"
+                    " a CF file holds only cluster_insertion pairs"
+                )
+            original = by_id.get(original_id) if isinstance(original_id, str) else None
             if original is None:
                 raise InputError(f"{path}: unknown original instance {original_id!r}")
             try:
@@ -391,15 +370,6 @@ def load_cf_pairs(path: str | Path, originals: Iterable[RCInstance]) -> list[CFP
             pairs.append(pair)
     if bad:
         raise InputError(f"{path}: invalid counterfactual pairs: " + " | ".join(bad))
-    return pairs
-
-
-def load_manual_coref_cf(path: str | Path, originals: Iterable[RCInstance]) -> list[CFPair]:
-    """Load hand-authored cluster-insertion pairs (rejects other kinds)."""
-    pairs = load_cf_pairs(path, originals)
-    wrong = [p.original.id for p in pairs if p.perturbation != "cluster_insertion"]
-    if wrong:
-        raise InputError(f"{path}: non-coreference perturbations for {wrong}")
     return pairs
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InputError
 from .metrics import normalize_answer
-from .text import capitalized_runs, tokenize, words
+from .text import capitalized_runs, split_words, words
 from .types import RCInstance
 
 SELECTION_STRATEGIES = ("token_overlap", "lcs", "position", "sentence_encoder")
@@ -160,19 +160,19 @@ def recognize_entities(text: str) -> list[tuple[int, int, str]]:
     """Sorted (char start, char end, label) entities: capitalized runs label
     as ENTITY, four-digit numbers in 1000..2999 as DATE, other digit-bearing
     tokens as CARDINAL."""
-    tokens = tokenize(text)
+    text_words, starts = split_words(text)
     entities: list[tuple[int, int, str]] = []
     in_run = set()
-    for lo, hi in capitalized_runs([tok.text for tok in tokens]):
-        entities.append((tokens[lo].char_start, tokens[hi].char_end, "ENTITY"))
+    for lo, hi in capitalized_runs(text_words):
+        entities.append((starts[lo], starts[hi] + len(text_words[hi]), "ENTITY"))
         in_run.update(range(lo, hi + 1))
-    for i, tok in enumerate(tokens):
+    for i, (word, start) in enumerate(zip(text_words, starts)):
         if i in in_run:
             continue
-        if tok.text.isdigit() and len(tok.text) == 4 and tok.text[0] in "12":
-            entities.append((tok.char_start, tok.char_end, "DATE"))
-        elif any(ch.isdigit() for ch in tok.text):
-            entities.append((tok.char_start, tok.char_end, "CARDINAL"))
+        if word.isdigit() and len(word) == 4 and word[0] in "12":
+            entities.append((start, start + len(word), "DATE"))
+        elif any(ch.isdigit() for ch in word):
+            entities.append((start, start + len(word), "CARDINAL"))
     entities.sort()
     return entities
 

@@ -17,7 +17,6 @@ import hashlib
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -103,9 +102,7 @@ def occlusion_saliency(gateway: ModelGateway, instance: RCInstance) -> SaliencyM
     )
 
 
-def ig_saliency(
-    gateway: ModelGateway, instance: RCInstance, config: SaliencyConfig | None = None
-) -> SaliencyMap:
+def ig_saliency(gateway: ModelGateway, instance: RCInstance, config: SaliencyConfig) -> SaliencyMap:
     """Integrated gradients from a mask-all baseline to the real input.
 
     Two gateway calls: the prediction that fixes the anchor, then
@@ -114,8 +111,6 @@ def ig_saliency(
     word's attribution vector is (E_k - B_k) times the path-averaged
     gradient row, then summarized to a scalar.
     """
-    if config is None:
-        config = SaliencyConfig(method="integrated_gradients")
     original = predict(gateway, instance)
     anchor = int(np.argmax(original.start_scores))
     m = config.ig_steps
@@ -189,9 +184,6 @@ class SaliencyCache:
 
     def __len__(self) -> int:
         return len(self._maps)
-
-    def maps(self) -> Iterable[SaliencyMap]:
-        return self._maps.values()
 
     def get_or_compute(
         self, gateway: ModelGateway, instance: RCInstance, config: SaliencyConfig

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from typing import Sequence
 
-from .types import Sentence, Token, token_view
+from .types import Sentence
 
 _TOKEN_RE = re.compile(r"\w+(?:'\w+)*|[^\w\s]", re.UNICODE)
 
@@ -24,11 +24,6 @@ def split_words(text: str) -> tuple[tuple[str, ...], tuple[int, ...]]:
     """The words of `text` and each word's start offset into it."""
     matches = list(_TOKEN_RE.finditer(text))
     return tuple([m.group() for m in matches]), tuple([m.start() for m in matches])
-
-
-def tokenize(text: str) -> tuple[Token, ...]:
-    """Tokenize text, keeping character offsets into the original string."""
-    return token_view(*split_words(text))
 
 
 def words(text: str) -> list[str]:

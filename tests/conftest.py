@@ -15,7 +15,7 @@ from rcaudit.corpus import (
     load_jsonl,
 )
 from rcaudit.corpus.schema import save_jsonl
-from rcaudit.counterfactuals import CFPair, load_manual_coref_cf, save_cf_pairs, validate_cf
+from rcaudit.counterfactuals import CFPair, load_cf_pairs, save_cf_pairs, validate_cf
 from rcaudit.data import coref_cf_pairs_path, fixture_corpus_path
 from rcaudit.partitions import build_skill_partition
 from rcaudit.text import find_token_run, make_sentence, split_words, words
@@ -98,7 +98,7 @@ def corpus_by_id(corpus):
 
 @pytest.fixture(scope="session")
 def manual_pairs(corpus):
-    return load_manual_coref_cf(coref_cf_pairs_path(), corpus)
+    return load_cf_pairs(coref_cf_pairs_path(), corpus)
 
 
 _ENGINEERED = [

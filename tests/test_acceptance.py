@@ -27,7 +27,7 @@ from rcaudit.corpus import load_jsonl
 from rcaudit.counterfactuals import (
     ANTONYM_TABLES,
     cf_accuracy,
-    load_manual_coref_cf,
+    load_cf_pairs,
     perturb_comparison,
     validate_cf,
 )
@@ -204,7 +204,7 @@ def test_07_counterfactual_round_trip_and_frequency_dummy(corpus, corpus_by_id):
             generated += 1
     assert generated == 20
 
-    pairs = load_manual_coref_cf(coref_cf_pairs_path(), corpus)
+    pairs = load_cf_pairs(coref_cf_pairs_path(), corpus)
     accuracy = cf_accuracy(build_gateway("frequency"), pairs)
     assert accuracy.both_correct == 0.0
     print(
@@ -248,7 +248,7 @@ def test_08_alignment_verdict_arithmetic(tmp_path):
     """Engineered audit scores exactly 2/3; aligned always implies both-correct."""
     fixture = make_engineered_alignment(tmp_path)
     instances = load_jsonl(fixture["corpus"])
-    pairs = load_manual_coref_cf(fixture["pairs"], instances)
+    pairs = load_cf_pairs(fixture["pairs"], instances)
     gateway = build_gateway(f"scripted:{fixture['script']}")
     report = audit_alignment(gateway, pairs, SaliencyConfig(method="occlusion"))
     assert report.score == 2 / 3

@@ -152,14 +152,33 @@ class TestAlign:
 
     def test_malformed_cf_record_exits_2(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.jsonl"
-        assert run("cf-generate", "--dataset", CORPUS, "--out", str(tmp_path / "cf")) == 0
-        docs = [json.loads(l) for l in (tmp_path / "cf" / "cf_pairs.jsonl").read_text().splitlines()]
-        docs[0]["replaced_operator"].append("sooner")
+        docs = [json.loads(l) for l in Path(CF_PAIRS).read_text().splitlines()]
+        docs[0]["perturbed_context"].append("Ira Boone sang it again.")  # a sentence must be an object
         pairs.write_text(json.dumps(docs[0]) + "\n")
         code = run("align", "--dataset", CORPUS, "--model", "toy:7",
                    "--cf-file", str(pairs), "--out", str(tmp_path / "out"))
         assert code == 2
         assert f"malformed record for {docs[0]['original_id']!r}" in capsys.readouterr().err
+
+    def test_cf_file_of_antonym_pairs_exits_2_before_any_gateway(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # cf-generate's own output holds antonym twins, which align makes
+        # from the corpus; a CF file holds only cluster insertions.
+        assert run("cf-generate", "--dataset", CORPUS, "--out", str(tmp_path / "cf")) == 0
+        pairs = tmp_path / "cf" / "cf_pairs.jsonl"
+        first_id = json.loads(pairs.read_text().splitlines()[0])["original_id"]
+        capsys.readouterr()
+
+        def refuse(spec):
+            raise AssertionError("a gateway was built")
+
+        monkeypatch.setattr(cli_module, "build_gateway", refuse)
+        code = run("align", "--dataset", CORPUS, "--model", "toy:7",
+                   "--cf-file", str(pairs), "--out", str(tmp_path / "out"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{pairs}: record for {first_id!r} has perturbation 'antonym_swap'" in err
 
     def test_bundled_audit_with_cache_reuse(self, tmp_path):
         out = tmp_path / "out"

@@ -30,7 +30,6 @@ from rcaudit.counterfactuals import OUT_OF_DISTRIBUTION_TABLE
 from rcaudit.data import fixture_corpus_path
 from rcaudit.errors import InputError
 from rcaudit.synthetic import make_synthetic_corpus
-from rcaudit.text import tokenize
 from rcaudit.types import SKILLS, RCInstance, validate_instance
 
 from conftest import DATA_DIR, build_instance, span_at
@@ -196,7 +195,7 @@ class TestWordsForm:
 
 class TestAdapters:
     def test_squad_like_anchors_by_char_hint(self):
-        desc = DatasetDescriptor("sq", str(DATA_DIR / "squad_like.json"), format="squad_like")
+        desc = DatasetDescriptor(str(DATA_DIR / "squad_like.json"), format="squad_like")
         result = load_dataset(desc)
         assert len(result.instances) == 1 and len(result.skipped) == 1
         inst = result.instances[0]
@@ -208,14 +207,14 @@ class TestAdapters:
         assert not inst.context[0].is_supporting_fact
 
     def test_squad_like_unanchorable_answer_reported(self):
-        desc = DatasetDescriptor("sq", str(DATA_DIR / "squad_like.json"), format="squad_like")
+        desc = DatasetDescriptor(str(DATA_DIR / "squad_like.json"), format="squad_like")
         result = load_dataset(desc)
         (skip,) = result.skipped
         assert skip.record_index == 1
         assert "Kenya" in skip.reason
 
     def test_quoref_like_builds_clusters(self):
-        desc = DatasetDescriptor("qr", str(DATA_DIR / "quoref_like.json"), format="quoref_like")
+        desc = DatasetDescriptor(str(DATA_DIR / "quoref_like.json"), format="quoref_like")
         result = load_dataset(desc)
         (inst,) = result.instances
         assert len(inst.coref_clusters) == 1
@@ -223,7 +222,7 @@ class TestAdapters:
         assert mentions == ["Barack Obama", "He"]
 
     def test_hotpot_like_supporting_facts_and_titles(self):
-        desc = DatasetDescriptor("hp", str(DATA_DIR / "hotpot_like.json"), format="hotpot_like")
+        desc = DatasetDescriptor(str(DATA_DIR / "hotpot_like.json"), format="hotpot_like")
         result = load_dataset(desc)
         (inst,) = result.instances
         assert inst.id == "hp-1"
@@ -238,7 +237,7 @@ class TestAdapters:
         assert gold.text == "The Mask Of Fu Manchu" and gold.sentence_index == 2
 
     def test_wiki2hop_like_marks_answer_sentence(self):
-        desc = DatasetDescriptor("wh", str(DATA_DIR / "wiki2hop_like.json"), format="wiki2hop_like")
+        desc = DatasetDescriptor(str(DATA_DIR / "wiki2hop_like.json"), format="wiki2hop_like")
         result = load_dataset(desc)
         (inst,) = result.instances
         assert len(inst.context) == 3  # first support splits into two sentences
@@ -250,7 +249,7 @@ class TestAdapters:
         doc = {"data": [{"paragraphs": [{"context": "A thing.", "qas": [{"id": "x", "question": "Q?"}]}]}]}
         path = tmp_path / "broken.json"
         path.write_text(json.dumps(doc))
-        desc = DatasetDescriptor("b", str(path), format="squad_like")
+        desc = DatasetDescriptor(str(path), format="squad_like")
         with pytest.raises(InputError, match="record 0"):
             load_dataset(desc)
 
@@ -259,19 +258,19 @@ class TestAdapters:
         records.append(dict(records[0], _id="hp-2", question="   "))
         path = tmp_path / "blank.json"
         path.write_text(json.dumps(records))
-        desc = DatasetDescriptor("b", str(path), format="hotpot_like")
+        desc = DatasetDescriptor(str(path), format="hotpot_like")
         with pytest.raises(InputError) as caught:
             load_dataset(desc)
         assert str(caught.value) == f"{path}: malformed record 1: empty question"
 
     def test_missing_file_is_input_error(self):
-        desc = DatasetDescriptor("m", "/definitely/not/here.json")
+        desc = DatasetDescriptor("/definitely/not/here.json")
         with pytest.raises(InputError, match="not found"):
             load_dataset(desc)
 
     def test_unknown_format_rejected(self):
         with pytest.raises(InputError):
-            DatasetDescriptor("x", "x.json", format="csv")
+            DatasetDescriptor("x.json", format="csv")
 
 
 class TestContextModes:
@@ -318,7 +317,7 @@ class TestContextModes:
         )
         path = tmp_path / "uni.jsonl"
         save_jsonl([inst], path)
-        desc = DatasetDescriptor("u", str(path), context_mode="supporting_facts")
+        desc = DatasetDescriptor(str(path), context_mode="supporting_facts")
         result = load_dataset(desc)
         assert len(result.instances) == 0 and len(result.skipped) == 1
         assert result.skipped[0].instance_id == "r-3"
@@ -345,7 +344,7 @@ class TestContextModes:
         from rcaudit.data import fixture_corpus_path
 
         for mode in ("paragraphs", "supporting_facts"):
-            desc = DatasetDescriptor("fx", str(fixture_corpus_path()), context_mode=mode)
+            desc = DatasetDescriptor(str(fixture_corpus_path()), context_mode=mode)
             result = load_dataset(desc)
             assert len(result.instances) == 20 and len(result.skipped) == 0
 
@@ -366,7 +365,7 @@ def count_validations(monkeypatch) -> list[RCInstance]:
 class TestValidatedOnce:
     def test_each_unified_record_is_validated_once(self, monkeypatch, corpus):
         seen = count_validations(monkeypatch)
-        desc = DatasetDescriptor("fx", str(fixture_corpus_path()))
+        desc = DatasetDescriptor(str(fixture_corpus_path()))
         result = load_dataset(desc)
         assert len(result.instances) == len(corpus) == 20
         assert [inst.id for inst in seen] == [inst.id for inst in corpus]
@@ -382,7 +381,7 @@ class TestValidatedOnce:
         path = tmp_path / "uni.jsonl"
         save_jsonl([inst], path)
         seen = count_validations(monkeypatch)
-        result = load_dataset(DatasetDescriptor("u", str(path), context_mode="supporting_facts"))
+        result = load_dataset(DatasetDescriptor(str(path), context_mode="supporting_facts"))
         (reduced,) = result.instances
         assert len(reduced.context) == 1
         assert [i.id for i in seen] == ["r-5", "r-5"]
@@ -393,7 +392,7 @@ class TestValidatedOnce:
         path = tmp_path / "uni.jsonl"
         save_jsonl([inst], path)
         seen = count_validations(monkeypatch)
-        result = load_dataset(DatasetDescriptor("u", str(path), context_mode="supporting_facts"))
+        result = load_dataset(DatasetDescriptor(str(path), context_mode="supporting_facts"))
         assert len(result.instances) == 1 and len(seen) == 1
 
     def test_a_bad_adapter_record_is_skipped(self, monkeypatch, tmp_path):
@@ -406,7 +405,7 @@ class TestValidatedOnce:
         path = tmp_path / "native.json"
         path.write_text("[]")
         seen = count_validations(monkeypatch)
-        result = load_dataset(DatasetDescriptor("h", str(path), format="hotpot_like"))
+        result = load_dataset(DatasetDescriptor(str(path), format="hotpot_like"))
         assert result.instances == [good]
         (skip,) = result.skipped
         assert (skip.record_index, skip.instance_id) == (0, "a-0")

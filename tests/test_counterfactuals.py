@@ -16,7 +16,6 @@ from rcaudit.counterfactuals import (
     build_antonym_twin,
     cf_accuracy,
     load_cf_pairs,
-    load_manual_coref_cf,
     perturb_comparison,
     plan_antonym_swap,
     save_cf_pairs,
@@ -109,16 +108,14 @@ class TestAntonymSwap:
             checked += 1
         assert checked == 10
 
-    def test_replacement_selection(self, corpus_by_id):
-        inst = corpus_by_id["cmp-05"]  # "older" has four candidates in the OOD table
-        assert perturb_comparison(inst, OOD).replaced_operator[1] == OOD.entries["older"][0]
-        fixed = perturb_comparison(inst, OOD, replacement_index=2)
-        assert fixed.replaced_operator[1] == OOD.entries["older"][2]
-        assert fixed.replaced_operator[1] == perturb_comparison(
-            inst, OOD, replacement_index=2
-        ).replaced_operator[1]
-        with pytest.raises(InputError, match="out of range"):
-            perturb_comparison(inst, OOD, replacement_index=99)
+    def test_twin_takes_the_tables_first_candidate(self, corpus):
+        # "older" and "younger" have four candidates in the OOD table
+        for inst in corpus:
+            if inst.skill != "comparison":
+                continue
+            for table in (IN_DIST, OOD):
+                old, new = perturb_comparison(inst, table).replaced_operator
+                assert new == table.entries[old.casefold()][0]
 
     def test_rejects_non_comparison_instances(self, corpus_by_id):
         with pytest.raises(InputError, match="comparison"):
@@ -277,25 +274,10 @@ class TestFileRoundTrip:
         save_cf_pairs(pairs, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
-    def test_antonym_pairs_round_trip(self, tmp_path, corpus):
-        comparisons = [inst for inst in corpus if inst.skill == "comparison"]
-        pairs = [perturb_comparison(inst, IN_DIST) for inst in comparisons]
-        path = tmp_path / "pairs.jsonl"
-        save_cf_pairs(pairs, path)
-        loaded = load_cf_pairs(path, corpus)
-        assert len(loaded) == len(pairs)
-        for before, after in zip(pairs, loaded):
-            assert after.original is not None
-            assert after.perturbed.question_text == before.perturbed.question_text
-            assert after.perturbed.gold_answers == before.perturbed.gold_answers
-            assert after.perturbed.annotations == before.perturbed.annotations
-            assert after.replaced_operator == before.replaced_operator
-            assert after.distribution_tag == "in_distribution"
-
     def test_cluster_pairs_round_trip(self, tmp_path, corpus, manual_pairs):
         path = tmp_path / "coref.jsonl"
         save_cf_pairs(manual_pairs, path)
-        loaded = load_manual_coref_cf(path, corpus)
+        loaded = load_cf_pairs(path, corpus)
         assert len(loaded) == len(manual_pairs)
         for before, after in zip(manual_pairs, loaded):
             assert [s.text for s in after.perturbed.context] == [
@@ -313,6 +295,9 @@ class TestFileRoundTrip:
         path.write_text(text)
         with pytest.raises(InputError, match="unknown original"):
             load_cf_pairs(path, corpus)
+        path.write_text(text.replace('"cor-99"', '["cor-01"]'))  # not hashable
+        with pytest.raises(InputError, match=r"unknown original instance \['cor-01'\]"):
+            load_cf_pairs(path, corpus)
 
     def test_load_rejects_invalid_pairs(self, tmp_path, corpus, manual_pairs):
         path = tmp_path / "coref.jsonl"
@@ -327,28 +312,37 @@ class TestFileRoundTrip:
 
     def test_load_reports_malformed_records_and_bad_json(self, tmp_path, corpus):
         path = tmp_path / "broken.jsonl"
-        path.write_text('{"original_id": "cmp-01", "perturbation": "antonym_swap"}\n')
-        with pytest.raises(InputError, match="malformed record"):
+        path.write_text('{"original_id": "cor-01", "perturbation": "cluster_insertion"}\n')
+        with pytest.raises(InputError, match=f"{path}: malformed record for 'cor-01'"):
             load_cf_pairs(path, corpus)
         path.write_text("{nope\n")
         with pytest.raises(InputError, match="bad JSON on line 1"):
             load_cf_pairs(path, corpus)
-
-    def test_load_reports_a_three_item_operator_as_malformed(self, tmp_path, corpus_by_id, corpus):
-        path = tmp_path / "pairs.jsonl"
-        save_cf_pairs([perturb_comparison(corpus_by_id["cmp-01"], IN_DIST)], path)
-        doc = json.loads(path.read_text())
-        doc["replaced_operator"].append("sooner")
-        path.write_text(json.dumps(doc) + "\n")
-        with pytest.raises(InputError, match=f"{path}: malformed record for 'cmp-01'"):
+        path.write_text("\n[1, 2]\n")
+        with pytest.raises(InputError, match=f"{path}: line 2 is not a JSON object"):
             load_cf_pairs(path, corpus)
 
-    def test_manual_loader_rejects_antonym_records(self, tmp_path, corpus_by_id, corpus):
+    def test_manual_loader_rejects_antonym_records(
+        self, tmp_path, corpus_by_id, corpus, manual_pairs
+    ):
         pair = perturb_comparison(corpus_by_id["cmp-01"], IN_DIST)
         path = tmp_path / "mixed.jsonl"
-        save_cf_pairs([pair], path)
-        with pytest.raises(InputError, match="non-coreference"):
-            load_manual_coref_cf(path, corpus)
+        save_cf_pairs(manual_pairs[:1] + [pair], path)
+        with pytest.raises(InputError) as refused:
+            load_cf_pairs(path, corpus)
+        assert str(refused.value) == (
+            f"{path}: record for 'cmp-01' has perturbation 'antonym_swap';"
+            " a CF file holds only cluster_insertion pairs"
+        )
+
+    def test_load_refuses_records_of_no_known_perturbation(self, tmp_path, corpus):
+        path = tmp_path / "odd.jsonl"
+        for doc in ({"original_id": "cor-01", "perturbation": "paraphrase"},
+                    {"original_id": "cor-99"}):
+            path.write_text(json.dumps(doc) + "\n")
+            refusal = f"record for {doc['original_id']!r} has perturbation"
+            with pytest.raises(InputError, match=refusal):
+                load_cf_pairs(path, corpus)
 
 
 class TestBundledClusterPairs:

@@ -140,6 +140,14 @@ class TestRuleBasedNER:
         assert out["123"] == "CARDINAL"
         assert labels("Karl Voss arrived.")["Karl Voss"] == "ENTITY"
 
+    def test_char_ranges_follow_irregular_spacing(self):
+        # a run spans the gaps between its words; a word ends at start + len
+        text = "  Ana  Reyes\tsaw 12 o'clock ships in\n1999."
+        assert recognize_entities(text) == [
+            (2, 12, "ENTITY"), (17, 19, "CARDINAL"), (37, 41, "DATE"),
+        ]
+        assert text[2:12] == "Ana  Reyes"
+
 
 class TestExtractPhrase:
     def test_prefers_the_requested_type(self):

@@ -354,28 +354,24 @@ class TestCache:
     def test_file_round_trip_is_bit_identical(self, tmp_path, corpus):
         gateway = build_gateway("toy:7")
         cache = SaliencyCache()
+        configs = (
+            SaliencyConfig(method="occlusion"),
+            SaliencyConfig(method="integrated_gradients", ig_steps=4),
+        )
         for inst in corpus[:3]:
-            cache.get_or_compute(gateway, inst, SaliencyConfig(method="occlusion"))
-            cache.get_or_compute(
-                gateway, inst, SaliencyConfig(method="integrated_gradients", ig_steps=4)
-            )
+            for config in configs:
+                cache.get_or_compute(gateway, inst, config)
         first = tmp_path / "cache.jsonl"
         cache.save(first)
         loaded = SaliencyCache.load(first)
-        assert len(loaded) == len(cache)
-        by_id = {inst.id: inst for inst in corpus[:3]}
-        for saliency in cache.maps():
-            again = loaded.get(
-                saliency.model_id,
-                SaliencyConfig(
-                    method=saliency.method,
-                    ig_steps=4 if saliency.method == "integrated_gradients" else 50,
-                ),
-                by_id[saliency.instance_id],
-            )
-            assert again is not None
-            assert again.scores == saliency.scores  # exact float round trip
-            assert again.anchor_position == saliency.anchor_position
+        assert len(loaded) == len(cache) == 6
+        for inst in corpus[:3]:
+            for config in configs:
+                saliency = cache.get("toy:7", config, inst)
+                again = loaded.get("toy:7", config, inst)
+                assert again is not None
+                assert again.scores == saliency.scores  # exact float round trip
+                assert again.anchor_position == saliency.anchor_position
         second = tmp_path / "cache2.jsonl"
         loaded.save(second)
         assert first.read_bytes() == second.read_bytes()

@@ -118,11 +118,22 @@ def test_package_has_no_unread_private_names():
     assert not found, sorted(found)
 
 
-def defaulted_parameters(source: str) -> list[tuple[int, str, str, str, int | None]]:
+# The value of an argument that is not a literal, e.g. a name or a call.
+_NOT_LITERAL = object()
+
+
+def _literal(node: ast.expr):
+    try:
+        return ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError):
+        return _NOT_LITERAL
+
+
+def defaulted_parameters(source: str) -> list[tuple[int, str, str, str, int | None, object]]:
     """(line, qualified name, callee name, parameter, positional index or
-    None) for each defaulted parameter of a public top-level function or a
-    public method of a public class. A constructor is called by its class
-    name; nested closures are not scanned."""
+    None, default's literal value) for each defaulted parameter of a public
+    top-level function or a public method of a public class. A constructor
+    is called by its class name; nested closures are not scanned."""
     found = []
 
     def scan(fn, qualname: str, callee: str, is_method: bool) -> None:
@@ -133,11 +144,11 @@ def defaulted_parameters(source: str) -> list[tuple[int, str, str, str, int | No
         ):
             positional = positional[1:]
         first = len(positional) - len(args.defaults)
-        for index, arg in enumerate(positional[first:], start=first):
-            found.append((fn.lineno, qualname, callee, arg.arg, index))
+        for index, (arg, default) in enumerate(zip(positional[first:], args.defaults), start=first):
+            found.append((fn.lineno, qualname, callee, arg.arg, index, _literal(default)))
         for arg, default in zip(args.kwonlyargs, args.kw_defaults):
             if default is not None:
-                found.append((fn.lineno, qualname, callee, arg.arg, None))
+                found.append((fn.lineno, qualname, callee, arg.arg, None, _literal(default)))
 
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in ast.parse(source).body:
@@ -154,11 +165,14 @@ def defaulted_parameters(source: str) -> list[tuple[int, str, str, str, int | No
     return found
 
 
-def parameters_set(sources: list[str]) -> dict[str, tuple[float, set[str]]]:
-    """Callee name -> (most positional arguments any call passes, keywords
-    passed). A call that unpacks `*args` or `**kwargs` may set any
-    positional or keyword parameter."""
-    calls: dict[str, tuple[float, set[str]]] = {}
+Call = tuple[list | None, dict[str | None, object]]
+
+
+def parameters_set(sources: list[str]) -> dict[str, list[Call]]:
+    """Callee name -> one (positional values, keyword values) pair per call,
+    each value a literal or `_NOT_LITERAL`. Positional values are None when
+    the call unpacks `*args`; a `**kwargs` unpacking is keyword None."""
+    calls: dict[str, list[Call]] = {}
     for source in sources:
         for node in ast.walk(ast.parse(source)):
             if not isinstance(node, ast.Call):
@@ -169,27 +183,42 @@ def parameters_set(sources: list[str]) -> dict[str, tuple[float, set[str]]]:
                 name = node.func.attr
             else:
                 continue
-            most, keywords = calls.get(name, (0, set()))
-            n_args = len(node.args)
+            positional = [_literal(a) for a in node.args]
             if any(isinstance(a, ast.Starred) for a in node.args):
-                n_args = float("inf")
-            keywords = keywords | {k.arg for k in node.keywords}
-            calls[name] = (max(most, n_args), keywords)
+                positional = None
+            keywords = {k.arg: _literal(k.value) for k in node.keywords}
+            calls.setdefault(name, []).append((positional, keywords))
     return calls
 
 
-def unset_knobs(source: str, calls: dict[str, tuple[float, set[str]]]) -> list[tuple[int, str, str]]:
+def _sets(call: Call, param: str, index: int | None, default) -> bool:
+    """Whether `call` may pass `param` a value other than its literal default."""
+    positional, keywords = call
+    if None in keywords:
+        return True
+    if param in keywords:
+        value = keywords[param]
+    elif index is None:
+        return False
+    elif positional is None:
+        return True
+    elif index < len(positional):
+        value = positional[index]
+    else:
+        return False
+    same = value is not _NOT_LITERAL and type(value) is type(default) and value == default
+    return not same
+
+
+def unset_knobs(source: str, calls: dict[str, list[Call]]) -> list[tuple[int, str, str]]:
     """(line, qualified name, parameter) for each defaulted parameter in
-    `source` that no call in `calls` sets by keyword or by position."""
-    unset = []
-    for line, qualname, callee, param, index in defaulted_parameters(source):
-        most, keywords = calls.get(callee, (0, set()))
-        if param in keywords or None in keywords:
-            continue
-        if index is not None and most > index:
-            continue
-        unset.append((line, qualname, param))
-    return unset
+    `source` that no call in `calls` sets, by keyword or by position, to
+    anything but a literal equal to its literal default."""
+    return [
+        (line, qualname, param)
+        for line, qualname, callee, param, index, default in defaulted_parameters(source)
+        if not any(_sets(call, param, index, default) for call in calls.get(callee, ()))
+    ]
 
 
 def test_knob_detector_flags_only_unset_defaults():
@@ -214,13 +243,18 @@ def test_knob_detector_flags_only_unset_defaults():
         "        pass\n"
         "def send(x, retries=0):\n"
         "    pass\n"
+        "def pick(x, index=0, flag=False, *, mode=None, log=None):\n"
+        "    pass\n"
     )
     callers = [
         "run(0, 5)\nrun(0, d=6)\nBox(3)\nBox(tag='x').grow()\n",
         "Box.make('b')\nbox.unpack(*pair)\nsend(1, **options)\n",
+        # passing a literal equal to the default does not set a parameter
+        "pick(1, 0, True)\npick(2, index=0, mode=None, log=sys.stderr)\n",
     ]
     assert unset_knobs(package, parameters_set(callers)) == [
         (1, "run", "c"), (10, "Box.grow", "by"), (13, "Box.make", "n"),
+        (21, "pick", "index"), (21, "pick", "mode"),
     ]
 
 

@@ -30,7 +30,7 @@ from rcaudit.counterfactuals import (
     ANTONYM_TABLES,
     CFPair,
     cf_accuracy,
-    load_manual_coref_cf,
+    load_cf_pairs,
     perturb_comparison,
     save_cf_pairs,
     validate_cf,
@@ -329,9 +329,7 @@ def check_comparison_cfs(instances) -> None:
         op = " ".join(inst.question_words[i] for i in sorted(inst.annotations.comparison_operator))
         if op.casefold() in {"earlier", "later", "older", "younger"}:
             once = perturb_comparison(inst)
-            twice = perturb_comparison(
-                replace(once.perturbed, id=inst.id), replacement_index=0
-            )
+            twice = perturb_comparison(replace(once.perturbed, id=inst.id))
             assert twice.perturbed.question_text == inst.question_text, inst.id
             assert twice.perturbed.question_words == inst.question_words
 
@@ -353,7 +351,7 @@ def main() -> None:
     reloaded = load_jsonl(corpus_path)
     assert reloaded == instances, "corpus round trip drifted"
     by_id = {inst.id: inst for inst in reloaded}
-    loaded_pairs = load_manual_coref_cf(pairs_path, reloaded)
+    loaded_pairs = load_cf_pairs(pairs_path, reloaded)
     check_expected_partitions(by_id)
     check_cf_pairs(reloaded, loaded_pairs)
     check_comparison_cfs(reloaded)
