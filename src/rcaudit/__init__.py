@@ -4,40 +4,9 @@ The toolkit evaluates extractive QA models beyond answer accuracy: it
 checks whether predictions survive meaning-inverting question edits and
 whether saliency attributions concentrate on the tokens a human-expected
 reasoning process would use (comparison operators, coreference clusters).
+
+The package imports none of its modules: import each name from the module
+that defines it, so a process loads only what it uses.
 """
 
-from __future__ import annotations
-
-from .errors import AnchorError, AuditError, CapabilityError, GatewayError, InputError
-from .metrics import evaluate_dataset, exact_match, normalize_answer, token_f1
-from .types import (
-    AnswerSpan,
-    EvalResult,
-    QuestionAnnotations,
-    RCInstance,
-    Sentence,
-    Token,
-    validate_instance,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnchorError",
-    "AnswerSpan",
-    "AuditError",
-    "CapabilityError",
-    "EvalResult",
-    "GatewayError",
-    "InputError",
-    "QuestionAnnotations",
-    "RCInstance",
-    "Sentence",
-    "Token",
-    "evaluate_dataset",
-    "exact_match",
-    "normalize_answer",
-    "token_f1",
-    "validate_instance",
-    "__version__",
-]

@@ -26,7 +26,7 @@ from .alignment import (
     record_to_dict,
     screen_partition,
 )
-from .corpus import DatasetDescriptor, LoadResult, load_dataset
+from .corpus.loader import DatasetDescriptor, LoadResult, load_dataset
 from .counterfactuals import (
     ANTONYM_TABLES,
     AntonymTable,
@@ -37,7 +37,8 @@ from .counterfactuals import (
     save_cf_pairs,
 )
 from .errors import AuditError, CapabilityError, InputError
-from .gateway import build_gateway, predict
+from .gateway import build_gateway
+from .gateway.base import predict
 from .heuristic import SELECTION_STRATEGIES, heuristic_answer
 from .metrics import evaluate_dataset, exact_match, token_f1
 from .partitions import TokenPartition

@@ -148,7 +148,7 @@ def instance_from_dict(doc: dict) -> RCInstance:
             relevant_cluster=ann_doc.get("relevant_cluster"),
             unannotatable=bool(ann_doc.get("unannotatable", False)),
         )
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:  # AttributeError: not an object
         raise InputError(f"malformed instance record: {exc}") from exc
 
 

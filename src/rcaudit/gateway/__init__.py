@@ -1,22 +1,14 @@
-"""Model gateways: the contract, reference implementations, remote client."""
+"""Model gateways: the contract (`base`), the toy reference model (`toy`),
+the oracle and frequency baselines (`baselines`), scripted replies
+(`scripted`), and the wire protocol's server (`remote`) and client
+(`remote_client`). Import names from those modules; this package defines
+only `build_gateway`, which imports a gateway's module when its spec asks
+for it (the toy model, the default, is imported with the package)."""
 
 from __future__ import annotations
 
 from ..errors import InputError
-from .base import (
-    DEFAULT_MAX_ANSWER_LEN,
-    ModelGateway,
-    ModelOutput,
-    answer_span,
-    check_output,
-    decode_span,
-    integrated_gradients,
-    masked_start_scores,
-    predict,
-    span_text,
-)
-from .baselines import FrequencyBaselineModel, GoldOracleModel
-from .scripted import ScriptedModel
+from .base import ModelGateway
 from .toy import DEFAULT_EMBEDDING_DIM, ReferenceToyModel
 
 
@@ -36,36 +28,23 @@ def build_gateway(spec: str) -> ModelGateway:
             raise InputError(f"bad toy model spec {spec!r} (want toy:<seed>)") from None
         return ReferenceToyModel(seed=seed, embedding_dim=dim)
     if kind == "remote":
-        from .remote import RemoteGateway
+        from .remote_client import RemoteGateway
 
         if not rest:
             raise InputError("remote gateway spec needs an endpoint")
         return RemoteGateway(rest)
     if kind == "scripted":
+        from .scripted import ScriptedModel
+
         if not rest:
             raise InputError("scripted gateway spec needs a file path")
         return ScriptedModel(rest)
     if spec == "oracle":
+        from .baselines import GoldOracleModel
+
         return GoldOracleModel()
     if spec == "frequency":
+        from .baselines import FrequencyBaselineModel
+
         return FrequencyBaselineModel()
     raise InputError(f"unknown model spec {spec!r}")
-
-
-__all__ = [
-    "DEFAULT_MAX_ANSWER_LEN",
-    "FrequencyBaselineModel",
-    "GoldOracleModel",
-    "ModelGateway",
-    "ModelOutput",
-    "ReferenceToyModel",
-    "ScriptedModel",
-    "answer_span",
-    "build_gateway",
-    "check_output",
-    "decode_span",
-    "integrated_gradients",
-    "masked_start_scores",
-    "predict",
-    "span_text",
-]

@@ -5,9 +5,12 @@ Serving side wraps any in-process gateway:
     python3 -m rcaudit.gateway.remote --model toy:7            # stdio
     python3 -m rcaudit.gateway.remote --model toy:7 --tcp 5123 # localhost TCP
 
-Client side, RemoteGateway, speaks the same protocol and satisfies the
-ModelGateway contract, so a fine-tuned encoder hosted in another process
-(or another runtime entirely) plugs into every audit unchanged.
+The client side, `remote_client.RemoteGateway`, speaks the same protocol
+and satisfies the ModelGateway contract, so a fine-tuned encoder hosted in
+another process (or another runtime entirely) plugs into every audit
+unchanged. This module holds the server and the array codec both sides
+use; it imports nothing only the client needs, so a server starts with no
+more than the model it serves.
 
 Requests are one JSON object per line:
 
@@ -40,40 +43,23 @@ import base64
 import binascii
 import json
 import math
-import os
-import select
-import shlex
-import socket
-import subprocess
 import sys
-import tempfile
-import threading
 from typing import IO
 
 import numpy as np
 
-from ..corpus.schema import instance_from_dict, instance_to_dict, span_to_dict
+from ..corpus.schema import instance_from_dict, span_to_dict
 from ..errors import CapabilityError, GatewayError, InputError
-from ..types import AnswerSpan, RCInstance
-from .base import ModelGateway, ModelOutput
+from .base import ModelGateway
 
-_ERROR_KINDS = {
+# The error kinds a reply may carry, and the exception each one raises.
+ERROR_KINDS = {
     "input": InputError,
     "capability": CapabilityError,
     "gateway": GatewayError,
 }
-# Lines of the stdio server's stderr quoted when its connection breaks.
-_STDERR_TAIL_LINES = 10
-_STDERR_TAIL_BYTES = 4096
-# Seconds the client waits to connect over TCP, and for its server to
-# take or send the next bytes of a request or reply over either transport;
-# steps times that for an integrated_gradients reply (one pass per step),
-# up to the longest wait select accepts.
-_TIMEOUT_S = 60
-# Bytes asked for per read of a reply.
-_READ_BYTES = 1 << 16
 # Reply fields of integrated_gradients, in the order the contract returns them.
-_IG_FIELDS = ("embeddings", "baseline", "grads")
+IG_FIELDS = ("embeddings", "baseline", "grads")
 _INSTANCE_OPS = ("predict", "masked_start_scores", "integrated_gradients")
 
 
@@ -100,9 +86,29 @@ def decode_array(payload) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(float)
 
 
+def _field(request: dict, name: str):
+    """request[name]; a missing field is an InputError (a KeyError raised
+    inside the gateway stays a gateway error)."""
+    try:
+        return request[name]
+    except KeyError:
+        raise InputError(f"missing request field {name!r}") from None
+
+
+def _int_field(request: dict, name: str, low: int, stop: float) -> int:
+    """request[name], which must be an integer in [low, stop); anything
+    else (a float, a string, a bool) is an InputError."""
+    value = _field(request, name)
+    if type(value) is not int or not low <= value < stop:
+        raise InputError(f"{name} must be an integer in [{low}, {stop}), got {value!r}")
+    return value
+
+
 def handle_request(gateway: ModelGateway, request: dict) -> dict:
     """Serve one protocol request against an in-process gateway."""
     try:
+        if not isinstance(request, dict):
+            raise InputError(f"request is a {type(request).__name__}, not an object")
         op = request.get("op")
         if op == "info":
             result = {
@@ -111,7 +117,7 @@ def handle_request(gateway: ModelGateway, request: dict) -> dict:
                 "max_answer_len": gateway.max_answer_len,
             }
         elif op in _INSTANCE_OPS:
-            instance = instance_from_dict(request["instance"])
+            instance = instance_from_dict(_field(request, "instance"))
             if op == "predict":
                 output = gateway.predict(instance)
                 result = {
@@ -122,16 +128,14 @@ def handle_request(gateway: ModelGateway, request: dict) -> dict:
             elif op == "masked_start_scores":
                 result = {"scores": encode_array(gateway.masked_start_scores(instance))}
             else:
-                arrays = gateway.integrated_gradients(
-                    instance, int(request["steps"]), int(request["target"])
-                )
-                result = dict(zip(_IG_FIELDS, map(encode_array, arrays)))
+                steps = _int_field(request, "steps", 1, math.inf)
+                target = _int_field(request, "target", 0, instance.n_context)
+                arrays = gateway.integrated_gradients(instance, steps, target)
+                result = dict(zip(IG_FIELDS, map(encode_array, arrays)))
         else:
             raise InputError(f"unknown op {op!r}")
-    except KeyError as exc:
-        return {"ok": False, "error": f"missing request field {exc}", "kind": "input"}
     except Exception as exc:
-        kind = next((k for k, cls in _ERROR_KINDS.items() if isinstance(exc, cls)), "gateway")
+        kind = next((k for k, cls in ERROR_KINDS.items() if isinstance(exc, cls)), "gateway")
         return {"ok": False, "error": str(exc), "kind": kind}
     return {"ok": True, "result": result}
 
@@ -153,6 +157,8 @@ def serve_stream(gateway: ModelGateway, rfile: IO[str], wfile: IO[str]) -> None:
 
 
 def serve_tcp(gateway: ModelGateway, port: int, host: str = "127.0.0.1") -> None:
+    import socket  # only a TCP server needs it
+
     with socket.create_server((host, port)) as server:
         print(f"serving {gateway.model_id} on {host}:{server.getsockname()[1]}", file=sys.stderr)
         while True:
@@ -161,229 +167,6 @@ def serve_tcp(gateway: ModelGateway, port: int, host: str = "127.0.0.1") -> None
                 "w", encoding="utf-8"
             ) as wfile:
                 serve_stream(gateway, rfile, wfile)
-
-
-class RemoteGateway(ModelGateway):
-    """Client half of the protocol; satisfies ModelGateway over a wire.
-
-    Endpoints: "tcp://host:port" connects a socket; anything else is run
-    as a subprocess command line speaking the protocol on stdio, with its
-    stderr kept in a temporary file and quoted when the connection breaks.
-    A server that takes or sends no bytes for _TIMEOUT_S (see there) raises
-    a GatewayError instead of blocking the audit.
-    """
-
-    def __init__(self, endpoint: str) -> None:
-        self.endpoint = endpoint
-        self._proc: subprocess.Popen | None = None
-        self._sock: socket.socket | None = None
-        self._stderr: IO[bytes] | None = None
-        if endpoint.startswith("tcp://"):
-            host, _, port = endpoint[len("tcp://") :].partition(":")
-            if not port.isdigit():
-                raise InputError(f"bad tcp endpoint {endpoint!r} (want tcp://host:port)")
-            try:
-                self._sock = socket.create_connection((host, int(port)), timeout=_TIMEOUT_S)
-            except OSError as exc:
-                raise GatewayError(f"cannot connect to {endpoint}: {exc}") from exc
-            self._rfile = self._wfile = self._sock
-        else:
-            argv = shlex.split(endpoint)
-            if not argv:
-                raise InputError("empty remote endpoint")
-            self._stderr = tempfile.TemporaryFile()
-            try:
-                self._proc = subprocess.Popen(
-                    argv,
-                    stdin=subprocess.PIPE,
-                    stdout=subprocess.PIPE,
-                    stderr=self._stderr,
-                )
-            except OSError as exc:
-                self._stderr.close()
-                raise GatewayError(f"cannot start remote gateway {endpoint!r}: {exc}") from exc
-            self._rfile = self._proc.stdout
-            self._wfile = self._proc.stdin
-            # Writes return once the pipe is full, so a server that stops
-            # reading cannot block a request past the timeout.
-            os.set_blocking(self._wfile.fileno(), False)
-        # Bytes of the stream read past the end of the last reply line.
-        self._pending = b""
-        try:
-            info = self._request({"op": "info"})
-            self._model_id = self._field(info, "model_id", str)
-            self._baseline_token = self._field(info, "baseline_token", str, "[MASK]")
-            self.max_answer_len = self._field(info, "max_answer_len", int, self.max_answer_len)
-        except BaseException:
-            self.close()
-            raise
-
-    @property
-    def model_id(self) -> str:
-        return self._model_id
-
-    @property
-    def baseline_token(self) -> str:
-        return self._baseline_token
-
-    def _stderr_tail(self) -> str:
-        """The last lines the stdio server wrote to stderr ("" for TCP)."""
-        if self._stderr is None or self._stderr.closed:
-            return ""
-        try:
-            # It closed its end, so it is usually exiting: let it finish writing.
-            self._proc.wait(timeout=1)
-        except subprocess.TimeoutExpired:
-            pass
-        fd = self._stderr.fileno()
-        size = os.fstat(fd).st_size
-        # pread leaves the offset the server's writes share untouched.
-        offset = max(0, size - _STDERR_TAIL_BYTES)
-        data = os.pread(fd, size - offset, offset)
-        lines = data.decode("utf-8", "replace").splitlines()
-        return "\n".join(lines[-_STDERR_TAIL_LINES:])
-
-    def _broken(self, what: str) -> GatewayError:
-        message = f"remote gateway {self.endpoint!r} {what}"
-        tail = self._stderr_tail()
-        if tail:
-            message += f"; its stderr ends with:\n{tail}"
-        return GatewayError(message)
-
-    def _wait(self, stream, write: bool, timeout_s: float) -> None:
-        """Block until `stream` can be written or read. After `timeout_s`
-        of silence the connection is closed (a stdio server is killed and
-        reaped) and a GatewayError names the endpoint."""
-        fds = [stream.fileno()]
-        if write:
-            ready = select.select([], fds, [], timeout_s)[1]
-        else:
-            ready = select.select(fds, [], [], timeout_s)[0]
-        if not ready:
-            if self._proc is not None:
-                self._proc.kill()
-            error = self._broken(f"did not answer within {timeout_s} s")
-            self.close()
-            raise error
-
-    def _send(self, data: bytes) -> None:
-        view = memoryview(data)
-        while True:
-            try:
-                view = view[os.write(self._wfile.fileno(), view) :]
-            except BlockingIOError:
-                pass
-            if not view:
-                return
-            self._wait(self._wfile, write=True, timeout_s=_TIMEOUT_S)
-
-    def _receive_line(self, timeout_s: float) -> bytes:
-        """The next line from the server, or b"" if it closes before one ends."""
-        chunks = [self._pending]
-        while (newline := chunks[-1].find(b"\n")) < 0:
-            self._wait(self._rfile, write=False, timeout_s=timeout_s)
-            chunk = os.read(self._rfile.fileno(), _READ_BYTES)
-            if not chunk:
-                return b""
-            chunks.append(chunk)
-        self._pending = chunks[-1][newline + 1 :]
-        chunks[-1] = chunks[-1][: newline + 1]
-        return b"".join(chunks)
-
-    def _request(self, request: dict, passes: int = 1) -> dict:
-        try:
-            self._send((json.dumps(request) + "\n").encode("utf-8"))
-            line = self._receive_line(min(passes * _TIMEOUT_S, threading.TIMEOUT_MAX))
-        except (OSError, ValueError) as exc:
-            raise self._broken(f"i/o failed: {exc}") from exc
-        if not line:
-            raise self._broken("closed the connection")
-        try:
-            response = json.loads(line)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise GatewayError(
-                f"remote gateway {self.endpoint!r} sent a malformed response: {exc}"
-            ) from exc
-        if not isinstance(response, dict):
-            raise GatewayError(
-                f"remote gateway {self.endpoint!r} sent a malformed response: "
-                f"{type(response).__name__}, not an object"
-            )
-        if not response.get("ok"):
-            exc_type = _ERROR_KINDS.get(response.get("kind"), GatewayError)
-            raise exc_type(response.get("error", "remote gateway error"))
-        return self._field(response, "result", dict)
-
-    def _field(self, reply: dict, name: str, kind: type, default=None):
-        """reply[name], which must be a `kind`; otherwise a GatewayError
-        naming the endpoint. A missing field with a default gives the default."""
-        if name not in reply:
-            if default is not None:
-                return default
-            raise GatewayError(f"remote gateway {self.endpoint!r} sent a reply without {name!r}")
-        value = reply[name]
-        if not isinstance(value, kind):
-            raise GatewayError(
-                f"remote gateway {self.endpoint!r} sent {name!r} as "
-                f"{type(value).__name__}, want {kind.__name__}"
-            )
-        return value
-
-    def _ask(self, op: str, instance: RCInstance, passes: int = 1, **fields) -> dict:
-        request = {"op": op, "instance": instance_to_dict(instance), **fields}
-        return self._request(request, passes)
-
-    def _array(self, result: dict, field: str) -> np.ndarray:
-        try:
-            return decode_array(self._field(result, field, dict))
-        except InputError as exc:
-            raise GatewayError(
-                f"remote gateway {self.endpoint!r} sent a bad {field!r}: {exc}"
-            ) from exc
-
-    def predict(self, instance: RCInstance) -> ModelOutput:
-        result = self._ask("predict", instance)
-        span = self._field(result, "predicted_span", dict)
-        return ModelOutput(
-            start_scores=self._array(result, "start_scores"),
-            end_scores=self._array(result, "end_scores"),
-            predicted_span=AnswerSpan(
-                text=self._field(span, "text", str),
-                sentence_index=self._field(span, "sent", int),
-                token_start=self._field(span, "tok_start", int),
-                token_end=self._field(span, "tok_end", int),
-            ),
-        )
-
-    def masked_start_scores(self, instance: RCInstance) -> np.ndarray:
-        return self._array(self._ask("masked_start_scores", instance), "scores")
-
-    def integrated_gradients(
-        self, instance: RCInstance, steps: int, target_position: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        result = self._ask(
-            "integrated_gradients", instance, steps, steps=steps, target=target_position
-        )
-        return tuple(self._array(result, name) for name in _IG_FIELDS)
-
-    def close(self) -> None:
-        for stream in (getattr(self, "_wfile", None), getattr(self, "_rfile", None)):
-            try:
-                if stream is not None:
-                    stream.close()
-            except OSError:
-                pass
-        if self._sock is not None:
-            self._sock.close()
-        if self._proc is not None:
-            self._proc.terminate()
-            try:
-                self._proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
-                self._proc.wait()
-        if self._stderr is not None:
-            self._stderr.close()
 
 
 def main(argv: list[str] | None = None) -> int:

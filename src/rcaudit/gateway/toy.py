@@ -16,6 +16,7 @@ import hashlib
 
 import numpy as np
 
+from ..masking import mask_all
 from ..types import RCInstance
 from .base import ModelGateway, ModelOutput, answer_span, decode_span
 
@@ -119,6 +120,22 @@ class ReferenceToyModel(ModelGateway):
         context_rows /= context_rows.sum(axis=1, keepdims=True)
         return rows
 
+    def _grad_parts(self, embeddings: np.ndarray, n_q: int, t: int):
+        """(coeff, mq, q_grad): the derivative of the start probability at
+        context position t, evaluated at `embeddings`, is outer(coeff, mq)
+        on the context rows and q_grad on every question row."""
+        q_bar = embeddings[:n_q].mean(axis=0)
+        ctx = embeddings[n_q:]
+        p = softmax(ctx @ self._m_start @ q_bar)
+        mq = self._m_start @ q_bar
+        # Context rows: d p_t / d e_j = p_t (delta_tj - p_j) * (M q_bar).
+        coeff = -p[t] * p
+        coeff[t] += p[t]
+        # Question rows share one value: (p_t / n_q) M^T (e_t - sum_i p_i e_i).
+        weighted = p @ ctx
+        q_grad = (p[t] / n_q) * (self._m_start.T @ (ctx[t] - weighted))
+        return coeff, mq, q_grad
+
     def grad_start(
         self, instance: RCInstance, embeddings: np.ndarray, target_position: int
     ) -> np.ndarray:
@@ -126,18 +143,27 @@ class ReferenceToyModel(ModelGateway):
         respect to every embedding coordinate, evaluated at `embeddings`
         (which need not be the instance's own embedding matrix)."""
         n_q = instance.n_question
-        q_bar = embeddings[:n_q].mean(axis=0)
-        ctx = embeddings[n_q:]
-        p = softmax(ctx @ self._m_start @ q_bar)
-        t = target_position
-        mq = self._m_start @ q_bar
+        coeff, mq, q_grad = self._grad_parts(embeddings, n_q, target_position)
         grad = np.zeros_like(embeddings)
-        # Context rows: d p_t / d e_j = p_t (delta_tj - p_j) * (M q_bar).
-        coeff = -p[t] * p
-        coeff[t] += p[t]
         grad[n_q:] = np.outer(coeff, mq)
-        # Question rows share one value: (p_t / n_q) M^T (e_t - sum_i p_i e_i).
-        weighted = p @ ctx
-        q_grad = (p[t] / n_q) * (self._m_start.T @ (ctx[t] - weighted))
         grad[:n_q] = q_grad
         return grad
+
+    def integrated_gradients(
+        self, instance: RCInstance, steps: int, target_position: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The contract's per-point loop, bit for bit, without a gradient
+        matrix or its checks per step: each step adds its context and
+        question rows into the sum in place."""
+        embeddings = self.embed(instance)
+        baseline = self.embed(mask_all(instance, self.baseline_token))
+        delta = embeddings - baseline
+        n_q = instance.n_question
+        total = np.zeros_like(embeddings)
+        q_total, ctx_total = total[:n_q], total[n_q:]
+        for j in range(1, steps + 1):
+            point = baseline + (j / steps) * delta
+            coeff, mq, q_grad = self._grad_parts(point, n_q, target_position)
+            ctx_total += np.outer(coeff, mq)
+            q_total += q_grad
+        return embeddings, baseline, total

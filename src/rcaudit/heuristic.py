@@ -83,53 +83,19 @@ def select_sentence(
     return best
 
 
-_WH_TABLE = {
-    "who": "PERSON",
-    "whom": "PERSON",
-    "where": "GPE",
-    "when": "DATE",
-}
+# Expected answer types, in the three labels `recognize_entities` emits.
+# ENTITY head nouns stay listed: the first head noun decides the type.
+_WH_TYPES = {"who": "ENTITY", "whom": "ENTITY", "where": "ENTITY", "when": "DATE"}
 
 _HEAD_NOUN_TYPES = {
-    "person": "PERSON",
-    "man": "PERSON",
-    "woman": "PERSON",
-    "author": "PERSON",
-    "actor": "PERSON",
-    "actress": "PERSON",
-    "director": "PERSON",
-    "president": "PERSON",
-    "singer": "PERSON",
-    "writer": "PERSON",
-    "king": "PERSON",
-    "queen": "PERSON",
-    "city": "GPE",
-    "country": "GPE",
-    "state": "GPE",
-    "town": "GPE",
-    "capital": "GPE",
-    "island": "GPE",
-    "place": "GPE",
-    "nation": "GPE",
-    "year": "DATE",
-    "date": "DATE",
-    "day": "DATE",
-    "month": "DATE",
-    "decade": "DATE",
-    "number": "CARDINAL",
-    "amount": "CARDINAL",
-    "count": "CARDINAL",
-    "film": "WORK_OF_ART",
-    "movie": "WORK_OF_ART",
-    "book": "WORK_OF_ART",
-    "novel": "WORK_OF_ART",
-    "album": "WORK_OF_ART",
-    "song": "WORK_OF_ART",
-    "company": "ORG",
-    "organization": "ORG",
-    "band": "ORG",
-    "team": "ORG",
-    "club": "ORG",
+    **dict.fromkeys(
+        """person man woman author actor actress director president singer writer
+        king queen city country state town capital island place nation film movie
+        book novel album song company organization band team club""".split(),
+        "ENTITY",
+    ),
+    **dict.fromkeys("year date day month decade".split(), "DATE"),
+    **dict.fromkeys("number amount count".split(), "CARDINAL"),
 }
 
 
@@ -142,8 +108,8 @@ def predict_entity_type(question: str) -> str:
     """
     tokens = normalize_answer(question).split()
     for i, tok in enumerate(tokens):
-        if tok in _WH_TABLE:
-            return _WH_TABLE[tok]
+        if tok in _WH_TYPES:
+            return _WH_TYPES[tok]
         if tok == "how":
             if i + 1 < len(tokens) and tokens[i + 1] in ("many", "much"):
                 return "CARDINAL"
@@ -156,14 +122,25 @@ def predict_entity_type(question: str) -> str:
     return "ENTITY"
 
 
+# Function words that open sentences; capitalized there, they are no name.
+_SENTENCE_OPENERS = frozenset(
+    "after as at before by during for from in on since then to until when while with".split()
+)
+
+
 def recognize_entities(text: str) -> list[tuple[int, int, str]]:
     """Sorted (char start, char end, label) entities: capitalized runs label
-    as ENTITY, four-digit numbers in 1000..2999 as DATE, other digit-bearing
-    tokens as CARDINAL."""
+    as ENTITY (less a sentence-opening function word such as "In"),
+    four-digit numbers in 1000..2999 as DATE, other digit-bearing tokens as
+    CARDINAL."""
     text_words, starts = split_words(text)
     entities: list[tuple[int, int, str]] = []
     in_run = set()
     for lo, hi in capitalized_runs(text_words):
+        if lo == 0 and text_words[0].casefold() in _SENTENCE_OPENERS:
+            lo = 1  # capitalized only because it starts the sentence
+        if lo > hi:
+            continue
         entities.append((starts[lo], starts[hi] + len(text_words[hi]), "ENTITY"))
         in_run.update(range(lo, hi + 1))
     for i, (word, start) in enumerate(zip(text_words, starts)):

@@ -8,13 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from rcaudit.corpus import (
-    annotate_question,
-    filter_comparison,
-    filter_coref_answer_in_cluster,
-    load_jsonl,
-)
-from rcaudit.corpus.schema import save_jsonl
+from rcaudit.corpus.annotate import annotate_question
+from rcaudit.corpus.filters import filter_comparison, filter_coref_answer_in_cluster
+from rcaudit.corpus.schema import load_jsonl, save_jsonl
 from rcaudit.counterfactuals import CFPair, load_cf_pairs, save_cf_pairs, validate_cf
 from rcaudit.data import coref_cf_pairs_path, fixture_corpus_path
 from rcaudit.partitions import build_skill_partition

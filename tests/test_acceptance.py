@@ -23,7 +23,7 @@ from conftest import DATA_DIR, make_engineered_alignment
 from oracle_helpers import LinearStartGateway, oracle_occlusion, oracle_welch
 from rcaudit.alignment import audit_alignment, calibrate, explanation_alignment, t_test_one_tailed
 from rcaudit.cli import main as cli_main
-from rcaudit.corpus import load_jsonl
+from rcaudit.corpus.schema import load_jsonl
 from rcaudit.counterfactuals import (
     ANTONYM_TABLES,
     cf_accuracy,

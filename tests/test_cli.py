@@ -17,7 +17,7 @@ import rcaudit.counterfactuals as cf_module
 import rcaudit.saliency as saliency_module
 from conftest import build_instance, make_engineered_alignment
 from rcaudit.cli import main, read_config
-from rcaudit.corpus import load_jsonl, save_jsonl
+from rcaudit.corpus.schema import load_jsonl, save_jsonl
 from rcaudit.counterfactuals import perturb_comparison
 from rcaudit.data import coref_cf_pairs_path, fixture_corpus_path
 from rcaudit.errors import InputError

@@ -12,20 +12,15 @@ from hypothesis import strategies as st
 
 import rcaudit.corpus.loader as loader_module
 import rcaudit.corpus.schema as schema_module
-from rcaudit.corpus import (
+from rcaudit.corpus.annotate import annotate_question
+from rcaudit.corpus.filters import (
     OPERATOR_ANTONYMS,
-    DatasetDescriptor,
-    annotate_question,
     filter_comparison,
     filter_coref_answer_in_cluster,
-    instance_from_dict,
-    instance_to_dict,
-    load_dataset,
-    load_jsonl,
     match_operator,
-    reduce_context,
-    save_jsonl,
 )
+from rcaudit.corpus.loader import DatasetDescriptor, load_dataset, reduce_context
+from rcaudit.corpus.schema import instance_from_dict, instance_to_dict, load_jsonl, save_jsonl
 from rcaudit.counterfactuals import OUT_OF_DISTRIBUTION_TABLE
 from rcaudit.data import fixture_corpus_path
 from rcaudit.errors import InputError

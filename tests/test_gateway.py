@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from rcaudit.errors import GatewayError, InputError
 from rcaudit.gateway import build_gateway
 from rcaudit.gateway.base import (
+    ModelGateway,
     ModelOutput,
     check_output,
     decode_span,
@@ -203,9 +204,11 @@ class TestToyModel:
         for j in range(1, steps + 1):
             total += gateway.grad_start(inst, baseline + (j / steps) * delta, target)
         got = gateway.integrated_gradients(inst, steps, target)
-        for have, want in zip(got, (embeddings, baseline, total)):
+        default = ModelGateway.integrated_gradients(gateway, inst, steps, target)
+        for have, want, contract in zip(got, (embeddings, baseline, total), default):
             assert have.shape == want.shape
             assert have.tobytes() == want.tobytes()
+            assert have.tobytes() == contract.tobytes()
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -428,7 +431,10 @@ class TestOutputValidation:
                 return grad[0] if self.fault == "row" else grad
 
             def integrated_gradients(self, instance, steps, target_position):
-                emb, base, grads = super().integrated_gradients(instance, steps, target_position)
+                # The contract's per-point loop, which sees the faulty embed and grad_start.
+                emb, base, grads = ModelGateway.integrated_gradients(
+                    self, instance, steps, target_position
+                )
                 return emb, base, grads[:-1] if self.fault == "drop" else grads
 
         inst = build_instance("v-6", "Who?", ["Ada wrote."], gold=(0, "Ada"))

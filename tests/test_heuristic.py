@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, build_instance
 from rcaudit.errors import InputError
 from rcaudit.heuristic import (
     SELECTION_STRATEGIES,
@@ -99,27 +99,35 @@ class TestEntityTypePrediction:
     @pytest.mark.parametrize(
         "question, expected",
         [
-            ("Who wrote the letter?", "PERSON"),
-            ("Whom did they call?", "PERSON"),
-            ("Where is the harbor?", "GPE"),
+            ("Who wrote the letter?", "ENTITY"),
+            ("Whom did they call?", "ENTITY"),
+            ("Where is the harbor?", "ENTITY"),
             ("When did the war end?", "DATE"),
             ("How many rivers cross the city?", "CARDINAL"),
             ("How much did it cost?", "CARDINAL"),
             ("How did the story end?", "ENTITY"),
-            ("Which film came out earlier, A or B?", "WORK_OF_ART"),
+            ("Which film came out earlier, A or B?", "ENTITY"),
             ("What year did the bridge open?", "DATE"),
-            ("What city hosted the games?", "GPE"),
+            ("What city hosted the games?", "ENTITY"),
             ("What did he eat?", "ENTITY"),
             ("Name the winner.", "ENTITY"),
-            ("WHO wrote it?", "PERSON"),
+            ("WHO wrote it?", "ENTITY"),
         ],
     )
     def test_wh_mapping(self, question, expected):
         assert predict_entity_type(question) == expected
 
+    def test_wh_words_map_only_to_the_labels_the_tagger_emits(self, corpus):
+        labels = {label for inst in corpus for s in inst.context for *_, label in recognize_entities(s.text)}
+        assert labels == {"ENTITY", "DATE", "CARDINAL"}
+        for inst in corpus:
+            assert predict_entity_type(inst.question_text) in labels
+
     def test_documented_misfire_on_team_answers(self):
-        # "who" always maps to PERSON even when a team is the right type
-        assert predict_entity_type("Who won the World Cup in 2002?") == "PERSON"
+        # "who" wants an ENTITY, and the first capitalized run is one even
+        # when it names the cup rather than the team
+        assert predict_entity_type("Who won the World Cup in 2002?") == "ENTITY"
+        assert extract_phrase("The 2002 World Cup was won by Brazil.", "ENTITY") == "World Cup"
 
 
 class TestRuleBasedNER:
@@ -150,6 +158,18 @@ class TestRuleBasedNER:
 
 
 class TestExtractPhrase:
+    def test_sentence_opening_preposition_is_no_answer(self):
+        inst = build_instance(
+            "obama",
+            "Who was born in Hawaii?",
+            ["In 1961 Barack Obama was born in Hawaii."],
+            gold=(0, "Barack Obama"),
+        )
+        for strategy in SELECTION_STRATEGIES:
+            assert heuristic_answer(inst, strategy) == "Barack Obama"
+        # A run the opener leads loses only the opener.
+        assert extract_phrase("In Paris, Ada met Karl.", "ENTITY") == "Paris"
+
     def test_prefers_the_requested_type(self):
         sentence = "Barack Obama was born in 1961."
         assert extract_phrase(sentence, "DATE") == "1961"

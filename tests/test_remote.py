@@ -22,15 +22,11 @@ from conftest import build_instance
 from rcaudit.corpus.schema import instance_to_dict
 from rcaudit.errors import CapabilityError, GatewayError, InputError
 from rcaudit.gateway import build_gateway
-from rcaudit.gateway import remote as remote_module
+from rcaudit.gateway import remote_client as client_module
 from rcaudit.gateway.base import integrated_gradients, masked_start_scores
-from rcaudit.gateway.remote import (
-    RemoteGateway,
-    decode_array,
-    encode_array,
-    handle_request,
-    serve_stream,
-)
+from rcaudit.gateway.remote import decode_array, encode_array, handle_request, serve_stream
+from rcaudit.gateway.remote_client import RemoteGateway
+from rcaudit.gateway.toy import ReferenceToyModel
 from rcaudit.saliency import SaliencyConfig, ig_saliency, occlusion_saliency
 
 TOY_SPEC = "toy:7"
@@ -168,19 +164,65 @@ class TestHandleRequest:
         assert response["kind"] == "input"
         assert "instance" in response["error"]
 
-    def test_internal_failure_is_gateway_error(self, local_toy, corpus):
-        inst = corpus[0]
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("steps", 0, "steps must be an integer in [1, inf), got 0"),
+            ("steps", -3, "steps must be an integer in [1, inf), got -3"),
+            ("steps", 2.7, "steps must be an integer in [1, inf), got 2.7"),
+            ("steps", "x", "steps must be an integer in [1, inf), got 'x'"),
+            ("steps", True, "steps must be an integer in [1, inf), got True"),
+            ("target", -1, "target must be an integer in [0, 34), got -1"),
+            ("target", 999, "target must be an integer in [0, 34), got 999"),
+            ("instance", ["op"], "malformed instance record: 'list' object has no attribute 'get'"),
+        ],
+    )
+    def test_bad_integrated_gradients_fields_are_input_errors(
+        self, local_toy, corpus, field, value, message
+    ):
+        request = {
+            "op": "integrated_gradients",
+            "instance": instance_to_dict(corpus[0]),
+            "steps": 2,
+            "target": 0,
+            field: value,
+        }
+        assert corpus[0].n_context == 34
+        response = handle_request(local_toy, request)
+        assert response == {"ok": False, "error": message, "kind": "input"}
+
+    @pytest.mark.parametrize("request_", [["op"], "info", 3, None])
+    def test_request_that_is_not_an_object_is_input_error(self, local_toy, request_):
+        response = handle_request(local_toy, request_)
+        assert response["kind"] == "input"
+        assert response["error"] == f"request is a {type(request_).__name__}, not an object"
+
+    def test_internal_failure_is_gateway_error(self, corpus):
+        class Failing(ReferenceToyModel):
+            def integrated_gradients(self, instance, steps, target_position):
+                raise RuntimeError("ran out of memory")
+
         response = handle_request(
-            local_toy,
+            Failing(seed=7),
             {
                 "op": "integrated_gradients",
-                "instance": instance_to_dict(inst),
+                "instance": instance_to_dict(corpus[0]),
                 "steps": 2,
-                "target": 10_000,
+                "target": 0,
             },
         )
         assert not response["ok"]
         assert response["kind"] == "gateway"
+        assert response["error"] == "ran out of memory"
+
+    def test_key_error_inside_the_gateway_is_gateway_error(self, corpus):
+        class Failing(ReferenceToyModel):
+            def predict(self, instance):
+                return {}["start"]
+
+        request = {"op": "predict", "instance": instance_to_dict(corpus[0])}
+        response = handle_request(Failing(seed=7), request)
+        assert response == {"ok": False, "error": "'start'", "kind": "gateway"}
 
     def test_capability_kind_for_scripted_embed(self, tmp_path, corpus):
         inst = corpus[0]
@@ -206,6 +248,54 @@ class TestHandleRequest:
         assert not response["ok"]
         assert response["kind"] == "input"
         assert "unknown op" in response["error"]
+
+
+# Every rcaudit module a toy server loads; anything more is paid at each start.
+TOY_SERVER_MODULES = {
+    "rcaudit",
+    "rcaudit.errors",
+    "rcaudit.types",
+    "rcaudit.gateway",
+    "rcaudit.gateway.base",
+    "rcaudit.masking",
+    "rcaudit.text",
+    "rcaudit.gateway.toy",
+    "rcaudit.gateway.remote",
+    "rcaudit.corpus",
+    "rcaudit.corpus.schema",
+}
+
+
+def loaded_modules(code: str, stdin: str = "") -> tuple[set[str], str]:
+    """The modules a fresh interpreter holds after running `code` (which
+    prints nothing to stderr), and what it wrote to stdout."""
+    code += "\nimport sys\nprint('\\n'.join(sys.modules), file=sys.stderr)\n"
+    done = subprocess.run(
+        [sys.executable, "-c", code], input=stdin, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return set(done.stderr.split()), done.stdout
+
+
+class TestServerImports:
+    def test_toy_server_loads_only_what_it_serves(self, corpus):
+        instance = instance_to_dict(corpus[0])
+        requests = [
+            {"op": "info"},
+            {"op": "predict", "instance": instance},
+            {"op": "masked_start_scores", "instance": instance},
+            {"op": "integrated_gradients", "instance": instance, "steps": 2, "target": 0},
+        ]
+        modules, replies = loaded_modules(
+            "import rcaudit.gateway.remote as remote\n"
+            f"remote.main(['--model', {TOY_SPEC!r}])",
+            "".join(json.dumps(r) + "\n" for r in requests),
+        )
+        assert [json.loads(line)["ok"] for line in replies.splitlines()] == [True] * 4
+        assert {m for m in modules if m.partition(".")[0] == "rcaudit"} == TOY_SERVER_MODULES
+        bare, _ = loaded_modules("pass")
+        for client_only in ("socket", "subprocess"):
+            assert client_only not in modules or client_only in bare
 
 
 class TestPackedArrays:
@@ -301,10 +391,13 @@ class TestSubprocessRoundTrip:
 
     def test_errors_map_to_typed_exceptions(self, remote_toy, corpus):
         inst = corpus[0]
-        with pytest.raises(GatewayError):
+        with pytest.raises(InputError, match="target must be an integer"):
             remote_toy.integrated_gradients(inst, 2, 10_000)
         with pytest.raises(InputError):
             remote_toy._request({"op": "translate"})
+        failing = canned_server({"ok": False, "error": "ran out of memory", "kind": "gateway"})
+        with RemoteGateway(failing) as gateway, pytest.raises(GatewayError, match="out of memory"):
+            gateway.predict(inst)
 
     def test_scripted_capability_error_crosses_the_wire(self, tmp_path):
         inst = build_instance(
@@ -527,7 +620,7 @@ class TestFaultyServers:
         endpoint = python_endpoint(script)
         gateway = RemoteGateway(endpoint)
         proc = gateway._proc
-        monkeypatch.setattr(remote_module, "_TIMEOUT_S", 0.5)
+        monkeypatch.setattr(client_module, "_TIMEOUT_S", 0.5)
         began = time.monotonic()
         with pytest.raises(GatewayError, match="did not answer within 0.5 s") as raised:
             gateway.masked_start_scores(corpus[0])
@@ -553,7 +646,7 @@ class TestFaultyServers:
         )
         assert len(json.dumps(instance_to_dict(inst))) > 1 << 17
         with RemoteGateway(python_endpoint(script)) as gateway:
-            monkeypatch.setattr(remote_module, "_TIMEOUT_S", 0.5)
+            monkeypatch.setattr(client_module, "_TIMEOUT_S", 0.5)
             began = time.monotonic()
             with pytest.raises(GatewayError, match="did not answer within 0.5 s"):
                 gateway.predict(inst)
@@ -593,7 +686,7 @@ class TestFaultyServers:
         endpoint = python_endpoint(script)
         gateway = RemoteGateway(endpoint)
         proc = gateway._proc
-        monkeypatch.setattr(remote_module, "_TIMEOUT_S", 0.25)
+        monkeypatch.setattr(client_module, "_TIMEOUT_S", 0.25)
         began = time.monotonic()
         with pytest.raises(GatewayError, match="did not answer within 1.0 s") as raised:
             gateway.integrated_gradients(corpus[0], 4, 0)

@@ -19,13 +19,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from rcaudit.corpus import (
-    annotate_question,
-    filter_comparison,
-    filter_coref_answer_in_cluster,
-    load_jsonl,
-    save_jsonl,
-)
+from rcaudit.corpus.annotate import annotate_question
+from rcaudit.corpus.filters import filter_comparison, filter_coref_answer_in_cluster
+from rcaudit.corpus.schema import load_jsonl, save_jsonl
 from rcaudit.counterfactuals import (
     ANTONYM_TABLES,
     CFPair,

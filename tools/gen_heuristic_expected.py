@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from rcaudit.corpus import load_jsonl
+from rcaudit.corpus.schema import load_jsonl
 from rcaudit.data import fixture_corpus_path
 from rcaudit.heuristic import SELECTION_STRATEGIES, heuristic_answer
 from rcaudit.metrics import evaluate_dataset
