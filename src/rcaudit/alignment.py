@@ -145,26 +145,33 @@ def explanation_alignment(
 ) -> AlignmentRecord:
     """Per-instance alignment verdict: CF robustness AND saliency placement.
 
-    The saliency map must describe the pair's original instance; the
-    counterfactual twin only contributes the answered-correctly check.
+    The saliency map must describe the pair's original instance under the
+    gateway's model. The original's answer is the one the map keeps from
+    the prediction that fixed its anchor; the gateway is asked only about
+    the counterfactual twin, and only when that answer is right.
     """
     if saliency.instance_id != pair.original.id:
         raise InputError(
             f"saliency is for {saliency.instance_id!r}, pair for {pair.original.id!r}"
         )
+    if saliency.model_id != gateway.model_id:
+        raise InputError(
+            f"saliency is from {saliency.model_id!r}, gateway is {gateway.model_id!r}"
+        )
     significance = partition_test(saliency, partition, alpha)
-    both = True
-    for instance in (pair.original, pair.perturbed):
-        pred = predict(gateway, instance).predicted_span.text
-        if not exact_match(pred, [a.text for a in instance.gold_answers]):
-            both = False
-            break
+    both = _answered(saliency.predicted_answer, pair.original) and _answered(
+        predict(gateway, pair.perturbed).predicted_span.text, pair.perturbed
+    )
     return AlignmentRecord(
         instance_id=pair.original.id,
         cf_both_correct=both,
         significance=significance,
         aligned=bool(both and significance.significant),
     )
+
+
+def _answered(prediction: str, instance: RCInstance) -> bool:
+    return exact_match(prediction, [a.text for a in instance.gold_answers])
 
 
 def alignment_score(records: Sequence[AlignmentRecord]) -> float:

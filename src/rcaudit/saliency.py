@@ -8,13 +8,17 @@ along the straight path from a fully masked baseline to the real input and
 collapses each word's attribution vector with a configurable summarizer.
 
 Scores cover question words first, then context words ("all" scope); the
-partition tests slice out the half they need.
+partition tests slice out the half they need. Each map also keeps the text
+of the answer from the prediction that fixed its anchor, so an audit that
+needs the original's answer reads it from the map instead of asking the
+model again.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -63,6 +67,7 @@ class SaliencyMap:
     config_hash: str
     model_id: str
     anchor_position: int
+    predicted_answer: str
     n_question: int
 
 
@@ -98,6 +103,7 @@ def occlusion_saliency(gateway: ModelGateway, instance: RCInstance) -> SaliencyM
         config_hash=config.config_hash,
         model_id=gateway.model_id,
         anchor_position=anchor,
+        predicted_answer=original.predicted_span.text,
         n_question=instance.n_question,
     )
 
@@ -125,6 +131,7 @@ def ig_saliency(gateway: ModelGateway, instance: RCInstance, config: SaliencyCon
         config_hash=config.config_hash,
         model_id=gateway.model_id,
         anchor_position=anchor,
+        predicted_answer=original.predicted_span.text,
         n_question=instance.n_question,
     )
 
@@ -162,9 +169,10 @@ def content_hash(instance: RCInstance) -> str:
 
 
 class SaliencyCache:
-    """JSON-lines score cache keyed by (model_id, config_hash, instance_id,
+    """JSON-lines map cache keyed by (model_id, config_hash, instance_id,
     content_hash), so an instance whose words changed under the same id
-    is recomputed rather than served a stale map.
+    is recomputed rather than served a stale map. A record holds the map's
+    scores, anchor and predicted answer.
 
     Floats survive the JSON round trip bit-identically (repr round-trip),
     so a cache hit equals recomputation exactly.
@@ -208,6 +216,7 @@ class SaliencyCache:
                             "content_hash": key[3],
                             "scope": saliency.scope,
                             "anchor_position": saliency.anchor_position,
+                            "predicted_answer": saliency.predicted_answer,
                             "n_question": saliency.n_question,
                             "scores": list(saliency.scores),
                         }
@@ -217,9 +226,10 @@ class SaliencyCache:
 
     @classmethod
     def load(cls, path: str | Path) -> SaliencyCache:
-        """Read a file written by `save`. Records without a content hash,
-        written by earlier versions, are left out, so they miss and are
-        recomputed."""
+        """Read a file written by `save`. Records without a content hash or
+        a predicted answer, written by earlier versions, are left out, so
+        they miss and are recomputed. A record that is not an object with
+        finite numeric scores and a string answer is an InputError."""
         cache = cls()
         with open(path, "r", encoding="utf-8") as fh:
             for line_no, line in enumerate(fh):
@@ -228,20 +238,29 @@ class SaliencyCache:
                     continue
                 try:
                     doc = json.loads(line)
+                    scores = doc["scores"]
+                    if not isinstance(scores, list) or not all(
+                        type(s) in (int, float) and math.isfinite(s) for s in scores
+                    ):
+                        raise ValueError("scores are not all finite numbers")
+                    answer = doc.get("predicted_answer")
+                    if answer is not None and not isinstance(answer, str):
+                        raise ValueError("predicted_answer is not a string")
                     saliency = SaliencyMap(
                         instance_id=doc["instance_id"],
                         scope=doc["scope"],
-                        scores=tuple(float(s) for s in doc["scores"]),
+                        scores=tuple(map(float, scores)),
                         method=doc["method"],
                         config_hash=doc["config_hash"],
                         model_id=doc["model_id"],
                         anchor_position=doc["anchor_position"],
+                        predicted_answer=answer,
                         n_question=doc["n_question"],
                     )
                     content = doc.get("content_hash")
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                except (ValueError, KeyError, TypeError) as exc:
                     raise InputError(f"{path}: bad cache record on line {line_no + 1}: {exc}")
-                if content is not None:
+                if content is not None and answer is not None:
                     key = (saliency.model_id, saliency.config_hash, saliency.instance_id, content)
                     cache._maps[key] = saliency
         return cache

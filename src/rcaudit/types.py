@@ -203,6 +203,10 @@ def _check_words(
 
 def validate_instance(instance: RCInstance) -> RCInstance:
     """Check all structural invariants; returns the instance for chaining."""
+    if not instance.question_words:
+        raise InputError(f"{instance.id}: question has no tokens")
+    if not instance.context:
+        raise InputError(f"{instance.id}: context has no sentences")
     _check_words(
         instance.question_words,
         instance.question_starts,

@@ -255,14 +255,13 @@ def test_08_alignment_verdict_arithmetic(tmp_path):
     assert {r.instance_id: r.aligned for r in report.records} == fixture["aligned"]
 
     pair = next(p for p in pairs if p.original.id == "a01")
-    partition = build_skill_partition(pair.original)
-    gold_spans = {
-        inst.id: (inst.gold_answers[0].token_start, inst.gold_answers[0].token_end)
-        for inst in (pair.original, pair.perturbed)
-    }
-    wrong_spans = {inst.id: _wrong_span(inst) for inst in (pair.original, pair.perturbed)}
-    n_words = pair.original.n_question + pair.original.n_context
-    boosted = [pair.original.n_question + i for i in sorted(partition.positive)]
+    original, twin = pair.original, pair.perturbed
+    partition = build_skill_partition(original)
+    answers = (original.gold_answers[0].text, span_text(original, *_wrong_span(original)))
+    twin_gold = twin.gold_answers[0]
+    twin_spans = ((twin_gold.token_start, twin_gold.token_end), _wrong_span(twin))
+    n_words = original.n_question + original.n_context
+    boosted = [original.n_question + i for i in sorted(partition.positive)]
 
     rng = random.Random(814)
     counts = {"aligned": 0, "significant_only": 0, "both_correct_only": 0}
@@ -271,23 +270,20 @@ def test_08_alignment_verdict_arithmetic(tmp_path):
         if rng.random() < 0.5:
             for i in boosted:
                 scores[i] += 0.6
+        # the original's answer comes from the map; the gateway knows only the twin
         saliency = SaliencyMap(
-            instance_id=pair.original.id,
+            instance_id=original.id,
             scope="all",
             scores=tuple(scores),
             method="occlusion",
             config_hash="acceptance",
             model_id="toggle-test",
             anchor_position=0,
-            n_question=pair.original.n_question,
+            predicted_answer=answers[rng.random() >= 0.5],
+            n_question=original.n_question,
         )
-        spans = {
-            inst.id: (gold_spans if rng.random() < 0.5 else wrong_spans)[inst.id]
-            for inst in (pair.original, pair.perturbed)
-        }
-        record = explanation_alignment(
-            pair, saliency, partition, _ToggleGateway(spans)
-        )
+        gateway = _ToggleGateway({twin.id: twin_spans[rng.random() >= 0.5]})
+        record = explanation_alignment(pair, saliency, partition, gateway)
         assert record.aligned == (record.cf_both_correct and record.significance.significant)
         if record.aligned:
             assert record.cf_both_correct

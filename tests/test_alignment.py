@@ -36,6 +36,7 @@ from rcaudit.cli import main, write_jsonl
 from rcaudit.data import coref_cf_pairs_path, fixture_corpus_path
 from rcaudit.errors import InputError
 from rcaudit.gateway import build_gateway
+from rcaudit.gateway.base import ModelGateway
 from rcaudit.gateway.scripted import ScriptedModel
 from rcaudit.partitions import MIN_SIDE, TokenPartition, build_skill_partition
 from rcaudit.saliency import SaliencyCache, SaliencyConfig, SaliencyMap
@@ -157,6 +158,7 @@ def make_map(instance_id="x", scores=(), n_question=0, scope="all"):
         config_hash="h",
         model_id="m",
         anchor_position=0,
+        predicted_answer="",
         n_question=n_question,
     )
 
@@ -245,6 +247,28 @@ def scripted_gateway(tmp_path, pair, sensitivity, orig_correct=True, cf_correct=
     return ScriptedModel(path)
 
 
+class SecondThoughts(ModelGateway):
+    """Answers as `first` does, except that every predict of the original
+    after the first one answers as `later` does."""
+
+    def __init__(self, first, later, original_id):
+        self.first, self.later, self.original_id = first, later, original_id
+        self.original_predictions = 0
+
+    @property
+    def model_id(self):
+        return self.first.model_id
+
+    def predict(self, instance):
+        if instance.id != self.original_id:
+            return self.first.predict(instance)
+        self.original_predictions += 1
+        return (self.first if self.original_predictions == 1 else self.later).predict(instance)
+
+    def masked_start_scores(self, instance):
+        return self.first.masked_start_scores(instance)
+
+
 def cluster_heavy_sensitivity(pair, high=0.3, low=0.01):
     """High occlusion response on the cluster words, low elsewhere."""
     orig = pair.original
@@ -291,6 +315,31 @@ class TestExplanationAlignment:
         saliency = make_map("someone-else", [0.1] * 15, n_question=5)
         with pytest.raises(InputError, match="saliency is for"):
             explanation_alignment(pair, saliency, partition, gateway)
+
+    def test_verdict_follows_the_saliency_pass_prediction(self, tmp_path):
+        pair = insertion_pair()
+        partition = build_skill_partition(pair.original)
+        strong = cluster_heavy_sensitivity(pair)
+        right = scripted_gateway(tmp_path, pair, strong)
+        wrong = scripted_gateway(tmp_path, pair, strong, orig_correct=False)
+        for first, later in ((right, wrong), (wrong, right)):
+            gateway = SecondThoughts(first, later, pair.original.id)
+            saliency = SaliencyCache().get_or_compute(
+                gateway, pair.original, SaliencyConfig(method="occlusion")
+            )
+            record = explanation_alignment(pair, saliency, partition, gateway)
+            assert record.cf_both_correct == (first is right)
+            assert record.aligned == (first is right)
+            assert gateway.original_predictions == 1
+
+    def test_saliency_must_come_from_the_gateways_model(self, corpus):
+        pair = perturb_comparison(next(i for i in corpus if i.id == "cmp-02"))
+        partition = build_skill_partition(pair.original)
+        saliency = SaliencyCache().get_or_compute(
+            build_gateway("toy:7"), pair.original, SaliencyConfig(method="occlusion")
+        )
+        with pytest.raises(InputError, match="saliency is from 'toy:7', gateway is 'toy:9'"):
+            explanation_alignment(pair, saliency, partition, build_gateway("toy:9"))
 
     def test_aligned_implies_both_conditions_randomized(self, tmp_path):
         pair = insertion_pair()

@@ -21,6 +21,9 @@ from rcaudit.corpus.schema import load_jsonl, save_jsonl
 from rcaudit.counterfactuals import perturb_comparison
 from rcaudit.data import coref_cf_pairs_path, fixture_corpus_path
 from rcaudit.errors import InputError
+from rcaudit.gateway import build_gateway
+from rcaudit.gateway.base import predict
+from rcaudit.metrics import exact_match
 from rcaudit.saliency import SaliencyCache, SaliencyConfig
 from rcaudit.synthetic import make_synthetic_corpus
 from rcaudit.types import Token
@@ -223,7 +226,10 @@ class TestAlign:
         assert run(*argv) == 0
         assert (out / "alignment_records.jsonl").read_bytes() == cold
 
-    def test_cache_records_from_older_versions_are_recomputed(self, tmp_path):
+    @staticmethod
+    def assert_recomputed_without(tmp_path, field):
+        """Drop `field` from every cache record, as an older version wrote
+        them: the next run recomputes every map and writes the file again."""
         out = tmp_path / "out"
         argv = ("align", "--dataset", CORPUS, "--model", "toy:7", "--out", str(out))
         assert run(*argv) == 0
@@ -232,11 +238,33 @@ class TestAlign:
         cold = (out / "alignment_records.jsonl").read_bytes()
         docs = [json.loads(line) for line in current.decode().splitlines()]
         for doc in docs:
-            del doc["content_hash"]
+            del doc[field]
         cache_path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
         assert run(*argv) == 0
         assert cache_path.read_bytes() == current  # recomputed and written again
         assert (out / "alignment_records.jsonl").read_bytes() == cold
+
+    def test_cache_records_from_older_versions_are_recomputed(self, tmp_path):
+        self.assert_recomputed_without(tmp_path, "content_hash")
+
+    def test_cache_records_without_a_predicted_answer_are_recomputed(self, tmp_path):
+        self.assert_recomputed_without(tmp_path, "predicted_answer")
+
+    def test_cache_of_nan_scores_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ("align", "--dataset", CORPUS, "--model", "toy:7", "--out", str(out))
+        assert run(*argv) == 0
+        cache_path = out / "saliency_cache.jsonl"
+        docs = [json.loads(line) for line in cache_path.read_text().splitlines()]
+        for doc in docs:
+            doc["scores"] = [float("nan")] * len(doc["scores"])
+        cache_path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+        capsys.readouterr()
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cache_path}: bad cache record on line 1: "
+            "scores are not all finite numbers\n"
+        )
 
     def test_engineered_two_thirds_alignment(self, tmp_path):
         fx = make_engineered_alignment(tmp_path)
@@ -302,20 +330,20 @@ def alignment_without_coverage(out: Path) -> str:
     return json.dumps(doc, sort_keys=True, ensure_ascii=False, indent=2)
 
 
-def counting_saliency_op(monkeypatch) -> list[str]:
-    """Ids of the instances the gateway's occlusion op is asked about."""
+def counting_op(monkeypatch, name: str) -> list[str]:
+    """Ids of the instances the gateway's op `name` is asked about."""
     seen: list[str] = []
     build = cli_module.build_gateway
 
     def build_counting(spec):
         gateway = build(spec)
-        op = gateway.masked_start_scores
+        op = getattr(gateway, name)
 
         def counted(instance):
             seen.append(instance.id)
             return op(instance)
 
-        gateway.masked_start_scores = counted
+        setattr(gateway, name, counted)
         return gateway
 
     monkeypatch.setattr(cli_module, "build_gateway", build_counting)
@@ -357,7 +385,7 @@ class TestAlignScreen:
         assert "align: coreference_resolution score=0.0000 (audited 10 of 10 pairs)" in stdout
 
     def test_untestable_pairs_never_reach_the_saliency_op(self, tmp_path, monkeypatch):
-        seen = counting_saliency_op(monkeypatch)
+        seen = counting_op(monkeypatch, "masked_start_scores")
         out = tmp_path / "out"
         assert run("align", "--dataset", CORPUS, "--model", "toy:7",
                    "--cf-file", CF_PAIRS, "--out", str(out)) == 0
@@ -462,6 +490,29 @@ class TestAlignBuildsNoToken:
         # the count sees the Token views of an instance read after the run
         inst = make_synthetic_corpus(1)[0]
         assert len(inst.question) + len(inst.context_tokens) == len(built) > 0
+
+
+class TestWarmAlignPredictsOnlyTwins:
+    def test_originals_are_answered_from_their_maps(self, tmp_path, monkeypatch):
+        argv = ["align", "--dataset", "synthetic:300", "--model", "toy:7", "--out", str(tmp_path)]
+        assert run(*argv) == 0  # cold: fills the saliency cache
+        seen = counting_op(monkeypatch, "predict")
+        assert run(*argv) == 0
+        audited = {
+            json.loads(line)["instance_id"]
+            for line in (tmp_path / "alignment_records.jsonl").read_text().splitlines()
+        }
+        toy = build_gateway("toy:7")
+        right = [
+            inst
+            for inst in make_synthetic_corpus(300)
+            if inst.id in audited
+            and exact_match(
+                predict(toy, inst).predicted_span.text, [a.text for a in inst.gold_answers]
+            )
+        ]
+        assert len(audited) == 50 and len(right) == 1
+        assert seen == [perturb_comparison(inst).perturbed.id for inst in right]
 
 
 LOADER_SKIP_COMMANDS = {

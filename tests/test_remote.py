@@ -19,7 +19,9 @@ import numpy as np
 import pytest
 
 from conftest import build_instance
+from rcaudit.alignment import audit_alignment, screen_partition
 from rcaudit.corpus.schema import instance_to_dict
+from rcaudit.counterfactuals import perturb_comparison
 from rcaudit.errors import CapabilityError, GatewayError, InputError
 from rcaudit.gateway import build_gateway
 from rcaudit.gateway import remote_client as client_module
@@ -27,7 +29,9 @@ from rcaudit.gateway.base import integrated_gradients, masked_start_scores
 from rcaudit.gateway.remote import decode_array, encode_array, handle_request, serve_stream
 from rcaudit.gateway.remote_client import RemoteGateway
 from rcaudit.gateway.toy import ReferenceToyModel
+from rcaudit.metrics import exact_match
 from rcaudit.saliency import SaliencyConfig, ig_saliency, occlusion_saliency
+from rcaudit.synthetic import make_synthetic_corpus
 
 TOY_SPEC = "toy:7"
 
@@ -190,6 +194,23 @@ class TestHandleRequest:
         assert corpus[0].n_context == 34
         response = handle_request(local_toy, request)
         assert response == {"ok": False, "error": message, "kind": "input"}
+
+    @pytest.mark.parametrize("op", ["predict", "masked_start_scores", "integrated_gradients"])
+    @pytest.mark.parametrize(
+        "part, empty, message",
+        [
+            ("question", {"text": "", "tokens": []}, "question has no tokens"),
+            ("context", [], "context has no sentences"),
+        ],
+    )
+    def test_instance_that_fails_validation_is_input_error(
+        self, local_toy, corpus, op, part, empty, message
+    ):
+        doc = instance_to_dict(corpus[0])
+        doc[part] = empty
+        request = {"op": op, "instance": doc, "steps": 2, "target": 0}
+        response = handle_request(local_toy, request)
+        assert response == {"ok": False, "error": f"{corpus[0].id}: {message}", "kind": "input"}
 
     @pytest.mark.parametrize("request_", [["op"], "info", 3, None])
     def test_request_that_is_not_an_object_is_input_error(self, local_toy, request_):
@@ -440,6 +461,37 @@ class TestSubprocessRoundTrip:
         monkeypatch.setattr(remote_toy, "_request", counting)
         ig_saliency(remote_toy, inst, SaliencyConfig(method="integrated_gradients", ig_steps=256))
         assert ops == ["predict", "integrated_gradients"]
+
+    def test_ig_align_asks_about_twins_only_after_right_originals(
+        self, remote_toy, local_toy, monkeypatch
+    ):
+        pairs = []
+        for inst in make_synthetic_corpus(300):
+            try:
+                screen_partition(inst)
+            except InputError:
+                continue
+            pairs.append(perturb_comparison(inst))
+        asked = []
+        request = remote_toy._request
+
+        def counting(payload, *args, **kwargs):
+            asked.append((payload["op"], payload["instance"]["id"]))
+            return request(payload, *args, **kwargs)
+
+        monkeypatch.setattr(remote_toy, "_request", counting)
+        config = SaliencyConfig(method="integrated_gradients", ig_steps=4)
+        report = audit_alignment(remote_toy, pairs, config)
+        want = []
+        for pair in sorted(pairs, key=lambda p: p.original.id):
+            original = pair.original
+            want += [("predict", original.id), ("integrated_gradients", original.id)]
+            answer = local_toy.predict(original).predicted_span.text
+            if exact_match(answer, [a.text for a in original.gold_answers]):
+                want.append(("predict", pair.perturbed.id))
+        assert len(report.records) == len(pairs) == 50
+        assert 2 * len(pairs) < len(want) < 3 * len(pairs)
+        assert asked == want
 
     def test_occlusion_maps_equal_in_process_maps(self, remote_toy, local_toy, corpus):
         for inst in [thirty_two_word_instance(), long_instance(), *corpus[:3]]:

@@ -226,6 +226,7 @@ class TestRestrictMap:
             config_hash="abc",
             model_id="toy:0",
             anchor_position=0,
+            predicted_answer="",
             n_question=n_question,
         )
 
@@ -315,7 +316,9 @@ class TestCache:
         assert loaded.get("toy:7", config, edited) == new_map
         assert loaded.get("toy:7", config, first) == old_map
 
-    def test_records_without_a_content_hash_are_misses(self, tmp_path, corpus):
+    @staticmethod
+    def assert_misses_without(tmp_path, corpus, field):
+        """Records without `field`, as an older version wrote them, miss."""
         config = SaliencyConfig(method="occlusion")
         cache = SaliencyCache()
         for inst in corpus[:2]:
@@ -323,13 +326,21 @@ class TestCache:
         path = tmp_path / "cache.jsonl"
         cache.save(path)
         docs = [json.loads(line) for line in path.read_text().splitlines()]
-        assert all(len(doc.pop("content_hash")) == 16 for doc in docs)
+        dropped = [doc.pop(field) for doc in docs]
         path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))  # an older version's file
         loaded = SaliencyCache.load(path)
         assert len(loaded) == 0
         gateway = CountingGateway(build_gateway("toy:7"))
         assert loaded.get_or_compute(gateway, corpus[0], config) == cache.get("toy:7", config, corpus[0])
         assert gateway.calls > 0
+        return dropped
+
+    def test_records_without_a_content_hash_are_misses(self, tmp_path, corpus):
+        dropped = self.assert_misses_without(tmp_path, corpus, "content_hash")
+        assert all(len(content) == 16 for content in dropped)
+
+    def test_records_without_a_predicted_answer_are_misses(self, tmp_path, corpus):
+        self.assert_misses_without(tmp_path, corpus, "predicted_answer")
 
     def test_toy_embedding_dim_is_part_of_the_model_key(self, corpus):
         cache = SaliencyCache()
@@ -372,6 +383,7 @@ class TestCache:
                 assert again is not None
                 assert again.scores == saliency.scores  # exact float round trip
                 assert again.anchor_position == saliency.anchor_position
+                assert again.predicted_answer == saliency.predicted_answer
         second = tmp_path / "cache2.jsonl"
         loaded.save(second)
         assert first.read_bytes() == second.read_bytes()
@@ -381,6 +393,39 @@ class TestCache:
         path.write_text('{"model_id": "toy:7"}\n')
         with pytest.raises(InputError, match="line 1"):
             SaliencyCache.load(path)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("scores", ["x"], "scores are not all finite numbers"),
+            ("scores", [0.1, float("nan")], "scores are not all finite numbers"),
+            ("scores", [float("-inf")], "scores are not all finite numbers"),
+            ("scores", [True, 0.1], "scores are not all finite numbers"),
+            ("scores", "0.1", "scores are not all finite numbers"),
+            ("predicted_answer", 5, "predicted_answer is not a string"),
+            ("predicted_answer", ["Ada"], "predicted_answer is not a string"),
+        ],
+    )
+    def test_load_rejects_bad_scores_and_answers(self, tmp_path, corpus, field, value, message):
+        cache = SaliencyCache()
+        for inst in corpus[:2]:
+            cache.get_or_compute(build_gateway("toy:7"), inst, SaliencyConfig(method="occlusion"))
+        path = tmp_path / "cache.jsonl"
+        cache.save(path)
+        lines = path.read_text().splitlines()
+        doc = json.loads(lines[1])
+        doc[field] = value
+        path.write_text(f"{lines[0]}\n{json.dumps(doc)}\n")
+        with pytest.raises(InputError) as info:
+            SaliencyCache.load(path)
+        assert str(info.value) == f"{path}: bad cache record on line 2: {message}"
+
+    def test_maps_keep_the_answer_that_fixed_their_anchor(self, corpus):
+        gateway = build_gateway("toy:7")
+        inst = corpus[0]
+        answer = gateway.predict(inst).predicted_span.text
+        for config in (SaliencyConfig(), SaliencyConfig(method="integrated_gradients", ig_steps=4)):
+            assert compute_saliency(gateway, inst, config).predicted_answer == answer
 
     def test_compute_saliency_dispatches_on_method(self, corpus):
         gateway = build_gateway("toy:7")
