@@ -175,14 +175,6 @@ def _question(text: str) -> dict:
     }
 
 
-def _iter_squad_paragraphs(doc: dict) -> Iterator[tuple[int, dict, str]]:
-    idx = 0
-    for article in doc["data"]:
-        for paragraph in article["paragraphs"]:
-            yield idx, paragraph, str(article.get("title", "0"))
-            idx += 1
-
-
 def _build_squad_instance(
     qa: dict, paragraph: dict, title: str, with_clusters: bool
 ) -> RCInstance:
@@ -212,14 +204,16 @@ def _build_squad_instance(
 
 def _squad_like(doc: dict, with_clusters: bool) -> Iterator[tuple[int, Callable[[], RCInstance]]]:
     idx = 0
-    for _, paragraph, title in _iter_squad_paragraphs(doc):
-        for qa in paragraph["qas"]:
+    for article in doc["data"]:
+        for paragraph in article["paragraphs"]:
+            title = str(article.get("title", "0"))
+            for qa in paragraph["qas"]:
 
-            def build(qa=qa, paragraph=paragraph, title=title) -> RCInstance:
-                return _build_squad_instance(qa, paragraph, title, with_clusters)
+                def build(qa=qa, paragraph=paragraph, title=title) -> RCInstance:
+                    return _build_squad_instance(qa, paragraph, title, with_clusters)
 
-            yield idx, build
-            idx += 1
+                yield idx, build
+                idx += 1
 
 
 def adapt_squad_like(doc: dict) -> Iterator[tuple[int, Callable[[], RCInstance]]]:

@@ -1,21 +1,12 @@
-"""Model gateway contract: scores, embeddings, gradients, span decoding.
+"""Model gateway contract: scores, masked scores, integrated gradients.
 
-A gateway wraps any extractive-QA model behind six capabilities: predict
-(start/end probability vectors over context words plus the decoded span),
-masked_start_scores (the start distribution with each word in turn
-replaced by the mask token, one row per word: what occlusion reads),
-embed (one vector per word, question words first), grad_start (derivative
-of the start probability at a target position with respect to every
-embedding coordinate), integrated_gradients (grad_start summed over the
-straight path from the mask-all baseline to the instance: what integrated
-gradients reads), and a declared mask token. Gateways work at the word
-level; models with subword vocabularies must reduce subword scores to
-words internally (max over subwords) before returning.
+The contract is the four ops of the remote wire (see `ModelGateway`), at
+the word level: a subword model gives each word the sum of its pieces'
+start (and end) probabilities, renormalized over the context words so
+each row sums to 1. Max over pieces fails `check_output`.
 
 Callers go through the module functions `predict`, `masked_start_scores`
 and `integrated_gradients`, which check every output against the contract.
-`embed` and `grad_start` are the primitives of the default
-`integrated_gradients`; gateways that override it need not provide them.
 """
 
 from __future__ import annotations
@@ -27,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from ..errors import CapabilityError, GatewayError, InputError
-from ..masking import mask_all, mask_word
+from ..masking import mask_word
 from ..types import AnswerSpan, RCInstance
 
 DEFAULT_MAX_ANSWER_LEN = 30
@@ -43,10 +34,17 @@ class ModelOutput:
 
 
 class ModelGateway(ABC):
-    """Contract every model must satisfy to be audited.
+    """Contract every model must satisfy to be audited: the four wire ops.
 
-    `predict` is mandatory; `embed`/`grad_start` may raise CapabilityError,
-    which disables gradient-based saliency but keeps occlusion usable.
+    `info` carries `model_id`, `baseline_token` (the mask token) and
+    `max_answer_len`. `predict` (mandatory) gives start/end probabilities
+    over the context words plus the decoded span. `masked_start_scores`
+    gives the start distribution with each word in turn masked, one row
+    per word (what occlusion reads). `integrated_gradients` gives the
+    embeddings, the mask-all baseline and the start gradient summed along
+    the path between them (what integrated gradients reads); its default
+    raises CapabilityError, which disables gradient-based saliency but
+    keeps occlusion usable.
     """
 
     max_answer_len: int = DEFAULT_MAX_ANSWER_LEN
@@ -75,6 +73,8 @@ class ModelGateway(ABC):
             ]
         )
 
+    # Not part of the contract: the benchmark's tracer wraps embed and
+    # grad_start by name on every gateway (perfbench/tracing.py).
     def embed(self, instance: RCInstance) -> np.ndarray:
         raise CapabilityError(f"{self.model_id} does not expose embeddings")
 
@@ -87,17 +87,9 @@ class ModelGateway(ABC):
         self, instance: RCInstance, steps: int, target_position: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(embeddings, mask-all baseline, sum over j = 1..steps in path order
-        of grad_start at baseline + (j / steps) * (embeddings - baseline)).
-        Gateways that can evaluate several points at once override this."""
-        embeddings = _checked_embeddings(instance, self.embed(instance))
-        masked = self.embed(mask_all(instance, self.baseline_token))
-        baseline = _checked_array(instance, "baseline embeddings", masked, embeddings.shape)
-        delta = embeddings - baseline
-        total = np.zeros_like(embeddings)
-        for j in range(1, steps + 1):
-            grad = self.grad_start(instance, baseline + (j / steps) * delta, target_position)
-            total += _checked_array(instance, "gradients", grad, embeddings.shape)
-        return embeddings, baseline, total
+        of the start-probability gradient at target_position, taken at
+        baseline + (j / steps) * (embeddings - baseline))."""
+        raise CapabilityError(f"{self.model_id} does not expose integrated gradients")
 
     def close(self) -> None:
         """Release external resources (sockets, subprocesses). No-op here."""
@@ -237,21 +229,16 @@ def masked_start_scores(gateway: ModelGateway, instance: RCInstance) -> np.ndarr
     return rows
 
 
-def _checked_embeddings(instance: RCInstance, value) -> np.ndarray:
-    """`value` as a finite (n_q + n_c, d) matrix."""
-    n = instance.n_question + instance.n_context
-    shape = np.shape(value)
-    if len(shape) != 2 or shape[0] != n or shape[1] < 1:
-        raise GatewayError(f"{instance.id}: embeddings have shape {shape}, want ({n}, d)")
-    return _checked_array(instance, "embeddings", value, shape)
-
-
 def integrated_gradients(
     gateway: ModelGateway, instance: RCInstance, steps: int, target: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Call gateway.integrated_gradients; the embeddings must be a finite (n_q
     + n_c, d) matrix, the baseline and the gradient sum finite and that shape."""
     embeddings, baseline, total = _call(gateway, "integrated_gradients", instance, steps, target)
-    embeddings = _checked_embeddings(instance, embeddings)
-    baseline = _checked_array(instance, "baseline embeddings", baseline, embeddings.shape)
-    return embeddings, baseline, _checked_array(instance, "gradients", total, embeddings.shape)
+    n = instance.n_question + instance.n_context
+    shape = np.shape(embeddings)
+    if len(shape) != 2 or shape[0] != n or shape[1] < 1:
+        raise GatewayError(f"{instance.id}: embeddings have shape {shape}, want ({n}, d)")
+    embeddings = _checked_array(instance, "embeddings", embeddings, shape)
+    baseline = _checked_array(instance, "baseline embeddings", baseline, shape)
+    return embeddings, baseline, _checked_array(instance, "gradients", total, shape)

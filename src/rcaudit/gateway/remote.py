@@ -27,8 +27,8 @@ answers start_scores, end_scores and predicted_span (an answer record of
 the instance schema); `masked_start_scores` answers scores, one row per
 masked word; `integrated_gradients` answers embeddings, baseline and the
 path-summed grads. So an occlusion or IG map costs two round trips, however
-long the instance or the path. The client's embed and grad_start are the
-contract's defaults, which raise CapabilityError without a round trip.
+long the instance or the path. These four ops are the whole ModelGateway
+contract; no request carries an array.
 
 Every array in a reply (scores, embeddings, gradients) travels as
 ARRAY = {"shape": [...], "f8": "<base64 of little-endian C-order float64>"},

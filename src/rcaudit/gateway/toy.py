@@ -152,9 +152,9 @@ class ReferenceToyModel(ModelGateway):
     def integrated_gradients(
         self, instance: RCInstance, steps: int, target_position: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The contract's per-point loop, bit for bit, without a gradient
-        matrix or its checks per step: each step adds its context and
-        question rows into the sum in place."""
+        """The right-endpoint path sum of grad_start, bit for bit, without a
+        gradient matrix per step: each step adds its context and question
+        rows into the sum in place."""
         embeddings = self.embed(instance)
         baseline = self.embed(mask_all(instance, self.baseline_token))
         delta = embeddings - baseline

@@ -229,7 +229,9 @@ class SaliencyCache:
         """Read a file written by `save`. Records without a content hash or
         a predicted answer, written by earlier versions, are left out, so
         they miss and are recomputed. A record that is not an object with
-        finite numeric scores and a string answer is an InputError."""
+        finite numeric scores, a string answer, integer n_question and
+        anchor_position that fit the scores, and scope "all" (the only
+        scope `save` writes) is an InputError."""
         cache = cls()
         with open(path, "r", encoding="utf-8") as fh:
             for line_no, line in enumerate(fh):
@@ -246,16 +248,24 @@ class SaliencyCache:
                     answer = doc.get("predicted_answer")
                     if answer is not None and not isinstance(answer, str):
                         raise ValueError("predicted_answer is not a string")
+                    n_question, anchor = doc["n_question"], doc["anchor_position"]
+                    if type(n_question) is not int or not 0 <= n_question <= len(scores):
+                        raise ValueError(f"n_question {n_question!r} is not in [0, {len(scores)}]")
+                    n_context = len(scores) - n_question
+                    if type(anchor) is not int or not 0 <= anchor < n_context:
+                        raise ValueError(f"anchor_position {anchor!r} is not in [0, {n_context})")
+                    if doc["scope"] != "all":
+                        raise ValueError(f"scope {doc['scope']!r} is not 'all'")
                     saliency = SaliencyMap(
                         instance_id=doc["instance_id"],
-                        scope=doc["scope"],
+                        scope="all",
                         scores=tuple(map(float, scores)),
                         method=doc["method"],
                         config_hash=doc["config_hash"],
                         model_id=doc["model_id"],
-                        anchor_position=doc["anchor_position"],
+                        anchor_position=anchor,
                         predicted_answer=answer,
-                        n_question=doc["n_question"],
+                        n_question=n_question,
                     )
                     content = doc.get("content_hash")
                 except (ValueError, KeyError, TypeError) as exc:

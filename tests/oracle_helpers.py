@@ -28,7 +28,7 @@ def oracle_occlusion(gateway, instance):
     def with_masked_word(inst: RCInstance, position: int) -> RCInstance:
         mask = gateway.baseline_token
         if position < inst.n_question:
-            words = [t.text for t in inst.question]
+            words = list(inst.question_words)
             words[position] = mask
             return replace(
                 inst,
@@ -39,10 +39,10 @@ def oracle_occlusion(gateway, instance):
         flat = position - inst.n_question
         context = []
         for sent in inst.context:
-            words = [t.text for t in sent.tokens]
+            words = list(sent.words)
             if 0 <= flat < len(words):
                 words[flat] = mask
-            flat -= len(sent.tokens)
+            flat -= len(sent.words)
             context.append(
                 Sentence(
                     tuple(words),
@@ -72,7 +72,10 @@ class LinearStartGateway(ModelGateway):
     """Start-probability gradient is a constant matrix, so IG is exact.
 
     Word embeddings are hashes of the word text (deterministic, mask-aware)
-    and grad_start ignores its embedding argument entirely.
+    and grad_start ignores its embedding argument entirely. Its
+    integrated_gradients is the right-endpoint path sum written out one
+    grad_start per point, with the baseline built here rather than by the
+    library's masking.
     """
 
     def __init__(self, dim: int = 6, seed: int = 3) -> None:
@@ -90,9 +93,7 @@ class LinearStartGateway(ModelGateway):
         return raw / 255.0 - 0.5
 
     def embed(self, instance: RCInstance) -> np.ndarray:
-        words = [t.text for t in instance.question]
-        for sent in instance.context:
-            words.extend(t.text for t in sent.tokens)
+        words = instance.question_words + instance.context_words
         return np.stack([self._word_vector(w) for w in words])
 
     def constant_grad(self, n_words: int) -> np.ndarray:
@@ -103,6 +104,15 @@ class LinearStartGateway(ModelGateway):
 
     def grad_start(self, instance, embeddings, target_position):
         return self.constant_grad(np.asarray(embeddings).shape[0])
+
+    def integrated_gradients(self, instance, steps, target_position):
+        embeddings = self.embed(instance)
+        baseline = np.tile(self._word_vector(self.baseline_token), (len(embeddings), 1))
+        delta = embeddings - baseline
+        total = np.zeros_like(embeddings)
+        for j in range(1, steps + 1):
+            total += self.grad_start(instance, baseline + (j / steps) * delta, target_position)
+        return embeddings, baseline, total
 
     def predict(self, instance: RCInstance) -> ModelOutput:
         n = instance.n_context

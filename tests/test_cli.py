@@ -22,7 +22,7 @@ from rcaudit.counterfactuals import perturb_comparison
 from rcaudit.data import coref_cf_pairs_path, fixture_corpus_path
 from rcaudit.errors import InputError
 from rcaudit.gateway import build_gateway
-from rcaudit.gateway.base import predict
+from rcaudit.gateway.base import ModelGateway, predict
 from rcaudit.metrics import exact_match
 from rcaudit.saliency import SaliencyCache, SaliencyConfig
 from rcaudit.synthetic import make_synthetic_corpus
@@ -264,6 +264,38 @@ class TestAlign:
         assert capsys.readouterr().err == (
             f"error: {cache_path}: bad cache record on line 1: "
             "scores are not all finite numbers\n"
+        )
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("n_question", "3", "n_question '3' is not in [0, {n}]"),
+            ("n_question", 3.0, "n_question 3.0 is not in [0, {n}]"),
+            ("n_question", True, "n_question True is not in [0, {n}]"),
+            ("n_question", -1, "n_question -1 is not in [0, {n}]"),
+            ("anchor_position", 1000000, "anchor_position 1000000 is not in [0, {n_c})"),
+            ("anchor_position", "0", "anchor_position '0' is not in [0, {n_c})"),
+            ("scope", "bogus", "scope 'bogus' is not 'all'"),
+            ("scope", "context_tokens", "scope 'context_tokens' is not 'all'"),
+        ],
+    )
+    def test_cache_record_of_wrong_type_or_range_exits_2(
+        self, tmp_path, capsys, field, value, message
+    ):
+        out = tmp_path / "out"
+        argv = ("align", "--dataset", CORPUS, "--model", "toy:3", "--out", str(out))
+        assert run(*argv) == 0
+        cache_path = out / "saliency_cache.jsonl"
+        first, *rest = cache_path.read_text().splitlines(keepends=True)
+        doc = json.loads(first)
+        n, n_c = len(doc["scores"]), len(doc["scores"]) - doc["n_question"]
+        doc[field] = value
+        cache_path.write_text(json.dumps(doc) + "\n" + "".join(rest))
+        capsys.readouterr()
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cache_path}: bad cache record on line 1: "
+            f"{message.format(n=n, n_c=n_c)}\n"
         )
 
     def test_engineered_two_thirds_alignment(self, tmp_path):
@@ -664,7 +696,27 @@ class TestExitCodes:
             "--model", f"scripted:{fx['script']}", "--method", "ig",
             "--out", str(tmp_path / "out"),
         )
-        assert code == 3  # scripted models expose no embeddings
+        assert code == 3  # scripted models expose no integrated gradients
+
+    @pytest.mark.parametrize("model", ["oracle", "scripted"])
+    def test_align_ig_without_integrated_gradients_exits_3(
+        self, tmp_path, capsys, monkeypatch, model
+    ):
+        fx = make_engineered_alignment(tmp_path)
+        spec = f"scripted:{fx['script']}" if model == "scripted" else model
+        model_id = build_gateway(spec).model_id
+        called = []
+        for op in ("embed", "grad_start"):
+            monkeypatch.setattr(ModelGateway, op, lambda self, *args, op=op: called.append(op))
+        code = run(
+            "align", "--dataset", str(fx["corpus"]), "--model", spec,
+            "--cf-file", str(fx["pairs"]), "--method", "ig", "--out", str(tmp_path / "out"),
+        )
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: {model_id} does not expose integrated gradients\n"
+        )
+        assert called == []
 
 
 def declared_console_script(name: str) -> EntryPoint:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rcaudit.errors import GatewayError, InputError
+from rcaudit.errors import CapabilityError, GatewayError, InputError
 from rcaudit.gateway import build_gateway
 from rcaudit.gateway.base import (
     ModelGateway,
@@ -191,7 +191,7 @@ class TestToyModel:
         instance_seed=st.integers(0, 50),
         target_seed=st.integers(0, 2**16),
     )
-    def test_default_integrated_gradients_equals_per_point_loop(
+    def test_integrated_gradients_equals_per_point_loop(
         self, seed, dim, steps, instance_seed, target_seed
     ):
         gateway = ReferenceToyModel(seed=seed, embedding_dim=dim)
@@ -204,11 +204,9 @@ class TestToyModel:
         for j in range(1, steps + 1):
             total += gateway.grad_start(inst, baseline + (j / steps) * delta, target)
         got = gateway.integrated_gradients(inst, steps, target)
-        default = ModelGateway.integrated_gradients(gateway, inst, steps, target)
-        for have, want, contract in zip(got, (embeddings, baseline, total), default):
+        for have, want in zip(got, (embeddings, baseline, total)):
             assert have.shape == want.shape
             assert have.tobytes() == want.tobytes()
-            assert have.tobytes() == contract.tobytes()
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -412,30 +410,23 @@ class TestOutputValidation:
         with pytest.raises(GatewayError, match="v-3"):
             predict(Exploding(), inst)
 
-    def test_embed_and_gradients_are_checked_naming_the_instance(self):
+    def test_integrated_gradients_output_is_checked_naming_the_instance(self):
         class Faulty(ReferenceToyModel):
             def __init__(self, fault):
                 super().__init__(seed=1)
                 self.fault = fault
 
-            def embed(self, instance):
-                emb = super().embed(instance)
-                return emb[1:] if self.fault == "short" else emb
-
-            def grad_start(self, instance, embeddings, target_position):
-                grad = super().grad_start(instance, embeddings, target_position)
-                if self.fault == "nan":
-                    grad[0, 0] = np.nan
-                if self.fault == "inf":
-                    grad[-1, -1] = -np.inf
-                return grad[0] if self.fault == "row" else grad
-
             def integrated_gradients(self, instance, steps, target_position):
-                # The contract's per-point loop, which sees the faulty embed and grad_start.
-                emb, base, grads = ModelGateway.integrated_gradients(
-                    self, instance, steps, target_position
-                )
-                return emb, base, grads[:-1] if self.fault == "drop" else grads
+                emb, base, grads = super().integrated_gradients(instance, steps, target_position)
+                if self.fault == "nan":
+                    grads[0, 0] = np.nan
+                if self.fault == "inf":
+                    grads[-1, -1] = -np.inf
+                if self.fault == "short":
+                    emb = emb[1:]
+                if self.fault == "drop":
+                    grads = grads[:-1]
+                return emb, base, grads[0] if self.fault == "row" else grads
 
         inst = build_instance("v-6", "Who?", ["Ada wrote."], gold=(0, "Ada"))
         shapes = [a.shape for a in integrated_gradients(Faulty(None), inst, 2, 0)]
@@ -447,7 +438,7 @@ class TestOutputValidation:
                 integrated_gradients(Faulty(fault), inst, 2, 0)
         with pytest.raises(GatewayError, match=r"v-6: gradients have shape \(4, 16\), want \(5, 16\)"):
             integrated_gradients(Faulty("drop"), inst, 2, 0)
-        # One row would broadcast into the sum unnoticed: each point is checked.
+        # One row would broadcast against the embeddings unnoticed.
         with pytest.raises(GatewayError, match=r"v-6: gradients have shape \(16,\), want \(5, 16\)"):
             integrated_gradients(Faulty("row"), inst, 2, 0)
 
@@ -459,6 +450,45 @@ class TestOutputValidation:
         inst = build_instance("v-7", "Who?", ["Ada wrote."], gold=(0, "Ada"))
         with pytest.raises(GatewayError, match="v-7: gateway toy:0 failed: boom"):
             integrated_gradients(Exploding(seed=0), inst, 2, 0)
+
+    def test_default_integrated_gradients_is_a_capability_error(self):
+        inst = build_instance("v-8", "Who?", ["Ada wrote."], gold=(0, "Ada"))
+        with pytest.raises(CapabilityError, match="^oracle does not expose integrated gradients$"):
+            integrated_gradients(GoldOracleModel(), inst, 2, 0)
+
+    def test_subword_scores_reduce_to_words_by_renormalized_sum(self, corpus):
+        class SubwordReader(ModelGateway):
+            """A word-level view of a reader whose pieces are [CLS] plus two
+            equal pieces per context word, reduced to words by `reduce`."""
+
+            def __init__(self, reduce):
+                self.inner = ReferenceToyModel(seed=3)
+                self.reduce = reduce
+
+            @property
+            def model_id(self):
+                return f"subword-{self.reduce}"
+
+            def word_scores(self, word_probs):
+                pieces = np.concatenate([[0.2], np.repeat(0.8 * word_probs / 2, 2)])
+                by_word = pieces[1:].reshape(-1, 2)
+                if self.reduce == "max":
+                    return by_word.max(axis=1)
+                summed = by_word.sum(axis=1)
+                return summed / summed.sum()
+
+            def predict(self, instance):
+                out = self.inner.predict(instance)
+                start, end = map(self.word_scores, (out.start_scores, out.end_scores))
+                return ModelOutput(start, end, out.predicted_span)
+
+        inst = corpus[0]
+        words = ReferenceToyModel(seed=3).predict(inst)
+        out = predict(SubwordReader("sum"), inst)
+        assert np.abs(out.start_scores - words.start_scores).max() < 1e-12
+        assert np.abs(out.end_scores - words.end_scores).max() < 1e-12
+        with pytest.raises(GatewayError, match=f"{inst.id}: start scores sum to 0.40000000"):
+            predict(SubwordReader("max"), inst)
 
     def test_span_text_joins_across_sentences_with_spaces(self):
         inst = build_instance(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import base64
 import gc
 import io
@@ -14,6 +15,7 @@ import subprocess
 import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,9 +26,16 @@ from rcaudit.corpus.schema import instance_to_dict
 from rcaudit.counterfactuals import perturb_comparison
 from rcaudit.errors import CapabilityError, GatewayError, InputError
 from rcaudit.gateway import build_gateway
+from rcaudit.gateway import base as base_module
 from rcaudit.gateway import remote_client as client_module
 from rcaudit.gateway.base import integrated_gradients, masked_start_scores
-from rcaudit.gateway.remote import decode_array, encode_array, handle_request, serve_stream
+from rcaudit.gateway.remote import (
+    _INSTANCE_OPS,
+    decode_array,
+    encode_array,
+    handle_request,
+    serve_stream,
+)
 from rcaudit.gateway.remote_client import RemoteGateway
 from rcaudit.gateway.toy import ReferenceToyModel
 from rcaudit.metrics import exact_match
@@ -317,6 +326,26 @@ class TestServerImports:
         bare, _ = loaded_modules("pass")
         for client_only in ("socket", "subprocess"):
             assert client_only not in modules or client_only in bare
+
+
+def checked_ops() -> list[str]:
+    """The op names the checked callers in gateway/base.py pass to `_call`."""
+    tree = ast.parse(Path(base_module.__file__).read_text(encoding="utf-8"))
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_call"
+    ]
+    assert all(isinstance(call.args[1], ast.Constant) for call in calls)
+    return [call.args[1].value for call in calls]
+
+
+class TestContractIsTheWire:
+    def test_every_checked_op_is_served_and_defined_by_the_client(self):
+        ops = checked_ops()
+        assert sorted(ops) == sorted(_INSTANCE_OPS)
+        inherited = [op for op in ops if op not in RemoteGateway.__dict__]
+        assert inherited == []
 
 
 class TestPackedArrays:

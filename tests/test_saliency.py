@@ -27,7 +27,7 @@ from rcaudit.synthetic import make_synthetic_corpus
 
 
 class CountingGateway(ModelGateway):
-    """Wraps another gateway and counts calls to predict, embed and grad_start."""
+    """Wraps another gateway and counts calls to predict and integrated_gradients."""
 
     def __init__(self, inner: ModelGateway) -> None:
         self.inner = inner
@@ -45,13 +45,9 @@ class CountingGateway(ModelGateway):
         self.calls += 1
         return self.inner.predict(instance)
 
-    def embed(self, instance):
+    def integrated_gradients(self, instance, steps, target_position):
         self.calls += 1
-        return self.inner.embed(instance)
-
-    def grad_start(self, instance, embeddings, target_position):
-        self.calls += 1
-        return self.inner.grad_start(instance, embeddings, target_position)
+        return self.inner.integrated_gradients(instance, steps, target_position)
 
 
 class TestOcclusion:
@@ -179,13 +175,14 @@ class TestIntegratedGradients:
 
     def test_faulty_gradients_and_embeddings_are_rejected(self, corpus):
         class NanGrads(CountingGateway):
-            def grad_start(self, instance, embeddings, target_position):
-                return np.full_like(embeddings, np.nan)
+            def integrated_gradients(self, instance, steps, target_position):
+                emb, base, total = super().integrated_gradients(instance, steps, target_position)
+                return emb, base, np.full_like(total, np.nan)
 
         class NarrowBaseline(CountingGateway):
-            def embed(self, instance):
-                emb = self.inner.embed(instance)
-                return emb[:, :-1] if instance.question[0].text == self.baseline_token else emb
+            def integrated_gradients(self, instance, steps, target_position):
+                emb, base, total = super().integrated_gradients(instance, steps, target_position)
+                return emb, base[:, :-1], total
 
         class InfiniteSum(CountingGateway):
             def integrated_gradients(self, instance, steps, target_position):
