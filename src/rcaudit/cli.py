@@ -12,6 +12,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from collections import Counter
@@ -522,6 +523,9 @@ def run_heuristic(args) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # What is alive now (modules, numpy's and scipy's tables) lives until exit;
+    # frozen, it is left out of the cycle collector's full passes.
+    gc.freeze()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         pre = argparse.ArgumentParser(add_help=False)

@@ -109,7 +109,8 @@ def load_dataset(desc: DatasetDescriptor) -> LoadResult:
 
     Records whose answers cannot be anchored, or that become unusable under
     supporting_facts reduction, are skipped and reported. Structurally
-    malformed records abort the load with the record index.
+    malformed records abort the load with the record index, and so does an
+    instance id that an earlier record already holds (records count from 0).
     """
     path = Path(desc.path)
     if not path.exists():
@@ -136,7 +137,14 @@ def load_dataset(desc: DatasetDescriptor) -> LoadResult:
     # load_jsonl has validated every unified record; what an adapter built,
     # and what reduce_context replaced, is checked here.
     checked = desc.format == "unified"
-    for idx, instance in candidates:
+    first_record: dict[str, int] = {}
+    for pos, (idx, instance) in enumerate(candidates):
+        record = pos if idx is None else idx
+        earlier = first_record.setdefault(instance.id, record)
+        if earlier != record:
+            raise InputError(
+                f"{path}: duplicate instance id {instance.id!r} in records {earlier} and {record}"
+            )
         try:
             reduced = reduce_context(instance, desc.context_mode)
             if reduced is not instance or not checked:

@@ -332,12 +332,14 @@ def load_cf_pairs(path: str | Path, originals: Iterable[RCInstance]) -> list[CFP
     them, validated, against their originals.
 
     Antonym twins are made from the corpus by `perturb_comparison`, so a
-    record of any other perturbation is refused. Raises InputError listing
-    every pair that fails validation.
+    record of any other perturbation is refused, and so is a second record
+    for the same original. Raises InputError listing every pair that fails
+    validation.
     """
     by_id = {inst.id: inst for inst in originals}
     pairs: list[CFPair] = []
     bad: list[str] = []
+    first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh):
             line = line.strip()
@@ -359,6 +361,11 @@ def load_cf_pairs(path: str | Path, originals: Iterable[RCInstance]) -> list[CFP
             original = by_id.get(original_id) if isinstance(original_id, str) else None
             if original is None:
                 raise InputError(f"{path}: unknown original instance {original_id!r}")
+            earlier = first_line.setdefault(original_id, line_no + 1)
+            if earlier != line_no + 1:
+                raise InputError(
+                    f"{path}: two records for {original_id!r}, on lines {earlier} and {line_no + 1}"
+                )
             try:
                 pair = _pair_from_record(record, original)
             except (KeyError, TypeError, ValueError) as exc:

@@ -7,6 +7,7 @@ import json
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -689,6 +690,27 @@ class TestExitCodes:
         assert run("evaluate", "--dataset", CORPUS, "--model", "quantum:9",
                    "--out", str(tmp_path / "d")) == 2
 
+    def test_duplicate_ids_exit_2(self, tmp_path, capsys):
+        corpus = make_synthetic_corpus(40, 3)
+        corpus[15] = replace(corpus[15], id="syn-3-0003")
+        dataset = tmp_path / "dup.jsonl"
+        save_jsonl(corpus, dataset)
+        out = tmp_path / "a"
+        assert run("align", "--dataset", str(dataset), "--model", "toy:7", "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {dataset}: duplicate instance id 'syn-3-0003' in records 3 and 15\n"
+        )
+        assert not (out / "alignment_records.jsonl").exists()
+
+        lines = Path(CF_PAIRS).read_text().splitlines()
+        cf_file = tmp_path / "twice.jsonl"
+        cf_file.write_text("\n".join(lines + lines[:1]) + "\n")
+        assert run("align", "--dataset", CORPUS, "--cf-file", str(cf_file), "--model", "toy:7",
+                   "--out", str(tmp_path / "b")) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cf_file}: two records for 'cor-01', on lines 1 and 11\n"
+        )
+
     def test_missing_capability_exits_3(self, tmp_path):
         fx = make_engineered_alignment(tmp_path)
         code = run(
@@ -753,6 +775,23 @@ class TestConsoleEntryPoint:
         monkeypatch.setattr(sys, "argv", ["rcaudit", *self.EVALUATE, "--out", str(out2)])
         assert target() == 0
         assert (out2 / "summary.csv").read_bytes() == (out / "summary.csv").read_bytes()
+
+    def test_main_freezes_what_the_import_left(self, tmp_path):
+        script = (
+            "import gc, sys\n"
+            "import rcaudit.cli\n"
+            "gc.collect()\n"
+            "alive = len(gc.get_objects())\n"
+            "assert rcaudit.cli.main(sys.argv[1:]) == 0\n"
+            "print(alive, gc.get_freeze_count())\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *self.EVALUATE, "--out", str(tmp_path / "out")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        alive, frozen = map(int, proc.stdout.split()[-2:])
+        assert alive > 0 and frozen >= alive
 
     @pytest.mark.skipif(shutil.which("rcaudit") is None,
                         reason="rcaudit console script not installed")

@@ -357,6 +357,25 @@ def count_validations(monkeypatch) -> list[RCInstance]:
     return seen
 
 
+class TestDuplicateIds:
+    def test_unified_duplicate_aborts_naming_both_records(self, tmp_path):
+        corpus = make_synthetic_corpus(40, 3)
+        corpus[15] = replace(corpus[15], id="syn-3-0003")
+        path = tmp_path / "dup.jsonl"
+        save_jsonl(corpus, path)
+        with pytest.raises(InputError) as caught:
+            load_dataset(DatasetDescriptor(str(path)))
+        assert str(caught.value) == f"{path}: duplicate instance id 'syn-3-0003' in records 3 and 15"
+
+    def test_adapter_duplicate_aborts_naming_both_records(self, tmp_path):
+        records = json.loads((DATA_DIR / "hotpot_like.json").read_text())
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps(records + records))
+        with pytest.raises(InputError) as caught:
+            load_dataset(DatasetDescriptor(str(path), format="hotpot_like"))
+        assert str(caught.value) == f"{path}: duplicate instance id 'hp-1' in records 0 and 1"
+
+
 class TestValidatedOnce:
     def test_each_unified_record_is_validated_once(self, monkeypatch, corpus):
         seen = count_validations(monkeypatch)

@@ -21,6 +21,7 @@ from rcaudit.counterfactuals import (
     save_cf_pairs,
     validate_cf,
 )
+from rcaudit.data import coref_cf_pairs_path
 from rcaudit.errors import InputError
 from rcaudit.gateway import build_gateway
 from rcaudit.metrics import normalize_answer
@@ -321,6 +322,14 @@ class TestFileRoundTrip:
         path.write_text("\n[1, 2]\n")
         with pytest.raises(InputError, match=f"{path}: line 2 is not a JSON object"):
             load_cf_pairs(path, corpus)
+
+    def test_load_refuses_a_second_record_for_an_original(self, tmp_path, corpus):
+        lines = coref_cf_pairs_path().read_text().splitlines()
+        path = tmp_path / "twice.jsonl"
+        path.write_text("\n".join(lines + lines[:1]) + "\n")
+        with pytest.raises(InputError) as refused:
+            load_cf_pairs(path, corpus)
+        assert str(refused.value) == f"{path}: two records for 'cor-01', on lines 1 and 11"
 
     def test_manual_loader_rejects_antonym_records(
         self, tmp_path, corpus_by_id, corpus, manual_pairs
