@@ -20,7 +20,7 @@ from scipy.special import stdtr
 from .counterfactuals import CFPair
 from .errors import InputError
 from .gateway.base import ModelGateway, predict
-from .metrics import exact_match
+from .metrics import score_answer
 from .partitions import (
     MIN_SIDE,
     TokenPartition,
@@ -159,19 +159,15 @@ def explanation_alignment(
             f"saliency is from {saliency.model_id!r}, gateway is {gateway.model_id!r}"
         )
     significance = partition_test(saliency, partition, alpha)
-    both = _answered(saliency.predicted_answer, pair.original) and _answered(
+    both = score_answer(saliency.predicted_answer, pair.original)[0] and score_answer(
         predict(gateway, pair.perturbed).predicted_span.text, pair.perturbed
-    )
+    )[0]
     return AlignmentRecord(
         instance_id=pair.original.id,
         cf_both_correct=both,
         significance=significance,
         aligned=bool(both and significance.significant),
     )
-
-
-def _answered(prediction: str, instance: RCInstance) -> bool:
-    return exact_match(prediction, [a.text for a in instance.gold_answers])
 
 
 def alignment_score(records: Sequence[AlignmentRecord]) -> float:

@@ -41,7 +41,7 @@ from .errors import AuditError, CapabilityError, InputError
 from .gateway import build_gateway
 from .gateway.base import predict
 from .heuristic import SELECTION_STRATEGIES, heuristic_answer
-from .metrics import evaluate_dataset, exact_match, token_f1
+from .metrics import evaluate_dataset, score_answer
 from .partitions import TokenPartition
 from .saliency import SaliencyCache, SaliencyConfig
 from .synthetic import make_synthetic_corpus
@@ -199,64 +199,49 @@ def write_jsonl(path: Path, rows) -> None:
             fh.write(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n")
 
 
-def _skill_breakdown(predictions: dict, instances: Sequence[RCInstance]) -> dict:
+def _scored(instances: Sequence[RCInstance], answers: dict[str, str]) -> tuple[list[dict], dict]:
+    """One row per instance (its answer, gold texts, exact match and F1), and
+    the macro scores over all instances and per skill."""
+    rows = []
     groups: dict[str, list[RCInstance]] = {}
     for inst in instances:
+        exact, f1 = score_answer(answers[inst.id], inst)
+        rows.append({"id": inst.id, "prediction": answers[inst.id],
+                     "gold": [a.text for a in inst.gold_answers], "exact_match": exact, "f1": f1})
         groups.setdefault(inst.skill, []).append(inst)
-    breakdown = {}
+    overall = evaluate_dataset(answers, instances)
+    per_skill = {}
     for skill in sorted(groups):
-        result = evaluate_dataset(predictions, groups[skill])
-        breakdown[skill] = {
-            "n": len(groups[skill]),
-            "exact_match": result.exact_match,
-            "f1": result.f1,
-        }
-    return breakdown
+        result = evaluate_dataset(answers, groups[skill])
+        per_skill[skill] = {"n": result.n_instances, "exact_match": result.exact_match, "f1": result.f1}
+    return rows, {"n_instances": len(instances), "exact_match": overall.exact_match,
+                  "f1": overall.f1, "per_skill": per_skill}
 
 
 def run_evaluate(args) -> int:
     instances, skipped = load_instances(args)
     instances = sorted(instances, key=lambda i: i.id)
     out = out_dir(args)
-    rows = []
-    predictions: dict[str, str] = {}
+    answers: dict[str, str] = {}
+    spans = []
     with build_gateway(args.model) as gateway:
         for inst in instances:
-            output = predict(gateway, inst)
-            span = output.predicted_span
-            golds = [a.text for a in inst.gold_answers]
-            predictions[inst.id] = span.text
-            rows.append(
-                {
-                    "id": inst.id,
-                    "prediction": span.text,
-                    "span": [span.token_start, span.token_end],
-                    "gold": golds,
-                    "exact_match": exact_match(span.text, golds),
-                    "f1": token_f1(span.text, golds),
-                }
-            )
+            span = predict(gateway, inst).predicted_span
+            answers[inst.id] = span.text
+            spans.append([span.token_start, span.token_end])
         model_id = gateway.model_id
-    overall = evaluate_dataset(predictions, instances)
-    summary = {
-        "dataset": args.dataset,
-        "model_id": model_id,
-        "n_instances": len(instances),
-        "exact_match": overall.exact_match,
-        "f1": overall.f1,
-        "per_skill": _skill_breakdown(predictions, instances),
-        "skipped_records": skipped,
-    }
+    rows, scores = _scored(instances, answers)
+    for row, span in zip(rows, spans):
+        row["span"] = span
     write_jsonl(out / "predictions.jsonl", rows)
-    write_json(out / "summary.json", summary)
+    write_json(out / "summary.json", {"dataset": args.dataset, "model_id": model_id,
+                                      **scores, "skipped_records": skipped})
     lines = ["model,skill,n,exact_match,f1"]
-    for skill, stats in summary["per_skill"].items():
-        lines.append(
-            f"{model_id},{skill},{stats['n']},{stats['exact_match']:.4f},{stats['f1']:.4f}"
-        )
-    lines.append(f"{model_id},all,{len(instances)},{overall.exact_match:.4f},{overall.f1:.4f}")
+    for skill, stats in scores["per_skill"].items():
+        lines.append(f"{model_id},{skill},{stats['n']},{stats['exact_match']:.4f},{stats['f1']:.4f}")
+    lines.append(f"{model_id},all,{len(instances)},{scores['exact_match']:.4f},{scores['f1']:.4f}")
     (out / "summary.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"evaluate: {len(instances)} instances, em={overall.exact_match:.4f} f1={overall.f1:.4f}")
+    print(f"evaluate: {len(instances)} instances, em={scores['exact_match']:.4f} f1={scores['f1']:.4f}")
     return 0
 
 
@@ -488,37 +473,13 @@ def run_calibrate(args) -> int:
 def run_heuristic(args) -> int:
     instances, skipped = load_instances(args)
     instances = sorted(instances, key=lambda i: i.id)
-    predictions = {}
-    rows = []
-    for inst in instances:
-        answer = heuristic_answer(inst, args.strategy)
-        golds = [a.text for a in inst.gold_answers]
-        predictions[inst.id] = answer
-        rows.append(
-            {
-                "id": inst.id,
-                "prediction": answer,
-                "gold": golds,
-                "exact_match": exact_match(answer, golds),
-                "f1": token_f1(answer, golds),
-            }
-        )
-    overall = evaluate_dataset(predictions, instances)
+    answers = {inst.id: heuristic_answer(inst, args.strategy) for inst in instances}
+    rows, scores = _scored(instances, answers)
     out = out_dir(args)
     write_jsonl(out / "heuristic_predictions.jsonl", rows)
-    write_json(
-        out / "heuristic_summary.json",
-        {
-            "dataset": args.dataset,
-            "strategy": args.strategy,
-            "n_instances": len(instances),
-            "exact_match": overall.exact_match,
-            "f1": overall.f1,
-            "per_skill": _skill_breakdown(predictions, instances),
-            "skipped_records": skipped,
-        },
-    )
-    print(f"heuristic[{args.strategy}]: em={overall.exact_match:.4f} f1={overall.f1:.4f}")
+    write_json(out / "heuristic_summary.json", {"dataset": args.dataset, "strategy": args.strategy,
+                                                **scores, "skipped_records": skipped})
+    print(f"heuristic[{args.strategy}]: em={scores['exact_match']:.4f} f1={scores['f1']:.4f}")
     return 0
 
 

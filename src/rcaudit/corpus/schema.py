@@ -169,5 +169,9 @@ def load_jsonl(path: str | Path) -> list[RCInstance]:
                 doc = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise InputError(f"{path}: bad JSON on line {line_no + 1}: {exc}") from exc
-            instances.append(validate_instance(instance_from_dict(doc)))
+            try:
+                instances.append(validate_instance(instance_from_dict(doc)))
+            except InputError as exc:  # a wrapped KeyError etc. is named as for adapter records
+                reason = repr(exc.__cause__) if exc.__cause__ else exc
+                raise InputError(f"{path}: malformed record {len(instances)}: {reason}") from exc
     return instances

@@ -22,7 +22,7 @@ from .corpus.filters import OPERATOR_ANTONYMS
 from .corpus.schema import span_from_dict, span_to_dict
 from .errors import InputError
 from .gateway.base import ModelGateway, predict
-from .metrics import exact_match, normalize_answer, token_f1
+from .metrics import normalize_answer, score_answer
 from .text import find_token_run, split_words, words
 from .types import AnswerSpan, EvalResult, QuestionAnnotations, RCInstance, Sentence
 
@@ -395,20 +395,16 @@ def cf_accuracy(gateway: ModelGateway, pairs: Sequence[CFPair]) -> CFAccuracy:
     """
     if not pairs:
         raise InputError("cf_accuracy requires at least one pair")
-    stats = {"original": [0.0, 0], "perturbed": [0.0, 0]}
+    sums = ([0.0, 0], [0.0, 0])  # F1 and exact matches: originals, then twins
     both = 0
-    for pair in pairs:
-        correct = {}
-        for condition, instance in (("original", pair.original), ("perturbed", pair.perturbed)):
-            pred = predict(gateway, instance).predicted_span.text
-            golds = [a.text for a in instance.gold_answers]
-            stats[condition][0] += token_f1(pred, golds)
-            correct[condition] = exact_match(pred, golds)
-            stats[condition][1] += int(correct[condition])
-        both += int(correct["original"] and correct["perturbed"])
+    for pair in pairs:  # pair by pair: both tables' twins of one original share an id
+        exact = []
+        for side, instance in zip(sums, (pair.original, pair.perturbed)):
+            em, f1 = score_answer(predict(gateway, instance).predicted_span.text, instance)
+            side[0] += f1
+            side[1] += em
+            exact.append(em)
+        both += all(exact)
     n = len(pairs)
-    return CFAccuracy(
-        original=EvalResult(f1=stats["original"][0] / n, exact_match=stats["original"][1] / n, n_instances=n),
-        perturbed=EvalResult(f1=stats["perturbed"][0] / n, exact_match=stats["perturbed"][1] / n, n_instances=n),
-        both_correct=both / n,
-    )
+    original, perturbed = (EvalResult(f1=f1 / n, exact_match=em / n, n_instances=n) for f1, em in sums)
+    return CFAccuracy(original=original, perturbed=perturbed, both_correct=both / n)

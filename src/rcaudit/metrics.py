@@ -4,6 +4,9 @@ Normalization follows the de-facto extractive-QA convention: lowercase,
 strip punctuation, drop the articles a/an/the, collapse whitespace. F1 uses
 bag-of-token (multiset) overlap so repeated tokens are not double-credited;
 with several gold answers the best-scoring one counts.
+
+`score_answer` scores a prediction against an instance's gold answers;
+every answer score in the package comes from it.
 """
 
 from __future__ import annotations
@@ -27,18 +30,15 @@ def normalize_answer(text: str) -> str:
     return " ".join(text.split())
 
 
-def token_f1(predicted: str, gold_answers: Sequence[str]) -> float:
-    """Best bag-of-token F1 of the prediction against any gold answer."""
-    if not gold_answers:
-        raise InputError("token_f1 requires at least one gold answer")
-    pred = normalize_answer(predicted)
+def _best_f1(pred: str, golds: Sequence[str]) -> float:
+    """Best bag-of-token F1 of a normalized prediction against normalized
+    gold answers."""
+    pred_tokens = Counter(pred.split())
     best = 0.0
-    for gold_text in gold_answers:
-        gold = normalize_answer(gold_text)
+    for gold in golds:
         if not pred and not gold:
             best = max(best, 1.0)
             continue
-        pred_tokens = Counter(pred.split())
         gold_tokens = Counter(gold.split())
         overlap = sum((pred_tokens & gold_tokens).values())
         if overlap == 0:
@@ -49,12 +49,29 @@ def token_f1(predicted: str, gold_answers: Sequence[str]) -> float:
     return best
 
 
+def token_f1(predicted: str, gold_answers: Sequence[str]) -> float:
+    """Best bag-of-token F1 of the prediction against any gold answer."""
+    if not gold_answers:
+        raise InputError("token_f1 requires at least one gold answer")
+    return _best_f1(normalize_answer(predicted), [normalize_answer(g) for g in gold_answers])
+
+
 def exact_match(predicted: str, gold_answers: Sequence[str]) -> bool:
     """True iff the normalized prediction equals any normalized gold answer."""
     if not gold_answers:
         raise InputError("exact_match requires at least one gold answer")
     pred = normalize_answer(predicted)
     return any(pred == normalize_answer(g) for g in gold_answers)
+
+
+def score_answer(prediction: str, instance: RCInstance) -> tuple[bool, float]:
+    """Exact match and best token F1 of a prediction against the instance's
+    gold answers, each text normalized once."""
+    golds = [normalize_answer(a.text) for a in instance.gold_answers]
+    if not golds:
+        raise InputError(f"{instance.id}: no gold answers")
+    pred = normalize_answer(prediction)
+    return pred in golds, _best_f1(pred, golds)
 
 
 def evaluate_dataset(
@@ -71,10 +88,9 @@ def evaluate_dataset(
     for instance in instances:
         if instance.id not in predictions:
             raise InputError(f"no prediction for instance {instance.id!r}")
-        golds = [a.text for a in instance.gold_answers]
-        pred = predictions[instance.id]
-        f1_total += token_f1(pred, golds)
-        em_total += int(exact_match(pred, golds))
+        exact, f1 = score_answer(predictions[instance.id], instance)
+        f1_total += f1
+        em_total += exact
         n += 1
     if n == 0:
         raise InputError("evaluate_dataset requires at least one instance")

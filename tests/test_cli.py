@@ -711,6 +711,22 @@ class TestExitCodes:
             f"error: {cf_file}: two records for 'cor-01', on lines 1 and 11\n"
         )
 
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda doc: [1, 2], """AttributeError("'list' object has no attribute 'get'")"""),
+            (lambda doc: {k: v for k, v in doc.items() if k != "answers"}, "KeyError('answers')"),
+        ],
+        ids=["not-an-object", "no-answers"],
+    )
+    def test_malformed_unified_record_is_named(self, tmp_path, capsys, edit, reason):
+        lines = Path(CORPUS).read_text().splitlines()
+        lines[3] = json.dumps(edit(json.loads(lines[3])))
+        dataset = tmp_path / "broken.jsonl"
+        dataset.write_text("\n".join(lines[:2] + [""] + lines[2:]) + "\n")  # a blank line is no record
+        assert run("evaluate", "--dataset", str(dataset), "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == f"error: {dataset}: malformed record 3: {reason}\n"
+
     def test_missing_capability_exits_3(self, tmp_path):
         fx = make_engineered_alignment(tmp_path)
         code = run(

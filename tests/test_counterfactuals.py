@@ -24,8 +24,10 @@ from rcaudit.counterfactuals import (
 from rcaudit.data import coref_cf_pairs_path
 from rcaudit.errors import InputError
 from rcaudit.gateway import build_gateway
-from rcaudit.metrics import normalize_answer
+from rcaudit.gateway.base import predict
+from rcaudit.metrics import exact_match, normalize_answer, token_f1
 from rcaudit.text import make_sentence
+from rcaudit.types import EvalResult
 
 IN_DIST = ANTONYM_TABLES["in_dist"]
 OOD = ANTONYM_TABLES["ood"]
@@ -396,3 +398,35 @@ class TestCfAccuracy:
     def test_requires_at_least_one_pair(self):
         with pytest.raises(InputError):
             cf_accuracy(build_gateway("oracle"), [])
+
+    def test_scores_pair_by_pair_when_twins_share_an_id(self, corpus):
+        # Both tables' twins of one original carry the id `<id>::cf`, with
+        # different questions and gold answers: no score may be keyed by id.
+        pairs = [
+            perturb_comparison(inst, table)
+            for inst in corpus
+            if inst.skill == "comparison"
+            for table in (IN_DIST, OOD)
+        ]
+        assert len(pairs) == 20 and len({p.perturbed.id for p in pairs}) == 10
+        gateway = build_gateway("toy:7")
+        sums = {"original": [0.0, 0], "perturbed": [0.0, 0]}
+        both = 0
+        for pair in pairs:
+            right = []
+            for side in ("original", "perturbed"):
+                instance = getattr(pair, side)
+                golds = [a.text for a in instance.gold_answers]
+                answer = predict(gateway, instance).predicted_span.text
+                sums[side][0] += token_f1(answer, golds)
+                sums[side][1] += exact_match(answer, golds)
+                right.append(exact_match(answer, golds))
+            both += all(right)
+        reference = {
+            side: EvalResult(f1=f1 / 20, exact_match=em / 20, n_instances=20)
+            for side, (f1, em) in sums.items()
+        }
+        report = cf_accuracy(gateway, pairs)
+        assert report.original == reference["original"]
+        assert report.perturbed == reference["perturbed"]
+        assert report.both_correct == both / 20

@@ -30,7 +30,7 @@ def main() -> None:
             "exact_match": result.exact_match,
             "f1": round(result.f1, 10),
         }
-    OUT.write_text(json.dumps(doc, indent=2, ensure_ascii=False, sort_keys=True) + "\n")
+    OUT.write_text(json.dumps(doc, indent=2, ensure_ascii=False, sort_keys=True) + "\n", encoding="utf-8")
     for strategy, block in doc["strategies"].items():
         print(f"{strategy}: em={block['exact_match']:.2f} f1={block['f1']:.4f}")
     print(f"wrote {OUT}")
