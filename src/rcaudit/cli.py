@@ -41,7 +41,7 @@ from .errors import AuditError, CapabilityError, InputError
 from .gateway import build_gateway
 from .gateway.base import predict
 from .heuristic import SELECTION_STRATEGIES, heuristic_answer
-from .metrics import evaluate_dataset, score_answer
+from .metrics import macro_average, score_answer
 from .partitions import TokenPartition
 from .saliency import SaliencyCache, SaliencyConfig
 from .synthetic import make_synthetic_corpus
@@ -201,18 +201,19 @@ def write_jsonl(path: Path, rows) -> None:
 
 def _scored(instances: Sequence[RCInstance], answers: dict[str, str]) -> tuple[list[dict], dict]:
     """One row per instance (its answer, gold texts, exact match and F1), and
-    the macro scores over all instances and per skill."""
+    the macro scores over all instances and per skill, averaged from the
+    rows' scores."""
     rows = []
-    groups: dict[str, list[RCInstance]] = {}
+    groups: dict[str, list[tuple[bool, float]]] = {}
     for inst in instances:
         exact, f1 = score_answer(answers[inst.id], inst)
         rows.append({"id": inst.id, "prediction": answers[inst.id],
                      "gold": [a.text for a in inst.gold_answers], "exact_match": exact, "f1": f1})
-        groups.setdefault(inst.skill, []).append(inst)
-    overall = evaluate_dataset(answers, instances)
+        groups.setdefault(inst.skill, []).append((exact, f1))
+    overall = macro_average((row["exact_match"], row["f1"]) for row in rows)
     per_skill = {}
     for skill in sorted(groups):
-        result = evaluate_dataset(answers, groups[skill])
+        result = macro_average(groups[skill])
         per_skill[skill] = {"n": result.n_instances, "exact_match": result.exact_match, "f1": result.f1}
     return rows, {"n_instances": len(instances), "exact_match": overall.exact_match,
                   "f1": overall.f1, "per_skill": per_skill}
@@ -302,9 +303,10 @@ def _testable_comparison_pairs(
     test can judge: the pairs, their partitions by id, the instances the
     screen rejected with its reason, and the counterfactual skips.
 
-    The cheap partition screen runs first. An instance it rejects is still
-    checked on its own by `plan_antonym_swap`, so a counterfactual reason
-    wins over the screen's, as it would if the twin were built first.
+    The cheap partition screen runs first. An instance it rejects still
+    runs the checks of `plan_antonym_swap` on its own, so a counterfactual
+    reason wins over the screen's, as it would if the twin were built
+    first; nothing of its twin, not even the new gold's text, is rendered.
     """
     pairs: list[CFPair] = []
     partitions: dict[str, TokenPartition] = {}

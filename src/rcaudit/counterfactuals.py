@@ -124,7 +124,9 @@ def _shift_indices(indices: frozenset[int], after: int, delta: int) -> frozenset
     return frozenset(i + delta if i > after else i for i in indices)
 
 
-def _entity_context_span(instance: RCInstance, entity: frozenset[int]) -> AnswerSpan:
+def _entity_context_run(instance: RCInstance, entity: frozenset[int]) -> tuple[int, int]:
+    """First and last context index of the first run of the entity's
+    question words in the context, which must lie in one sentence."""
     needle = [instance.question_words[i] for i in sorted(entity)]
     hit = find_token_run(instance.context_words, needle)
     if hit is None:
@@ -132,31 +134,27 @@ def _entity_context_span(instance: RCInstance, entity: frozenset[int]) -> Answer
             f"{instance.id}: compared entity {' '.join(needle)!r} not found in context"
         )
     start, end = hit, hit + len(needle) - 1
-    sent_idx = instance.sentence_of(start)
-    if instance.sentence_of(end) != sent_idx:
+    if instance.sentence_of(start) != instance.sentence_of(end):
         raise InputError(f"{instance.id}: entity span crosses a sentence boundary")
-    return AnswerSpan(
-        text=instance.span_surface(start, end),
-        sentence_index=sent_idx,
-        token_start=start,
-        token_end=end,
-    )
+    return start, end
 
 
 @dataclass(frozen=True)
 class AntonymSwap:
     """An original that passed the antonym swap's checks on its own, with
-    the edit that makes its twin."""
+    the edit that makes its twin: the replacement operator, and the context
+    words (first and last index) of the other entity, the twin's answer."""
 
     original: RCInstance
-    old_surface: str
     new_surface: str
-    new_gold: AnswerSpan
+    new_gold_start: int
+    new_gold_end: int
     distribution_tag: str
 
 
 def plan_antonym_swap(instance: RCInstance, table: AntonymTable) -> AntonymSwap:
-    """Check the original alone and plan its antonym swap; no twin is built.
+    """Check the original alone and plan its antonym swap; nothing of the
+    twin is rendered.
 
     The replacement is the table's first candidate. Requires a two-entity
     comparison whose gold answer names one of the compared entities, and
@@ -165,8 +163,8 @@ def plan_antonym_swap(instance: RCInstance, table: AntonymTable) -> AntonymSwap:
     if instance.skill != "comparison" or instance.annotations is None:
         raise InputError(f"{instance.id}: antonym swap needs an annotated comparison instance")
     ann = instance.annotations
-    old_surface = _question_surface(instance, ann.comparison_operator)
-    key = " ".join(instance.question_words[i] for i in sorted(ann.comparison_operator)).casefold()
+    lo, hi = _contiguous(ann.comparison_operator, "annotation", instance.id)
+    key = " ".join(instance.question_words[i] for i in range(lo, hi + 1)).casefold()
     replacements = table.entries.get(key)
     if replacements is None:
         raise InputError(f"{instance.id}: operator {key!r} not in the {table.distribution_tag} table")
@@ -177,12 +175,12 @@ def plan_antonym_swap(instance: RCInstance, table: AntonymTable) -> AntonymSwap:
     matches = [i for i, s in enumerate(entity_surfaces) if normalize_answer(s) in gold_norms]
     if not matches:
         raise InputError(f"{instance.id}: gold answer names neither compared entity")
-    other = ann.compared_entities[1 - matches[0]]
+    start, end = _entity_context_run(instance, ann.compared_entities[1 - matches[0]])
     return AntonymSwap(
         original=instance,
-        old_surface=old_surface,
         new_surface=replacements[0],
-        new_gold=_entity_context_span(instance, other),
+        new_gold_start=start,
+        new_gold_end=end,
         distribution_tag=table.distribution_tag,
     )
 
@@ -190,13 +188,22 @@ def plan_antonym_swap(instance: RCInstance, table: AntonymTable) -> AntonymSwap:
 def build_antonym_twin(swap: AntonymSwap) -> CFPair:
     """Build the planned twin and validate the pair."""
     instance = swap.original
-    perturbed = _swap_operator(instance, swap.new_surface, swap.new_gold)
+    start, end = swap.new_gold_start, swap.new_gold_end
+    new_gold = AnswerSpan(
+        text=instance.span_surface(start, end),
+        sentence_index=instance.sentence_of(start),
+        token_start=start,
+        token_end=end,
+    )
     pair = CFPair(
         original=instance,
-        perturbed=perturbed,
+        perturbed=_swap_operator(instance, swap.new_surface, new_gold),
         perturbation="antonym_swap",
         distribution_tag=swap.distribution_tag,
-        replaced_operator=(swap.old_surface, swap.new_surface),
+        replaced_operator=(
+            _question_surface(instance, instance.annotations.comparison_operator),
+            swap.new_surface,
+        ),
     )
     violations = validate_cf(pair)
     if violations:

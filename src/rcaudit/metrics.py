@@ -6,7 +6,9 @@ bag-of-token (multiset) overlap so repeated tokens are not double-credited;
 with several gold answers the best-scoring one counts.
 
 `score_answer` scores a prediction against an instance's gold answers;
-every answer score in the package comes from it.
+every answer score in the package comes from it. `macro_average` averages
+such scores; `evaluate_dataset` and the `evaluate` and `heuristic` reports
+average through it.
 """
 
 from __future__ import annotations
@@ -20,13 +22,12 @@ from .errors import InputError
 from .types import EvalResult, RCInstance
 
 _ARTICLE_RE = re.compile(r"\b(a|an|the)\b")
-_PUNCT_TABLE = str.maketrans("", "", string.punctuation)
+_PUNCT_RE = re.compile(f"[{re.escape(string.punctuation)}]")
 
 
 def normalize_answer(text: str) -> str:
     """Lowercase, drop punctuation and articles, collapse whitespace."""
-    text = text.lower().translate(_PUNCT_TABLE)
-    text = _ARTICLE_RE.sub(" ", text)
+    text = _ARTICLE_RE.sub(" ", _PUNCT_RE.sub("", text.lower()))
     return " ".join(text.split())
 
 
@@ -74,6 +75,23 @@ def score_answer(prediction: str, instance: RCInstance) -> tuple[bool, float]:
     return pred in golds, _best_f1(pred, golds)
 
 
+def macro_average(scores: Iterable[tuple[bool, float]]) -> EvalResult:
+    """Mean exact match and F1 over (exact match, F1) scores, summed in order.
+
+    Raises InputError when there are no scores.
+    """
+    f1_total = 0.0
+    em_total = 0
+    n = 0
+    for exact, f1 in scores:
+        f1_total += f1
+        em_total += exact
+        n += 1
+    if n == 0:
+        raise InputError("evaluate_dataset requires at least one instance")
+    return EvalResult(f1=f1_total / n, exact_match=em_total / n, n_instances=n)
+
+
 def evaluate_dataset(
     predictions: Mapping[str, str], instances: Iterable[RCInstance]
 ) -> EvalResult:
@@ -82,16 +100,11 @@ def evaluate_dataset(
     Raises InputError when the instance list is empty or any instance id is
     missing from `predictions`.
     """
-    f1_total = 0.0
-    em_total = 0
-    n = 0
-    for instance in instances:
-        if instance.id not in predictions:
-            raise InputError(f"no prediction for instance {instance.id!r}")
-        exact, f1 = score_answer(predictions[instance.id], instance)
-        f1_total += f1
-        em_total += exact
-        n += 1
-    if n == 0:
-        raise InputError("evaluate_dataset requires at least one instance")
-    return EvalResult(f1=f1_total / n, exact_match=em_total / n, n_instances=n)
+
+    def scores():
+        for instance in instances:
+            if instance.id not in predictions:
+                raise InputError(f"no prediction for instance {instance.id!r}")
+            yield score_answer(predictions[instance.id], instance)
+
+    return macro_average(scores())

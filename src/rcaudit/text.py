@@ -57,10 +57,10 @@ def find_token_run(haystack: Sequence[str], needle_texts: Sequence[str]) -> int 
     if not needle_texts:
         return None
     needle = [t.casefold() for t in needle_texts]
-    folded = [t.casefold() for t in haystack]
     first, n = needle[0], len(needle)
-    for i in range(len(folded) - n + 1):
-        if folded[i] == first and folded[i : i + n] == needle:
+    for i in range(len(haystack) - n + 1):
+        # Casefold as the scan goes: a hit ends it early.
+        if haystack[i].casefold() == first and [w.casefold() for w in haystack[i : i + n]] == needle:
             return i
     return None
 

@@ -16,18 +16,20 @@ import pytest
 import rcaudit.cli as cli_module
 import rcaudit.counterfactuals as cf_module
 import rcaudit.saliency as saliency_module
-from conftest import build_instance, make_engineered_alignment
+from conftest import build_instance, make_engineered_alignment, span_at
+from rcaudit.alignment import screen_partition
 from rcaudit.cli import main, read_config
 from rcaudit.corpus.schema import load_jsonl, save_jsonl
-from rcaudit.counterfactuals import perturb_comparison
+from rcaudit.counterfactuals import ANTONYM_TABLES, AntonymTable, perturb_comparison
 from rcaudit.data import coref_cf_pairs_path, fixture_corpus_path
 from rcaudit.errors import InputError
 from rcaudit.gateway import build_gateway
 from rcaudit.gateway.base import ModelGateway, predict
-from rcaudit.metrics import exact_match
+from rcaudit.metrics import exact_match, normalize_answer
 from rcaudit.saliency import SaliencyCache, SaliencyConfig
 from rcaudit.synthetic import make_synthetic_corpus
-from rcaudit.types import Token
+from rcaudit.text import find_token_run, make_sentence
+from rcaudit.types import AnswerSpan, RCInstance, Token
 
 CORPUS = str(fixture_corpus_path())
 CF_PAIRS = str(coref_cf_pairs_path())
@@ -504,6 +506,149 @@ class TestAlignScreen:
         assert run(*argv, "--out", str(tmp_path / "cold")) == 0
         for name in ("alignment_records.jsonl", "alignment.csv"):
             assert (out / name).read_bytes() == (tmp_path / "cold" / name).read_bytes()
+
+
+def full_plan(instance: RCInstance, table: AntonymTable) -> tuple[str, str, AnswerSpan]:
+    """The antonym-swap plan as it ran before its checks were split from the
+    twin's rendering, kept as the reference: every check in order, then the
+    old operator's surface, the replacement and the new gold span."""
+    if instance.skill != "comparison" or instance.annotations is None:
+        raise InputError(f"{instance.id}: antonym swap needs an annotated comparison instance")
+    ann = instance.annotations
+
+    def surface(indices):
+        if not indices:
+            raise InputError(f"{instance.id}: annotation token set is empty")
+        lo, hi = min(indices), max(indices)
+        if len(indices) != hi - lo + 1:
+            raise InputError(f"{instance.id}: annotation token indices are not contiguous")
+        return instance.question_surface(lo, hi)
+
+    old_surface = surface(ann.comparison_operator)
+    key = " ".join(instance.question_words[i] for i in sorted(ann.comparison_operator)).casefold()
+    replacements = table.entries.get(key)
+    if replacements is None:
+        raise InputError(f"{instance.id}: operator {key!r} not in the {table.distribution_tag} table")
+    if len(ann.compared_entities) != 2:
+        raise InputError(f"{instance.id}: antonym swap needs exactly two compared entities")
+    gold_norms = {normalize_answer(a.text) for a in instance.gold_answers}
+    entity_surfaces = [surface(e) for e in ann.compared_entities]
+    matches = [i for i, s in enumerate(entity_surfaces) if normalize_answer(s) in gold_norms]
+    if not matches:
+        raise InputError(f"{instance.id}: gold answer names neither compared entity")
+    needle = [instance.question_words[i] for i in sorted(ann.compared_entities[1 - matches[0]])]
+    hit = find_token_run(instance.context_words, needle)
+    if hit is None:
+        raise InputError(
+            f"{instance.id}: compared entity {' '.join(needle)!r} not found in context"
+        )
+    start, end = hit, hit + len(needle) - 1
+    sent_idx = instance.sentence_of(start)
+    if instance.sentence_of(end) != sent_idx:
+        raise InputError(f"{instance.id}: entity span crosses a sentence boundary")
+    new_gold = AnswerSpan(
+        text=instance.span_surface(start, end),
+        sentence_index=sent_idx,
+        token_start=start,
+        token_end=end,
+    )
+    return old_surface, replacements[0], new_gold
+
+
+def reference_testable_pairs(instances, table):
+    """`_testable_comparison_pairs` as it would run with each original's
+    full plan, gold rendering included, before the partition screen."""
+    pairs, partitions, untestable, cf_skipped = [], {}, [], []
+    for inst in sorted(instances, key=lambda i: i.id):
+        try:
+            old_surface, new_surface, new_gold = full_plan(inst, table)
+        except InputError as exc:
+            cf_skipped.append([inst.id, str(exc)])
+            continue
+        try:
+            partition = screen_partition(inst)
+        except InputError as screened:
+            untestable.append((inst.id, str(screened)))
+            continue
+        try:
+            pair = perturb_comparison(inst, table)
+        except InputError as exc:
+            cf_skipped.append([inst.id, str(exc)])
+            continue
+        assert pair.replaced_operator == (old_surface, new_surface)
+        assert pair.perturbed.gold_answers == (new_gold,)
+        pairs.append(pair)
+        partitions[inst.id] = partition
+    return pairs, partitions, untestable, cf_skipped
+
+
+def one_word_operator_failures() -> list[RCInstance]:
+    """One-word-operator comparisons, so the partition screen rejects every
+    one; all but the first also fail one of the plan's checks."""
+    ok = build_instance(
+        "hand-ok",
+        "Which film came out earlier, Blind Shaft or Red Sorghum?",
+        ["Blind Shaft came out in 2003.", "Red Sorghum came out in 1987."],
+        gold=(1, "Red Sorghum"),
+        annotate=True,
+    )
+    assert len(ok.annotations.compared_entities) == 2
+    one_entity = replace(
+        ok, id="hand-one-entity",
+        annotations=replace(ok.annotations, compared_entities=ok.annotations.compared_entities[:1]),
+    )
+    gold_year = replace(ok, id="hand-gold-year", gold_answers=(span_at(ok.context, 1, "1987"),))
+    from_blind = replace(ok, gold_answers=(span_at(ok.context, 0, "Blind Shaft"),))
+    missing = replace(
+        from_blind, id="hand-missing",
+        context=(ok.context[0], make_sentence("Sorghum came out in 1987.")),
+    )
+    crossing = replace(
+        from_blind, id="hand-crossing",
+        context=(make_sentence("Blind Shaft came out after Red"), make_sentence("Sorghum came out.")),
+    )
+    return [ok, one_entity, gold_year, missing, crossing]
+
+
+class TestSkipPrecedence:
+    NARROW = AntonymTable(entries={"later": ("earlier",)}, distribution_tag="in_distribution")
+
+    def check(self, instances, table):
+        got = cli_module._testable_comparison_pairs(instances, table)
+        assert got == reference_testable_pairs(instances, table)
+        return got
+
+    def test_bundled_corpus_under_both_tables(self, corpus):
+        comparisons = [i for i in corpus if i.skill == "comparison"]
+        for table in (ANTONYM_TABLES["in_dist"], ANTONYM_TABLES["ood"]):
+            pairs, _, untestable, cf_skipped = self.check(comparisons, table)
+            assert (len(pairs), len(untestable), cf_skipped) == (2, 8, [])
+
+    def test_synthetic_300(self):
+        comparisons = [i for i in make_synthetic_corpus(300, 0) if i.skill == "comparison"]
+        pairs, _, untestable, _ = self.check(comparisons, ANTONYM_TABLES["in_dist"])
+        assert pairs and untestable
+
+    def test_each_failed_check_wins_over_the_screen(self):
+        instances = one_word_operator_failures()
+        for table in (ANTONYM_TABLES["in_dist"], ANTONYM_TABLES["ood"]):
+            pairs, partitions, untestable, cf_skipped = self.check(instances, table)
+            assert (pairs, partitions) == ([], {})
+            assert untestable == [("hand-ok", TTEST_REASON)]
+            assert cf_skipped == [
+                ["hand-crossing", "hand-crossing: entity span crosses a sentence boundary"],
+                ["hand-gold-year", "hand-gold-year: gold answer names neither compared entity"],
+                ["hand-missing",
+                 "hand-missing: compared entity 'Red Sorghum' not found in context"],
+                ["hand-one-entity",
+                 "hand-one-entity: antonym swap needs exactly two compared entities"],
+            ]
+        _, _, untestable, cf_skipped = self.check(instances, self.NARROW)
+        assert untestable == []
+        assert cf_skipped == [
+            [i.id, f"{i.id}: operator 'earlier' not in the in_distribution table"]
+            for i in sorted(instances, key=lambda i: i.id)
+        ]
 
 
 class TestAlignBuildsNoToken:

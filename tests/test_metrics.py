@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import string
 
 import pytest
@@ -27,6 +28,48 @@ class TestNormalize:
 
     def test_pure_article_normalizes_to_empty(self):
         assert normalize_answer("The") == ""
+
+
+_PUNCT_TABLE = str.maketrans("", "", string.punctuation)
+
+
+def translate_normalize(text: str) -> str:
+    """normalize_answer as it stripped punctuation with str.translate, kept
+    verbatim as the reference."""
+    text = text.lower().translate(_PUNCT_TABLE)
+    text = re.sub(r"\b(a|an|the)\b", " ", text)
+    return " ".join(text.split())
+
+
+class TestNormalizeMatchesTranslate:
+    @pytest.mark.parametrize("char", list(string.punctuation))
+    def test_every_ascii_punctuation_mark(self, char):
+        for text in (char, f"a{char}b", f"The{char}Mask {char}an{char} x{char}{char}"):
+            assert normalize_answer(text) == translate_normalize(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["’", "l’an", "—", "the—end", "«the»", "« an »", "The «Mask»—of Fu", "“The”",
+         "A.B.", "l'an", "the.end", "a-the-an"],
+    )
+    def test_unicode_punctuation_and_articles(self, text):
+        assert normalize_answer(text) == translate_normalize(text)
+
+    def test_worked_values(self):
+        assert normalize_answer("the—end") == "—end"
+        assert normalize_answer("«the»") == "« »"
+        assert normalize_answer("A.B.") == "ab"
+        assert normalize_answer("l'an") == "lan"
+
+    def test_random_texts(self):
+        rng = random.Random(19)
+        alphabet = string.ascii_letters + string.punctuation + " \t’—«»ßIİ"
+        joints = list(string.punctuation) + [" ", "—", "’"]
+        for _ in range(2000):
+            text = "".join(rng.choices(alphabet, k=rng.randint(0, 24)))
+            if rng.random() < 0.5:
+                text = rng.choice(["the", "a", "An", "THE"]) + rng.choice(joints) + text
+            assert normalize_answer(text) == translate_normalize(text)
 
 
 class TestTokenF1:

@@ -102,6 +102,8 @@ class TestRuns:
     @example(hay=["a", "b"], needle=[])  # an empty needle finds nothing
     @example(hay=["a"], needle=["a", "a"])  # a needle longer than the haystack
     @example(hay=[], needle=["a"])
+    @example(hay=["a", "a", "b", "a", "a", "a", "b"], needle=["A", "A", "A", "B"])  # repeated partial matches
+    @example(hay=["a", "a", "a"], needle=["a", "a", "b"])
     def test_find_token_run_matches_the_loop(self, hay, needle):
         haystack = token_view(hay, spaced_starts(hay))
         assert find_token_run(hay, tuple(needle)) == loop_find_token_run(
