@@ -219,9 +219,19 @@ def _scored(instances: Sequence[RCInstance], answers: dict[str, str]) -> tuple[l
                   "f1": overall.f1, "per_skill": per_skill}
 
 
-def run_evaluate(args) -> int:
+def _scorable(args) -> tuple[list[RCInstance], list]:
+    """load_instances, sorted by id, for a command that scores answers: a
+    dataset with no usable instance is an input error naming the dataset."""
     instances, skipped = load_instances(args)
-    instances = sorted(instances, key=lambda i: i.id)
+    if not instances:
+        raise InputError(
+            f"{args.dataset}: no usable instance to score; skipped records: {len(skipped)}"
+        )
+    return sorted(instances, key=lambda i: i.id), skipped
+
+
+def run_evaluate(args) -> int:
+    instances, skipped = _scorable(args)
     out = out_dir(args)
     answers: dict[str, str] = {}
     spans = []
@@ -473,8 +483,7 @@ def run_calibrate(args) -> int:
 
 
 def run_heuristic(args) -> int:
-    instances, skipped = load_instances(args)
-    instances = sorted(instances, key=lambda i: i.id)
+    instances, skipped = _scorable(args)
     answers = {inst.id: heuristic_answer(inst, args.strategy) for inst in instances}
     rows, scores = _scored(instances, answers)
     out = out_dir(args)

@@ -134,8 +134,8 @@ def load_dataset(desc: DatasetDescriptor) -> LoadResult:
                 raise InputError(f"{path}: malformed record {idx}: {exc}") from exc
             except (KeyError, TypeError, AttributeError) as exc:
                 raise InputError(f"{path}: malformed record {idx}: {exc!r}") from exc
-    # load_jsonl has validated every unified record; what an adapter built,
-    # and what reduce_context replaced, is checked here.
+    # load_jsonl's decoder has checked every unified record; what an adapter
+    # built, and what reduce_context replaced, is checked here.
     checked = desc.format == "unified"
     first_record: dict[str, int] = {}
     for pos, (idx, instance) in enumerate(candidates):

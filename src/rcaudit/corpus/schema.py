@@ -11,6 +11,15 @@ In memory a question or sentence keeps only the token texts and starts:
 each token's `end` is checked to equal start plus length on load, then
 dropped, and written back as start plus length. Loading a file written by
 `save_jsonl` reproduces the in-memory instances exactly, field for field.
+
+`instance_from_dict` is the one decoder from a record to a checked
+instance. One loop over each token list builds the words and starts and
+checks every per-word rule of `types.validate_instance` (`end`, a non-empty
+word, no overlap, a question word equal to its slice of the question
+text); the checks past the words then run once, in `types.check_structure`.
+Only a record that fails is decoded again the two-pass way (each `end`,
+then `validate_instance`), so that the error names its first fault exactly
+as those checks name it.
 """
 
 from __future__ import annotations
@@ -25,23 +34,59 @@ from ..types import (
     QuestionAnnotations,
     RCInstance,
     Sentence,
+    check_structure,
     validate_instance,
 )
+
+
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 def _tokens_to_dicts(words: tuple[str, ...], starts: tuple[int, ...]) -> list[dict]:
     return [{"text": w, "start": s, "end": s + len(w)} for w, s in zip(words, starts)]
 
 
-def _words_from_dicts(items: list[dict], what: str) -> tuple[tuple[str, ...], tuple[int, ...]]:
+def _words_from_dicts(
+    items: list[dict], question: dict | None, iid, s_idx: int | None
+) -> tuple[tuple[str, ...], tuple[int, ...]]:
     """The texts and starts of token records whose `end` is start plus length."""
     words, starts = [], []
     for i, d in enumerate(items):
         word, start = d["text"], d["start"]
         if d["end"] - start != len(word):
+            what = f"{iid} question" if s_idx is None else f"{iid} sentence {s_idx}"
             raise InputError(f"{what}: text length mismatch at token {i}")
         words.append(word)
         starts.append(start)
+    return tuple(words), tuple(starts)
+
+
+class _Fault(Exception):
+    """A per-word check of the one-pass decoder failed."""
+
+
+def _checked_words(
+    items: list[dict], question: dict | None, iid, s_idx: int | None
+) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """The texts and starts of a non-empty token list, every token checked
+    as it is read: `end` is start plus length, the word is not empty, it
+    starts at or after the previous word's end and, in the question, it is
+    its slice of the question text."""
+    source = None if question is None else question["text"]
+    words, starts = [], []
+    pos = 0
+    for d in items:
+        word, start = d["text"], d["start"]
+        n = len(word)
+        if d["end"] - start != n or not word or start < pos:
+            raise _Fault
+        pos = start + n
+        if source is not None and source[start:pos] != word:
+            raise _Fault
+        words.append(word)
+        starts.append(start)
+    if not words:
+        raise _Fault
     return tuple(words), tuple(starts)
 
 
@@ -105,7 +150,11 @@ def instance_to_dict(instance: RCInstance) -> dict:
     return doc
 
 
-def instance_from_dict(doc: dict) -> RCInstance:
+def _build(doc: dict, words_of) -> RCInstance:
+    """The instance a record describes, each token list turned into texts
+    and starts by `words_of(items, question, iid, s_idx)`, where `question`
+    is the question record for the question's tokens and None for a
+    sentence's."""
     try:
         ann_doc = doc.get("annotations") or {}
         annotations = None
@@ -122,17 +171,16 @@ def instance_from_dict(doc: dict) -> RCInstance:
                 verb_tokens=frozenset(ann_doc.get("verb_tokens", ())),
             )
         iid = doc["id"]
-        question_words, question_starts = _words_from_dicts(
-            doc["question"]["tokens"], f"{iid} question"
-        )
+        question = doc["question"]
+        question_words, question_starts = words_of(question["tokens"], question, iid, None)
         return RCInstance(
             id=iid,
             question_words=question_words,
             question_starts=question_starts,
-            question_text=doc["question"]["text"],
+            question_text=question["text"],
             context=tuple(
                 Sentence(
-                    *_words_from_dicts(s["tokens"], f"{iid} sentence {s_idx}"),
+                    *words_of(s["tokens"], None, iid, s_idx),
                     is_supporting_fact=bool(s["supporting"]),
                     paragraph_id=str(s["paragraph_id"]),
                 )
@@ -152,6 +200,18 @@ def instance_from_dict(doc: dict) -> RCInstance:
         raise InputError(f"malformed instance record: {exc}") from exc
 
 
+def instance_from_dict(doc: dict) -> RCInstance:
+    """The checked instance a unified record describes, or the error that
+    names its first fault (see the module docstring)."""
+    try:
+        instance = _build(doc, _checked_words)
+    except (_Fault, InputError):  # a failed check, or a field missing or mistyped
+        instance = None
+    if instance is None or not instance.context:
+        return validate_instance(_build(doc, _words_from_dicts))
+    return check_structure(instance)
+
+
 def save_jsonl(instances: Iterable[RCInstance], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for instance in instances:
@@ -166,11 +226,16 @@ def load_jsonl(path: str | Path) -> list[RCInstance]:
             if not line:
                 continue
             try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{path}: bad JSON on line {line_no + 1}: {exc}") from exc
+                doc, end = _raw_decode(line)
+            except json.JSONDecodeError:
+                end = None
+            if end != len(line):  # json.loads names the fault, "Extra data" included
+                try:
+                    doc = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise InputError(f"{path}: bad JSON on line {line_no + 1}: {exc}") from exc
             try:
-                instances.append(validate_instance(instance_from_dict(doc)))
+                instances.append(instance_from_dict(doc))
             except InputError as exc:  # a wrapped KeyError etc. is named as for adapter records
                 reason = repr(exc.__cause__) if exc.__cause__ else exc
                 raise InputError(f"{path}: malformed record {len(instances)}: {reason}") from exc

@@ -50,7 +50,6 @@ import numpy as np
 
 from ..corpus.schema import instance_from_dict, span_to_dict
 from ..errors import CapabilityError, GatewayError, InputError
-from ..types import validate_instance
 from .base import ModelGateway
 
 # The error kinds a reply may carry, and the exception each one raises.
@@ -118,7 +117,7 @@ def handle_request(gateway: ModelGateway, request: dict) -> dict:
                 "max_answer_len": gateway.max_answer_len,
             }
         elif op in _INSTANCE_OPS:
-            instance = validate_instance(instance_from_dict(_field(request, "instance")))
+            instance = instance_from_dict(_field(request, "instance"))
             if op == "predict":
                 output = gateway.predict(instance)
                 result = {

@@ -217,6 +217,13 @@ def validate_instance(instance: RCInstance) -> RCInstance:
         if not sent.words:
             raise InputError(f"{instance.id}: sentence {s_idx} is empty")
         _check_words(sent.words, sent.starts, None, f"{instance.id} sentence {s_idx}")
+    return check_structure(instance)
+
+
+def check_structure(instance: RCInstance) -> RCInstance:
+    """The invariants past the words, for an instance whose words passed:
+    spans against the context, the skill, disjoint annotation sets and
+    `relevant_cluster`. Returns the instance for chaining."""
     if not instance.gold_answers:
         raise InputError(f"{instance.id}: no gold answers")
     n_ctx = instance.n_context
@@ -235,14 +242,13 @@ def validate_instance(instance: RCInstance) -> RCInstance:
             raise InputError(f"{instance.id}: comparison instance lacks operator annotation")
     if ann is not None:
         sets = ann.all_sets()
+        n_question = instance.n_question
         for idx_set in sets:
             for idx in idx_set:
-                if not (0 <= idx < instance.n_question):
+                if not (0 <= idx < n_question):
                     raise InputError(f"{instance.id}: annotation index {idx} out of range")
-        for i in range(len(sets)):
-            for j in range(i + 1, len(sets)):
-                if sets[i] & sets[j]:
-                    raise InputError(f"{instance.id}: annotation sets overlap")
+        if len(frozenset().union(*sets)) != sum(map(len, sets)):  # some index is in two sets
+            raise InputError(f"{instance.id}: annotation sets overlap")
     if instance.relevant_cluster is not None and not (
         0 <= instance.relevant_cluster < len(instance.coref_clusters)
     ):

@@ -3,8 +3,10 @@
 Everything here is written from scratch against the public gateway API so
 that library code is never checked against itself: occlusion is a literal
 two-forward-pass difference, the linear gateway makes integrated gradients
-exact in closed form, and the Welch oracle recomputes the t-test in
-arbitrary precision with the p-value obtained by numeric integration.
+exact in closed form, the Welch oracle recomputes the t-test in
+arbitrary precision with the p-value obtained by numeric integration, and
+the record oracle decodes a unified record in two passes (each token's
+`end`, then `validate_instance`).
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ from dataclasses import replace
 import mpmath as mp
 import numpy as np
 
+from rcaudit.errors import InputError
 from rcaudit.gateway.base import ModelGateway, ModelOutput, answer_span
 from rcaudit.text import spaced_starts
-from rcaudit.types import RCInstance, Sentence
+from rcaudit.types import AnswerSpan, QuestionAnnotations, RCInstance, Sentence, validate_instance
 
 mp.mp.dps = 30
 
@@ -151,3 +154,63 @@ def oracle_welch(positive, negative):
 
     p = mp.quad(pdf, [t, mp.inf])
     return float(t), float(df), float(p)
+
+
+def oracle_instance_from_dict(doc: dict) -> RCInstance:
+    """A unified record decoded in two passes: the instance is built with
+    each token's `end` checked against its start and length, and then
+    `validate_instance` checks it."""
+
+    def words_of(items: list[dict], what: str) -> tuple[tuple, tuple]:
+        words, starts = [], []
+        for i, d in enumerate(items):
+            word, start = d["text"], d["start"]
+            if d["end"] - start != len(word):
+                raise InputError(f"{what}: text length mismatch at token {i}")
+            words.append(word)
+            starts.append(start)
+        return tuple(words), tuple(starts)
+
+    def span_of(d: dict) -> AnswerSpan:
+        return AnswerSpan(d["text"], d["sent"], d["tok_start"], d["tok_end"])
+
+    try:
+        ann_doc = doc.get("annotations") or {}
+        annotations = None
+        if any(
+            key in ann_doc
+            for key in ("comparison_operator", "compared_entities", "value_tokens", "verb_tokens")
+        ):
+            annotations = QuestionAnnotations(
+                comparison_operator=frozenset(ann_doc.get("comparison_operator", ())),
+                compared_entities=tuple(frozenset(e) for e in ann_doc.get("compared_entities", ())),
+                value_tokens=frozenset(ann_doc.get("value_tokens", ())),
+                verb_tokens=frozenset(ann_doc.get("verb_tokens", ())),
+            )
+        iid = doc["id"]
+        question_words, question_starts = words_of(doc["question"]["tokens"], f"{iid} question")
+        instance = RCInstance(
+            id=iid,
+            question_words=question_words,
+            question_starts=question_starts,
+            question_text=doc["question"]["text"],
+            context=tuple(
+                Sentence(
+                    *words_of(s["tokens"], f"{iid} sentence {s_idx}"),
+                    is_supporting_fact=bool(s["supporting"]),
+                    paragraph_id=str(s["paragraph_id"]),
+                )
+                for s_idx, s in enumerate(doc["context"])
+            ),
+            gold_answers=tuple(span_of(a) for a in doc["answers"]),
+            skill=doc.get("skill", "other"),
+            annotations=annotations,
+            coref_clusters=tuple(
+                tuple(span_of(m) for m in cluster) for cluster in doc.get("coref_clusters", ())
+            ),
+            relevant_cluster=ann_doc.get("relevant_cluster"),
+            unannotatable=bool(ann_doc.get("unannotatable", False)),
+        )
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise InputError(f"malformed instance record: {exc}") from exc
+    return validate_instance(instance)

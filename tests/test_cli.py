@@ -723,6 +723,32 @@ class TestLoaderSkips:
         ]
 
 
+class TestNothingToScore:
+    @pytest.mark.parametrize("command", ["evaluate", "heuristic"])
+    def test_an_empty_dataset_is_named_with_its_skip_count(self, tmp_path, capsys, command):
+        dataset = tmp_path / "empty.jsonl"
+        dataset.write_text("")
+        assert run(command, "--dataset", str(dataset), "--model", "oracle",
+                   "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == (
+            f"error: {dataset}: no usable instance to score; skipped records: 0\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "heuristic"])
+    def test_a_dataset_whose_records_were_all_skipped_counts_them(self, tmp_path, capsys, command):
+        (doc,) = [json.loads(line) for line in Path(CORPUS).read_text().splitlines()
+                  if json.loads(line)["id"] == "cmp-01"]
+        doc["context"][doc["answers"][0]["sent"]]["supporting"] = False
+        dataset = tmp_path / "unflagged.jsonl"
+        dataset.write_text(json.dumps(doc) + "\n")
+        assert run(command, "--dataset", str(dataset), "--model", "oracle",
+                   "--context-mode", "supporting_facts", "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == (
+            f"error: {dataset}: no usable instance to score; skipped records: 1\n"
+        )
+
+
 class TestCalibrate:
     def test_synthetic_dataset_runs_deterministically(self, tmp_path):
         outs = []
@@ -860,9 +886,10 @@ class TestExitCodes:
         "edit, reason",
         [
             (lambda doc: [1, 2], """AttributeError("'list' object has no attribute 'get'")"""),
+            (lambda doc: [1], """AttributeError("'list' object has no attribute 'get'")"""),
             (lambda doc: {k: v for k, v in doc.items() if k != "answers"}, "KeyError('answers')"),
         ],
-        ids=["not-an-object", "no-answers"],
+        ids=["not-an-object", "one-element-list", "no-answers"],
     )
     def test_malformed_unified_record_is_named(self, tmp_path, capsys, edit, reason):
         lines = Path(CORPUS).read_text().splitlines()

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import rcaudit.corpus.loader as loader_module
 import rcaudit.corpus.schema as schema_module
+import rcaudit.types as types_module
 from rcaudit.corpus.annotate import annotate_question
 from rcaudit.corpus.filters import (
     OPERATOR_ANTONYMS,
@@ -25,9 +26,10 @@ from rcaudit.counterfactuals import OUT_OF_DISTRIBUTION_TABLE
 from rcaudit.data import fixture_corpus_path
 from rcaudit.errors import InputError
 from rcaudit.synthetic import make_synthetic_corpus
-from rcaudit.types import SKILLS, RCInstance, validate_instance
+from rcaudit.types import SKILLS, RCInstance, check_structure, validate_instance
 
 from conftest import DATA_DIR, build_instance, span_at
+from oracle_helpers import oracle_instance_from_dict
 
 
 class TestSchema:
@@ -74,25 +76,29 @@ def _token_records(draw, min_size: int) -> tuple[str, list[dict]]:
     return text, records
 
 
-def _index_set(draw, n: int) -> list[int]:
-    return sorted(draw(st.sets(st.integers(0, n + 1), max_size=3)))
-
-
-def _span_record(draw) -> dict:
-    start = draw(st.integers(0, 30))
+def _span_record(draw, sentences: list[tuple[str, list[dict]]]) -> dict:
+    """A span of one to three words of a sentence, its text the words as the
+    sentence text holds them."""
+    sent = draw(st.integers(0, len(sentences) - 1))
+    text, tokens = sentences[sent]
+    lo = draw(st.integers(0, len(tokens) - 1))
+    hi = draw(st.integers(lo, min(lo + 2, len(tokens) - 1)))
+    offset = sum(len(t) for _, t in sentences[:sent])
     return {
-        "text": draw(_RECORD_WORDS),
-        "sent": draw(st.integers(0, 3)),
-        "tok_start": start,
-        "tok_end": start + draw(st.integers(0, 3)),
+        "text": text[tokens[lo]["start"] : tokens[hi]["end"]],
+        "sent": sent,
+        "tok_start": offset + lo,
+        "tok_end": offset + hi,
     }
 
 
 @st.composite
 def unified_records(draw) -> dict:
-    """Unified records in the form `instance_to_dict` writes; they need not
-    pass `validate_instance`."""
-    question_text, question_tokens = _token_records(draw, 0)
+    """Unified records in the form `instance_to_dict` writes, each of which
+    passes every check of the decoder."""
+    question_text, question_tokens = _token_records(draw, 1)
+    sentences = [_token_records(draw, 1) for _ in range(draw(st.integers(1, 3)))]
+    skill = draw(st.sampled_from(SKILLS))
     doc: dict = {
         "id": draw(st.text(min_size=1, max_size=4)),
         "question": {"text": question_text, "tokens": question_tokens},
@@ -100,34 +106,39 @@ def unified_records(draw) -> dict:
             {
                 "paragraph_id": draw(st.sampled_from(["0", "a", "p7"])),
                 "supporting": draw(st.booleans()),
-                "tokens": _token_records(draw, 1)[1],
+                "tokens": tokens,
             }
-            for _ in range(draw(st.integers(0, 3)))
+            for _, tokens in sentences
         ],
-        "answers": [_span_record(draw) for _ in range(draw(st.integers(0, 2)))],
-        "skill": draw(st.sampled_from(SKILLS)),
+        "answers": [_span_record(draw, sentences) for _ in range(draw(st.integers(1, 2)))],
+        "skill": skill,
     }
     n_q = len(question_tokens)
     annotations: dict = {}
-    if draw(st.booleans()):
+    if skill == "comparison" or draw(st.booleans()):
+        # Each question word belongs to at most one set: the operator, an
+        # entity, the values or the verbs.
+        n_entities = draw(st.integers(0, 2))
+        roles = draw(st.lists(st.integers(-1, 2 + n_entities), min_size=n_q, max_size=n_q))
+        if skill == "comparison":
+            roles[draw(st.integers(0, n_q - 1))] = 0
+        members = [sorted(i for i, role in enumerate(roles) if role == k) for k in range(3 + n_entities)]
         annotations = {
-            "comparison_operator": _index_set(draw, n_q),
-            "compared_entities": [
-                _index_set(draw, n_q) for _ in range(draw(st.integers(0, 2)))
-            ],
-            "value_tokens": _index_set(draw, n_q),
-            "verb_tokens": _index_set(draw, n_q),
+            "comparison_operator": members[0],
+            "compared_entities": members[3:],
+            "value_tokens": members[1],
+            "verb_tokens": members[2],
         }
-    if draw(st.booleans()):
-        annotations["relevant_cluster"] = draw(st.integers(0, 2))
+    clusters = [
+        [_span_record(draw, sentences) for _ in range(draw(st.integers(1, 2)))]
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    if clusters and draw(st.booleans()):
+        annotations["relevant_cluster"] = draw(st.integers(0, len(clusters) - 1))
     if draw(st.booleans()):
         annotations["unannotatable"] = True
     if annotations:
         doc["annotations"] = annotations
-    clusters = [
-        [_span_record(draw) for _ in range(draw(st.integers(1, 2)))]
-        for _ in range(draw(st.integers(0, 2)))
-    ]
     if clusters:
         doc["coref_clusters"] = clusters
     return doc
@@ -186,6 +197,77 @@ class TestWordsForm:
         doc = _bundled_record(edit)
         with pytest.raises(InputError, match=message):
             validate_instance(instance_from_dict(doc))
+
+
+_JUNK_OFFSETS = st.sampled_from([None, "0", 1.5, True])
+
+
+@st.composite
+def faulty_records(draw) -> dict:
+    """A checked unified record with one to three token fields changed: a
+    text to another word or to "", an offset to another integer or, now
+    and then, to a value of another type. A changed text or start mostly
+    keeps its `end` in step."""
+    doc = draw(unified_records())
+    tokens = doc["question"]["tokens"] + [t for s in doc["context"] for t in s["tokens"]]
+    for _ in range(draw(st.integers(1, 3))):
+        token = draw(st.sampled_from(tokens))
+        field = draw(st.sampled_from(["text", "start", "end"]))
+        if field == "text":
+            token["text"] = draw(st.one_of(_RECORD_WORDS, st.just("")))
+        elif draw(st.integers(0, 9)):
+            token[field] = draw(st.integers(-2, 40))
+        else:
+            token[field] = draw(_JUNK_OFFSETS)
+        if field != "end" and draw(st.integers(0, 3)):
+            try:
+                token["end"] = token["start"] + len(token["text"])
+            except TypeError:
+                pass
+    return doc
+
+
+def _outcome(decode, doc: dict):
+    """The instance `decode` builds from `doc`, or its error's type and text."""
+    try:
+        return decode(doc)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestOnePassDecoder:
+    """instance_from_dict checks each token as it reads it; what it accepts
+    and every fault it names match the two-pass reference."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(faulty_records())
+    def test_faulty_tokens_are_named_as_by_the_two_pass_reference(self, doc):
+        assert _outcome(instance_from_dict, doc) == _outcome(oracle_instance_from_dict, doc)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc["question"].update(tokens=[]), "cmp-01: question has no tokens"),
+            (lambda doc: doc.update(context=[]), "cmp-01: context has no sentences"),
+            (lambda doc: doc["context"][1].update(tokens=[]), "cmp-01: sentence 1 is empty"),
+        ],
+    )
+    def test_empty_token_lists_are_named_as_by_the_two_pass_reference(self, edit, message):
+        doc = _bundled_record(edit)
+        with pytest.raises(InputError) as caught:
+            instance_from_dict(doc)
+        assert str(caught.value) == message
+        assert _outcome(oracle_instance_from_dict, doc) == (InputError, message)
+
+    @pytest.mark.parametrize("line", ['{"id": 1} x', '{"id": 1}   {}', "{", '\ufeff{"id": 1}'])
+    def test_bad_json_is_named_as_json_loads_names_it(self, tmp_path, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(line)
+        with pytest.raises(InputError) as caught:
+            load_jsonl(path)
+        assert str(caught.value) == f"{path}: bad JSON on line 2: {expected.value}"
 
 
 class TestAdapters:
@@ -345,15 +427,16 @@ class TestContextModes:
 
 
 def count_validations(monkeypatch) -> list[RCInstance]:
-    """Record every instance the schema reader and the loader validate."""
+    """Record every instance whose structure is checked: by the schema's
+    decoder, or by `validate_instance` for what the loader built or changed."""
     seen: list[RCInstance] = []
 
     def spy(instance):
         seen.append(instance)
-        return validate_instance(instance)
+        return check_structure(instance)
 
-    monkeypatch.setattr(schema_module, "validate_instance", spy)
-    monkeypatch.setattr(loader_module, "validate_instance", spy)
+    monkeypatch.setattr(schema_module, "check_structure", spy)
+    monkeypatch.setattr(types_module, "check_structure", spy)
     return seen
 
 

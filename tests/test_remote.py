@@ -22,7 +22,7 @@ import pytest
 
 from conftest import build_instance
 from rcaudit.alignment import audit_alignment, screen_partition
-from rcaudit.corpus.schema import instance_to_dict
+from rcaudit.corpus.schema import instance_to_dict, load_jsonl
 from rcaudit.counterfactuals import perturb_comparison
 from rcaudit.errors import CapabilityError, GatewayError, InputError
 from rcaudit.gateway import build_gateway
@@ -220,6 +220,28 @@ class TestHandleRequest:
         request = {"op": op, "instance": doc, "steps": 2, "target": 0}
         response = handle_request(local_toy, request)
         assert response == {"ok": False, "error": f"{corpus[0].id}: {message}", "kind": "input"}
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ({"end": 99}, "text length mismatch at token 1"),
+            ({"start": 0, "end": 2, "text": "ab"}, "overlapping char offsets at token 1"),
+            ({"end": 9, "start": 9, "text": ""}, "empty char range for token 1"),
+        ],
+    )
+    def test_instance_with_a_faulty_token_names_it_as_load_jsonl_does(
+        self, local_toy, corpus, tmp_path, fault, message
+    ):
+        doc = instance_to_dict(corpus[0])
+        doc["context"][0]["tokens"][1].update(fault)
+        path = tmp_path / "faulty.jsonl"
+        path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+        with pytest.raises(InputError) as caught:
+            load_jsonl(path)
+        reason = str(caught.value).removeprefix(f"{path}: malformed record 0: ")
+        assert reason == f"{corpus[0].id} sentence 0: {message}"
+        response = handle_request(local_toy, {"op": "predict", "instance": doc})
+        assert response == {"ok": False, "error": reason, "kind": "input"}
 
     @pytest.mark.parametrize("request_", [["op"], "info", 3, None])
     def test_request_that_is_not_an_object_is_input_error(self, local_toy, request_):
