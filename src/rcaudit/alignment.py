@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Sequence
 
 from scipy.special import stdtr
 
@@ -189,52 +189,60 @@ class AlignmentReport:
         return alignment_score(list(self.records))
 
 
+@dataclass(frozen=True)
+class AuditPlan:
+    """What an audit covers: each pair with its original's partition, and
+    the originals screened out with their reasons, both in id order. Every
+    partition is of one reasoning step, the report's."""
+
+    pairs: tuple[tuple[CFPair, TokenPartition], ...]
+    skipped: tuple[tuple[str, str], ...]
+
+    def __post_init__(self) -> None:
+        steps = sorted({partition.skill_step for _, partition in self.pairs})
+        if len(steps) > 1:
+            raise InputError(f"an audit plan holds one reasoning step, not {' and '.join(steps)}")
+
+
+def plan_pairs(pairs: Iterable[CFPair]) -> AuditPlan:
+    """The plan for ready-made pairs: each original screened with
+    `screen_partition`; one that fails is skipped with its reason."""
+    planned: list[tuple[CFPair, TokenPartition]] = []
+    skipped: list[tuple[str, str]] = []
+    for pair in sorted(pairs, key=lambda p: p.original.id):
+        try:
+            planned.append((pair, screen_partition(pair.original)))
+        except InputError as exc:
+            skipped.append((pair.original.id, str(exc)))
+    return AuditPlan(tuple(planned), tuple(skipped))
+
+
 def audit_alignment(
     gateway: ModelGateway,
-    pairs: Sequence[CFPair],
+    plan: AuditPlan,
     config: SaliencyConfig,
     alpha: float = 0.05,
     cache: SaliencyCache | None = None,
     dataset_id: str = "dataset",
-    partitions: Mapping[str, TokenPartition] | None = None,
-    untestable: Sequence[tuple[str, str]] = (),
 ) -> AlignmentReport:
-    """Run the full alignment audit over CF pairs with one saliency config.
-
-    Each pair's original is screened with `screen_partition` before its
-    saliency map is looked up or computed; a pair that fails is skipped and
-    listed in the report instead of failing the run. A caller that screened
-    the originals already passes the partitions it built, by original id,
-    and the ids it screened out with their reasons, as `untestable`.
-    Records and skips are ordered by instance id so reports are
-    deterministic regardless of scheduling.
-    """
+    """Audit the plan's pairs with one saliency config, in the plan's order;
+    the plan's skips are the report's."""
+    if not plan.pairs:
+        raise InputError(f"{dataset_id}: no usable pairs for the alignment audit")
     if cache is None:
         cache = SaliencyCache()
-    if partitions is None:
-        partitions = {}
-    records: list[AlignmentRecord] = []
-    skipped: list[tuple[str, str]] = list(untestable)
-    steps: set[str] = set()
-    for pair in sorted(pairs, key=lambda p: p.original.id):
-        partition = partitions.get(pair.original.id)
-        if partition is None:
-            try:
-                partition = screen_partition(pair.original)
-            except InputError as exc:
-                skipped.append((pair.original.id, str(exc)))
-                continue
-        saliency = cache.get_or_compute(gateway, pair.original, config)
-        records.append(explanation_alignment(pair, saliency, partition, gateway, alpha))
-        steps.add(partition.skill_step)
-    if not records:
-        raise InputError(f"{dataset_id}: no usable pairs for the alignment audit")
+    records = tuple(
+        explanation_alignment(
+            pair, cache.get_or_compute(gateway, pair.original, config), partition, gateway, alpha
+        )
+        for pair, partition in plan.pairs
+    )
     return AlignmentReport(
         model_id=gateway.model_id,
-        reasoning_step="+".join(sorted(steps)),
+        reasoning_step=plan.pairs[0][1].skill_step,
         method=config.method,
-        records=tuple(records),
-        skipped=tuple(sorted(skipped, key=lambda s: s[0])),
+        records=records,
+        skipped=plan.skipped,
     )
 
 

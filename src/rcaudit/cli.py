@@ -21,9 +21,11 @@ from typing import Sequence
 
 from .alignment import (
     AlignmentReport,
+    AuditPlan,
     alignment_csv,
     audit_alignment,
     calibrate,
+    plan_pairs,
     record_to_dict,
     screen_partition,
 )
@@ -42,7 +44,6 @@ from .gateway import build_gateway
 from .gateway.base import predict
 from .heuristic import SELECTION_STRATEGIES, heuristic_answer
 from .metrics import macro_average, score_answer
-from .partitions import TokenPartition
 from .saliency import SaliencyCache, SaliencyConfig
 from .synthetic import make_synthetic_corpus
 from .types import RCInstance
@@ -306,21 +307,20 @@ def _comparison_pairs(
     return pairs, skipped
 
 
-def _testable_comparison_pairs(
+def _plan_comparisons(
     instances: Sequence[RCInstance], table: AntonymTable
-) -> tuple[list[CFPair], dict[str, TokenPartition], list[tuple[str, str]], list[list]]:
-    """Twins only for the comparison instances whose partition the Welch
-    test can judge: the pairs, their partitions by id, the instances the
-    screen rejected with its reason, and the counterfactual skips.
+) -> tuple[AuditPlan, list[list]]:
+    """The audit plan of the comparison instances, with a twin only for an
+    instance whose partition the Welch test can judge, and the
+    counterfactual skips.
 
     The cheap partition screen runs first. An instance it rejects still
     runs the checks of `plan_antonym_swap` on its own, so a counterfactual
     reason wins over the screen's, as it would if the twin were built
     first; nothing of its twin, not even the new gold's text, is rendered.
     """
-    pairs: list[CFPair] = []
-    partitions: dict[str, TokenPartition] = {}
-    untestable: list[tuple[str, str]] = []
+    pairs = []
+    screened_out: list[tuple[str, str]] = []
     cf_skipped: list[list] = []
     for inst in sorted(instances, key=lambda i: i.id):
         try:
@@ -331,15 +331,13 @@ def _testable_comparison_pairs(
             except InputError as exc:
                 cf_skipped.append([inst.id, str(exc)])
             else:
-                untestable.append((inst.id, str(screened)))
+                screened_out.append((inst.id, str(screened)))
             continue
         try:
-            pairs.append(perturb_comparison(inst, table=table))
+            pairs.append((perturb_comparison(inst, table=table), partition))
         except InputError as exc:
             cf_skipped.append([inst.id, str(exc)])
-            continue
-        partitions[inst.id] = partition
-    return pairs, partitions, untestable, cf_skipped
+    return AuditPlan(tuple(pairs), tuple(screened_out)), cf_skipped
 
 
 def run_cf_generate(args) -> int:
@@ -379,30 +377,24 @@ def run_align(args) -> int:
     config = saliency_config(args)
     out = out_dir(args)
     cmp_instances = [i for i in instances if i.skill == "comparison"]
-    cmp_pairs, partitions, untestable, cf_skipped = [], {}, [], []
+    plans, cf_skipped = [], []
     if cmp_instances:
-        cmp_pairs, partitions, untestable, cf_skipped = _testable_comparison_pairs(
-            cmp_instances, _antonym_table(args.antonyms)
-        )
-    coref_pairs: list[CFPair] = []
+        plan, cf_skipped = _plan_comparisons(cmp_instances, _antonym_table(args.antonyms))
+        plans.append(plan)
     if args.cf_file:
-        coref_pairs = load_cf_pairs(args.cf_file, instances)
+        plans.append(plan_pairs(load_cf_pairs(args.cf_file, instances)))
 
     cache_path = out / "saliency_cache.jsonl"
     cache = SaliencyCache.load(cache_path) if cache_path.exists() else SaliencyCache()
     n_loaded = len(cache)
-    reports: list[AlignmentReport] = []
     dataset_id = str(args.dataset)
-    groups = ((cmp_pairs, partitions, untestable), (coref_pairs, None, ()))
     with build_gateway(args.model) as gateway:
-        for pairs, screened, screened_out in groups:
-            if pairs or screened_out:
-                reports.append(
-                    audit_alignment(
-                        gateway, pairs, config, alpha=args.alpha, cache=cache,
-                        dataset_id=dataset_id, partitions=screened, untestable=screened_out,
-                    )
-                )
+        reports = [
+            audit_alignment(gateway, plan, config, alpha=args.alpha, cache=cache,
+                            dataset_id=dataset_id)
+            for plan in plans
+            if plan.pairs or plan.skipped
+        ]
         model_id = gateway.model_id
     if not reports:
         raise InputError("no counterfactual pairs to audit; need comparison "

@@ -24,7 +24,14 @@ from .errors import InputError
 from .gateway.base import ModelGateway, predict
 from .metrics import normalize_answer, score_answer
 from .text import find_token_run, split_words, words
-from .types import AnswerSpan, EvalResult, QuestionAnnotations, RCInstance, Sentence
+from .types import (
+    AnswerSpan,
+    EvalResult,
+    QuestionAnnotations,
+    RCInstance,
+    Sentence,
+    check_structure,
+)
 
 PERTURBATIONS = ("antonym_swap", "cluster_insertion")
 DISTRIBUTION_TAGS = ("in_distribution", "out_of_distribution")
@@ -326,12 +333,19 @@ def _pair_from_record(record: dict, original: RCInstance) -> CFPair:
         coref_clusters=(),
         relevant_cluster=None,
     )
-    return CFPair(
+    pair = CFPair(
         original=original,
         perturbed=perturbed,
         perturbation="cluster_insertion",
         distribution_tag=record["distribution_tag"],
     )
+    if type(gold.text) is not str:
+        raise TypeError(f"new_answer text must be a string, not {gold.text!r}")
+    for name, value in (("sent", gold.sentence_index), ("tok_start", gold.token_start),
+                        ("tok_end", gold.token_end)):
+        if type(value) is not int:  # bool is a subclass of int
+            raise TypeError(f"new_answer {name} must be an integer, not {value!r}")
+    return pair
 
 
 def load_cf_pairs(path: str | Path, originals: Iterable[RCInstance]) -> list[CFPair]:
@@ -340,8 +354,9 @@ def load_cf_pairs(path: str | Path, originals: Iterable[RCInstance]) -> list[CFP
 
     Antonym twins are made from the corpus by `perturb_comparison`, so a
     record of any other perturbation is refused, and so is a second record
-    for the same original. Raises InputError listing every pair that fails
-    validation.
+    for the same original. A field of the wrong type is a malformed record.
+    Raises InputError listing every pair that fails `validate_cf` or whose
+    twin's answer span fails `check_structure`, as a dataset record's would.
     """
     by_id = {inst.id: inst for inst in originals}
     pairs: list[CFPair] = []
@@ -354,7 +369,7 @@ def load_cf_pairs(path: str | Path, originals: Iterable[RCInstance]) -> list[CFP
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # also an integer past Python's digit limit
                 raise InputError(f"{path}: bad JSON on line {line_no + 1}: {exc}") from exc
             if not isinstance(record, dict):
                 raise InputError(f"{path}: line {line_no + 1} is not a JSON object")
@@ -378,6 +393,11 @@ def load_cf_pairs(path: str | Path, originals: Iterable[RCInstance]) -> list[CFP
             except (KeyError, TypeError, ValueError) as exc:
                 raise InputError(f"{path}: malformed record for {original_id!r}: {exc}") from exc
             violations = validate_cf(pair)
+            if not violations:
+                try:
+                    check_structure(pair.perturbed)
+                except InputError as exc:
+                    violations = [str(exc)]
             if violations:
                 bad.append(f"{original_id}: {'; '.join(violations)}")
                 continue

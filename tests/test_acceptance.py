@@ -21,7 +21,13 @@ import pytest
 
 from conftest import DATA_DIR, make_engineered_alignment
 from oracle_helpers import LinearStartGateway, oracle_occlusion, oracle_welch
-from rcaudit.alignment import audit_alignment, calibrate, explanation_alignment, t_test_one_tailed
+from rcaudit.alignment import (
+    audit_alignment,
+    calibrate,
+    explanation_alignment,
+    plan_pairs,
+    t_test_one_tailed,
+)
 from rcaudit.cli import main as cli_main
 from rcaudit.corpus.schema import load_jsonl
 from rcaudit.counterfactuals import (
@@ -250,7 +256,7 @@ def test_08_alignment_verdict_arithmetic(tmp_path):
     instances = load_jsonl(fixture["corpus"])
     pairs = load_cf_pairs(fixture["pairs"], instances)
     gateway = build_gateway(f"scripted:{fixture['script']}")
-    report = audit_alignment(gateway, pairs, SaliencyConfig(method="occlusion"))
+    report = audit_alignment(gateway, plan_pairs(pairs), SaliencyConfig(method="occlusion"))
     assert report.score == 2 / 3
     assert {r.instance_id: r.aligned for r in report.records} == fixture["aligned"]
 

@@ -19,6 +19,7 @@ from oracle_helpers import oracle_welch
 from rcaudit.alignment import (
     AlignmentRecord,
     AlignmentReport,
+    AuditPlan,
     SignificanceResult,
     alignment_csv,
     alignment_score,
@@ -26,6 +27,7 @@ from rcaudit.alignment import (
     calibrate,
     explanation_alignment,
     partition_test,
+    plan_pairs,
     record_to_dict,
     t_test_one_tailed,
     screen_partition,
@@ -390,7 +392,7 @@ class TestAuditAlignment:
     def test_position_locked_reader_shows_no_alignment(self, corpus, manual_pairs):
         gateway = build_gateway("oracle")
         report = audit_alignment(
-            gateway, manual_pairs, SaliencyConfig(method="occlusion"), dataset_id="bundled"
+            gateway, plan_pairs(manual_pairs), SaliencyConfig(method="occlusion"), dataset_id="bundled"
         )
         assert report.model_id == "oracle"
         assert report.reasoning_step == "coreference_resolution"
@@ -408,7 +410,7 @@ class TestAuditAlignment:
         comparisons = [inst for inst in corpus if inst.skill == "comparison"]
         pairs = [perturb_comparison(inst, ANTONYM_TABLES["in_dist"]) for inst in comparisons]
         report = audit_alignment(
-            build_gateway("toy:7"), pairs, SaliencyConfig(method="occlusion")
+            build_gateway("toy:7"), plan_pairs(pairs), SaliencyConfig(method="occlusion")
         )
         assert [r.instance_id for r in report.records] == ["cmp-02", "cmp-09"]
         assert len(report.skipped) == 8
@@ -427,7 +429,7 @@ class TestAuditAlignment:
         gateway.masked_start_scores = counted
         comparisons = [inst for inst in corpus if inst.skill == "comparison"]
         pairs = [perturb_comparison(inst, ANTONYM_TABLES["in_dist"]) for inst in comparisons]
-        report = audit_alignment(gateway, pairs, SaliencyConfig(method="occlusion"))
+        report = audit_alignment(gateway, plan_pairs(pairs), SaliencyConfig(method="occlusion"))
         assert seen == ["cmp-02", "cmp-09"] == [r.instance_id for r in report.records]
 
     def test_screen_raises_what_the_test_would(self, corpus_by_id):
@@ -466,15 +468,45 @@ class TestAuditAlignment:
     def test_no_usable_pairs_is_an_error(self, corpus_by_id):
         pair = perturb_comparison(corpus_by_id["cmp-01"], ANTONYM_TABLES["in_dist"])
         with pytest.raises(InputError, match="no usable pairs"):
-            audit_alignment(build_gateway("toy:7"), [pair], SaliencyConfig(method="occlusion"))
+            audit_alignment(
+                build_gateway("toy:7"), plan_pairs([pair]), SaliencyConfig(method="occlusion")
+            )
+
+    def test_one_plan_audited_by_two_models(self, corpus, manual_pairs):
+        comparisons = [inst for inst in corpus if inst.skill == "comparison"]
+        twins = [perturb_comparison(inst, ANTONYM_TABLES["in_dist"]) for inst in comparisons]
+        config = SaliencyConfig(method="occlusion")
+        for pairs in (twins, manual_pairs):
+            plan = plan_pairs(pairs)
+            toy, oracle = (
+                audit_alignment(build_gateway(spec), plan, config) for spec in ("toy:7", "oracle")
+            )
+            assert (toy.model_id, oracle.model_id) == ("toy:7", "oracle")
+            audited = [pair.original.id for pair, _ in plan.pairs]
+            assert [r.instance_id for r in toy.records] == audited
+            assert [r.instance_id for r in oracle.records] == audited
+            assert toy.skipped == oracle.skipped == plan.skipped
+        assert len(plan_pairs(twins).skipped) == 8
+
+    def test_a_plan_of_two_steps_is_refused(self, corpus_by_id, manual_pairs):
+        twin = perturb_comparison(corpus_by_id["cmp-02"], ANTONYM_TABLES["in_dist"])
+        with pytest.raises(InputError) as refused:
+            plan_pairs(manual_pairs + [twin])
+        assert str(refused.value) == (
+            "an audit plan holds one reasoning step, not comparison_operation"
+            " and coreference_resolution"
+        )
+        coref = plan_pairs(manual_pairs)
+        with pytest.raises(InputError, match="one reasoning step"):
+            AuditPlan(coref.pairs + plan_pairs([twin]).pairs, ())
 
     def test_reuses_a_shared_cache(self, manual_pairs):
         gateway = build_gateway("oracle")
         cache = SaliencyCache()
         config = SaliencyConfig(method="occlusion")
-        first = audit_alignment(gateway, manual_pairs, config, cache=cache)
+        first = audit_alignment(gateway, plan_pairs(manual_pairs), config, cache=cache)
         size = len(cache)
-        second = audit_alignment(gateway, manual_pairs, config, cache=cache)
+        second = audit_alignment(gateway, plan_pairs(manual_pairs), config, cache=cache)
         assert len(cache) == size  # all hits the second time
         assert first.records == second.records
 

@@ -166,6 +166,25 @@ class TestAlign:
         assert code == 2
         assert f"malformed record for {docs[0]['original_id']!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value, reason",
+        [("sent", "1" + "0" * 30, "invalid counterfactual pairs: cor-01: cor-01::cf: span sentence"),
+         ("tok_start", "10.0", "malformed record for 'cor-01': new_answer tok_start"),
+         ("sent", "1" + "0" * 5000, "bad JSON on line 1: Exceeds the limit")],
+        ids=["span", "mistyped", "digits"],
+    )
+    def test_faulty_cf_answer_exits_2(self, tmp_path, capsys, field, value, reason):
+        lines = Path(CF_PAIRS).read_text().splitlines()
+        doc = json.loads(lines[0])
+        doc["new_answer"][field] = "@"
+        lines[0] = json.dumps(doc).replace('"@"', value)  # the value as JSON text
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text("\n".join(lines) + "\n")
+        code = run("align", "--dataset", CORPUS, "--model", "toy:7",
+                   "--cf-file", str(pairs), "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {pairs}: {reason}")
+
     def test_cf_file_of_antonym_pairs_exits_2_before_any_gateway(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -556,7 +575,7 @@ def full_plan(instance: RCInstance, table: AntonymTable) -> tuple[str, str, Answ
 
 
 def reference_testable_pairs(instances, table):
-    """`_testable_comparison_pairs` as it would run with each original's
+    """`_plan_comparisons` as it would run with each original's
     full plan, gold rendering included, before the partition screen."""
     pairs, partitions, untestable, cf_skipped = [], {}, [], []
     for inst in sorted(instances, key=lambda i: i.id):
@@ -614,7 +633,13 @@ class TestSkipPrecedence:
     NARROW = AntonymTable(entries={"later": ("earlier",)}, distribution_tag="in_distribution")
 
     def check(self, instances, table):
-        got = cli_module._testable_comparison_pairs(instances, table)
+        plan, cf_skipped = cli_module._plan_comparisons(instances, table)
+        got = (
+            [pair for pair, _ in plan.pairs],
+            {pair.original.id: partition for pair, partition in plan.pairs},
+            list(plan.skipped),
+            cf_skipped,
+        )
         assert got == reference_testable_pairs(instances, table)
         return got
 

@@ -356,6 +356,60 @@ class TestFileRoundTrip:
                 load_cf_pairs(path, corpus)
 
 
+
+def bundled_with_first_line(tmp_path, line: str):
+    """The bundled CF file with its first line (cor-01's record) replaced."""
+    lines = coref_cf_pairs_path().read_text().splitlines()
+    path = tmp_path / "pairs.jsonl"
+    path.write_text("\n".join([line] + lines[1:]) + "\n")
+    return path
+
+
+def first_answer_with(**fields) -> str:
+    """The bundled CF file's first line with fields of its new_answer replaced."""
+    doc = json.loads(coref_cf_pairs_path().read_text().splitlines()[0])
+    doc["new_answer"].update(fields)
+    return json.dumps(doc)
+
+
+class TestCfFileFaults:
+    """A CF file's rebuilt twin is checked as a dataset record is: every
+    fault is an input error naming the file and the original."""
+
+    @pytest.mark.parametrize("sent", [0, 2, 10**30])
+    def test_the_twins_answer_sentence_is_checked(self, tmp_path, corpus, sent):
+        path = bundled_with_first_line(tmp_path, first_answer_with(sent=sent))
+        with pytest.raises(InputError) as refused:
+            load_cf_pairs(path, corpus)
+        assert str(refused.value) == (
+            f"{path}: invalid counterfactual pairs: cor-01: cor-01::cf: span sentence index mismatch"
+        )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("tok_start", 10.0), ("tok_start", "0"), ("tok_start", True), ("tok_end", 11.0),
+         ("sent", "1"), ("sent", True), ("text", 5)],
+    )
+    def test_a_mistyped_answer_field_is_a_malformed_record(self, tmp_path, corpus, field, value):
+        path = bundled_with_first_line(tmp_path, first_answer_with(**{field: value}))
+        with pytest.raises(InputError) as refused:
+            load_cf_pairs(path, corpus)
+        kind = "a string" if field == "text" else "an integer"
+        assert str(refused.value) == (
+            f"{path}: malformed record for 'cor-01': new_answer {field} must be {kind},"
+            f" not {value!r}"
+        )
+
+    def test_an_integer_past_the_digit_limit_is_bad_json(self, tmp_path, corpus):
+        line = first_answer_with().replace('"sent": 1', '"sent": 1' + "0" * 5000)
+        with pytest.raises(ValueError) as expected:
+            json.loads(line)
+        path = bundled_with_first_line(tmp_path, line)
+        with pytest.raises(InputError) as refused:
+            load_cf_pairs(path, corpus)
+        assert str(refused.value) == f"{path}: bad JSON on line 1: {expected.value}"
+
+
 class TestBundledClusterPairs:
     def test_all_ten_validate(self, manual_pairs):
         assert len(manual_pairs) == 10

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from conftest import build_instance
-from rcaudit.alignment import audit_alignment, screen_partition
+from rcaudit.alignment import audit_alignment, plan_pairs, screen_partition
 from rcaudit.corpus.schema import instance_to_dict, load_jsonl
 from rcaudit.counterfactuals import perturb_comparison
 from rcaudit.errors import CapabilityError, GatewayError, InputError
@@ -532,7 +532,7 @@ class TestSubprocessRoundTrip:
 
         monkeypatch.setattr(remote_toy, "_request", counting)
         config = SaliencyConfig(method="integrated_gradients", ig_steps=4)
-        report = audit_alignment(remote_toy, pairs, config)
+        report = audit_alignment(remote_toy, plan_pairs(pairs), config)
         want = []
         for pair in sorted(pairs, key=lambda p: p.original.id):
             original = pair.original

@@ -272,3 +272,19 @@ def test_every_default_is_set_by_a_caller():
     allowed = {item for item in found if item[1:] in KNOB_ALLOWLIST}
     assert {item[1:] for item in allowed} == set(KNOB_ALLOWLIST)
     assert not found - allowed, sorted(found - allowed)
+
+
+def readme_block(heading: str) -> str:
+    """The first ```python block under a `## <heading>` of the README."""
+    text = (REPO_DIR / "README.md").read_text(encoding="utf-8")
+    section = text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    return section.split("```python\n", 1)[1].split("\n```", 1)[0]
+
+
+def test_readme_library_use_runs(capsys):
+    exec(compile(readme_block("Library use"), "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "toy:7 comparison_operation 0.0 8 skipped",
+        "oracle comparison_operation 0.0 8 skipped",
+    ]
