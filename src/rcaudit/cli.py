@@ -374,12 +374,13 @@ def _coverage(report: AlignmentReport) -> dict:
 
 def run_align(args) -> int:
     instances, skipped_records = load_instances(args)
+    table = _antonym_table(args.antonyms)
     config = saliency_config(args)
     out = out_dir(args)
     cmp_instances = [i for i in instances if i.skill == "comparison"]
     plans, cf_skipped = [], []
     if cmp_instances:
-        plan, cf_skipped = _plan_comparisons(cmp_instances, _antonym_table(args.antonyms))
+        plan, cf_skipped = _plan_comparisons(cmp_instances, table)
         plans.append(plan)
     if args.cf_file:
         plans.append(plan_pairs(load_cf_pairs(args.cf_file, instances)))

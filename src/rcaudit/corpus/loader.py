@@ -121,7 +121,7 @@ def load_dataset(desc: DatasetDescriptor) -> LoadResult:
     else:
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer past Python's 4300-digit limit
             raise InputError(f"{path}: not valid JSON: {exc}") from exc
         adapter = FORMAT_ADAPTERS[desc.format]
         candidates = []

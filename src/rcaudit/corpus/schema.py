@@ -13,20 +13,21 @@ dropped, and written back as start plus length. Loading a file written by
 `save_jsonl` reproduces the in-memory instances exactly, field for field.
 
 `instance_from_dict` is the one decoder from a record to a checked
-instance. One loop over each token list builds the words and starts and
-checks every per-word rule of `types.validate_instance` (`end`, a non-empty
-word, no overlap, a question word equal to its slice of the question
-text); the checks past the words then run once, in `types.check_structure`.
-Only a record that fails is decoded again the two-pass way (each `end`,
-then `validate_instance`), so that the error names its first fault exactly
-as those checks name it.
+instance. It reads the record once and checks each field's type where it
+reads it: a wrong one is a malformed record (`supporting`, `paragraph_id`
+and `unannotatable` are coerced). One loop over each token list builds the
+words and starts, stops at a token whose `end` is not its start plus
+length, and notes any other fault of the per-word rules of
+`types.validate_instance`; a record with one runs `validate_instance`,
+which names its first fault, and any other runs only
+`types.check_structure`. `read_jsonl` reads every JSON-lines file.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from ..errors import InputError
 from ..types import (
@@ -46,48 +47,38 @@ def _tokens_to_dicts(words: tuple[str, ...], starts: tuple[int, ...]) -> list[di
     return [{"text": w, "start": s, "end": s + len(w)} for w, s in zip(words, starts)]
 
 
-def _words_from_dicts(
-    items: list[dict], question: dict | None, iid, s_idx: int | None
-) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    """The texts and starts of token records whose `end` is start plus length."""
+def _words(
+    items: list[dict], source: str | None, iid: str, s_idx: int | None
+) -> tuple[tuple[str, ...], tuple[int, ...], bool]:
+    """The texts and starts of a token list, and whether it is not empty and
+    every token passes the per-word checks of `validate_instance` (`source`
+    is the question text, or None for a sentence). A token whose `end` is
+    not its start plus length is an InputError at once."""
     words, starts = [], []
-    for i, d in enumerate(items):
-        word, start = d["text"], d["start"]
-        if d["end"] - start != len(word):
-            what = f"{iid} question" if s_idx is None else f"{iid} sentence {s_idx}"
-            raise InputError(f"{what}: text length mismatch at token {i}")
-        words.append(word)
-        starts.append(start)
-    return tuple(words), tuple(starts)
-
-
-class _Fault(Exception):
-    """A per-word check of the one-pass decoder failed."""
-
-
-def _checked_words(
-    items: list[dict], question: dict | None, iid, s_idx: int | None
-) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    """The texts and starts of a non-empty token list, every token checked
-    as it is read: `end` is start plus length, the word is not empty, it
-    starts at or after the previous word's end and, in the question, it is
-    its slice of the question text."""
-    source = None if question is None else question["text"]
-    words, starts = [], []
-    pos = 0
+    ok, pos = True, 0
     for d in items:
         word, start = d["text"], d["start"]
-        n = len(word)
-        if d["end"] - start != n or not word or start < pos:
-            raise _Fault
-        pos = start + n
-        if source is not None and source[start:pos] != word:
-            raise _Fault
+        if d["end"] - start != (n := len(word)):
+            what = f"{iid} question" if s_idx is None else f"{iid} sentence {s_idx}"
+            raise InputError(f"{what}: text length mismatch at token {len(words)}")
+        if ok:
+            if type(word) is not str or type(start) is not int or not n or start < pos:
+                ok = False
+            else:
+                pos = start + n
+                if source is not None and source[start:pos] != word:
+                    ok = False
         words.append(word)
         starts.append(start)
-    if not words:
-        raise _Fault
-    return tuple(words), tuple(starts)
+    return tuple(words), tuple(starts), ok and bool(words)
+
+
+def _indices(values) -> frozenset[int]:
+    """An annotation's set of question-word indices."""
+    for i in values:
+        if type(i) is not int:  # a bool is not an index either
+            raise TypeError(f"annotation index must be an integer, not {i!r}")
+    return frozenset(values)
 
 
 def span_to_dict(span: AnswerSpan) -> dict:
@@ -101,13 +92,18 @@ def span_to_dict(span: AnswerSpan) -> dict:
     }
 
 
-def span_from_dict(d: dict) -> AnswerSpan:
-    return AnswerSpan(
-        text=d["text"],
-        sentence_index=d["sent"],
-        token_start=d["tok_start"],
-        token_end=d["tok_end"],
-    )
+def span_from_dict(d: dict, what: str) -> AnswerSpan:
+    """The span of an answer record; a field of the wrong JSON type is a
+    TypeError that names it as `what` plus the field: `text` must be a
+    string, and `sent`, `tok_start` and `tok_end` integers, not booleans."""
+    text, sent, start, end = d["text"], d["sent"], d["tok_start"], d["tok_end"]
+    if type(text) is not str:
+        raise TypeError(f"{what} text must be a string, not {text!r}")
+    if not type(sent) is type(start) is type(end) is int:
+        for name, value in (("sent", sent), ("tok_start", start), ("tok_end", end)):
+            if type(value) is not int:
+                raise TypeError(f"{what} {name} must be an integer, not {value!r}")
+    return AnswerSpan(text, sent, start, end)
 
 
 def instance_to_dict(instance: RCInstance) -> dict:
@@ -150,11 +146,9 @@ def instance_to_dict(instance: RCInstance) -> dict:
     return doc
 
 
-def _build(doc: dict, words_of) -> RCInstance:
-    """The instance a record describes, each token list turned into texts
-    and starts by `words_of(items, question, iid, s_idx)`, where `question`
-    is the question record for the question's tokens and None for a
-    sentence's."""
+def instance_from_dict(doc: dict) -> RCInstance:
+    """The checked instance a unified record describes, or the error that
+    names its first fault (see the module docstring)."""
     try:
         ann_doc = doc.get("annotations") or {}
         annotations = None
@@ -163,53 +157,46 @@ def _build(doc: dict, words_of) -> RCInstance:
             for key in ("comparison_operator", "compared_entities", "value_tokens", "verb_tokens")
         ):
             annotations = QuestionAnnotations(
-                comparison_operator=frozenset(ann_doc.get("comparison_operator", ())),
-                compared_entities=tuple(
-                    frozenset(e) for e in ann_doc.get("compared_entities", ())
-                ),
-                value_tokens=frozenset(ann_doc.get("value_tokens", ())),
-                verb_tokens=frozenset(ann_doc.get("verb_tokens", ())),
+                comparison_operator=_indices(ann_doc.get("comparison_operator", ())),
+                compared_entities=tuple(_indices(e) for e in ann_doc.get("compared_entities", ())),
+                value_tokens=_indices(ann_doc.get("value_tokens", ())),
+                verb_tokens=_indices(ann_doc.get("verb_tokens", ())),
             )
-        iid = doc["id"]
-        question = doc["question"]
-        question_words, question_starts = words_of(question["tokens"], question, iid, None)
-        return RCInstance(
+        relevant_cluster = ann_doc.get("relevant_cluster")
+        if "relevant_cluster" in ann_doc and type(relevant_cluster) is not int:
+            raise TypeError(f"relevant_cluster must be an integer, not {relevant_cluster!r}")
+        iid, question = doc["id"], doc["question"]
+        tokens, q_text = question["tokens"], question["text"]
+        if type(iid) is not str:
+            raise TypeError(f"id must be a string, not {iid!r}")
+        if type(q_text) is not str:
+            raise TypeError(f"question text must be a string, not {q_text!r}")
+        q_words, q_starts, clean = _words(tokens, q_text, iid, None)
+        context = []
+        for s_idx, s in enumerate(doc["context"]):
+            words, starts, ok = _words(s["tokens"], None, iid, s_idx)
+            clean = clean and ok
+            context.append(Sentence(words, starts, is_supporting_fact=bool(s["supporting"]),
+                                    paragraph_id=str(s["paragraph_id"])))
+        instance = RCInstance(
             id=iid,
-            question_words=question_words,
-            question_starts=question_starts,
-            question_text=question["text"],
-            context=tuple(
-                Sentence(
-                    *words_of(s["tokens"], None, iid, s_idx),
-                    is_supporting_fact=bool(s["supporting"]),
-                    paragraph_id=str(s["paragraph_id"]),
-                )
-                for s_idx, s in enumerate(doc["context"])
-            ),
-            gold_answers=tuple(span_from_dict(a) for a in doc["answers"]),
+            question_words=q_words,
+            question_starts=q_starts,
+            question_text=q_text,
+            context=tuple(context),
+            gold_answers=tuple(span_from_dict(a, "answer") for a in doc["answers"]),
             skill=doc.get("skill", "other"),
             annotations=annotations,
             coref_clusters=tuple(
-                tuple(span_from_dict(m) for m in cluster)
+                tuple(span_from_dict(m, "mention") for m in cluster)
                 for cluster in doc.get("coref_clusters", ())
             ),
-            relevant_cluster=ann_doc.get("relevant_cluster"),
+            relevant_cluster=relevant_cluster,
             unannotatable=bool(ann_doc.get("unannotatable", False)),
         )
     except (AttributeError, KeyError, TypeError) as exc:  # AttributeError: not an object
         raise InputError(f"malformed instance record: {exc}") from exc
-
-
-def instance_from_dict(doc: dict) -> RCInstance:
-    """The checked instance a unified record describes, or the error that
-    names its first fault (see the module docstring)."""
-    try:
-        instance = _build(doc, _checked_words)
-    except (_Fault, InputError):  # a failed check, or a field missing or mistyped
-        instance = None
-    if instance is None or not instance.context:
-        return validate_instance(_build(doc, _words_from_dicts))
-    return check_structure(instance)
+    return check_structure(instance) if clean and context else validate_instance(instance)
 
 
 def save_jsonl(instances: Iterable[RCInstance], path: str | Path) -> None:
@@ -218,25 +205,38 @@ def save_jsonl(instances: Iterable[RCInstance], path: str | Path) -> None:
             fh.write(json.dumps(instance_to_dict(instance), ensure_ascii=False) + "\n")
 
 
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
+    """Each non-blank line of a JSON-lines file, parsed, with its line number
+    (from 1). A line that is not JSON, an integer past Python's 4300-digit
+    limit included, is `<path>: bad JSON on line <n>: <reason>`, the reason
+    as `json.loads` gives it, and a file that is not UTF-8 is an InputError
+    too."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            for line_no, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    doc, end = _raw_decode(line)
+                except ValueError:
+                    end = None
+                if end != len(line):  # json.loads names the fault, "Extra data" included
+                    try:
+                        doc = json.loads(line)
+                    except ValueError as exc:
+                        raise InputError(f"{path}: bad JSON on line {line_no}: {exc}") from exc
+                yield line_no, doc
+        except UnicodeDecodeError as exc:  # the file is decoded in chunks, not lines
+            raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def load_jsonl(path: str | Path) -> list[RCInstance]:
     instances = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc, end = _raw_decode(line)
-            except json.JSONDecodeError:
-                end = None
-            if end != len(line):  # json.loads names the fault, "Extra data" included
-                try:
-                    doc = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise InputError(f"{path}: bad JSON on line {line_no + 1}: {exc}") from exc
-            try:
-                instances.append(instance_from_dict(doc))
-            except InputError as exc:  # a wrapped KeyError etc. is named as for adapter records
-                reason = repr(exc.__cause__) if exc.__cause__ else exc
-                raise InputError(f"{path}: malformed record {len(instances)}: {reason}") from exc
+    for _, doc in read_jsonl(path):
+        try:
+            instances.append(instance_from_dict(doc))
+        except InputError as exc:  # a wrapped KeyError etc. is named as for adapter records
+            reason = repr(exc.__cause__) if exc.__cause__ else exc
+            raise InputError(f"{path}: malformed record {len(instances)}: {reason}") from exc
     return instances

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .corpus.filters import OPERATOR_ANTONYMS
-from .corpus.schema import span_from_dict, span_to_dict
+from .corpus.schema import read_jsonl, span_from_dict, span_to_dict
 from .errors import InputError
 from .gateway.base import ModelGateway, predict
 from .metrics import normalize_answer, score_answer
@@ -324,28 +324,20 @@ def save_cf_pairs(pairs: Iterable[CFPair], path: str | Path) -> None:
 
 
 def _pair_from_record(record: dict, original: RCInstance) -> CFPair:
-    gold = span_from_dict(record["new_answer"])
     perturbed = replace(
         original,
         id=f"{original.id}::cf",
+        gold_answers=(span_from_dict(record["new_answer"], "new_answer"),),
         context=_context_from_docs(record["perturbed_context"]),
-        gold_answers=(gold,),
         coref_clusters=(),
         relevant_cluster=None,
     )
-    pair = CFPair(
+    return CFPair(
         original=original,
         perturbed=perturbed,
         perturbation="cluster_insertion",
         distribution_tag=record["distribution_tag"],
     )
-    if type(gold.text) is not str:
-        raise TypeError(f"new_answer text must be a string, not {gold.text!r}")
-    for name, value in (("sent", gold.sentence_index), ("tok_start", gold.token_start),
-                        ("tok_end", gold.token_end)):
-        if type(value) is not int:  # bool is a subclass of int
-            raise TypeError(f"new_answer {name} must be an integer, not {value!r}")
-    return pair
 
 
 def load_cf_pairs(path: str | Path, originals: Iterable[RCInstance]) -> list[CFPair]:
@@ -353,8 +345,9 @@ def load_cf_pairs(path: str | Path, originals: Iterable[RCInstance]) -> list[CFP
     them, validated, against their originals.
 
     Antonym twins are made from the corpus by `perturb_comparison`, so a
-    record of any other perturbation is refused, and so is a second record
-    for the same original. A field of the wrong type is a malformed record.
+    record of any other perturbation is refused, and so are a record whose
+    original is not a coreference instance and a second record for the
+    same original. A field of the wrong type is a malformed record.
     Raises InputError listing every pair that fails `validate_cf` or whose
     twin's answer span fails `check_structure`, as a dataset record's would.
     """
@@ -362,46 +355,43 @@ def load_cf_pairs(path: str | Path, originals: Iterable[RCInstance]) -> list[CFP
     pairs: list[CFPair] = []
     bad: list[str] = []
     first_line: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
+    for line_no, record in read_jsonl(path):
+        if not isinstance(record, dict):
+            raise InputError(f"{path}: line {line_no} is not a JSON object")
+        original_id = record.get("original_id")
+        perturbation = record.get("perturbation")
+        if perturbation != "cluster_insertion":
+            raise InputError(
+                f"{path}: record for {original_id!r} has perturbation {perturbation!r};"
+                " a CF file holds only cluster_insertion pairs"
+            )
+        original = by_id.get(original_id) if isinstance(original_id, str) else None
+        if original is None:
+            raise InputError(f"{path}: unknown original instance {original_id!r}")
+        if original.skill != "coreference":
+            raise InputError(
+                f"{path}: record for {original_id!r}: its original has skill"
+                f" {original.skill!r}, not 'coreference'"
+            )
+        earlier = first_line.setdefault(original_id, line_no)
+        if earlier != line_no:
+            raise InputError(
+                f"{path}: two records for {original_id!r}, on lines {earlier} and {line_no}"
+            )
+        try:
+            pair = _pair_from_record(record, original)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"{path}: malformed record for {original_id!r}: {exc}") from exc
+        violations = validate_cf(pair)
+        if not violations:
             try:
-                record = json.loads(line)
-            except ValueError as exc:  # also an integer past Python's digit limit
-                raise InputError(f"{path}: bad JSON on line {line_no + 1}: {exc}") from exc
-            if not isinstance(record, dict):
-                raise InputError(f"{path}: line {line_no + 1} is not a JSON object")
-            original_id = record.get("original_id")
-            perturbation = record.get("perturbation")
-            if perturbation != "cluster_insertion":
-                raise InputError(
-                    f"{path}: record for {original_id!r} has perturbation {perturbation!r};"
-                    " a CF file holds only cluster_insertion pairs"
-                )
-            original = by_id.get(original_id) if isinstance(original_id, str) else None
-            if original is None:
-                raise InputError(f"{path}: unknown original instance {original_id!r}")
-            earlier = first_line.setdefault(original_id, line_no + 1)
-            if earlier != line_no + 1:
-                raise InputError(
-                    f"{path}: two records for {original_id!r}, on lines {earlier} and {line_no + 1}"
-                )
-            try:
-                pair = _pair_from_record(record, original)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise InputError(f"{path}: malformed record for {original_id!r}: {exc}") from exc
-            violations = validate_cf(pair)
-            if not violations:
-                try:
-                    check_structure(pair.perturbed)
-                except InputError as exc:
-                    violations = [str(exc)]
-            if violations:
-                bad.append(f"{original_id}: {'; '.join(violations)}")
-                continue
-            pairs.append(pair)
+                check_structure(pair.perturbed)
+            except InputError as exc:
+                violations = [str(exc)]
+        if violations:
+            bad.append(f"{original_id}: {'; '.join(violations)}")
+            continue
+        pairs.append(pair)
     if bad:
         raise InputError(f"{path}: invalid counterfactual pairs: " + " | ".join(bad))
     return pairs

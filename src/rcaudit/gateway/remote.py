@@ -148,7 +148,7 @@ def serve_stream(gateway: ModelGateway, rfile: IO[str], wfile: IO[str]) -> None:
             continue
         try:
             request = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer past Python's 4300-digit limit
             response = {"ok": False, "error": f"bad JSON: {exc}", "kind": "input"}
         else:
             response = handle_request(gateway, request)

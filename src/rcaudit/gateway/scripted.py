@@ -35,7 +35,12 @@ class ScriptedModel(ModelGateway):
         path = Path(script_path)
         if not path.exists():
             raise InputError(f"scripted model file not found: {path}")
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        try:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise InputError(f"{path}: not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict) or not isinstance(doc.get("instances"), dict):
+            raise InputError(f"{path}: a script is an object with an 'instances' object")
         self._name = doc.get("name", path.stem)
         self._instances: dict[str, dict] = doc["instances"]
 

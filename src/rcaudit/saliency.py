@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus.schema import read_jsonl
 from .errors import InputError
 from .gateway.base import ModelGateway, integrated_gradients, masked_start_scores, predict
 # mask_all and mask_word are not called here any more; the benchmark's
@@ -228,49 +229,47 @@ class SaliencyCache:
     def load(cls, path: str | Path) -> SaliencyCache:
         """Read a file written by `save`. Records without a content hash or
         a predicted answer, written by earlier versions, are left out, so
-        they miss and are recomputed. A record that is not an object with
-        finite numeric scores, a string answer, integer n_question and
-        anchor_position that fit the scores, and scope "all" (the only
-        scope `save` writes) is an InputError."""
+        they miss and are recomputed. A line that is not JSON, or a record
+        that is not an object with finite numeric scores, string ids, hashes
+        and answer, integer n_question and anchor_position that fit the
+        scores, and scope "all" (the only scope `save` writes), is an
+        InputError."""
         cache = cls()
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    doc = json.loads(line)
-                    scores = doc["scores"]
-                    if not isinstance(scores, list) or not all(
-                        type(s) in (int, float) and math.isfinite(s) for s in scores
-                    ):
-                        raise ValueError("scores are not all finite numbers")
-                    answer = doc.get("predicted_answer")
-                    if answer is not None and not isinstance(answer, str):
-                        raise ValueError("predicted_answer is not a string")
-                    n_question, anchor = doc["n_question"], doc["anchor_position"]
-                    if type(n_question) is not int or not 0 <= n_question <= len(scores):
-                        raise ValueError(f"n_question {n_question!r} is not in [0, {len(scores)}]")
-                    n_context = len(scores) - n_question
-                    if type(anchor) is not int or not 0 <= anchor < n_context:
-                        raise ValueError(f"anchor_position {anchor!r} is not in [0, {n_context})")
-                    if doc["scope"] != "all":
-                        raise ValueError(f"scope {doc['scope']!r} is not 'all'")
-                    saliency = SaliencyMap(
-                        instance_id=doc["instance_id"],
-                        scope="all",
-                        scores=tuple(map(float, scores)),
-                        method=doc["method"],
-                        config_hash=doc["config_hash"],
-                        model_id=doc["model_id"],
-                        anchor_position=anchor,
-                        predicted_answer=answer,
-                        n_question=n_question,
-                    )
-                    content = doc.get("content_hash")
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise InputError(f"{path}: bad cache record on line {line_no + 1}: {exc}")
-                if content is not None and answer is not None:
-                    key = (saliency.model_id, saliency.config_hash, saliency.instance_id, content)
-                    cache._maps[key] = saliency
+        for line_no, doc in read_jsonl(path):
+            try:
+                scores = doc["scores"]
+                if not isinstance(scores, list) or not all(
+                    type(s) in (int, float) and math.isfinite(s) for s in scores
+                ):
+                    raise ValueError("scores are not all finite numbers")
+                for name in ("predicted_answer", "content_hash", "instance_id", "method",
+                             "config_hash", "model_id"):
+                    if type(doc.get(name, "")) is not str:  # a missing one is named below
+                        raise ValueError(f"{name} is not a string")
+                n_question, anchor = doc["n_question"], doc["anchor_position"]
+                if type(n_question) is not int or not 0 <= n_question <= len(scores):
+                    raise ValueError(f"n_question {n_question!r} is not in [0, {len(scores)}]")
+                n_context = len(scores) - n_question
+                if type(anchor) is not int or not 0 <= anchor < n_context:
+                    raise ValueError(f"anchor_position {anchor!r} is not in [0, {n_context})")
+                if doc["scope"] != "all":
+                    raise ValueError(f"scope {doc['scope']!r} is not 'all'")
+                answer = doc.get("predicted_answer")
+                saliency = SaliencyMap(
+                    instance_id=doc["instance_id"],
+                    scope="all",
+                    scores=tuple(map(float, scores)),
+                    method=doc["method"],
+                    config_hash=doc["config_hash"],
+                    model_id=doc["model_id"],
+                    anchor_position=anchor,
+                    predicted_answer=answer,
+                    n_question=n_question,
+                )
+                content = doc.get("content_hash")
+            except (ValueError, KeyError, TypeError, OverflowError) as exc:  # Overflow: int score
+                raise InputError(f"{path}: bad cache record on line {line_no}: {exc}")
+            if content is not None and answer is not None:
+                key = (saliency.model_id, saliency.config_hash, saliency.instance_id, content)
+                cache._maps[key] = saliency
         return cache

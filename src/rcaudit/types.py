@@ -192,6 +192,10 @@ def _check_words(
         raise InputError(f"{what}: {len(words)} words but {len(starts)} start offsets")
     pos = 0
     for i, (word, start) in enumerate(zip(words, starts)):
+        if type(word) is not str:
+            raise InputError(f"{what}: token {i} text must be a string, not {word!r}")
+        if type(start) is not int:  # a bool is not an offset either
+            raise InputError(f"{what}: token {i} start must be an integer, not {start!r}")
         if not word:
             raise InputError(f"{what}: empty char range for token {i}")
         if start < pos:

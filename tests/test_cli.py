@@ -185,6 +185,21 @@ class TestAlign:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {pairs}: {reason}")
 
+    def test_an_unknown_antonym_table_exits_2_without_comparison_instances(
+        self, tmp_path, capsys
+    ):
+        coreference = [l for l in Path(CORPUS).read_text().splitlines() if '"cor-' in l]
+        dataset = tmp_path / "coref.jsonl"
+        dataset.write_text("\n".join(coreference) + "\n")
+        out = tmp_path / "out"
+        code = run("align", "--dataset", str(dataset), "--cf-file", CF_PAIRS, "--antonyms", "bogus",
+                   "--model", "toy:7", "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: unknown antonym table 'bogus'; choose in_dist or ood\n"
+        )
+        assert not out.exists()
+
     def test_cf_file_of_antonym_pairs_exits_2_before_any_gateway(
         self, tmp_path, capsys, monkeypatch
     ):

@@ -401,6 +401,13 @@ class TestCache:
             ("scores", "0.1", "scores are not all finite numbers"),
             ("predicted_answer", 5, "predicted_answer is not a string"),
             ("predicted_answer", ["Ada"], "predicted_answer is not a string"),
+            ("predicted_answer", None, "predicted_answer is not a string"),
+            ("content_hash", ["h"], "content_hash is not a string"),
+            ("instance_id", 7, "instance_id is not a string"),
+            ("method", None, "method is not a string"),
+            ("config_hash", {"h": 1}, "config_hash is not a string"),
+            ("model_id", True, "model_id is not a string"),
+            ("scores", [10**400], "int too large to convert to float"),
         ],
     )
     def test_load_rejects_bad_scores_and_answers(self, tmp_path, corpus, field, value, message):
@@ -416,6 +423,16 @@ class TestCache:
         with pytest.raises(InputError) as info:
             SaliencyCache.load(path)
         assert str(info.value) == f"{path}: bad cache record on line 2: {message}"
+
+    @pytest.mark.parametrize("line", ["{", '{"scores": [1]} x', "1" + "0" * 5000])
+    def test_a_line_that_is_not_json_is_named_as_bad_json(self, tmp_path, line):
+        with pytest.raises(ValueError) as expected:
+            json.loads(line)
+        path = tmp_path / "cache.jsonl"
+        path.write_text("\n" + line + "\n")
+        with pytest.raises(InputError) as info:
+            SaliencyCache.load(path)
+        assert str(info.value) == f"{path}: bad JSON on line 2: {expected.value}"
 
     def test_maps_keep_the_answer_that_fixed_their_anchor(self, corpus):
         gateway = build_gateway("toy:7")

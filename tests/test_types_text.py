@@ -199,6 +199,28 @@ class TestInstance:
         with pytest.raises(InputError):
             validate_instance(bad)
 
+    @pytest.mark.parametrize(
+        "starts, message",
+        [
+            ((0, 7.0, 13, 19), "t-6 sentence 0: token 1 start must be an integer, not 7.0"),
+            ((0, True, 13, 19), "t-6 sentence 0: token 1 start must be an integer, not True"),
+            (("0", 7, 13, 19), "t-6 sentence 0: token 0 start must be an integer, not '0'"),
+        ],
+    )
+    def test_validate_refuses_a_start_that_is_not_an_integer(self, starts, message):
+        inst = build_instance("t-6", "Who?", ["Barack Obama smiled."], gold=(0, "Barack Obama"))
+        sentence = replace(inst.context[0], starts=starts)
+        with pytest.raises(InputError) as refused:
+            validate_instance(replace(inst, context=(sentence,)))
+        assert str(refused.value) == message
+
+    def test_validate_refuses_a_word_that_is_not_a_string(self):
+        inst = build_instance("t-7", "Who?", ["Barack Obama smiled."], gold=(0, "Barack Obama"))
+        sentence = replace(inst.context[0], words=("Barack", ["O", "b"], "smiled", "."))
+        with pytest.raises(InputError) as refused:
+            validate_instance(replace(inst, context=(sentence,)))
+        assert str(refused.value) == "t-7 sentence 0: token 1 text must be a string, not ['O', 'b']"
+
     def test_span_at_helper_matches_surface(self):
         inst = build_instance(
             "t-5",
