@@ -14,19 +14,22 @@ dropped, and written back as start plus length. Loading a file written by
 
 `instance_from_dict` is the one decoder from a record to a checked
 instance. It reads the record once and checks each field's type where it
-reads it: a wrong one is a malformed record (`supporting`, `paragraph_id`
-and `unannotatable` are coerced). One loop over each token list builds the
-words and starts, stops at a token whose `end` is not its start plus
-length, and notes any other fault of the per-word rules of
-`types.validate_instance`; a record with one runs `validate_instance`,
+reads it: a wrong one is a malformed record (`supporting` and
+`unannotatable` must be booleans, not just truthy). One loop over each
+token list builds the words and starts, stops at a token whose `end` is
+not its start plus length, and notes any other fault of the per-word rules
+of `types.validate_instance`; a record with one runs `validate_instance`,
 which names its first fault, and any other runs only
-`types.check_structure`. `read_jsonl` reads every JSON-lines file.
+`types.check_structure`. Each word text and `paragraph_id` is interned once
+its type is checked, so a loaded corpus holds each distinct string once.
+`read_jsonl` reads every JSON-lines file.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
+from sys import intern
 from typing import Iterable, Iterator
 
 from ..errors import InputError
@@ -65,6 +68,7 @@ def _words(
             if type(word) is not str or type(start) is not int or not n or start < pos:
                 ok = False
             else:
+                word = intern(word)
                 pos = start + n
                 if source is not None and source[start:pos] != word:
                     ok = False
@@ -73,12 +77,28 @@ def _words(
     return tuple(words), tuple(starts), ok and bool(words)
 
 
+_NO_INDICES: frozenset[int] = frozenset()
+
+
 def _indices(values) -> frozenset[int]:
-    """An annotation's set of question-word indices."""
+    """An annotation's set of question-word indices; every empty one is the
+    same object."""
     for i in values:
         if type(i) is not int:  # a bool is not an index either
             raise TypeError(f"annotation index must be an integer, not {i!r}")
-    return frozenset(values)
+    return frozenset(values) if values else _NO_INDICES
+
+
+def checked_sentence(
+    words: tuple[str, ...], starts: tuple[int, ...], supporting, paragraph_id
+) -> Sentence:
+    """A Sentence of a record's `supporting` and `paragraph_id` fields; a
+    field of the wrong JSON type is a TypeError that names it."""
+    if type(supporting) is not bool:
+        raise TypeError(f"supporting must be a boolean, not {supporting!r}")
+    if type(paragraph_id) is not str:
+        raise TypeError(f"paragraph_id must be a string, not {paragraph_id!r}")
+    return Sentence(words, starts, supporting, intern(paragraph_id))
 
 
 def span_to_dict(span: AnswerSpan) -> dict:
@@ -165,6 +185,9 @@ def instance_from_dict(doc: dict) -> RCInstance:
         relevant_cluster = ann_doc.get("relevant_cluster")
         if "relevant_cluster" in ann_doc and type(relevant_cluster) is not int:
             raise TypeError(f"relevant_cluster must be an integer, not {relevant_cluster!r}")
+        unannotatable = ann_doc.get("unannotatable", False)
+        if type(unannotatable) is not bool:
+            raise TypeError(f"unannotatable must be a boolean, not {unannotatable!r}")
         iid, question = doc["id"], doc["question"]
         tokens, q_text = question["tokens"], question["text"]
         if type(iid) is not str:
@@ -176,8 +199,7 @@ def instance_from_dict(doc: dict) -> RCInstance:
         for s_idx, s in enumerate(doc["context"]):
             words, starts, ok = _words(s["tokens"], None, iid, s_idx)
             clean = clean and ok
-            context.append(Sentence(words, starts, is_supporting_fact=bool(s["supporting"]),
-                                    paragraph_id=str(s["paragraph_id"])))
+            context.append(checked_sentence(words, starts, s["supporting"], s["paragraph_id"]))
         instance = RCInstance(
             id=iid,
             question_words=q_words,
@@ -192,7 +214,7 @@ def instance_from_dict(doc: dict) -> RCInstance:
                 for cluster in doc.get("coref_clusters", ())
             ),
             relevant_cluster=relevant_cluster,
-            unannotatable=bool(ann_doc.get("unannotatable", False)),
+            unannotatable=unannotatable,
         )
     except (AttributeError, KeyError, TypeError) as exc:  # AttributeError: not an object
         raise InputError(f"malformed instance record: {exc}") from exc

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .corpus.filters import OPERATOR_ANTONYMS
-from .corpus.schema import read_jsonl, span_from_dict, span_to_dict
+from .corpus.schema import checked_sentence, read_jsonl, span_from_dict, span_to_dict
 from .errors import InputError
 from .gateway.base import ModelGateway, predict
 from .metrics import normalize_answer, score_answer
@@ -296,11 +296,8 @@ def _context_from_docs(docs: Sequence[dict]) -> tuple[Sentence, ...]:
         if not sent_words:
             raise InputError("empty sentence in perturbed context")
         sentences.append(
-            Sentence(
-                sent_words,
-                starts,
-                is_supporting_fact=bool(doc.get("supporting", False)),
-                paragraph_id=str(doc.get("paragraph_id", "0")),
+            checked_sentence(
+                sent_words, starts, doc.get("supporting", False), doc.get("paragraph_id", "0")
             )
         )
     return tuple(sentences)

@@ -16,6 +16,9 @@ Script layout:
 
 `sensitivity` has one entry per word, question words first then context
 words; masking word k lowers the start probability at `answer[0]` by s_k.
+`base` (default 0.9) and `sensitivity` are optional. Each entry is checked
+when the script is read: `answer` holds two integers, `base` is a number
+and `sensitivity` a list of numbers (a boolean is neither).
 """
 
 from __future__ import annotations
@@ -28,6 +31,28 @@ import numpy as np
 from ..errors import GatewayError, InputError
 from ..types import RCInstance
 from .base import ModelGateway, ModelOutput, answer_span
+
+
+def _is_number(value) -> bool:
+    return type(value) is int or type(value) is float
+
+
+def _entry_fault(entry) -> str | None:
+    """What is wrong with a script entry's fields, or None."""
+    if not isinstance(entry, dict):
+        return f"an entry is an object, not {entry!r}"
+    answer = entry.get("answer")
+    if not (
+        type(answer) is list and len(answer) == 2 and all(type(i) is int for i in answer)
+    ):
+        return f"answer must be two integers, not {answer!r}"
+    base = entry.get("base", 0.9)
+    if not _is_number(base):
+        return f"base must be a number, not {base!r}"
+    sensitivity = entry.get("sensitivity", [])
+    if type(sensitivity) is not list or not all(map(_is_number, sensitivity)):
+        return f"sensitivity must be a list of numbers, not {sensitivity!r}"
+    return None
 
 
 class ScriptedModel(ModelGateway):
@@ -43,6 +68,10 @@ class ScriptedModel(ModelGateway):
             raise InputError(f"{path}: a script is an object with an 'instances' object")
         self._name = doc.get("name", path.stem)
         self._instances: dict[str, dict] = doc["instances"]
+        for iid, entry in self._instances.items():
+            fault = _entry_fault(entry)
+            if fault:
+                raise InputError(f"{path}: entry for {iid!r}: {fault}")
 
     @property
     def model_id(self) -> str:

@@ -8,6 +8,7 @@ handling is a gateway concern and never leaks out of it.
 from __future__ import annotations
 
 import re
+from sys import intern
 from typing import Sequence
 
 from .types import Sentence
@@ -21,9 +22,9 @@ _SENTENCE_RE = re.compile(r"(?<=[.!?])\s+(?=[\"'(A-Z0-9])")
 
 
 def split_words(text: str) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    """The words of `text` and each word's start offset into it."""
+    """The words of `text`, interned, and each word's start offset into it."""
     matches = list(_TOKEN_RE.finditer(text))
-    return tuple([m.group() for m in matches]), tuple([m.start() for m in matches])
+    return tuple([intern(m.group()) for m in matches]), tuple([m.start() for m in matches])
 
 
 def words(text: str) -> list[str]:

@@ -11,16 +11,21 @@ Conventions used throughout the toolkit:
   context-wide index use the *flattened* ordering (sentence 0 words, then
   sentence 1 words, ...), which is what AnswerSpan and coreference mention
   spans store.
-- `Token` objects are read-only views built on first read, for code that
+- `Token` objects are read-only views rebuilt on each read, for code that
   wants a word with its offsets as one object; nothing in the audit needs
   them.
+- Every type here is a slotted dataclass, with no per-object `__dict__`,
+  and the loaders intern word texts, so a loaded corpus holds each distinct
+  word once. `RCInstance.context_words` and `sentence_offsets` are the only
+  derived fields kept: they are computed once when an instance is made
+  (`dataclasses.replace` included) and take no part in `==`, `hash` or
+  `repr`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
 from .errors import InputError
@@ -58,19 +63,19 @@ def _render(words: Sequence[str], starts: Sequence[int], lo: int, hi: int, pos: 
     return "".join(parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sentence:
     words: tuple[str, ...]
     starts: tuple[int, ...]
     is_supporting_fact: bool = False
     paragraph_id: str = "0"
 
-    @cached_property
+    @property
     def text(self) -> str:
         """Sentence surface rebuilt from the words and their start offsets."""
         return _render(self.words, self.starts, 0, len(self.words) - 1, 0)
 
-    @cached_property
+    @property
     def tokens(self) -> tuple[Token, ...]:
         return token_view(self.words, self.starts)
 
@@ -80,7 +85,7 @@ class Sentence:
         return _render(self.words, self.starts, lo, hi, self.starts[lo])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnswerSpan:
     """A context span; token_start/token_end are inclusive flattened indices."""
 
@@ -90,7 +95,7 @@ class AnswerSpan:
     token_end: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuestionAnnotations:
     """Disjoint question-token index sets used by partition building and CFs."""
 
@@ -108,7 +113,7 @@ class QuestionAnnotations:
         ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RCInstance:
     id: str
     question_words: tuple[str, ...]
@@ -121,28 +126,27 @@ class RCInstance:
     coref_clusters: tuple[tuple[AnswerSpan, ...], ...] = ()
     relevant_cluster: int | None = None
     unannotatable: bool = False
+    # Context words in flattened order, and the flattened index of the first
+    # word of each sentence.
+    context_words: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    sentence_offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    @cached_property
+    def __post_init__(self) -> None:
+        words: list[str] = []
+        offsets = []
+        for sent in self.context:
+            offsets.append(len(words))
+            words.extend(sent.words)
+        object.__setattr__(self, "context_words", tuple(words))
+        object.__setattr__(self, "sentence_offsets", tuple(offsets))
+
+    @property
     def question(self) -> tuple[Token, ...]:
         return token_view(self.question_words, self.question_starts)
 
-    @cached_property
-    def context_words(self) -> tuple[str, ...]:
-        """Context words in flattened order."""
-        return tuple([w for sent in self.context for w in sent.words])
-
-    @cached_property
+    @property
     def context_tokens(self) -> tuple[Token, ...]:
         return tuple(tok for sent in self.context for tok in sent.tokens)
-
-    @cached_property
-    def sentence_offsets(self) -> tuple[int, ...]:
-        """Flattened index of the first word of each sentence."""
-        offsets, total = [], 0
-        for sent in self.context:
-            offsets.append(total)
-            total += len(sent.words)
-        return tuple(offsets)
 
     @property
     def n_question(self) -> int:
@@ -172,7 +176,7 @@ class RCInstance:
         return self.context[sent_idx].surface(token_start - off, token_end - off)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvalResult:
     f1: float
     exact_match: float

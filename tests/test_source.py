@@ -288,3 +288,35 @@ def test_readme_library_use_runs(capsys):
         "toy:7 comparison_operation 0.0 8 skipped",
         "oracle comparison_operation 0.0 8 skipped",
     ]
+
+
+def _dataclass_keywords(node: ast.ClassDef) -> dict[str, object] | None:
+    """The literal keywords of a class's `@dataclass(...)` decorator, or
+    None when it has none."""
+    for deco in node.decorator_list:
+        if isinstance(deco, ast.Name) and deco.id == "dataclass":
+            return {}
+        if isinstance(deco, ast.Call) and getattr(deco.func, "id", None) == "dataclass":
+            return {kw.arg: _literal(kw.value) for kw in deco.keywords}
+    return None
+
+
+TYPES_SOURCE = (PACKAGE_DIR / "types.py").read_text(encoding="utf-8")
+
+
+def test_every_core_type_is_slotted():
+    # A per-object __dict__ on the types a corpus is loaded into costs
+    # memory per sentence and per instance.
+    classes = {
+        node.name: _dataclass_keywords(node)
+        for node in ast.walk(ast.parse(TYPES_SOURCE))
+        if isinstance(node, ast.ClassDef)
+    }
+    dataclasses = {name: kws for name, kws in classes.items() if kws is not None}
+    assert {"Sentence", "AnswerSpan", "QuestionAnnotations", "RCInstance"} <= set(dataclasses)
+    assert [name for name, kws in dataclasses.items() if kws.get("slots") is not True] == []
+
+
+def test_core_types_cache_nothing_per_object():
+    # A cached_property needs the per-object __dict__ that slots remove.
+    assert "cached_property" not in TYPES_SOURCE

@@ -42,18 +42,16 @@ CF_LINES = CF_PAIRS.read_text(encoding="utf-8").splitlines()
 # Stands for an integer past the digit limit until the record is JSON text.
 _BIG = "\x00big"
 BIG_DIGITS = "1" + "0" * 5000
-# Fields that the schema coerces (`bool(...)`, `str(...)`) rather than types.
-COERCED = {"supporting", "paragraph_id", "unannotatable"}
 
 
 def leaf_paths(node, path=()) -> list[tuple]:
-    """The path of every scalar in a JSON value, except the coerced fields."""
+    """The path of every scalar in a JSON value."""
     if isinstance(node, dict):
         children = node.items()
     elif isinstance(node, list):
         children = enumerate(node)
     else:
-        return [] if path[-1] in COERCED else [path]
+        return [path]
     return [leaf for key, child in children for leaf in leaf_paths(child, path + (key,))]
 
 
@@ -143,10 +141,17 @@ class TestUnifiedFile:
              "TypeError('relevant_cluster must be an integer, not None')"),
             (lambda doc: doc.update(coref_clusters=[[dict(doc["answers"][0], tok_end=18.0)]]),
              "TypeError('mention tok_end must be an integer, not 18.0')"),
+            (lambda doc: doc["context"][1].update(supporting="false"),
+             """TypeError("supporting must be a boolean, not 'false'")"""),
+            (lambda doc: doc["context"][0].update(paragraph_id=0),
+             "TypeError('paragraph_id must be a string, not 0')"),
+            (lambda doc: doc["annotations"].update(unannotatable=1),
+             "TypeError('unannotatable must be a boolean, not 1')"),
         ],
         ids=["question-offsets-float", "context-offsets-float", "start-true", "text-list",
              "id-int", "question-text-null", "sent-true", "tok-start-str", "annotation-float",
-             "annotation-false", "relevant-cluster-null", "mention-float"],
+             "annotation-false", "relevant-cluster-null", "mention-float", "supporting-str",
+             "paragraph-id-int", "unannotatable-int"],
     )
     def test_each_reproduced_fault_exits_2_with_the_record_named(self, tmp_path, edit, reason):
         doc = json.loads(CORPUS_LINES[0])
@@ -178,6 +183,17 @@ class TestCfFile:
         assert code == 2, err
         assert err.startswith(f"error: {path}: "), err
         assert f"line {index + 1}" in err or str(doc["original_id"]) in err, err
+
+    def test_a_supporting_flag_that_is_not_a_boolean_is_named(self, tmp_path):
+        doc = json.loads(CF_LINES[0])
+        doc["perturbed_context"][0]["supporting"] = "false"
+        path = write_lines(tmp_path / "pairs.jsonl", CF_LINES, 0, as_json(doc))
+        code, err = run_cli("align", "--dataset", CORPUS, "--cf-file", path,
+                            "--model", "toy:7", "--out", tmp_path / "out")
+        assert (code, err) == (
+            2, f"error: {path}: malformed record for {doc['original_id']!r}:"
+               " supporting must be a boolean, not 'false'\n"
+        )
 
     def test_a_pair_on_a_comparison_original_is_refused(self, tmp_path):
         # cor-01 made a comparison instance: its pair would join the other
@@ -244,6 +260,13 @@ class TestServer:
         assert reply["error"].startswith("bad JSON: Exceeds the limit (4300 digits)")
         assert info["ok"]
 
+    def test_a_supporting_flag_that_is_not_a_boolean_is_an_input_error(self):
+        doc = json.loads(CORPUS_LINES[0])
+        doc["context"][1]["supporting"] = "false"
+        (reply,) = served([json.dumps({"op": "predict", "instance": doc})])
+        assert reply["ok"] is False and reply["kind"] == "input", reply
+        assert "supporting must be a boolean, not 'false'" in reply["error"], reply
+
     def test_a_mistyped_instance_is_an_input_error(self):
         doc = json.loads(CORPUS_LINES[0])
         doc["question"]["tokens"][1].update(start=6.0, end=10.0)
@@ -289,8 +312,19 @@ class TestSingleDocumentReaders:
             ('{"name": "x"}', "a script is an object with an 'instances' object"),
             ('{"instances": []}', "a script is an object with an 'instances' object"),
             ("[1]", "a script is an object with an 'instances' object"),
+            ('{"instances": {"cmp-01": {"answer": "ab"}}}',
+             "entry for 'cmp-01': answer must be two integers, not 'ab'"),
+            ('{"instances": {"cmp-01": {"answer": [14, true]}}}',
+             "entry for 'cmp-01': answer must be two integers, not [14, True]"),
+            ('{"instances": {"cmp-01": {"answer": [14, 15], "base": "0.9"}}}',
+             "entry for 'cmp-01': base must be a number, not '0.9'"),
+            ('{"instances": {"cmp-01": {"answer": [14, 15], "sensitivity": [0.1, null]}}}',
+             "entry for 'cmp-01': sensitivity must be a list of numbers, not [0.1, None]"),
+            ('{"instances": {"cmp-01": [14, 15]}}',
+             "entry for 'cmp-01': an entry is an object, not [14, 15]"),
         ],
-        ids=["bad-json", "no-instances", "instances-not-an-object", "not-an-object"],
+        ids=["bad-json", "no-instances", "instances-not-an-object", "not-an-object",
+             "answer-str", "answer-bool", "base-str", "sensitivity-null", "entry-list"],
     )
     def test_a_faulty_script_exits_2(self, tmp_path, text, reason):
         script = tmp_path / "script.json"

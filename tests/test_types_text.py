@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +18,15 @@ from rcaudit.text import (
     split_words,
     words,
 )
-from rcaudit.types import AnswerSpan, Sentence, sentence_at, token_view, validate_instance
+from rcaudit.types import (
+    AnswerSpan,
+    QuestionAnnotations,
+    RCInstance,
+    Sentence,
+    sentence_at,
+    token_view,
+    validate_instance,
+)
 
 from conftest import build_instance, span_at
 
@@ -40,6 +48,12 @@ class TestTokenize:
         toks = token_view(*split_words("a b  c d"))
         assert [t.index for t in toks] == [0, 1, 2, 3]
         assert [t.char_start for t in toks] == [0, 2, 5, 7]
+
+    def test_a_word_split_from_two_texts_is_one_object(self):
+        first, _ = split_words("Boats crossed the river.")
+        second, _ = split_words("Nobody crossed it.")
+        assert first[1] == second[1] == "crossed"
+        assert first[1] is second[1]
 
     def test_empty_text_has_no_tokens(self):
         assert split_words("   ") == ((), ())
@@ -231,3 +245,37 @@ class TestInstance:
         gold = inst.gold_answers[0]
         assert inst.span_surface(gold.token_start, gold.token_end) == "Hawaii"
         assert gold.sentence_index == 1
+
+
+class TestSlottedTypes:
+    @pytest.fixture
+    def inst(self):
+        return build_instance(
+            "t-slots",
+            "Who was born in Hawaii?",
+            ["Barack Obama was the 44th president.", "He was born in Hawaii."],
+            gold=(0, "Barack Obama"),
+        )
+
+    def test_core_types_have_no_instance_dict(self, inst):
+        for obj in (inst, inst.context[0], inst.gold_answers[0], QuestionAnnotations()):
+            assert not hasattr(obj, "__dict__"), type(obj).__name__
+
+    def test_derived_fields_are_left_out_of_eq_hash_and_repr(self, inst):
+        names = {"context_words", "sentence_offsets"}
+        derived = [f for f in fields(RCInstance) if f.name in names]
+        assert {f.name for f in derived} == names
+        assert not any(f.init or f.compare or f.repr for f in derived)
+        assert not any(f"{name}=" in repr(inst) for name in names)
+        copy = replace(inst)
+        object.__setattr__(copy, "sentence_offsets", ())  # differs only in a derived field
+        assert copy == inst and hash(copy) == hash(inst)
+
+    def test_replace_recomputes_the_derived_fields(self, inst):
+        extra = make_sentence("Obama was born there.")
+        longer = replace(inst, context=inst.context + (extra,))
+        assert longer.context_words == inst.context_words + extra.words
+        assert longer.sentence_offsets == inst.sentence_offsets + (inst.n_context,)
+        shorter = replace(inst, context=inst.context[1:])
+        assert shorter.context_words == inst.context[1].words
+        assert shorter.sentence_offsets == (0,)
