@@ -2,8 +2,10 @@
 
 Subcommands: evaluate, saliency, cf-generate, align, calibrate, heuristic.
 Every command reads a dataset, runs one stage of the pipeline, and writes
-deterministic JSON/CSV reports into the output directory. A key-value config
-file can preload any flag; explicit flags win.
+deterministic JSON/CSV reports into the output directory. Each command takes
+only the flags it reads (`COMMANDS`, over the one flag table `FLAGS`). A
+key-value config file can preload any flag, and each command takes from it
+the flags it reads; explicit flags win.
 
 Exit codes: 0 success, 2 input error, 3 missing model capability, 4 internal
 error.
@@ -50,24 +52,32 @@ from .types import RCInstance
 
 METHOD_ALIASES = {"occlusion": "occlusion", "ig": "integrated_gradients"}
 
-_INT_KEYS = {"seed", "ig_steps", "n_partitions"}
-_FLOAT_KEYS = {"alpha"}
-_KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | {
-    "dataset",
-    "format",
-    "context_mode",
-    "model",
-    "method",
-    "summarizer",
-    "antonyms",
-    "out",
-    "strategy",
-    "cf_file",
+# One entry per flag: its dest, and its type, default and help. The option is
+# the dest with dashes; the order is the order of each command's --help.
+FLAGS: dict[str, tuple[type, object, str]] = {
+    "dataset": (str, None, "dataset path or synthetic:<n>"),
+    "format": (str, "unified", "dataset format (unified, squad_like, quoref_like, "
+                               "hotpot_like, wiki2hop_like)"),
+    "context_mode": (str, "paragraphs", "context reduction: supporting_facts or paragraphs"),
+    "model": (str, "toy:0", "gateway spec: toy:<seed>[:<dim>], remote:<endpoint>, "
+                            "scripted:<path>, oracle, frequency"),
+    "method": (str, "occlusion", "saliency method: occlusion or ig"),
+    "summarizer": (str, "l2", "attribution summarizer: l1, l2, dot"),
+    "ig_steps": (int, 50, "Riemann steps for integrated gradients"),
+    "alpha": (float, 0.05, "significance level"),
+    "antonyms": (str, "in_dist", "antonym table for operator swaps: in_dist or ood"),
+    "seed": (int, 0, "global random seed"),
+    "out": (str, "audit_out", "output directory"),
+    "config": (str, None, "key-value config file; flags override"),
+    "cf_file": (str, None, "hand-authored coreference counterfactual pairs (JSON lines)"),
+    "n_partitions": (int, 1, "random partitions drawn per instance"),
+    "strategy": (str, "token_overlap", "sentence selection: " + ", ".join(SELECTION_STRATEGIES)),
 }
 
 
 def read_config(path: str | Path) -> dict:
-    """Parse a `name = value` config file into flag defaults."""
+    """Parse a `name = value` config file into flag defaults; any flag but
+    --config may be set, whichever commands read it."""
     values: dict = {}
     config_path = Path(path)
     if not config_path.exists():
@@ -80,82 +90,46 @@ def read_config(path: str | Path) -> dict:
         key, value = key.strip().replace("-", "_"), value.strip()
         if not sep or not key or not value:
             raise InputError(f"{config_path}:{line_no}: expected `name = value`")
-        if key not in _KNOWN_KEYS:
+        if key not in FLAGS or key == "config":
             raise InputError(f"{config_path}:{line_no}: unknown setting {key!r}")
         try:
-            if key in _INT_KEYS:
-                values[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(value)
-            else:
-                values[key] = value
+            values[key] = FLAGS[key][0](value)
         except ValueError:
             raise InputError(f"{config_path}:{line_no}: bad value for {key}: {value!r}")
     return values
 
 
-def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--dataset", required=False, help="dataset path or synthetic:<n>")
-    common.add_argument("--format", default="unified",
-                        help="dataset format (unified, squad_like, quoref_like, "
-                             "hotpot_like, wiki2hop_like)")
-    common.add_argument("--context-mode", default="paragraphs", dest="context_mode",
-                        help="context reduction: supporting_facts or paragraphs")
-    common.add_argument("--model", default="toy:0",
-                        help="gateway spec: toy:<seed>[:<dim>], remote:<endpoint>, "
-                             "scripted:<path>, oracle, frequency")
-    common.add_argument("--method", default="occlusion",
-                        help="saliency method: occlusion or ig")
-    common.add_argument("--summarizer", default="l2", help="attribution summarizer: l1, l2, dot")
-    common.add_argument("--ig-steps", type=int, default=50, dest="ig_steps",
-                        help="Riemann steps for integrated gradients")
-    common.add_argument("--alpha", type=float, default=0.05, help="significance level")
-    common.add_argument("--antonyms", default="in_dist",
-                        help="antonym table for operator swaps: in_dist or ood")
-    common.add_argument("--seed", type=int, default=0, help="global random seed")
-    common.add_argument("--out", default="audit_out", help="output directory")
-    common.add_argument("--config", default=None, help="key-value config file; flags override")
+def _add_flags(parser: argparse.ArgumentParser, dests, defaults: dict) -> dict:
+    """Add the flags `dests` to `parser`, with `defaults` (from a config
+    file) over their own; their actions, by dest."""
+    actions = {}
+    for dest in dests:
+        kind, default, help_text = FLAGS[dest]
+        actions[dest] = parser.add_argument(
+            "--" + dest.replace("_", "-"), dest=dest, type=kind,
+            default=defaults.get(dest, default), help=help_text,
+        )
+    return actions
 
+
+def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, each taking only the flags it reads;
+    `defaults` (from a config file) replace the flags' own defaults."""
+    # Each flag's action is made once and shared by the parsers that take
+    # it, as `parents=` shares a parent parser's actions.
+    actions = _add_flags(argparse.ArgumentParser(add_help=False), FLAGS, defaults or {})
     parser = argparse.ArgumentParser(
         prog="rcaudit",
         description="Audit whether extractive QA models answer for the right reasons.",
     )
-    parser.add_argument("--config", default=None, help="key-value config file; flags override")
+    parser._add_action(actions["config"])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    commands = []
-    p = sub.add_parser("evaluate", parents=[common], help="answer accuracy report")
-    p.set_defaults(func=run_evaluate)
-    commands.append(p)
-    p = sub.add_parser("saliency", parents=[common], help="per-token attribution maps")
-    p.set_defaults(func=run_saliency)
-    commands.append(p)
-    p = sub.add_parser("cf-generate", parents=[common],
-                       help="operator-swap counterfactual pairs")
-    p.set_defaults(func=run_cf_generate)
-    commands.append(p)
-    p = sub.add_parser("align", parents=[common], help="explanation alignment audit")
-    p.add_argument("--cf-file", default=None, dest="cf_file",
-                   help="hand-authored coreference counterfactual pairs (JSON lines)")
-    p.set_defaults(func=run_align)
-    commands.append(p)
-    p = sub.add_parser("calibrate", parents=[common],
-                       help="significance rate on random partitions")
-    p.add_argument("--n-partitions", type=int, default=1, dest="n_partitions",
-                   help="random partitions drawn per instance")
-    p.set_defaults(func=run_calibrate)
-    commands.append(p)
-    p = sub.add_parser("heuristic", parents=[common], help="non-reading baseline answers")
-    p.add_argument("--strategy", default="token_overlap",
-                   help="sentence selection: " + ", ".join(SELECTION_STRATEGIES))
-    p.set_defaults(func=run_heuristic)
-    commands.append(p)
-    if defaults:
-        # subparsers re-apply their own action defaults over the main parser's
-        # namespace, so config values must be installed per subcommand
-        for command in commands:
-            command.set_defaults(**defaults)
+    for name, (func, help_text, flags) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        command.set_defaults(func=func)
+        for dest in FLAGS:
+            if dest in flags:
+                command._add_action(actions[dest])
     return parser
 
 
@@ -487,6 +461,23 @@ def run_heuristic(args) -> int:
     return 0
 
 
+# The flags every command reads, and those a saliency map is made with.
+_SHARED = ("dataset", "format", "context_mode", "seed", "out", "config")
+_SALIENCY = ("model", "method", "summarizer", "ig_steps")
+# One entry per command: its function, its help, and the flags it reads.
+COMMANDS = {
+    "evaluate": (run_evaluate, "answer accuracy report", _SHARED + ("model",)),
+    "saliency": (run_saliency, "per-token attribution maps", _SHARED + _SALIENCY),
+    "cf-generate": (run_cf_generate, "operator-swap counterfactual pairs",
+                    _SHARED + ("antonyms",)),
+    "align": (run_align, "explanation alignment audit",
+              _SHARED + _SALIENCY + ("alpha", "antonyms", "cf_file")),
+    "calibrate": (run_calibrate, "significance rate on random partitions",
+                  _SHARED + _SALIENCY + ("alpha", "n_partitions")),
+    "heuristic": (run_heuristic, "non-reading baseline answers", _SHARED + ("strategy",)),
+}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     # What is alive now (modules, numpy's and scipy's tables) lives until exit;
     # frozen, it is left out of the cycle collector's full passes.
@@ -494,7 +485,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         pre = argparse.ArgumentParser(add_help=False)
-        pre.add_argument("--config", default=None)
+        _add_flags(pre, ["config"], {})
         known, _ = pre.parse_known_args(argv)
         defaults = read_config(known.config) if known.config else None
         parser = build_parser(defaults)

@@ -163,6 +163,13 @@ def _mention_span(
     return _span_from_local(context, sent_idx, covered[0], covered[-1])
 
 
+def _string(value, what: str) -> str:
+    """`value`, which must be a string: an id or a title is never coerced."""
+    if type(value) is not str:
+        raise InputError(f"{what} must be a string, not {value!r}")
+    return value
+
+
 def _question(text: str) -> dict:
     """The question fields of an RCInstance asking `text`."""
     question_words, question_starts = split_words(text)
@@ -176,9 +183,9 @@ def _question(text: str) -> dict:
 
 
 def _build_squad_instance(
-    qa: dict, paragraph: dict, title: str, with_clusters: bool
+    qa: dict, paragraph: dict, title, with_clusters: bool
 ) -> RCInstance:
-    sentences, offsets = paragraph_sentences(paragraph["context"], title)
+    sentences, offsets = paragraph_sentences(paragraph["context"], _string(title, "title"))
     context = tuple(sentences)
     answers = [(a["text"], a.get("answer_start")) for a in qa["answers"]]
     spans = _anchor_all(context, answers, offsets)
@@ -194,7 +201,7 @@ def _build_squad_instance(
             if mentions:
                 clusters.append(tuple(mentions))
     return RCInstance(
-        id=str(qa["id"]),
+        id=_string(qa["id"], "id"),
         **_question(qa["question"]),
         context=context,
         gold_answers=spans,
@@ -206,7 +213,7 @@ def _squad_like(doc: dict, with_clusters: bool) -> Iterator[tuple[int, Callable[
     idx = 0
     for article in doc["data"]:
         for paragraph in article["paragraphs"]:
-            title = str(article.get("title", "0"))
+            title = article.get("title", "0")
             for qa in paragraph["qas"]:
 
                 def build(qa=qa, paragraph=paragraph, title=title) -> RCInstance:
@@ -228,6 +235,7 @@ def _build_hotpot_instance(record: dict) -> RCInstance:
     supporting = {(title, i) for title, i in map(tuple, record.get("supporting_facts", ()))}
     sentences: list[Sentence] = []
     for title, sents in record["context"]:
+        title = _string(title, "title")
         for i, sent_text in enumerate(sents):
             sent_words, starts = split_words(sent_text)
             if not sent_words:
@@ -237,7 +245,7 @@ def _build_hotpot_instance(record: dict) -> RCInstance:
                     sent_words,
                     starts,
                     is_supporting_fact=(title, i) in supporting,
-                    paragraph_id=str(title),
+                    paragraph_id=title,
                 )
             )
     if not sentences:
@@ -245,7 +253,7 @@ def _build_hotpot_instance(record: dict) -> RCInstance:
     context = tuple(sentences)
     spans = _anchor_all(context, [(record["answer"], None)], None)
     return RCInstance(
-        id=str(record["_id"]),
+        id=_string(record["_id"], "id"),
         **_question(record["question"]),
         context=context,
         gold_answers=spans,
@@ -268,7 +276,7 @@ def _build_wiki2hop_instance(record: dict) -> RCInstance:
     spans = _anchor_all(context, [(record["answer"], None)], None)
     context = _mark_supporting(context, spans)
     return RCInstance(
-        id=str(record["id"]),
+        id=_string(record["id"], "id"),
         **_question(record["query"]),
         context=context,
         gold_answers=spans,

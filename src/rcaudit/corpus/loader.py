@@ -123,17 +123,21 @@ def load_dataset(desc: DatasetDescriptor) -> LoadResult:
             doc = json.loads(path.read_text(encoding="utf-8"))
         except ValueError as exc:  # also an integer past Python's 4300-digit limit
             raise InputError(f"{path}: not valid JSON: {exc}") from exc
-        adapter = FORMAT_ADAPTERS[desc.format]
         candidates = []
-        for idx, build in adapter(doc):
-            try:
-                candidates.append((idx, build()))
-            except AnchorError as exc:
-                result.skipped.append(SkippedRecord(idx, None, str(exc)))
-            except InputError as exc:
-                raise InputError(f"{path}: malformed record {idx}: {exc}") from exc
-            except (KeyError, TypeError, AttributeError) as exc:
-                raise InputError(f"{path}: malformed record {idx}: {exc!r}") from exc
+        idx = 0  # the record being built, or being walked to
+        try:
+            # the adapter walks the document as it yields, so a document of
+            # the wrong shape fails here too, on the record it was reading
+            for idx, build in FORMAT_ADAPTERS[desc.format](doc):
+                try:
+                    candidates.append((idx, build()))
+                except AnchorError as exc:
+                    result.skipped.append(SkippedRecord(idx, None, str(exc)))
+                idx += 1
+        except InputError as exc:
+            raise InputError(f"{path}: malformed record {idx}: {exc}") from exc
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise InputError(f"{path}: malformed record {idx}: {exc!r}") from exc
     # load_jsonl's decoder has checked every unified record; what an adapter
     # built, and what reduce_context replaced, is checked here.
     checked = desc.format == "unified"

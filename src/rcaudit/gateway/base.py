@@ -188,10 +188,11 @@ def check_output(instance: RCInstance, output: ModelOutput) -> ModelOutput:
 
 def _call(gateway: ModelGateway, op: str, instance: RCInstance, *args):
     """gateway.<op>(instance, *args); any exception that is not already a
-    GatewayError or CapabilityError becomes a GatewayError naming the instance."""
+    GatewayError, CapabilityError or InputError becomes a GatewayError naming
+    the instance."""
     try:
         return getattr(gateway, op)(instance, *args)
-    except (GatewayError, CapabilityError):
+    except (GatewayError, CapabilityError, InputError):
         raise
     except Exception as exc:
         raise GatewayError(f"{instance.id}: gateway {gateway.model_id} failed: {exc}") from exc
@@ -210,7 +211,8 @@ def _checked_array(instance: RCInstance, name: str, value, want: tuple) -> np.nd
 def predict(gateway: ModelGateway, instance: RCInstance) -> ModelOutput:
     """Call gateway.predict and enforce the output contract.
 
-    Any gateway exception surfaces as a GatewayError naming the instance.
+    Any gateway exception but a CapabilityError or an InputError surfaces as
+    a GatewayError naming the instance.
     """
     return check_output(instance, _call(gateway, "predict", instance))
 

@@ -17,8 +17,11 @@ Script layout:
 `sensitivity` has one entry per word, question words first then context
 words; masking word k lowers the start probability at `answer[0]` by s_k.
 `base` (default 0.9) and `sensitivity` are optional. Each entry is checked
-when the script is read: `answer` holds two integers, `base` is a number
-and `sensitivity` a list of numbers (a boolean is neither).
+when the script is read: `answer` holds two integers, start no greater than
+end and neither negative, `base` is a number and `sensitivity` a list of
+numbers (a boolean is neither). An entry that does not fit the instance it
+is asked for, with its answer past the context or a sensitivity of another
+length than the instance's words, is an InputError naming the entry.
 """
 
 from __future__ import annotations
@@ -46,6 +49,8 @@ def _entry_fault(entry) -> str | None:
         type(answer) is list and len(answer) == 2 and all(type(i) is int for i in answer)
     ):
         return f"answer must be two integers, not {answer!r}"
+    if not 0 <= answer[0] <= answer[1]:
+        return f"answer must be a start and an end with 0 <= start <= end, not {answer!r}"
     base = entry.get("base", 0.9)
     if not _is_number(base):
         return f"base must be a number, not {base!r}"
@@ -66,6 +71,7 @@ class ScriptedModel(ModelGateway):
             raise InputError(f"{path}: not valid JSON: {exc}") from exc
         if not isinstance(doc, dict) or not isinstance(doc.get("instances"), dict):
             raise InputError(f"{path}: a script is an object with an 'instances' object")
+        self._path = path
         self._name = doc.get("name", path.stem)
         self._instances: dict[str, dict] = doc["instances"]
         for iid, entry in self._instances.items():
@@ -87,15 +93,19 @@ class ScriptedModel(ModelGateway):
         if entry is None:
             raise GatewayError(f"no script entry for instance {instance.id!r}")
         tok_start, tok_end = entry["answer"]
+        n = instance.n_context
+        fault = f"{self._path}: entry for {instance.id!r}:"
+        if tok_end >= n:
+            raise InputError(f"{fault} answer {entry['answer']!r} lies past the {n} context words")
         base = float(entry.get("base", 0.9))
         sensitivity = entry.get("sensitivity")
         words = instance.question_words + instance.context_words
         drop = 0.0
         if sensitivity is not None:
             if len(sensitivity) != len(words):
-                raise GatewayError(
-                    f"{instance.id}: script sensitivity length {len(sensitivity)} "
-                    f"does not match {len(words)} words"
+                raise InputError(
+                    f"{fault} sensitivity length {len(sensitivity)} is not the "
+                    f"instance's {len(words)} words"
                 )
             drop = sum(
                 float(sensitivity[i])
@@ -103,7 +113,6 @@ class ScriptedModel(ModelGateway):
                 if word == self.baseline_token
             )
         peak = min(max(base - drop, 0.01), 0.99)
-        n = instance.n_context
         return ModelOutput(
             start_scores=self._spread(n, peak, tok_start),
             end_scores=self._spread(n, base, tok_end),

@@ -34,9 +34,31 @@ from rcaudit.types import AnswerSpan, RCInstance, Token
 CORPUS = str(fixture_corpus_path())
 CF_PAIRS = str(coref_cf_pairs_path())
 
+# The flags each command reads: those of every command, and its own.
+EVERY_COMMAND = {"dataset", "format", "context_mode", "seed", "out", "config"}
+SALIENCY_FLAGS = {"model", "method", "summarizer", "ig_steps"}
+READS = {
+    "evaluate": EVERY_COMMAND | {"model"},
+    "saliency": EVERY_COMMAND | SALIENCY_FLAGS,
+    "cf-generate": EVERY_COMMAND | {"antonyms"},
+    "align": EVERY_COMMAND | SALIENCY_FLAGS | {"alpha", "antonyms", "cf_file"},
+    "calibrate": EVERY_COMMAND | SALIENCY_FLAGS | {"alpha", "n_partitions"},
+    "heuristic": EVERY_COMMAND | {"strategy"},
+}
+# The (command, flag) pairs once taken and ignored, when every command took
+# the twelve flags of one shared parser; each now exits 2.
+ONCE_COMMON = EVERY_COMMAND | SALIENCY_FLAGS | {"alpha", "antonyms"}
+REFUSED = sorted((command, dest) for command in READS for dest in ONCE_COMMON - READS[command])
+FLAG_VALUES = {int: "3", float: "0.5", str: "x"}
+
 
 def run(*argv) -> int:
     return main(list(argv))
+
+
+def model_flag(command: str, spec: str) -> list[str]:
+    """`--model spec`, for a command that reads a model."""
+    return ["--model", spec] if "model" in READS[command] else []
 
 
 class TestEvaluate:
@@ -755,7 +777,7 @@ class TestLoaderSkips:
         dataset = tmp_path / "unflagged.jsonl"
         dataset.write_text("".join(json.dumps(d) + "\n" for d in docs))
         out = tmp_path / "out"
-        assert run(command, "--dataset", str(dataset), "--model", "toy:7",
+        assert run(command, "--dataset", str(dataset), *model_flag(command, "toy:7"),
                    "--context-mode", "supporting_facts", "--out", str(out)) == 0
         report = json.loads((out / LOADER_SKIP_COMMANDS[command]).read_text())
         assert report["skipped_records"] == [
@@ -768,7 +790,7 @@ class TestNothingToScore:
     def test_an_empty_dataset_is_named_with_its_skip_count(self, tmp_path, capsys, command):
         dataset = tmp_path / "empty.jsonl"
         dataset.write_text("")
-        assert run(command, "--dataset", str(dataset), "--model", "oracle",
+        assert run(command, "--dataset", str(dataset), *model_flag(command, "oracle"),
                    "--out", str(tmp_path / "out")) == 2
         assert capsys.readouterr().err == (
             f"error: {dataset}: no usable instance to score; skipped records: 0\n"
@@ -782,7 +804,7 @@ class TestNothingToScore:
         doc["context"][doc["answers"][0]["sent"]]["supporting"] = False
         dataset = tmp_path / "unflagged.jsonl"
         dataset.write_text(json.dumps(doc) + "\n")
-        assert run(command, "--dataset", str(dataset), "--model", "oracle",
+        assert run(command, "--dataset", str(dataset), *model_flag(command, "oracle"),
                    "--context-mode", "supporting_facts", "--out", str(tmp_path / "out")) == 2
         assert capsys.readouterr().err == (
             f"error: {dataset}: no usable instance to score; skipped records: 1\n"
@@ -889,6 +911,64 @@ def read_config_file_with_garbage(tmp_path):
     garbled = tmp_path / "garbled.cfg"
     garbled.write_text("just some words\n")
     return read_config(garbled)
+
+
+class TestFlagsPerCommand:
+    def test_the_tables_cover_every_command_and_flag(self):
+        assert set(cli_module.COMMANDS) == set(READS)
+        assert set().union(*READS.values()) == set(cli_module.FLAGS)
+        assert len(REFUSED) == 19
+
+    @pytest.mark.parametrize("dest", list(cli_module.FLAGS))
+    @pytest.mark.parametrize("command", list(cli_module.COMMANDS))
+    def test_a_command_takes_exactly_the_flags_it_reads(self, tmp_path, capsys, command, dest):
+        kind = cli_module.FLAGS[dest][0]
+        option, value = "--" + dest.replace("_", "-"), FLAG_VALUES[kind]
+        if dest in READS[command]:
+            args = cli_module.build_parser().parse_args([command, option, value])
+            assert getattr(args, dest) == kind(value)
+            return
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as raised:
+            run(command, "--dataset", CORPUS, *model_flag(command, "oracle"),
+                "--out", str(out), option, value)
+        assert raised.value.code == 2
+        assert f"error: unrecognized arguments: {option} {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["before", "after"])
+    def test_config_goes_before_or_after_the_command(self, tmp_path, where):
+        cfg = tmp_path / "strategy.cfg"
+        cfg.write_text("strategy = position\n")
+        out = tmp_path / "out"
+        config = ["--config", str(cfg)]
+        argv = ["heuristic", "--dataset", CORPUS, "--out", str(out)]
+        assert run(*(config + argv if where == "before" else argv + config)) == 0
+        assert json.loads((out / "heuristic_summary.json").read_text())["strategy"] == "position"
+
+    @pytest.mark.parametrize("command, report, expected", [
+        ("evaluate", "summary.json", {"model_id": "toy:7"}),
+        ("saliency", "saliency_summary.json", {"ig_steps": 8, "summarizer": "l1"}),
+        ("cf-generate", "cf_report.json", {"antonym_table": "ood"}),
+        ("align", "alignment.json", {"alpha": 0.1, "antonym_table": "ood"}),
+        ("calibrate", "calibration.json", {"alpha": 0.1, "seed": 3, "n_partitions": 1}),
+        ("heuristic", "heuristic_summary.json", {"strategy": "position"}),
+    ])
+    def test_one_config_file_sets_every_flag_of_every_command(
+        self, tmp_path, command, report, expected
+    ):
+        out = tmp_path / "out"
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text(
+            f"dataset = {CORPUS}\nformat = unified\ncontext-mode = paragraphs\n"
+            "model = toy:7\nmethod = occlusion\nsummarizer = l1\nig-steps = 8\n"
+            "alpha = 0.1\nantonyms = ood\nseed = 3\n"
+            f"out = {out}\ncf-file = {CF_PAIRS}\nn-partitions = 1\nstrategy = position\n"
+        )
+        assert set(read_config(cfg)) == set(cli_module.FLAGS) - {"config"}
+        assert run(command, "--config", str(cfg)) == 0
+        doc = json.loads((out / report).read_text())
+        assert {key: doc[key] for key in expected} == expected
 
 
 class TestExitCodes:

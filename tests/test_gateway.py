@@ -568,7 +568,7 @@ class TestScripted:
         from rcaudit.masking import mask_word
 
         masked = mask_word(inst, 0, "[MASK]")
-        with pytest.raises(GatewayError, match="length"):
+        with pytest.raises(InputError, match="length"):
             ScriptedModel(path).predict(masked)
 
 

@@ -22,8 +22,10 @@ import pytest
 
 from conftest import build_instance
 from rcaudit.alignment import audit_alignment, plan_pairs, screen_partition
+from rcaudit.cli import main as cli_main
 from rcaudit.corpus.schema import instance_to_dict, load_jsonl
 from rcaudit.counterfactuals import perturb_comparison
+from rcaudit.data import fixture_corpus_path
 from rcaudit.errors import CapabilityError, GatewayError, InputError
 from rcaudit.gateway import build_gateway
 from rcaudit.gateway import base as base_module
@@ -840,13 +842,23 @@ class TestFaultyServers:
         pattern = message.format(id=re.escape(inst.id), endpoint=re.escape(repr(endpoint)))
         assert re.search(pattern, str(raised.value), re.DOTALL)
 
+    @pytest.mark.parametrize("kind, code", [("input", 2), ("capability", 3), ("gateway", 4)])
+    def test_a_fault_reply_exits_with_the_code_of_its_kind(self, tmp_path, capsys, kind, code):
+        reply = {"ok": False, "error": "cmp-01: not served here", "kind": kind}
+        spec = f"remote:{canned_server(reply)}"
+        out = tmp_path / "out"
+        assert cli_main(["evaluate", "--dataset", str(fixture_corpus_path()), "--model", spec,
+                         "--out", str(out)]) == code
+        assert capsys.readouterr().err == "error: cmp-01: not served here\n"
+        assert not (out / "summary.json").exists()
+
     def test_server_without_the_ig_op_gives_an_input_error_naming_it(self, corpus):
         reply = {"ok": False, "error": "unknown op 'integrated_gradients'", "kind": "input"}
         inst = corpus[0]
         with RemoteGateway(canned_server(reply)) as gateway:
             with pytest.raises(InputError, match="unknown op 'integrated_gradients'"):
                 gateway.integrated_gradients(inst, 4, 0)
-            with pytest.raises(GatewayError, match=f"{inst.id}: .*'integrated_gradients'"):
+            with pytest.raises(InputError, match="unknown op 'integrated_gradients'"):
                 integrated_gradients(gateway, inst, 4, 0)
 
 

@@ -320,3 +320,63 @@ def test_every_core_type_is_slotted():
 def test_core_types_cache_nothing_per_object():
     # A cached_property needs the per-object __dict__ that slots remove.
     assert "cached_property" not in TYPES_SOURCE
+
+
+def args_reads(source: str) -> dict[str, set[str]]:
+    """For each top-level function, the `args.<name>` attributes it reads,
+    itself or through the module's functions that it hands `args` to."""
+    direct: dict[str, set[str]] = {}
+    calls: dict[str, set[str]] = {}
+    for fn in ast.parse(source).body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        nodes = list(ast.walk(fn))
+        direct[fn.name] = {
+            node.attr
+            for node in nodes
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "args"
+        }
+        calls[fn.name] = {
+            node.func.id
+            for node in nodes
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and any(getattr(arg, "id", None) == "args" for arg in node.args)
+        }
+
+    def reads(name: str, seen: frozenset) -> set[str]:
+        if name in seen or name not in direct:
+            return set()
+        return direct[name].union(*(reads(callee, seen | {name}) for callee in calls[name]))
+
+    return {name: reads(name, frozenset()) for name in direct}
+
+
+def test_args_detector_follows_calls_that_hand_on_args():
+    source = (
+        "def helper(args):\n"
+        "    return args.seed\n"
+        "def run(args, other):\n"
+        "    return helper(args) + other.x + args.out + len(args)\n"
+        "def loop(args):\n"
+        "    return loop(args) + args.alpha\n"
+    )
+    assert args_reads(source) == {
+        "helper": {"seed"},
+        "run": {"seed", "out"},
+        "loop": {"alpha"},
+    }
+
+
+def test_the_cli_reads_only_flags_of_its_table():
+    # A name missing from the flag table, or from a command's flags, would
+    # surface only at run time, as an AttributeError with exit code 4.
+    from rcaudit import cli
+
+    reads = args_reads((PACKAGE_DIR / "cli.py").read_text(encoding="utf-8"))
+    assert set().union(*reads.values()) - {"func"} <= set(cli.FLAGS)
+    undeclared = {
+        name: sorted(reads[func.__name__] - set(flags))
+        for name, (func, _, flags) in cli.COMMANDS.items()
+    }
+    assert undeclared == {name: [] for name in cli.COMMANDS}

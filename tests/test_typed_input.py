@@ -322,9 +322,22 @@ class TestSingleDocumentReaders:
              "entry for 'cmp-01': sensitivity must be a list of numbers, not [0.1, None]"),
             ('{"instances": {"cmp-01": [14, 15]}}',
              "entry for 'cmp-01': an entry is an object, not [14, 15]"),
+            ('{"instances": {"cmp-01": {"answer": [-1, 15]}}}',
+             "entry for 'cmp-01': answer must be a start and an end with 0 <= start <= end,"
+             " not [-1, 15]"),
+            ('{"instances": {"cmp-01": {"answer": [15, 14]}}}',
+             "entry for 'cmp-01': answer must be a start and an end with 0 <= start <= end,"
+             " not [15, 14]"),
+            # cmp-01, the first instance asked, has 15 question and 34 context words
+            ('{"instances": {"cmp-01": {"answer": [99, 99]}}}',
+             "entry for 'cmp-01': answer [99, 99] lies past the 34 context words"),
+            ('{"instances": {"cmp-01": {"answer": [14, 18], "sensitivity": [0.1]}}}',
+             "entry for 'cmp-01': sensitivity length 1 is not the instance's 49 words"),
         ],
         ids=["bad-json", "no-instances", "instances-not-an-object", "not-an-object",
-             "answer-str", "answer-bool", "base-str", "sensitivity-null", "entry-list"],
+             "answer-str", "answer-bool", "base-str", "sensitivity-null", "entry-list",
+             "answer-negative", "answer-reversed", "answer-past-the-context",
+             "sensitivity-length"],
     )
     def test_a_faulty_script_exits_2(self, tmp_path, text, reason):
         script = tmp_path / "script.json"
@@ -332,3 +345,56 @@ class TestSingleDocumentReaders:
         code, err = run_cli("evaluate", "--dataset", CORPUS, "--model", f"scripted:{script}",
                             "--out", tmp_path / "out")
         assert (code, err) == (2, f"error: {script}: {reason}\n")
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def _set(path: tuple, value):
+    """An edit of a native document: the leaf at `path` becomes `value`."""
+    return lambda doc: reduce(getitem, path[:-1], doc).__setitem__(path[-1], value)
+
+
+class TestAdapterRecords:
+    @pytest.mark.parametrize(
+        "fmt, text, reason",
+        [
+            ("squad_like", (DATA / "hotpot_like.json").read_text(encoding="utf-8"),
+             "TypeError('list indices must be integers or slices, not str')"),
+            ("quoref_like", (DATA / "hotpot_like.json").read_text(encoding="utf-8"),
+             "TypeError('list indices must be integers or slices, not str')"),
+            ("squad_like", '{"data": 5}', "TypeError(\"'int' object is not iterable\")"),
+            ("hotpot_like", '[{"_id": "h", "context": [["t"]]}]',
+             "ValueError('not enough values to unpack (expected 2, got 1)')"),
+        ],
+        ids=["squad-on-a-list", "quoref-on-a-list", "data-not-a-list", "paragraph-unpaired"],
+    )
+    def test_a_document_of_the_wrong_shape_exits_2(self, tmp_path, fmt, text, reason):
+        path = tmp_path / "doc.json"
+        path.write_text(text, encoding="utf-8")
+        code, err = run_cli("evaluate", "--dataset", path, "--format", fmt, "--model", "oracle",
+                            "--out", tmp_path / "out")
+        assert (code, err) == (2, f"error: {path}: malformed record 0: {reason}\n")
+
+    @pytest.mark.parametrize(
+        "fmt, edit, reason",
+        [
+            ("hotpot_like", _set((0, "_id"), None), "id must be a string, not None"),
+            ("hotpot_like", _set((0, "context", 1, 0), 3), "title must be a string, not 3"),
+            ("squad_like", _set(("data", 0, "paragraphs", 0, "qas", 0, "id"), 7),
+             "id must be a string, not 7"),
+            ("squad_like", _set(("data", 0, "title"), ["x"]), "title must be a string, not ['x']"),
+            ("quoref_like", _set(("data", 0, "paragraphs", 0, "qas", 0, "id"), True),
+             "id must be a string, not True"),
+            ("wiki2hop_like", _set((0, "id"), 1.0), "id must be a string, not 1.0"),
+        ],
+        ids=["hotpot-id", "hotpot-title", "squad-id", "squad-title", "quoref-id", "wiki2hop-id"],
+    )
+    def test_an_id_or_title_that_is_not_a_string_exits_2(self, tmp_path, fmt, edit, reason):
+        doc = json.loads((DATA / f"{fmt}.json").read_text(encoding="utf-8"))
+        edit(doc)
+        path = tmp_path / f"{fmt}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, err = run_cli("evaluate", "--dataset", path, "--format", fmt, "--model", "oracle",
+                            "--out", tmp_path / "out")
+        assert (code, err) == (2, f"error: {path}: malformed record 0: {reason}\n")
