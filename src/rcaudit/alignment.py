@@ -25,6 +25,7 @@ from .partitions import (
     MIN_SIDE,
     TokenPartition,
     build_skill_partition,
+    comparison_side_sizes,
     random_partition,
     seed_for,
 )
@@ -56,7 +57,11 @@ def _check_sides(n_positive: int, n_negative: int) -> None:
 
 def screen_partition(instance: RCInstance) -> TokenPartition:
     """The instance's skill partition, screened before any work is done for
-    it: raises what building the partition or the Welch test would."""
+    it: raises what building the partition or the Welch test would, in that
+    order. A comparison's sides are counted before either is built."""
+    if instance.skill == "comparison":
+        _check_sides(*comparison_side_sizes(instance))
+        return build_skill_partition(instance)
     partition = build_skill_partition(instance)
     _check_sides(len(partition.positive), len(partition.negative))
     return partition

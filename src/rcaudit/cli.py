@@ -8,7 +8,9 @@ key-value config file can preload any flag, and each command takes from it
 the flags it reads; explicit flags win.
 
 Exit codes: 0 success, 2 input error, 3 missing model capability, 4 internal
-error.
+error. A command line argparse refuses (a flag spelled in part included)
+exits 2, and `--help` exits 0; `main` returns these codes, as it does every
+other, instead of raising `SystemExit`.
 """
 
 from __future__ import annotations
@@ -121,11 +123,12 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rcaudit",
         description="Audit whether extractive QA models answer for the right reasons.",
+        allow_abbrev=False,
     )
     parser._add_action(actions["config"])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (func, help_text, flags) in COMMANDS.items():
-        command = sub.add_parser(name, help=help_text)
+        command = sub.add_parser(name, help=help_text, allow_abbrev=False)
         command.set_defaults(func=func)
         for dest in FLAGS:
             if dest in flags:
@@ -380,6 +383,7 @@ def run_align(args) -> int:
     records = sorted(
         (r for report in reports for r in report.records), key=lambda r: r.instance_id
     )
+    coverages = [_coverage(report) for report in reports]
     write_jsonl(out / "alignment_records.jsonl", (record_to_dict(r) for r in records))
     (out / "alignment.csv").write_text(alignment_csv(reports), encoding="utf-8")
     write_json(
@@ -397,16 +401,15 @@ def run_align(args) -> int:
                     "n_records": len(report.records),
                     "n_aligned": sum(r.aligned for r in report.records),
                     "skipped": [list(s) for s in report.skipped],
-                    **_coverage(report),
+                    **coverage,
                 }
-                for report in reports
+                for report, coverage in zip(reports, coverages)
             ],
             "cf_generation_skipped": cf_skipped,
             "skipped_records": skipped_records,
         },
     )
-    for report in reports:
-        coverage = _coverage(report)
+    for report, coverage in zip(reports, coverages):
         print(f"align: {report.reasoning_step} score={report.score:.4f} "
               f"(audited {coverage['n_audited']} of {coverage['n_pairs']} pairs)")
     return 0
@@ -484,12 +487,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     gc.freeze()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        pre = argparse.ArgumentParser(add_help=False)
+        pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
         _add_flags(pre, ["config"], {})
-        known, _ = pre.parse_known_args(argv)
-        defaults = read_config(known.config) if known.config else None
-        parser = build_parser(defaults)
-        args = parser.parse_args(argv)
+        try:
+            known, _ = pre.parse_known_args(argv)
+            defaults = read_config(known.config) if known.config else None
+            args = build_parser(defaults).parse_args(argv)
+        except SystemExit as exc:  # argparse has printed the help, or its usage and error
+            return exc.code
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

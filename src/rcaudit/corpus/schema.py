@@ -178,7 +178,7 @@ def instance_from_dict(doc: dict) -> RCInstance:
         ):
             annotations = QuestionAnnotations(
                 comparison_operator=_indices(ann_doc.get("comparison_operator", ())),
-                compared_entities=tuple(_indices(e) for e in ann_doc.get("compared_entities", ())),
+                compared_entities=tuple([_indices(e) for e in ann_doc.get("compared_entities", ())]),
                 value_tokens=_indices(ann_doc.get("value_tokens", ())),
                 verb_tokens=_indices(ann_doc.get("verb_tokens", ())),
             )
@@ -206,13 +206,13 @@ def instance_from_dict(doc: dict) -> RCInstance:
             question_starts=q_starts,
             question_text=q_text,
             context=tuple(context),
-            gold_answers=tuple(span_from_dict(a, "answer") for a in doc["answers"]),
+            gold_answers=tuple([span_from_dict(a, "answer") for a in doc["answers"]]),
             skill=doc.get("skill", "other"),
             annotations=annotations,
-            coref_clusters=tuple(
-                tuple(span_from_dict(m, "mention") for m in cluster)
+            coref_clusters=tuple([
+                tuple([span_from_dict(m, "mention") for m in cluster])
                 for cluster in doc.get("coref_clusters", ())
-            ),
+            ]),
             relevant_cluster=relevant_cluster,
             unannotatable=unannotatable,
         )

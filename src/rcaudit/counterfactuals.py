@@ -31,6 +31,7 @@ from .types import (
     RCInstance,
     Sentence,
     check_structure,
+    sentence_at,
 )
 
 PERTURBATIONS = ("antonym_swap", "cluster_insertion")
@@ -95,16 +96,12 @@ def _contiguous(indices: frozenset[int], what: str, instance_id: str) -> tuple[i
     return lo, hi
 
 
-def _question_surface(instance: RCInstance, indices: frozenset[int]) -> str:
-    return instance.question_surface(*_contiguous(indices, "annotation", instance.id))
-
-
-def _swap_operator(instance: RCInstance, new_surface: str, gold: AnswerSpan) -> RCInstance:
-    """The `::cf` twin whose operator words (`comparison_operator` in the
-    annotations) read `new_surface`, with later annotation indices shifted
-    and `gold` as the only answer."""
+def _swap_operator(
+    instance: RCInstance, lo: int, hi: int, new_surface: str, gold: AnswerSpan
+) -> RCInstance:
+    """The `::cf` twin whose operator words lo..hi read `new_surface`, with
+    later annotation indices shifted and `gold` as the only answer."""
     ann = instance.annotations
-    lo, hi = _contiguous(ann.comparison_operator, "operator", instance.id)
     old_start = instance.question_starts[lo]
     old_end = instance.question_starts[hi] + len(instance.question_words[hi])
     new_text = instance.question_text[:old_start] + new_surface + instance.question_text[old_end:]
@@ -128,34 +125,57 @@ def _swap_operator(instance: RCInstance, new_surface: str, gold: AnswerSpan) -> 
 
 
 def _shift_indices(indices: frozenset[int], after: int, delta: int) -> frozenset[int]:
+    if not delta:
+        return indices
     return frozenset(i + delta if i > after else i for i in indices)
 
 
-def _entity_context_run(instance: RCInstance, entity: frozenset[int]) -> tuple[int, int]:
-    """First and last context index of the first run of the entity's
-    question words in the context, which must lie in one sentence."""
-    needle = [instance.question_words[i] for i in sorted(entity)]
+def _entity_context_run(instance: RCInstance, lo: int, hi: int) -> tuple[int, int, int]:
+    """First and last context index of the first run of the question words
+    lo..hi in the context, and the one sentence the run must lie in."""
+    needle = instance.question_words[lo : hi + 1]
     hit = find_token_run(instance.context_words, needle)
     if hit is None:
         raise InputError(
             f"{instance.id}: compared entity {' '.join(needle)!r} not found in context"
         )
-    start, end = hit, hit + len(needle) - 1
-    if instance.sentence_of(start) != instance.sentence_of(end):
+    start, end = hit, hit + len(needle) - 1  # a run of context words: both in range
+    sentence = sentence_at(instance.sentence_offsets, start)
+    if sentence_at(instance.sentence_offsets, end) != sentence:
         raise InputError(f"{instance.id}: entity span crosses a sentence boundary")
-    return start, end
+    return start, end, sentence
+
+
+def _answered_entity(instance: RCInstance, surfaces: Sequence[str]) -> int:
+    """Index of the first of the entity surfaces that a gold answer names
+    (equal once normalized); a surface equal to a gold text needs no
+    normalizing."""
+    gold_texts = [a.text for a in instance.gold_answers]
+    gold_norms = None
+    for i, surface in enumerate(surfaces):
+        if surface in gold_texts:
+            return i
+        if gold_norms is None:
+            gold_norms = {normalize_answer(text) for text in gold_texts}
+        if normalize_answer(surface) in gold_norms:
+            return i
+    raise InputError(f"{instance.id}: gold answer names neither compared entity")
 
 
 @dataclass(frozen=True)
 class AntonymSwap:
     """An original that passed the antonym swap's checks on its own, with
-    the edit that makes its twin: the replacement operator, and the context
-    words (first and last index) of the other entity, the twin's answer."""
+    the edit that makes its twin: the operator's first and last question
+    word, the replacement, and the context words (first and last index, and
+    their sentence) of the other entity, the twin's answer."""
 
     original: RCInstance
+    operator_start: int
+    operator_end: int
     new_surface: str
     new_gold_start: int
     new_gold_end: int
+    new_gold_sentence: int
     distribution_tag: str
 
 
@@ -171,23 +191,23 @@ def plan_antonym_swap(instance: RCInstance, table: AntonymTable) -> AntonymSwap:
         raise InputError(f"{instance.id}: antonym swap needs an annotated comparison instance")
     ann = instance.annotations
     lo, hi = _contiguous(ann.comparison_operator, "annotation", instance.id)
-    key = " ".join(instance.question_words[i] for i in range(lo, hi + 1)).casefold()
+    key = " ".join(instance.question_words[lo : hi + 1]).casefold()
     replacements = table.entries.get(key)
     if replacements is None:
         raise InputError(f"{instance.id}: operator {key!r} not in the {table.distribution_tag} table")
     if len(ann.compared_entities) != 2:
         raise InputError(f"{instance.id}: antonym swap needs exactly two compared entities")
-    gold_norms = {normalize_answer(a.text) for a in instance.gold_answers}
-    entity_surfaces = [_question_surface(instance, e) for e in ann.compared_entities]
-    matches = [i for i, s in enumerate(entity_surfaces) if normalize_answer(s) in gold_norms]
-    if not matches:
-        raise InputError(f"{instance.id}: gold answer names neither compared entity")
-    start, end = _entity_context_run(instance, ann.compared_entities[1 - matches[0]])
+    entities = [_contiguous(e, "annotation", instance.id) for e in ann.compared_entities]
+    answered = _answered_entity(instance, [instance.question_surface(*e) for e in entities])
+    start, end, sentence = _entity_context_run(instance, *entities[1 - answered])
     return AntonymSwap(
         original=instance,
+        operator_start=lo,
+        operator_end=hi,
         new_surface=replacements[0],
         new_gold_start=start,
         new_gold_end=end,
+        new_gold_sentence=sentence,
         distribution_tag=table.distribution_tag,
     )
 
@@ -195,22 +215,21 @@ def plan_antonym_swap(instance: RCInstance, table: AntonymTable) -> AntonymSwap:
 def build_antonym_twin(swap: AntonymSwap) -> CFPair:
     """Build the planned twin and validate the pair."""
     instance = swap.original
-    start, end = swap.new_gold_start, swap.new_gold_end
+    lo, hi = swap.operator_start, swap.operator_end
+    start, end, sentence = swap.new_gold_start, swap.new_gold_end, swap.new_gold_sentence
+    offset = instance.sentence_offsets[sentence]
     new_gold = AnswerSpan(
-        text=instance.span_surface(start, end),
-        sentence_index=instance.sentence_of(start),
+        text=instance.context[sentence].surface(start - offset, end - offset),
+        sentence_index=sentence,
         token_start=start,
         token_end=end,
     )
     pair = CFPair(
         original=instance,
-        perturbed=_swap_operator(instance, swap.new_surface, new_gold),
+        perturbed=_swap_operator(instance, lo, hi, swap.new_surface, new_gold),
         perturbation="antonym_swap",
         distribution_tag=swap.distribution_tag,
-        replaced_operator=(
-            _question_surface(instance, instance.annotations.comparison_operator),
-            swap.new_surface,
-        ),
+        replaced_operator=(instance.question_surface(lo, hi), swap.new_surface),
     )
     violations = validate_cf(pair)
     if violations:

@@ -21,7 +21,7 @@ from typing import IO
 import numpy as np
 
 from ..corpus.schema import instance_to_dict
-from ..errors import GatewayError, InputError
+from ..errors import CapabilityError, GatewayError, InputError
 from ..types import AnswerSpan, RCInstance
 from .base import ModelGateway, ModelOutput
 from .remote import ERROR_KINDS, IG_FIELDS, decode_array
@@ -205,8 +205,16 @@ class RemoteGateway(ModelGateway):
         return value
 
     def _ask(self, op: str, instance: RCInstance, passes: int = 1, **fields) -> dict:
+        """The result of an op on one instance. An input or capability fault
+        from the server is raised with the instance's id in front, unless
+        its message already starts with it."""
         request = {"op": op, "instance": instance_to_dict(instance), **fields}
-        return self._request(request, passes)
+        try:
+            return self._request(request, passes)
+        except (InputError, CapabilityError) as exc:
+            if str(exc).startswith(f"{instance.id}: "):
+                raise
+            raise type(exc)(f"{instance.id}: {exc}") from exc
 
     def _array(self, result: dict, field: str) -> np.ndarray:
         try:

@@ -56,13 +56,10 @@ def check_bounds(partition: TokenPartition, instance: RCInstance) -> TokenPartit
     return partition
 
 
-def build_comparison_partition(instance: RCInstance) -> TokenPartition:
-    """Question-scope partition: operator words against filler words.
-
-    Negative = question words minus the operator, the compared entities,
-    value words, verb words, and commas (commas belong to neither side;
-    other punctuation such as the question mark stays negative).
-    """
+def _comparison_exclusions(instance: RCInstance) -> tuple[frozenset[int], set[int]]:
+    """The checks a comparison partition makes before its negative side, then
+    its positive side and the question indices its negative side leaves out
+    besides commas."""
     if instance.skill != "comparison":
         raise InputError(f"{instance.id}: comparison partition needs the comparison skill")
     ann = instance.annotations
@@ -75,6 +72,17 @@ def build_comparison_partition(instance: RCInstance) -> TokenPartition:
         excluded |= entity
     excluded |= ann.value_tokens
     excluded |= ann.verb_tokens
+    return ann.comparison_operator, excluded
+
+
+def build_comparison_partition(instance: RCInstance) -> TokenPartition:
+    """Question-scope partition: operator words against filler words.
+
+    Negative = question words minus the operator, the compared entities,
+    value words, verb words, and commas (commas belong to neither side;
+    other punctuation such as the question mark stays negative).
+    """
+    positive, excluded = _comparison_exclusions(instance)
     negative = frozenset(
         i for i, word in enumerate(instance.question_words) if i not in excluded and word != ","
     )
@@ -84,12 +92,26 @@ def build_comparison_partition(instance: RCInstance) -> TokenPartition:
         TokenPartition(
             instance_id=instance.id,
             scope="question_tokens",
-            positive=frozenset(ann.comparison_operator),
+            positive=frozenset(positive),
             negative=negative,
             skill_step="comparison_operation",
         ),
         instance,
     )
+
+
+def comparison_side_sizes(instance: RCInstance) -> tuple[int, int]:
+    """The sizes of `build_comparison_partition`'s positive and negative
+    sides, counted without building either; raises what the build would."""
+    positive, excluded = _comparison_exclusions(instance)
+    words = instance.question_words
+    n = len(words)
+    n_negative = n - words.count(",") - sum(1 for i in excluded if 0 <= i < n and words[i] != ",")
+    if not n_negative:
+        raise InputError(f"{instance.id}: comparison partition has an empty negative side")
+    if min(positive) < 0 or max(positive) >= n:
+        build_comparison_partition(instance)  # raises check_bounds' error, naming its index
+    return len(positive), n_negative
 
 
 def build_coref_partition(instance: RCInstance) -> TokenPartition:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +41,9 @@ class SaliencyConfig:
     method: str = "occlusion"
     ig_steps: int = 50
     summarizer: str = "l2"
+    # Hash of the settings the method reads (occlusion reads none), made once:
+    # every cache lookup keys on it.
+    config_hash: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
@@ -49,14 +52,11 @@ class SaliencyConfig:
             raise InputError(f"unknown summarizer {self.summarizer!r}")
         if self.ig_steps < 1:
             raise InputError("ig_steps must be >= 1")
-
-    @property
-    def config_hash(self) -> str:
-        """Hash of the settings the method reads: occlusion reads none."""
         payload = {"method": self.method}
         if self.method == "integrated_gradients":
             payload.update(ig_steps=self.ig_steps, summarizer=self.summarizer)
-        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()[:16]
+        digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
+        object.__setattr__(self, "config_hash", digest[:16])
 
 
 @dataclass(frozen=True)

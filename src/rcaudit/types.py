@@ -235,12 +235,21 @@ def check_structure(instance: RCInstance) -> RCInstance:
     if not instance.gold_answers:
         raise InputError(f"{instance.id}: no gold answers")
     n_ctx = instance.n_context
-    for span in instance.gold_answers + tuple(m for cl in instance.coref_clusters for m in cl):
-        if not (0 <= span.token_start <= span.token_end < n_ctx):
-            raise InputError(f"{instance.id}: span {span.token_start}..{span.token_end} out of range")
-        if instance.sentence_of(span.token_start) != span.sentence_index:
+    spans = instance.gold_answers
+    if instance.coref_clusters:
+        spans = spans + tuple(m for cl in instance.coref_clusters for m in cl)
+    offsets = instance.sentence_offsets
+    for span in spans:
+        start, end = span.token_start, span.token_end
+        if not (0 <= start <= end < n_ctx):
+            raise InputError(f"{instance.id}: span {start}..{end} out of range")
+        sent = sentence_at(offsets, start)
+        if sent != span.sentence_index:
             raise InputError(f"{instance.id}: span sentence index mismatch")
-        if instance.span_surface(span.token_start, span.token_end) != span.text:
+        if sentence_at(offsets, end) != sent:  # what span_surface would raise
+            raise InputError(f"{instance.id}: span crosses sentence boundary")
+        surface = instance.context[sent].surface(start - offsets[sent], end - offsets[sent])
+        if surface != span.text:
             raise InputError(f"{instance.id}: span text {span.text!r} does not match context")
     if instance.skill not in SKILLS:
         raise InputError(f"{instance.id}: unknown skill {instance.skill!r}")
@@ -250,12 +259,14 @@ def check_structure(instance: RCInstance) -> RCInstance:
             raise InputError(f"{instance.id}: comparison instance lacks operator annotation")
     if ann is not None:
         sets = ann.all_sets()
+        indices = frozenset().union(*sets)
         n_question = instance.n_question
-        for idx_set in sets:
-            for idx in idx_set:
-                if not (0 <= idx < n_question):
-                    raise InputError(f"{instance.id}: annotation index {idx} out of range")
-        if len(frozenset().union(*sets)) != sum(map(len, sets)):  # some index is in two sets
+        if indices and (min(indices) < 0 or max(indices) >= n_question):
+            for idx_set in sets:  # the first index out of range, in set order
+                for idx in idx_set:
+                    if not (0 <= idx < n_question):
+                        raise InputError(f"{instance.id}: annotation index {idx} out of range")
+        if len(indices) != sum(map(len, sets)):  # some index is in two sets
             raise InputError(f"{instance.id}: annotation sets overlap")
     if instance.relevant_cluster is not None and not (
         0 <= instance.relevant_cluster < len(instance.coref_clusters)

@@ -458,12 +458,18 @@ class TestAuditAlignment:
             return build(instance)
 
         monkeypatch.setattr(alignment_module, "build_skill_partition", counted)
+        out = tmp_path / "out"
         code = main([
             "align", "--dataset", str(fixture_corpus_path()), "--model", "toy:7",
-            "--cf-file", str(coref_cf_pairs_path()), "--out", str(tmp_path / "out"),
+            "--cf-file", str(coref_cf_pairs_path()), "--out", str(out),
         ])
         assert code == 0
-        assert len(built) == len(set(built)) == 20
+        # a comparison the screen rejects by its side sizes is never built
+        audited = [
+            json.loads(line)["instance_id"]
+            for line in (out / "alignment_records.jsonl").read_text().splitlines()
+        ]
+        assert built == audited and len(set(built)) == 12
 
     def test_no_usable_pairs_is_an_error(self, corpus_by_id):
         pair = perturb_comparison(corpus_by_id["cmp-01"], ANTONYM_TABLES["in_dist"])

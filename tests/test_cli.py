@@ -412,6 +412,45 @@ SCREEN_PINS = {
 }
 
 
+# sha256 of every file `align` and `cf-generate` write, per (dataset,
+# antonym table), as written before the plan shared its per-instance work:
+# alignment_records.jsonl, alignment.csv and the whole alignment.json, then
+# cf_pairs.jsonl and cf_report.json. Each JSON report's `dataset` is set to
+# the case's dataset name, since the bundled corpus's path varies.
+PLAN_PINS = {
+    ("synthetic:1500", "in_dist"): (
+        "3f7d97c29f114f02d15bd07b114deacaa6a0644501936f3b09b697045466933e",
+        "630d6c9cde7ad52639afe57e8b160818f9e63e257beb47fd9466f446ac0ebb56",
+        "c3c835db72303221896f8591e2df075aeceb58139aadd78456ee323541480e19",
+        "da0a88ff6ee91e573fbe3df55b1a1c2b0e2a5a7710611b5c80931b146d8ebf3e",
+        "6da9ec318ebd9d3ace6fea4bf0bfa9059c98526d99e9ee1ba64bca8305fbb851",
+    ),
+    ("synthetic:1500", "ood"): (
+        "3f7d97c29f114f02d15bd07b114deacaa6a0644501936f3b09b697045466933e",
+        "630d6c9cde7ad52639afe57e8b160818f9e63e257beb47fd9466f446ac0ebb56",
+        "68514c3f7d5093a3d540397d95dd8f6b81461643d4fe3accac486b78d092081d",
+        "32c2c017996df3fda1aa1c64004c82685154b2fb21372a605ad14d1b4f0c7cd6",
+        "14de7f2028b73a184f26020282930bff0919ddb334c93449ee1e5d3a29438525",
+    ),
+    ("bundled", "ood"): (
+        "206ea4d75e1bf7b244dddf9d4866e82edeaf8e3f74994ba3d642afce09d9dfa6",
+        "630d6c9cde7ad52639afe57e8b160818f9e63e257beb47fd9466f446ac0ebb56",
+        "f79d972125b576cccad47c17fb31176f61c2cb5504d678863bc5f09907fb7dd1",
+        "444a402cb5ec689237487ff1ccf21285eb35a5f440068906e130ef2252504c74",
+        "b1bd4df8e0c9c46411c70398be77c4bcdf6ac92156b80d2874493369d1578d4e",
+    ),
+}
+
+
+def report_digest(path: Path, dataset: str) -> str:
+    """sha256 of a JSON report as `write_json` writes it, with `dataset`
+    as its dataset."""
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["dataset"] = dataset
+    text = json.dumps(doc, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def alignment_without_coverage(out: Path) -> str:
     doc = json.loads((out / "alignment.json").read_text())
     del doc["dataset"], doc["skipped_records"]
@@ -458,6 +497,24 @@ class TestAlignScreen:
             hashlib.sha256(alignment_without_coverage(out).encode("utf-8")).hexdigest(),
         )
         assert got == SCREEN_PINS[case]
+
+    @pytest.mark.parametrize("case", sorted(PLAN_PINS), ids="/".join)
+    def test_outputs_match_the_plan_that_derived_each_fact_apart(self, tmp_path, case):
+        name, table = case
+        dataset = CORPUS if name == "bundled" else name
+        align, cf = tmp_path / "align", tmp_path / "cf"
+        assert run("align", "--dataset", dataset, "--model", "toy:7", "--antonyms", table,
+                   "--out", str(align)) == 0
+        assert run("cf-generate", "--dataset", dataset, "--antonyms", table,
+                   "--out", str(cf)) == 0
+        got = (
+            hashlib.sha256((align / "alignment_records.jsonl").read_bytes()).hexdigest(),
+            hashlib.sha256((align / "alignment.csv").read_bytes()).hexdigest(),
+            report_digest(align / "alignment.json", name),
+            hashlib.sha256((cf / "cf_pairs.jsonl").read_bytes()).hexdigest(),
+            report_digest(cf / "cf_report.json", name),
+        )
+        assert got == PLAN_PINS[case]
 
     def test_coverage_counts_every_pair(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -713,6 +770,45 @@ class TestSkipPrecedence:
         ]
 
 
+    def test_a_gold_text_that_names_an_entity_only_once_normalized(self, corpus_by_id):
+        base = corpus_by_id["cmp-02"]  # gold "Blind Shaft", the first entity
+        gold = base.gold_answers[0]
+        instances = [
+            replace(base, id=f"cmp-02-{n}", gold_answers=(replace(gold, text=text),))
+            for n, text in enumerate(["blind shaft", "The Blind Shaft!", "Blind  Shaft",
+                                      "The Mask Of Fu Manchu", "Shaft"])
+        ]
+        for table in (ANTONYM_TABLES["in_dist"], ANTONYM_TABLES["ood"]):
+            pairs, _, _, cf_skipped = self.check(instances, table)
+            assert {p.original.id: p.perturbed.gold_answers[0].text for p in pairs} == {
+                "cmp-02-0": "The Mask Of Fu Manchu",
+                "cmp-02-2": "The Mask Of Fu Manchu",
+                "cmp-02-3": "Blind Shaft",
+            }
+            # the plan passes "The Blind Shaft!", and the twin's own check fails
+            assert cf_skipped == [
+                ["cmp-02-1", "cmp-02-1: generated pair is invalid: original answer"
+                             " 'The Blind Shaft!' missing from perturbed context"],
+                ["cmp-02-4", "cmp-02-4: gold answer names neither compared entity"],
+            ]
+
+    def test_a_gold_text_equal_to_an_entity_is_not_normalized(self, monkeypatch):
+        normalized: list[str] = []
+        normalize = cf_module.normalize_answer
+
+        def counted(text):
+            normalized.append(text)
+            return normalize(text)
+
+        monkeypatch.setattr(cf_module, "normalize_answer", counted)
+        instances = make_synthetic_corpus(300, 0)
+        plan, cf_skipped = cli_module._plan_comparisons(instances, ANTONYM_TABLES["in_dist"])
+        assert cf_skipped == [] and len(plan.pairs) == 50
+        # each synthetic gold text is its first entity's surface, so only the
+        # twins' own check (`validate_cf`: was the label changed?) normalizes
+        assert len(normalized) == 2 * len(plan.pairs)
+
+
 class TestAlignBuildsNoToken:
     def test_a_warm_align_builds_no_token(self, tmp_path, monkeypatch):
         argv = ["align", "--dataset", "synthetic:300", "--model", "toy:7", "--out", str(tmp_path)]
@@ -929,12 +1025,29 @@ class TestFlagsPerCommand:
             assert getattr(args, dest) == kind(value)
             return
         out = tmp_path / "out"
-        with pytest.raises(SystemExit) as raised:
-            run(command, "--dataset", CORPUS, *model_flag(command, "oracle"),
-                "--out", str(out), option, value)
-        assert raised.value.code == 2
+        assert run(command, "--dataset", CORPUS, *model_flag(command, "oracle"),
+                   "--out", str(out), option, value) == 2
         assert f"error: unrecognized arguments: {option} {value}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, refused", [
+        (["align", "--sum", "dot"], "--sum dot"),
+        (["calibrate", "--n", "3"], "--n 3"),
+        (["heuristic", "--conf", "settings.cfg"], "--conf settings.cfg"),
+    ], ids=["align-sum", "calibrate-n", "conf"])
+    def test_a_flag_spelled_in_part_is_refused(self, tmp_path, capsys, argv, refused):
+        out = tmp_path / "out"
+        assert run(*argv, "--dataset", CORPUS, "--out", str(out)) == 2
+        assert capsys.readouterr().err.endswith(
+            f"rcaudit: error: unrecognized arguments: {refused}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [[], ["align"]], ids=["top", "align"])
+    def test_help_returns_0_after_printing_it(self, capsys, argv):
+        assert run(*argv, "--help") == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: rcaudit") and captured.err == ""
 
     @pytest.mark.parametrize("where", ["before", "after"])
     def test_config_goes_before_or_after_the_command(self, tmp_path, where):

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+import rcaudit.partitions as partitions_module
 from conftest import build_instance, span_at
 from rcaudit.errors import InputError
 from rcaudit.partitions import (
@@ -14,9 +15,11 @@ from rcaudit.partitions import (
     build_coref_partition,
     build_skill_partition,
     check_bounds,
+    comparison_side_sizes,
     random_partition,
     seed_for,
 )
+from rcaudit.synthetic import make_synthetic_corpus
 
 
 class TestComparisonPartition:
@@ -97,6 +100,69 @@ class TestComparisonPartition:
         original = build_comparison_partition(inst)
         assert fresh.positive == original.positive
         assert fresh.negative == original.negative
+
+
+def built_sizes(instance) -> tuple[int, int] | str:
+    """The side sizes of the built comparison partition, or its error."""
+    try:
+        part = build_comparison_partition(instance)
+    except InputError as exc:
+        return str(exc)
+    return len(part.positive), len(part.negative)
+
+
+def counted_sizes(instance) -> tuple[int, int] | str:
+    try:
+        return comparison_side_sizes(instance)
+    except InputError as exc:
+        return str(exc)
+
+
+class TestComparisonSideSizes:
+    def variants(self, inst):
+        """The instance, and copies that each break one rule of the build."""
+        ann = inst.annotations
+        words = inst.question_words
+        comma = words.index(",")
+        everything = frozenset(range(len(words))) - ann.comparison_operator
+        yield inst
+        yield replace(inst, skill="coreference")
+        yield replace(inst, annotations=None)
+        yield replace(inst, annotations=replace(ann, comparison_operator=frozenset()))
+        yield replace(inst, unannotatable=True)
+        for index in (len(words), 99, -1):
+            operator = ann.comparison_operator | {index}
+            yield replace(inst, annotations=replace(ann, comparison_operator=operator))
+        yield replace(inst, annotations=replace(ann, verb_tokens=ann.verb_tokens | {comma}))
+        yield replace(inst, annotations=replace(ann, value_tokens=frozenset({-2, 50})))
+        yield replace(inst, annotations=replace(ann, value_tokens=everything))
+        both = replace(ann, comparison_operator=ann.comparison_operator | {99},
+                       value_tokens=everything)
+        yield replace(inst, annotations=both)
+
+    def test_sizes_and_faults_are_the_builds(self, corpus):
+        comparisons = [i for i in corpus if i.skill == "comparison"]
+        comparisons += make_synthetic_corpus(60, 4)
+        outcomes = set()
+        for inst in comparisons:
+            for variant in self.variants(inst):
+                expected = built_sizes(variant)
+                assert counted_sizes(variant) == expected, variant.id
+                outcomes.add(expected if isinstance(expected, str) else "sizes")
+        assert {reason.split(": ", 1)[1] for reason in outcomes - {"sizes"}} >= {
+            "comparison partition needs the comparison skill",
+            "missing operator annotation",
+            "flagged un-annotatable",
+            "comparison partition has an empty negative side",
+        }
+        assert any("outside question_tokens" in reason for reason in outcomes)
+
+    def test_sizes_build_no_partition(self, corpus_by_id, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a side was built")
+
+        monkeypatch.setattr(partitions_module, "TokenPartition", refuse)
+        assert comparison_side_sizes(corpus_by_id["cmp-02"]) == (2, 4)
 
 
 class TestCorefPartition:

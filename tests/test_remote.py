@@ -855,11 +855,23 @@ class TestFaultyServers:
     def test_server_without_the_ig_op_gives_an_input_error_naming_it(self, corpus):
         reply = {"ok": False, "error": "unknown op 'integrated_gradients'", "kind": "input"}
         inst = corpus[0]
+        message = f"{inst.id}: unknown op 'integrated_gradients'"
         with RemoteGateway(canned_server(reply)) as gateway:
-            with pytest.raises(InputError, match="unknown op 'integrated_gradients'"):
+            with pytest.raises(InputError) as raised:
                 gateway.integrated_gradients(inst, 4, 0)
-            with pytest.raises(InputError, match="unknown op 'integrated_gradients'"):
+            assert str(raised.value) == message
+            with pytest.raises(InputError) as raised:
                 integrated_gradients(gateway, inst, 4, 0)
+            assert str(raised.value) == message
+
+    @pytest.mark.parametrize("kind, code", [("input", 2), ("capability", 3)])
+    def test_a_fault_naming_no_instance_is_given_its_id(self, tmp_path, capsys, kind, code):
+        reply = {"ok": False, "error": "not served here", "kind": kind}
+        spec = f"remote:{canned_server(reply)}"
+        out = tmp_path / "out"
+        assert cli_main(["evaluate", "--dataset", str(fixture_corpus_path()), "--model", spec,
+                         "--out", str(out)]) == code
+        assert capsys.readouterr().err == "error: cmp-01: not served here\n"
 
 
 @pytest.fixture

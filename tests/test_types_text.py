@@ -200,6 +200,25 @@ class TestInstance:
         with pytest.raises(InputError):
             validate_instance(bad)
 
+    def test_validate_names_each_span_fault_as_span_surface_would(self):
+        inst = build_instance(
+            "t-5", "Who?", ["One sentence here.", "Another one."], gold=(0, "One")
+        )
+        faults = {
+            AnswerSpan("here . Another", 0, 2, 4): "t-5: span crosses sentence boundary",
+            AnswerSpan("here . Another", 1, 2, 4): "t-5: span sentence index mismatch",
+            AnswerSpan("another", 1, 4, 4): "t-5: span text 'another' does not match context",
+            AnswerSpan("one .", 1, 5, 7): "t-5: span 5..7 out of range",
+        }
+        for span, message in faults.items():
+            for bad in (replace(inst, gold_answers=(span,)),
+                        replace(inst, coref_clusters=((inst.gold_answers[0], span),))):
+                with pytest.raises(InputError) as raised:
+                    validate_instance(bad)
+                assert str(raised.value) == message
+        with pytest.raises(InputError, match="t-5: span crosses sentence boundary"):
+            inst.span_surface(2, 4)
+
     def test_validate_catches_out_of_range_mention(self):
         inst = build_instance(
             "t-4",
