@@ -20,7 +20,7 @@ from scipy.special import stdtr
 from .counterfactuals import CFPair
 from .errors import InputError
 from .gateway.base import ModelGateway, predict
-from .metrics import score_answer
+from .metrics import exact_match
 from .partitions import (
     MIN_SIDE,
     TokenPartition,
@@ -29,7 +29,7 @@ from .partitions import (
     random_partition,
     seed_for,
 )
-from .saliency import SaliencyCache, SaliencyConfig, SaliencyMap, compute_saliency, restrict_map
+from .saliency import SaliencyCache, SaliencyConfig, SaliencyMap, compute_saliency, scope_scores
 from .types import RCInstance
 
 
@@ -131,13 +131,13 @@ def partition_test(
         raise InputError(
             f"saliency is for {saliency.instance_id!r}, partition for {partition.instance_id!r}"
         )
-    restricted = restrict_map(saliency, partition.scope)
-    n = len(restricted.scores)
+    scores = scope_scores(saliency, partition.scope)
+    n = len(scores)
     for idx in partition.positive | partition.negative:
         if idx >= n:
             raise InputError(f"{partition.instance_id}: partition index {idx} out of scope")
-    pos = [restricted.scores[i] for i in sorted(partition.positive)]
-    neg = [restricted.scores[i] for i in sorted(partition.negative)]
+    pos = [scores[i] for i in sorted(partition.positive)]
+    neg = [scores[i] for i in sorted(partition.negative)]
     return t_test_one_tailed(pos, neg, alpha)
 
 
@@ -164,9 +164,9 @@ def explanation_alignment(
             f"saliency is from {saliency.model_id!r}, gateway is {gateway.model_id!r}"
         )
     significance = partition_test(saliency, partition, alpha)
-    both = score_answer(saliency.predicted_answer, pair.original)[0] and score_answer(
-        predict(gateway, pair.perturbed).predicted_span.text, pair.perturbed
-    )[0]
+    both = exact_match(saliency.predicted_answer, [a.text for a in pair.original.gold_answers]) and (
+        exact_match(predict(gateway, pair.perturbed).predicted_span.text,
+                    [a.text for a in pair.perturbed.gold_answers]))
     return AlignmentRecord(
         instance_id=pair.original.id,
         cf_both_correct=both,

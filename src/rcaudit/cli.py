@@ -291,30 +291,32 @@ def _plan_comparisons(
     instance whose partition the Welch test can judge, and the
     counterfactual skips.
 
-    The cheap partition screen runs first. An instance it rejects still
-    runs the checks of `plan_antonym_swap` on its own, so a counterfactual
-    reason wins over the screen's, as it would if the twin were built
-    first; nothing of its twin, not even the new gold's text, is rendered.
+    Three passes in id order: the cheap partition screen on every instance;
+    only the checks of `plan_antonym_swap` on each one it rejects, so a
+    counterfactual reason wins over the screen's with no twin rendered;
+    then the twin of each one it passes. Skips are listed in id order.
     """
-    pairs = []
-    screened_out: list[tuple[str, str]] = []
-    cf_skipped: list[list] = []
-    for inst in sorted(instances, key=lambda i: i.id):
+    passed, failed = [], []
+    for k, inst in enumerate(sorted(instances, key=lambda i: i.id)):
         try:
-            partition = screen_partition(inst)
+            passed.append((k, inst, screen_partition(inst)))
         except InputError as screened:
-            try:
-                plan_antonym_swap(inst, table)
-            except InputError as exc:
-                cf_skipped.append([inst.id, str(exc)])
-            else:
-                screened_out.append((inst.id, str(screened)))
-            continue
+            failed.append((k, inst, str(screened)))
+    cf_skipped, screened_out = {}, []
+    for k, inst, reason in failed:
+        try:
+            plan_antonym_swap(inst, table)
+        except InputError as exc:
+            cf_skipped[k] = [inst.id, str(exc)]
+        else:
+            screened_out.append((inst.id, reason))
+    pairs = []
+    for k, inst, partition in passed:
         try:
             pairs.append((perturb_comparison(inst, table=table), partition))
         except InputError as exc:
-            cf_skipped.append([inst.id, str(exc)])
-    return AuditPlan(tuple(pairs), tuple(screened_out)), cf_skipped
+            cf_skipped[k] = [inst.id, str(exc)]
+    return AuditPlan(tuple(pairs), tuple(screened_out)), [cf_skipped[k] for k in sorted(cf_skipped)]
 
 
 def run_cf_generate(args) -> int:
@@ -487,12 +489,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     gc.freeze()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+        pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
         _add_flags(pre, ["config"], {})
         try:
-            known, _ = pre.parse_known_args(argv)
-            defaults = read_config(known.config) if known.config else None
-            args = build_parser(defaults).parse_args(argv)
+            config = pre.parse_known_args(argv)[0].config
+        except argparse.ArgumentError:  # a bare --config, refused below in rcaudit's words
+            config = None
+        try:
+            args = build_parser(read_config(config) if config else None).parse_args(argv)
         except SystemExit as exc:  # argparse has printed the help, or its usage and error
             return exc.code
         return args.func(args)

@@ -5,10 +5,10 @@ strip punctuation, drop the articles a/an/the, collapse whitespace. F1 uses
 bag-of-token (multiset) overlap so repeated tokens are not double-credited;
 with several gold answers the best-scoring one counts.
 
-`score_answer` scores a prediction against an instance's gold answers;
-every answer score in the package comes from it. `macro_average` averages
-such scores; `evaluate_dataset` and the `evaluate` and `heuristic` reports
-average through it.
+`score_answer` gives a prediction's exact match and F1 against an
+instance's gold answers; `macro_average` averages such scores, for
+`evaluate_dataset` and the `evaluate` and `heuristic` reports. An audit's
+"both correct" needs no F1, so `exact_match` decides it.
 """
 
 from __future__ import annotations

@@ -145,10 +145,10 @@ def compute_saliency(
     return ig_saliency(gateway, instance, config)
 
 
-def restrict_map(saliency: SaliencyMap, scope: Scope) -> SaliencyMap:
-    """Slice an all-scope map down to question or context words."""
+def scope_scores(saliency: SaliencyMap, scope: Scope) -> tuple[float, ...]:
+    """An all-scope map's scores of question or context words, or a map's own."""
     if scope == saliency.scope:
-        return saliency
+        return saliency.scores
     if saliency.scope != "all":
         raise InputError(f"cannot restrict a {saliency.scope} map to {scope}")
     if scope == "question_tokens":
@@ -159,7 +159,13 @@ def restrict_map(saliency: SaliencyMap, scope: Scope) -> SaliencyMap:
         raise InputError(f"unknown scope {scope!r}")
     if not scores:
         raise InputError(f"{saliency.instance_id}: no scores in scope {scope}")
-    return replace(saliency, scope=scope, scores=scores)
+    return scores
+
+
+def restrict_map(saliency: SaliencyMap, scope: Scope) -> SaliencyMap:
+    """Slice an all-scope map down to question or context words."""
+    return saliency if scope == saliency.scope else replace(
+        saliency, scope=scope, scores=scope_scores(saliency, scope))
 
 
 def content_hash(instance: RCInstance) -> str:

@@ -15,6 +15,7 @@ import pytest
 
 import rcaudit.cli as cli_module
 import rcaudit.counterfactuals as cf_module
+import rcaudit.metrics as metrics_module
 import rcaudit.saliency as saliency_module
 from conftest import build_instance, make_engineered_alignment, span_at
 from rcaudit.alignment import screen_partition
@@ -442,6 +443,15 @@ PLAN_PINS = {
 }
 
 
+def screen_digests(out: Path) -> tuple[str, str, str]:
+    """What SCREEN_PINS pins of an `align` run's output directory."""
+    return (
+        hashlib.sha256((out / "alignment_records.jsonl").read_bytes()).hexdigest(),
+        hashlib.sha256((out / "alignment.csv").read_bytes()).hexdigest(),
+        hashlib.sha256(alignment_without_coverage(out).encode("utf-8")).hexdigest(),
+    )
+
+
 def report_digest(path: Path, dataset: str) -> str:
     """sha256 of a JSON report as `write_json` writes it, with `dataset`
     as its dataset."""
@@ -491,12 +501,7 @@ class TestAlignScreen:
         cf_file = ("--cf-file", CF_PAIRS) if case == "bundled+cf-file" else ()
         assert run("align", "--dataset", dataset, "--model", "toy:7", *cf_file,
                    "--out", str(out)) == 0
-        got = (
-            hashlib.sha256((out / "alignment_records.jsonl").read_bytes()).hexdigest(),
-            hashlib.sha256((out / "alignment.csv").read_bytes()).hexdigest(),
-            hashlib.sha256(alignment_without_coverage(out).encode("utf-8")).hexdigest(),
-        )
-        assert got == SCREEN_PINS[case]
+        assert screen_digests(out) == SCREEN_PINS[case]
 
     @pytest.mark.parametrize("case", sorted(PLAN_PINS), ids="/".join)
     def test_outputs_match_the_plan_that_derived_each_fact_apart(self, tmp_path, case):
@@ -808,6 +813,36 @@ class TestSkipPrecedence:
         # twins' own check (`validate_cf`: was the label changed?) normalizes
         assert len(normalized) == 2 * len(plan.pairs)
 
+    def test_skips_of_both_passes_stay_in_id_order(self):
+        by_id = {inst.id: inst for inst in make_synthetic_corpus(16, 0)}
+
+        def renamed(new_id, source_id, answers_the_year):
+            inst = replace(by_id[source_id], id=new_id)
+            if answers_the_year:  # a counterfactual fault: the gold names no entity
+                year = inst.context[1].words[-2]
+                inst = replace(inst, gold_answers=(span_at(inst.context, 1, year),))
+            return inst
+
+        # The screen passes syn-0-0003, -0009 and -0015 ("more recently") and
+        # rejects the one-word operators of -0000, -0001 and -0002.
+        instances = [
+            renamed("cmp-a", "syn-0-0000", True),   # screened out
+            renamed("cmp-b", "syn-0-0003", True),   # screened in
+            renamed("cmp-c", "syn-0-0001", False),  # screened out
+            renamed("cmp-d", "syn-0-0009", False),  # screened in
+            renamed("cmp-e", "syn-0-0002", True),   # screened out
+            renamed("cmp-f", "syn-0-0015", True),   # screened in
+        ]
+        pairs, partitions, untestable, cf_skipped = self.check(
+            instances[::-1], ANTONYM_TABLES["in_dist"]
+        )
+        assert [pair.original.id for pair in pairs] == list(partitions) == ["cmp-d"]
+        assert untestable == [("cmp-c", TTEST_REASON)]
+        assert cf_skipped == [
+            [iid, f"{iid}: gold answer names neither compared entity"]
+            for iid in ("cmp-a", "cmp-b", "cmp-e", "cmp-f")
+        ]
+
 
 class TestAlignBuildsNoToken:
     def test_a_warm_align_builds_no_token(self, tmp_path, monkeypatch):
@@ -849,6 +884,29 @@ class TestWarmAlignPredictsOnlyTwins:
         ]
         assert len(audited) == 50 and len(right) == 1
         assert seen == [perturb_comparison(inst).perturbed.id for inst in right]
+
+
+class TestWarmAlignScoresNoF1:
+    def test_the_verdict_computes_no_token_f1(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "align"
+        argv = ["align", "--dataset", "synthetic:300", "--model", "toy:7", "--out", str(out)]
+        assert run(*argv) == 0  # cold: fills the saliency cache
+
+        def no_f1(*args):
+            raise AssertionError("token F1 computed")
+
+        monkeypatch.setattr(metrics_module, "_best_f1", no_f1)
+        assert run(*argv) == 0
+        assert screen_digests(out) == SCREEN_PINS["synthetic:300"]
+        # evaluate still computes F1, through the function patched above
+        evaluate = ["evaluate", "--dataset", "synthetic:300", "--model", "toy:7", "--out"]
+        capsys.readouterr()
+        assert run(*evaluate, str(tmp_path / "patched")) == 4
+        assert capsys.readouterr().err == "internal error: token F1 computed\n"
+        monkeypatch.undo()
+        assert run(*evaluate, str(tmp_path / "evaluate")) == 0
+        summary = json.loads((tmp_path / "evaluate" / "summary.json").read_text())
+        assert 0.0 < summary["f1"] <= 1.0
 
 
 LOADER_SKIP_COMMANDS = {
@@ -1049,6 +1107,17 @@ class TestFlagsPerCommand:
         captured = capsys.readouterr()
         assert captured.out.startswith("usage: rcaudit") and captured.err == ""
 
+    @pytest.mark.parametrize("argv, prog", [
+        (["--config"], "rcaudit"),
+        (["align", "--config"], "rcaudit align"),
+        (["heuristic", "--dataset", CORPUS, "--config"], "rcaudit heuristic"),
+    ], ids=["top", "align", "heuristic-last"])
+    def test_a_bare_config_is_refused_in_rcaudits_words(self, capsys, argv, prog):
+        assert run(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"usage: {prog} [-h]")
+        assert captured.err.endswith(f"\n{prog}: error: argument --config: expected one argument\n")
+
     @pytest.mark.parametrize("where", ["before", "after"])
     def test_config_goes_before_or_after_the_command(self, tmp_path, where):
         cfg = tmp_path / "strategy.cfg"
@@ -1196,6 +1265,17 @@ class TestConsoleEntryPoint:
         monkeypatch.setattr(sys, "argv", ["rcaudit", *self.EVALUATE, "--out", str(out2)])
         assert target() == 0
         assert (out2 / "summary.csv").read_bytes() == (out / "summary.csv").read_bytes()
+
+    def test_a_bare_config_is_refused_in_rcaudits_words(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "rcaudit.cli", "align", "--config"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("usage: rcaudit align [-h]")
+        assert proc.stderr.endswith(
+            "\nrcaudit align: error: argument --config: expected one argument\n"
+        )
 
     def test_main_freezes_what_the_import_left(self, tmp_path):
         script = (

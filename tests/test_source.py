@@ -42,10 +42,8 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-def unread_private_names(source: str) -> list[tuple[int, str]]:
-    """(line, name) for each private top-level function, class or constant
-    (`_x`, not `__x__`) that its own module never reads."""
-    tree = ast.parse(source)
+def top_level_names(tree: ast.Module) -> dict[str, int]:
+    """Name -> line of each top-level function, class or constant."""
     defined: dict[str, int] = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -56,14 +54,24 @@ def unread_private_names(source: str) -> list[tuple[int, str]]:
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.endswith("__"):
-                defined.setdefault(name, node.lineno)
+            defined.setdefault(name, node.lineno)
+    return defined
+
+
+def unread_private_names(source: str) -> list[tuple[int, str]]:
+    """(line, name) for each private top-level function, class or constant
+    (`_x`, not `__x__`) that its own module never reads."""
+    tree = ast.parse(source)
     read = {
         node.id
         for node in ast.walk(tree)
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
-    return sorted((line, name) for name, line in defined.items() if name not in read)
+    return sorted(
+        (line, name)
+        for name, line in top_level_names(tree).items()
+        if name.startswith("_") and not name.endswith("__") and name not in read
+    )
 
 
 def test_detector_flags_only_unread_names():
@@ -288,6 +296,112 @@ def test_readme_library_use_runs(capsys):
         "toy:7 comparison_operation 0.0 8 skipped",
         "oracle comparison_operation 0.0 8 skipped",
     ]
+
+
+def names_read(source: str) -> set[str]:
+    """The names a source reads: each name it loads, and each name it
+    imports from a module (the unused-import check makes an import a read)."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def unread_public_names(modules: dict[str, str], readers: list[str]) -> list[tuple[str, int, str]]:
+    """(module, line, name) for each public top-level name of `modules`
+    (module -> source) that neither the modules, its own included, nor
+    `readers` read."""
+    read = set().union(*map(names_read, [*modules.values(), *readers]))
+    return sorted(
+        (module, line, name)
+        for module, source in modules.items()
+        for name, line in top_level_names(ast.parse(source)).items()
+        if not name.startswith("_") and name not in read
+    )
+
+
+def test_public_detector_flags_only_names_nothing_reads():
+    modules = {
+        "a.py": (
+            "from .b import helper\n"
+            "LIMIT = 3\n"
+            "UNUSED: int = 4\n"
+            "_private = 5\n"
+            "def run():\n"
+            "    return helper(LIMIT) + local()\n"
+            "def local():\n"
+            "    return 1\n"
+            "class Box:\n"
+            "    def size(self):\n"
+            "        return _private\n"
+        ),
+        "b.py": (
+            "def helper(x):\n"
+            "    return x\n"
+            "def orphan():\n"
+            "    return orphan()\n"
+            "def documented():\n"
+            "    pass\n"
+            "def attribute():\n"
+            "    pass\n"
+            "print(box.attribute)\n"
+        ),
+    }
+    # a README block reads `run` and `documented`; a recursive call reads
+    # `orphan`, and an attribute of the same name does not read `attribute`
+    readers = ["from pkg.a import run\nrun()\nprint(documented())\n"]
+    assert unread_public_names(modules, readers) == [
+        ("a.py", 3, "UNUSED"), ("a.py", 9, "Box"), ("b.py", 7, "attribute"),
+    ]
+
+
+def readme_python_blocks() -> list[str]:
+    text = (REPO_DIR / "README.md").read_text(encoding="utf-8")
+    return [block.split("\n```", 1)[0] for block in text.split("```python\n")[1:]]
+
+
+# Public names that no code in src/rcaudit and no README code block reads,
+# and that stay, with the reason. Tests, tools and perfbench do not count as
+# readers. The list may only shrink: an entry goes once something reads it.
+UNREAD_PUBLIC_ALLOWLIST = {
+    ("corpus/filters.py", "filter_coref_answer_in_cluster"):
+        "the coreference filter that ROADMAP Direction 3 wires into the loader",
+    ("corpus/schema.py", "save_jsonl"):
+        "the writer of unified JSON lines, with which perfbench writes its datasets",
+    ("counterfactuals.py", "cf_accuracy"):
+        "accuracy on each side of the pairs; ROADMAP Direction 14 wires or deletes it",
+    ("data/__init__.py", "coref_cf_pairs_path"):
+        "path of the bundled coreference pairs, the input of `align --cf-file`",
+    ("metrics.py", "evaluate_dataset"):
+        "the library form of `evaluate`'s macro scores, which the README names",
+    ("metrics.py", "token_f1"):
+        "the library scorer of one prediction's F1, which the README names",
+    ("saliency.py", "restrict_map"):
+        "a map cut to one scope, for library callers; `partition_test` reads the "
+        "same scores through `scope_scores` without copying the map",
+}
+
+
+def test_every_public_name_is_read():
+    modules = {
+        str(path.relative_to(PACKAGE_DIR)): path.read_text(encoding="utf-8")
+        for path in sorted(PACKAGE_DIR.rglob("*.py"))
+    }
+    found = {
+        (module, name): line
+        for module, line, name in unread_public_names(modules, readme_python_blocks())
+    }
+    unexpected = sorted(
+        f"{module}:{line}: {name}"
+        for (module, name), line in found.items()
+        if (module, name) not in UNREAD_PUBLIC_ALLOWLIST
+    )
+    assert not unexpected, unexpected
+    # an entry that something now reads leaves the list
+    assert set(UNREAD_PUBLIC_ALLOWLIST) - set(found) == set()
 
 
 def _dataclass_keywords(node: ast.ClassDef) -> dict[str, object] | None:
