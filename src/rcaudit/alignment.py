@@ -55,6 +55,11 @@ def _check_sides(n_positive: int, n_negative: int) -> None:
         raise InputError(f"t-test requires at least {MIN_SIDE} values per side")
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0 < alpha < 1:
+        raise InputError(f"alpha must lie in (0,1), got {alpha}")
+
+
 def screen_partition(instance: RCInstance) -> TokenPartition:
     """The instance's skill partition, screened before any work is done for
     it: raises what building the partition or the Welch test would, in that
@@ -77,8 +82,7 @@ def t_test_one_tailed(
     samples give t=+/-inf with p=0 or 1.
     """
     _check_sides(len(positive), len(negative))
-    if not 0 < alpha < 1:
-        raise InputError(f"alpha must lie in (0,1), got {alpha}")
+    _check_alpha(alpha)
     m_pos, v_pos, n_pos = _sample_stats(positive)
     m_neg, v_neg, n_neg = _sample_stats(negative)
     if v_pos == 0.0 and v_neg == 0.0:
@@ -222,6 +226,14 @@ def plan_pairs(pairs: Iterable[CFPair]) -> AuditPlan:
     return AuditPlan(tuple(planned), tuple(skipped))
 
 
+def check_audit(plan: AuditPlan, alpha: float, dataset_id: str) -> None:
+    """Raise what `audit_alignment` refuses before it asks the model anything:
+    a plan with no pairs, then a bad alpha."""
+    if not plan.pairs:
+        raise InputError(f"{dataset_id}: no usable pairs for the alignment audit")
+    _check_alpha(alpha)
+
+
 def audit_alignment(
     gateway: ModelGateway,
     plan: AuditPlan,
@@ -232,8 +244,7 @@ def audit_alignment(
 ) -> AlignmentReport:
     """Audit the plan's pairs with one saliency config, in the plan's order;
     the plan's skips are the report's."""
-    if not plan.pairs:
-        raise InputError(f"{dataset_id}: no usable pairs for the alignment audit")
+    check_audit(plan, alpha, dataset_id)
     if cache is None:
         cache = SaliencyCache()
     records = tuple(
@@ -279,6 +290,14 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return min(phat, max(0.0, center - half)), max(phat, min(1.0, center + half))
 
 
+def check_calibration(n_instances: int, n_partitions: int) -> None:
+    """Raise what `calibrate` refuses before it asks the model anything."""
+    if n_partitions < 1:
+        raise InputError("calibration needs n_partitions >= 1")
+    if n_instances == 0:
+        raise InputError("calibration needs at least one instance")
+
+
 def calibrate(
     instances: Sequence[RCInstance],
     gateway: ModelGateway,
@@ -292,8 +311,7 @@ def calibrate(
     A sound test keeps this rate near alpha: random partitions carry no
     signal, so rejections here are false positives.
     """
-    if n_partitions < 1:
-        raise InputError("calibration needs n_partitions >= 1")
+    check_calibration(len(instances), n_partitions)
     significant = 0
     total = 0
     for instance in instances:
@@ -303,8 +321,6 @@ def calibrate(
             result = partition_test(saliency, partition, alpha)
             significant += int(result.significant)
             total += 1
-    if total == 0:
-        raise InputError("calibration needs at least one instance")
     low, high = wilson_interval(significant, total)
     return CalibrationReport(
         rate=significant / total,

@@ -29,6 +29,8 @@ from .alignment import (
     alignment_csv,
     audit_alignment,
     calibrate,
+    check_audit,
+    check_calibration,
     plan_pairs,
     record_to_dict,
     screen_partition,
@@ -368,17 +370,19 @@ def run_align(args) -> int:
     cache = SaliencyCache.load(cache_path) if cache_path.exists() else SaliencyCache()
     n_loaded = len(cache)
     dataset_id = str(args.dataset)
+    plans = [plan for plan in plans if plan.pairs or plan.skipped]
+    if not plans:
+        raise InputError("no counterfactual pairs to audit; need comparison "
+                         "instances or --cf-file")
+    for plan in plans:
+        check_audit(plan, args.alpha, dataset_id)
     with build_gateway(args.model) as gateway:
         reports = [
             audit_alignment(gateway, plan, config, alpha=args.alpha, cache=cache,
                             dataset_id=dataset_id)
             for plan in plans
-            if plan.pairs or plan.skipped
         ]
         model_id = gateway.model_id
-    if not reports:
-        raise InputError("no counterfactual pairs to audit; need comparison "
-                         "instances or --cf-file")
     if len(cache) > n_loaded:  # a warm run leaves the file as it was
         cache.save(cache_path)
 
@@ -420,6 +424,7 @@ def run_align(args) -> int:
 def run_calibrate(args) -> int:
     instances, skipped = load_instances(args)
     config = saliency_config(args)
+    check_calibration(len(instances), args.n_partitions)
     with build_gateway(args.model) as gateway:
         report = calibrate(
             instances,
@@ -484,10 +489,12 @@ COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    # What is alive now (modules, numpy's and scipy's tables) lives until exit;
-    # frozen, it is left out of the cycle collector's full passes.
-    gc.freeze()
+    # A command's data holds no reference cycles: reference counting frees all
+    # of it, and the cycle collector would only walk the live heap for nothing.
+    # It is off while the command runs and put back as it was found.
     argv = list(sys.argv[1:] if argv is None else argv)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
         _add_flags(pre, ["config"], {})
@@ -515,6 +522,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

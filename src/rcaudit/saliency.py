@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -160,12 +160,6 @@ def scope_scores(saliency: SaliencyMap, scope: Scope) -> tuple[float, ...]:
     if not scores:
         raise InputError(f"{saliency.instance_id}: no scores in scope {scope}")
     return scores
-
-
-def restrict_map(saliency: SaliencyMap, scope: Scope) -> SaliencyMap:
-    """Slice an all-scope map down to question or context words."""
-    return saliency if scope == saliency.scope else replace(
-        saliency, scope=scope, scores=scope_scores(saliency, scope))
 
 
 def content_hash(instance: RCInstance) -> str:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -34,6 +36,8 @@ from rcaudit.types import AnswerSpan, RCInstance, Token
 
 CORPUS = str(fixture_corpus_path())
 CF_PAIRS = str(coref_cf_pairs_path())
+# A remote gateway whose server cannot start: building it exits 4.
+NO_SERVER = "remote:/no/such/server"
 
 # The flags each command reads: those of every command, and its own.
 EVERY_COMMAND = {"dataset", "format", "context_mode", "seed", "out", "config"}
@@ -1231,6 +1235,50 @@ class TestExitCodes:
         assert called == []
 
 
+class TestInputErrorsComeBeforeTheGateway:
+    """A check that needs no model refuses the input before the gateway is
+    built, so a server that cannot start gives the same input error as toy:7,
+    in the same precedence."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("align", "--dataset", "synthetic:2"),
+             "synthetic:2: no usable pairs for the alignment audit"),
+            (("align", "--dataset", "synthetic:2", "--alpha", "1.5"),
+             "synthetic:2: no usable pairs for the alignment audit"),
+            (("align", "--dataset", "{coref}", "--alpha", "1.5"),
+             "no counterfactual pairs to audit; need comparison instances or --cf-file"),
+            (("align", "--dataset", "synthetic:60", "--alpha", "1.5"),
+             "alpha must lie in (0,1), got 1.5"),
+            (("align", "--dataset", "{coref}", "--cf-file", CF_PAIRS, "--alpha", "0"),
+             "alpha must lie in (0,1), got 0.0"),
+            (("calibrate", "--dataset", "synthetic:4", "--n-partitions", "0"),
+             "calibration needs n_partitions >= 1"),
+            (("calibrate", "--dataset", "{empty}", "--n-partitions", "0"),
+             "calibration needs n_partitions >= 1"),
+            (("calibrate", "--dataset", "{empty}"), "calibration needs at least one instance"),
+        ],
+        ids=["no-usable-pairs", "no-usable-pairs-before-alpha", "coreference-without-cf-file",
+             "alpha", "cf-file-alpha", "n-partitions", "n-partitions-before-empty", "empty"],
+    )
+    def test_a_server_that_cannot_start_is_not_reached(self, tmp_path, capsys, argv, message):
+        coref = tmp_path / "coref.jsonl"
+        coref.write_text("".join(line + "\n" for line in Path(CORPUS).read_text().splitlines()
+                                 if json.loads(line)["skill"] == "coreference"))
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        argv = [arg.format(coref=coref, empty=empty) for arg in argv]
+        for model in ("toy:7", NO_SERVER):
+            assert run(*argv, "--model", model, "--out", str(tmp_path / "out")) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_a_good_input_still_reaches_the_server(self, tmp_path, capsys):
+        assert run("calibrate", "--dataset", "synthetic:4", "--model", NO_SERVER,
+                   "--out", str(tmp_path / "out")) == 4
+        assert capsys.readouterr().err.startswith("error: cannot start remote gateway")
+
+
 def declared_console_script(name: str) -> EntryPoint:
     """The `name` entry of `[project.scripts]` in this checkout's pyproject.toml."""
     try:
@@ -1277,23 +1325,6 @@ class TestConsoleEntryPoint:
             "\nrcaudit align: error: argument --config: expected one argument\n"
         )
 
-    def test_main_freezes_what_the_import_left(self, tmp_path):
-        script = (
-            "import gc, sys\n"
-            "import rcaudit.cli\n"
-            "gc.collect()\n"
-            "alive = len(gc.get_objects())\n"
-            "assert rcaudit.cli.main(sys.argv[1:]) == 0\n"
-            "print(alive, gc.get_freeze_count())\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script, *self.EVALUATE, "--out", str(tmp_path / "out")],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        alive, frozen = map(int, proc.stdout.split()[-2:])
-        assert alive > 0 and frozen >= alive
-
     @pytest.mark.skipif(shutil.which("rcaudit") is None,
                         reason="rcaudit console script not installed")
     def test_installed_script_matches_module(self, tmp_path):
@@ -1307,3 +1338,63 @@ class TestConsoleEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert (out2 / "summary.csv").read_bytes() == (out / "summary.csv").read_bytes()
+
+
+class TestCycleCollector:
+    """`main` runs the command with the cycle collector off and puts it back
+    as it found it; the command's data holds no cycles for it to find."""
+
+    @pytest.mark.parametrize("collecting", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("evaluate", "--dataset", CORPUS, "--model", "oracle"), 0),
+            (("align", "--dataset", "synthetic:2", "--model", "toy:7"), 2),
+            (("align", "--no-such-flag"), 2),
+            (("align", "--help"), 0),
+            (("evaluate", "--dataset", CORPUS, "--model", NO_SERVER), 4),
+        ],
+        ids=["success", "input-error", "argparse-refusal", "help", "internal-error"],
+    )
+    def test_main_leaves_the_collector_as_it_found_it(
+        self, tmp_path, capsys, argv, code, collecting
+    ):
+        try:
+            gc.enable() if collecting else gc.disable()
+            assert main([*argv, "--out", str(tmp_path / "out")]) == code
+            assert gc.isenabled() is collecting
+        finally:
+            gc.enable()
+
+    def test_the_command_runs_with_the_collector_off(self, tmp_path, monkeypatch):
+        seen = []
+        func, help_text, flags = cli_module.COMMANDS["evaluate"]
+        monkeypatch.setitem(cli_module.COMMANDS, "evaluate", (
+            lambda args: seen.append(gc.isenabled()) or func(args), help_text, flags))
+        assert gc.isenabled()
+        assert main(["evaluate", "--dataset", CORPUS, "--model", "oracle",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert seen == [False] and gc.isenabled()
+
+    @pytest.mark.parametrize("command", ["align", "calibrate"])
+    def test_what_a_command_leaves_to_the_collector_does_not_grow(self, tmp_path, command):
+        script = (
+            "import gc, sys\n"
+            "import rcaudit.cli\n"
+            "gc.disable()\n"
+            "assert rcaudit.cli.main(sys.argv[1:]) == 0\n"
+            "print(gc.collect())\n"
+        )
+        # One hash seed for both runs: it decides whether an import the command
+        # makes leaves one class in a cycle.
+        env = {**os.environ, "PYTHONHASHSEED": "0"}
+        unreachable = []
+        for n in (60, 600):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, command, "--dataset", f"synthetic:{n}",
+                 "--model", "toy:7", "--out", str(tmp_path / str(n))],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            unreachable.append(int(proc.stdout.split()[-1]))
+        assert unreachable[0] == unreachable[1]

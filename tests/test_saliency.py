@@ -20,7 +20,7 @@ from rcaudit.saliency import (
     compute_saliency,
     ig_saliency,
     occlusion_saliency,
-    restrict_map,
+    scope_scores,
     summarize,
 )
 from rcaudit.synthetic import make_synthetic_corpus
@@ -213,11 +213,11 @@ class TestSummarize:
             summarize(np.array([1.0]), "max")
 
 
-class TestRestrictMap:
-    def make_map(self, n_question=3, total=8):
+class TestScopeScores:
+    def make_map(self, n_question=3, total=8, scope="all"):
         return SaliencyMap(
             instance_id="x",
-            scope="all",
+            scope=scope,
             scores=tuple(float(i) for i in range(total)),
             method="occlusion",
             config_hash="abc",
@@ -229,22 +229,20 @@ class TestRestrictMap:
 
     def test_slices_question_and_context(self):
         full = self.make_map()
-        q = restrict_map(full, "question_tokens")
-        c = restrict_map(full, "context_tokens")
-        assert q.scores == (0.0, 1.0, 2.0)
-        assert c.scores == (3.0, 4.0, 5.0, 6.0, 7.0)
-        assert q.scope == "question_tokens" and c.scope == "context_tokens"
-        assert restrict_map(full, "all") is full
+        assert scope_scores(full, "question_tokens") == (0.0, 1.0, 2.0)
+        assert scope_scores(full, "context_tokens") == (3.0, 4.0, 5.0, 6.0, 7.0)
+        assert scope_scores(full, "all") is full.scores
 
     def test_cannot_restrict_a_restricted_map(self):
-        q = restrict_map(self.make_map(), "question_tokens")
-        with pytest.raises(InputError):
-            restrict_map(q, "context_tokens")
+        q = self.make_map(total=3, scope="question_tokens")
+        assert scope_scores(q, "question_tokens") is q.scores
+        with pytest.raises(InputError, match="cannot restrict a question_tokens map"):
+            scope_scores(q, "context_tokens")
 
     def test_empty_slice_is_an_error(self):
         no_question = self.make_map(n_question=0)
-        with pytest.raises(InputError):
-            restrict_map(no_question, "question_tokens")
+        with pytest.raises(InputError, match="x: no scores in scope question_tokens"):
+            scope_scores(no_question, "question_tokens")
 
 
 class TestConfig:

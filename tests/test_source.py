@@ -379,9 +379,6 @@ UNREAD_PUBLIC_ALLOWLIST = {
         "the library form of `evaluate`'s macro scores, which the README names",
     ("metrics.py", "token_f1"):
         "the library scorer of one prediction's F1, which the README names",
-    ("saliency.py", "restrict_map"):
-        "a map cut to one scope, for library callers; `partition_test` reads the "
-        "same scores through `scope_scores` without copying the map",
 }
 
 
