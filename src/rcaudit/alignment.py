@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from scipy.special import stdtr
 
@@ -31,6 +31,8 @@ from .partitions import (
 )
 from .saliency import SaliencyCache, SaliencyConfig, SaliencyMap, compute_saliency, scope_scores
 from .types import RCInstance
+
+_Source = TypeVar("_Source")
 
 
 @dataclass(frozen=True)
@@ -213,17 +215,48 @@ class AuditPlan:
             raise InputError(f"an audit plan holds one reasoning step, not {' and '.join(steps)}")
 
 
+def plan_audit(
+    sources: Iterable[_Source],
+    original: Callable[[_Source], RCInstance],
+    check_twin: Callable[[_Source], object],
+    make_twin: Callable[[_Source], CFPair],
+) -> tuple[AuditPlan, list[list]]:
+    """The audit plan of `sources`, each the source of one original's twin,
+    and the counterfactual skips.
+
+    Three passes over the sources in their originals' id order:
+    `screen_partition` on every original; only `check_twin` (the checks on
+    the original alone) on each one the screen rejects, so a counterfactual
+    reason wins over the screen's with no twin made; then `make_twin` on
+    each one the screen passes. Skips are listed in id order.
+    """
+    passed, failed = [], []
+    for k, source in enumerate(sorted(sources, key=lambda s: original(s).id)):
+        try:
+            passed.append((k, source, screen_partition(original(source))))
+        except InputError as screened:
+            failed.append((k, source, str(screened)))
+    cf_skipped, screened_out = {}, []
+    for k, source, reason in failed:
+        try:
+            check_twin(source)
+        except InputError as exc:
+            cf_skipped[k] = [original(source).id, str(exc)]
+        else:
+            screened_out.append((original(source).id, reason))
+    pairs = []
+    for k, source, partition in passed:
+        try:
+            pairs.append((make_twin(source), partition))
+        except InputError as exc:
+            cf_skipped[k] = [original(source).id, str(exc)]
+    return AuditPlan(tuple(pairs), tuple(screened_out)), [cf_skipped[k] for k in sorted(cf_skipped)]
+
+
 def plan_pairs(pairs: Iterable[CFPair]) -> AuditPlan:
     """The plan for ready-made pairs: each original screened with
     `screen_partition`; one that fails is skipped with its reason."""
-    planned: list[tuple[CFPair, TokenPartition]] = []
-    skipped: list[tuple[str, str]] = []
-    for pair in sorted(pairs, key=lambda p: p.original.id):
-        try:
-            planned.append((pair, screen_partition(pair.original)))
-        except InputError as exc:
-            skipped.append((pair.original.id, str(exc)))
-    return AuditPlan(tuple(planned), tuple(skipped))
+    return plan_audit(pairs, lambda pair: pair.original, lambda pair: None, lambda pair: pair)[0]
 
 
 def check_audit(plan: AuditPlan, alpha: float, dataset_id: str) -> None:
@@ -290,12 +323,14 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return min(phat, max(0.0, center - half)), max(phat, min(1.0, center + half))
 
 
-def check_calibration(n_instances: int, n_partitions: int) -> None:
-    """Raise what `calibrate` refuses before it asks the model anything."""
+def check_calibration(n_instances: int, n_partitions: int, alpha: float) -> None:
+    """Raise what `calibrate` refuses before it asks the model anything or
+    draws a partition: too few draws, then no instance, then a bad alpha."""
     if n_partitions < 1:
         raise InputError("calibration needs n_partitions >= 1")
     if n_instances == 0:
         raise InputError("calibration needs at least one instance")
+    _check_alpha(alpha)
 
 
 def calibrate(
@@ -311,7 +346,7 @@ def calibrate(
     A sound test keeps this rate near alpha: random partitions carry no
     signal, so rejections here are false positives.
     """
-    check_calibration(len(instances), n_partitions)
+    check_calibration(len(instances), n_partitions, alpha)
     significant = 0
     total = 0
     for instance in instances:

@@ -25,15 +25,14 @@ from typing import Sequence
 
 from .alignment import (
     AlignmentReport,
-    AuditPlan,
     alignment_csv,
     audit_alignment,
     calibrate,
     check_audit,
     check_calibration,
+    plan_audit,
     plan_pairs,
     record_to_dict,
-    screen_partition,
 )
 from .corpus.loader import DatasetDescriptor, LoadResult, load_dataset
 from .counterfactuals import (
@@ -286,41 +285,6 @@ def _comparison_pairs(
     return pairs, skipped
 
 
-def _plan_comparisons(
-    instances: Sequence[RCInstance], table: AntonymTable
-) -> tuple[AuditPlan, list[list]]:
-    """The audit plan of the comparison instances, with a twin only for an
-    instance whose partition the Welch test can judge, and the
-    counterfactual skips.
-
-    Three passes in id order: the cheap partition screen on every instance;
-    only the checks of `plan_antonym_swap` on each one it rejects, so a
-    counterfactual reason wins over the screen's with no twin rendered;
-    then the twin of each one it passes. Skips are listed in id order.
-    """
-    passed, failed = [], []
-    for k, inst in enumerate(sorted(instances, key=lambda i: i.id)):
-        try:
-            passed.append((k, inst, screen_partition(inst)))
-        except InputError as screened:
-            failed.append((k, inst, str(screened)))
-    cf_skipped, screened_out = {}, []
-    for k, inst, reason in failed:
-        try:
-            plan_antonym_swap(inst, table)
-        except InputError as exc:
-            cf_skipped[k] = [inst.id, str(exc)]
-        else:
-            screened_out.append((inst.id, reason))
-    pairs = []
-    for k, inst, partition in passed:
-        try:
-            pairs.append((perturb_comparison(inst, table=table), partition))
-        except InputError as exc:
-            cf_skipped[k] = [inst.id, str(exc)]
-    return AuditPlan(tuple(pairs), tuple(screened_out)), [cf_skipped[k] for k in sorted(cf_skipped)]
-
-
 def run_cf_generate(args) -> int:
     instances, skipped_records = load_instances(args)
     pairs, skipped = _comparison_pairs(instances, _antonym_table(args.antonyms))
@@ -358,13 +322,11 @@ def run_align(args) -> int:
     table = _antonym_table(args.antonyms)
     config = saliency_config(args)
     out = out_dir(args)
-    cmp_instances = [i for i in instances if i.skill == "comparison"]
-    plans, cf_skipped = [], []
-    if cmp_instances:
-        plan, cf_skipped = _plan_comparisons(cmp_instances, table)
-        plans.append(plan)
-    if args.cf_file:
-        plans.append(plan_pairs(load_cf_pairs(args.cf_file, instances)))
+    plan, cf_skipped = plan_audit(
+        [i for i in instances if i.skill == "comparison"], lambda inst: inst,
+        lambda inst: plan_antonym_swap(inst, table), lambda inst: perturb_comparison(inst, table=table),
+    )
+    plans = [plan, plan_pairs(load_cf_pairs(args.cf_file, instances))] if args.cf_file else [plan]
 
     cache_path = out / "saliency_cache.jsonl"
     cache = SaliencyCache.load(cache_path) if cache_path.exists() else SaliencyCache()
@@ -424,7 +386,7 @@ def run_align(args) -> int:
 def run_calibrate(args) -> int:
     instances, skipped = load_instances(args)
     config = saliency_config(args)
-    check_calibration(len(instances), args.n_partitions)
+    check_calibration(len(instances), args.n_partitions, args.alpha)
     with build_gateway(args.model) as gateway:
         report = calibrate(
             instances,

@@ -62,7 +62,6 @@ class SaliencyConfig:
 @dataclass(frozen=True)
 class SaliencyMap:
     instance_id: str
-    scope: Scope
     scores: tuple[float, ...]
     method: str
     config_hash: str
@@ -98,7 +97,6 @@ def occlusion_saliency(gateway: ModelGateway, instance: RCInstance) -> SaliencyM
     config = SaliencyConfig(method="occlusion")
     return SaliencyMap(
         instance_id=instance.id,
-        scope="all",
         scores=tuple(scores),
         method="occlusion",
         config_hash=config.config_hash,
@@ -126,7 +124,6 @@ def ig_saliency(gateway: ModelGateway, instance: RCInstance, config: SaliencyCon
     scores = tuple(summarize(row, config.summarizer) for row in attributions)
     return SaliencyMap(
         instance_id=instance.id,
-        scope="all",
         scores=scores,
         method="integrated_gradients",
         config_hash=config.config_hash,
@@ -146,11 +143,9 @@ def compute_saliency(
 
 
 def scope_scores(saliency: SaliencyMap, scope: Scope) -> tuple[float, ...]:
-    """An all-scope map's scores of question or context words, or a map's own."""
-    if scope == saliency.scope:
+    """A map's scores of question or context words, or all of them."""
+    if scope == "all":
         return saliency.scores
-    if saliency.scope != "all":
-        raise InputError(f"cannot restrict a {saliency.scope} map to {scope}")
     if scope == "question_tokens":
         scores = saliency.scores[: saliency.n_question]
     elif scope == "context_tokens":
@@ -215,7 +210,7 @@ class SaliencyCache:
                             "config_hash": saliency.config_hash,
                             "instance_id": saliency.instance_id,
                             "content_hash": key[3],
-                            "scope": saliency.scope,
+                            "scope": "all",
                             "anchor_position": saliency.anchor_position,
                             "predicted_answer": saliency.predicted_answer,
                             "n_question": saliency.n_question,
@@ -257,7 +252,6 @@ class SaliencyCache:
                 answer = doc.get("predicted_answer")
                 saliency = SaliencyMap(
                     instance_id=doc["instance_id"],
-                    scope="all",
                     scores=tuple(map(float, scores)),
                     method=doc["method"],
                     config_hash=doc["config_hash"],

@@ -279,7 +279,6 @@ def test_08_alignment_verdict_arithmetic(tmp_path):
         # the original's answer comes from the map; the gateway knows only the twin
         saliency = SaliencyMap(
             instance_id=original.id,
-            scope="all",
             scores=tuple(scores),
             method="occlusion",
             config_hash="acceptance",

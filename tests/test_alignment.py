@@ -151,10 +151,9 @@ class TestWelchTest:
             t_test_one_tailed([1.0, 2.0], [0.0, 0.1], alpha=1.0)
 
 
-def make_map(instance_id="x", scores=(), n_question=0, scope="all"):
+def make_map(instance_id="x", scores=(), n_question=0):
     return SaliencyMap(
         instance_id=instance_id,
-        scope=scope,
         scores=tuple(float(s) for s in scores),
         method="occlusion",
         config_hash="h",
@@ -505,6 +504,16 @@ class TestAuditAlignment:
         coref = plan_pairs(manual_pairs)
         with pytest.raises(InputError, match="one reasoning step"):
             AuditPlan(coref.pairs + plan_pairs([twin]).pairs, ())
+
+    def test_pairs_that_share_an_original_are_planned_in_input_order(self, corpus_by_id):
+        # one original's in- and out-of-distribution twins, planned together
+        original = corpus_by_id["cmp-02"]
+        twins = [perturb_comparison(original, ANTONYM_TABLES[tag]) for tag in ("in_dist", "ood")]
+        assert twins[0] != twins[1]
+        for pairs in (twins, twins[::-1]):
+            plan = plan_pairs(pairs)
+            assert plan.pairs == tuple((pair, screen_partition(original)) for pair in pairs)
+            assert plan.skipped == ()
 
     def test_reuses_a_shared_cache(self, manual_pairs):
         gateway = build_gateway("oracle")

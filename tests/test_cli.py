@@ -20,10 +20,12 @@ import rcaudit.counterfactuals as cf_module
 import rcaudit.metrics as metrics_module
 import rcaudit.saliency as saliency_module
 from conftest import build_instance, make_engineered_alignment, span_at
-from rcaudit.alignment import screen_partition
+from rcaudit.alignment import plan_audit, screen_partition
 from rcaudit.cli import main, read_config
 from rcaudit.corpus.schema import load_jsonl, save_jsonl
-from rcaudit.counterfactuals import ANTONYM_TABLES, AntonymTable, perturb_comparison
+from rcaudit.counterfactuals import (
+    ANTONYM_TABLES, AntonymTable, perturb_comparison, plan_antonym_swap,
+)
 from rcaudit.data import coref_cf_pairs_path, fixture_corpus_path
 from rcaudit.errors import InputError
 from rcaudit.gateway import build_gateway
@@ -677,8 +679,15 @@ def full_plan(instance: RCInstance, table: AntonymTable) -> tuple[str, str, Answ
     return old_surface, replacements[0], new_gold
 
 
+def plan_comparisons(instances, table):
+    """`align`'s plan of comparison instances: the planner with the antonym
+    swap's checks and twin."""
+    return plan_audit(instances, lambda inst: inst, lambda inst: plan_antonym_swap(inst, table),
+                      lambda inst: perturb_comparison(inst, table=table))
+
+
 def reference_testable_pairs(instances, table):
-    """`_plan_comparisons` as it would run with each original's
+    """`plan_comparisons` as it would run with each original's
     full plan, gold rendering included, before the partition screen."""
     pairs, partitions, untestable, cf_skipped = [], {}, [], []
     for inst in sorted(instances, key=lambda i: i.id):
@@ -736,7 +745,7 @@ class TestSkipPrecedence:
     NARROW = AntonymTable(entries={"later": ("earlier",)}, distribution_tag="in_distribution")
 
     def check(self, instances, table):
-        plan, cf_skipped = cli_module._plan_comparisons(instances, table)
+        plan, cf_skipped = plan_comparisons(instances, table)
         got = (
             [pair for pair, _ in plan.pairs],
             {pair.original.id: partition for pair, partition in plan.pairs},
@@ -811,7 +820,7 @@ class TestSkipPrecedence:
 
         monkeypatch.setattr(cf_module, "normalize_answer", counted)
         instances = make_synthetic_corpus(300, 0)
-        plan, cf_skipped = cli_module._plan_comparisons(instances, ANTONYM_TABLES["in_dist"])
+        plan, cf_skipped = plan_comparisons(instances, ANTONYM_TABLES["in_dist"])
         assert cf_skipped == [] and len(plan.pairs) == 50
         # each synthetic gold text is its first entity's surface, so only the
         # twins' own check (`validate_cf`: was the label changed?) normalizes
@@ -1258,9 +1267,16 @@ class TestInputErrorsComeBeforeTheGateway:
             (("calibrate", "--dataset", "{empty}", "--n-partitions", "0"),
              "calibration needs n_partitions >= 1"),
             (("calibrate", "--dataset", "{empty}"), "calibration needs at least one instance"),
+            (("calibrate", "--dataset", "synthetic:3", "--alpha", "2"),
+             "alpha must lie in (0,1), got 2.0"),
+            (("calibrate", "--dataset", "synthetic:3", "--n-partitions", "0", "--alpha", "2"),
+             "calibration needs n_partitions >= 1"),
+            (("calibrate", "--dataset", "{empty}", "--alpha", "2"),
+             "calibration needs at least one instance"),
         ],
         ids=["no-usable-pairs", "no-usable-pairs-before-alpha", "coreference-without-cf-file",
-             "alpha", "cf-file-alpha", "n-partitions", "n-partitions-before-empty", "empty"],
+             "alpha", "cf-file-alpha", "n-partitions", "n-partitions-before-empty", "empty",
+             "calibrate-alpha", "n-partitions-before-alpha", "empty-before-alpha"],
     )
     def test_a_server_that_cannot_start_is_not_reached(self, tmp_path, capsys, argv, message):
         coref = tmp_path / "coref.jsonl"
@@ -1272,6 +1288,18 @@ class TestInputErrorsComeBeforeTheGateway:
         for model in ("toy:7", NO_SERVER):
             assert run(*argv, "--model", model, "--out", str(tmp_path / "out")) == 2
             assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_a_bad_alpha_comes_before_a_partition_that_cannot_be_drawn(self, tmp_path, capsys):
+        tiny = tmp_path / "tiny.jsonl"
+        save_jsonl([build_instance("tiny", "Who won?", ["Ana won."], gold=(0, "Ana"))], tiny)
+        argv = ("calibrate", "--dataset", str(tiny), "--out", str(tmp_path / "out"))
+        assert run(*argv, "--model", "toy:7") == 2
+        assert capsys.readouterr().err == (
+            "error: tiny: cannot draw 2+2 indices from 3 question_tokens\n"
+        )
+        for model in ("toy:7", NO_SERVER):
+            assert run(*argv, "--model", model, "--alpha", "2") == 2
+            assert capsys.readouterr().err == "error: alpha must lie in (0,1), got 2.0\n"
 
     def test_a_good_input_still_reaches_the_server(self, tmp_path, capsys):
         assert run("calibrate", "--dataset", "synthetic:4", "--model", NO_SERVER,

@@ -58,7 +58,7 @@ class TestOcclusion:
             anchor, scores = oracle_occlusion(gateway, inst)
             assert saliency.anchor_position == anchor
             assert list(saliency.scores) == scores  # bit-identical, not approx
-            assert saliency.scope == "all"
+            assert len(saliency.scores) == inst.n_question + inst.n_context
             assert saliency.n_question == inst.n_question
 
     def test_scripted_sensitivities_are_recovered_exactly(self, tmp_path):
@@ -214,10 +214,9 @@ class TestSummarize:
 
 
 class TestScopeScores:
-    def make_map(self, n_question=3, total=8, scope="all"):
+    def make_map(self, n_question=3, total=8):
         return SaliencyMap(
             instance_id="x",
-            scope=scope,
             scores=tuple(float(i) for i in range(total)),
             method="occlusion",
             config_hash="abc",
@@ -232,12 +231,6 @@ class TestScopeScores:
         assert scope_scores(full, "question_tokens") == (0.0, 1.0, 2.0)
         assert scope_scores(full, "context_tokens") == (3.0, 4.0, 5.0, 6.0, 7.0)
         assert scope_scores(full, "all") is full.scores
-
-    def test_cannot_restrict_a_restricted_map(self):
-        q = self.make_map(total=3, scope="question_tokens")
-        assert scope_scores(q, "question_tokens") is q.scores
-        with pytest.raises(InputError, match="cannot restrict a question_tokens map"):
-            scope_scores(q, "context_tokens")
 
     def test_empty_slice_is_an_error(self):
         no_question = self.make_map(n_question=0)

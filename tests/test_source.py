@@ -491,3 +491,42 @@ def test_the_cli_reads_only_flags_of_its_table():
         for name, (func, _, flags) in cli.COMMANDS.items()
     }
     assert undeclared == {name: [] for name in cli.COMMANDS}
+
+
+def readers_of(source: str, name: str) -> list[tuple[int, str]]:
+    """(line, top-level function or "") of each read of `name` in `source`,
+    bare or as an attribute."""
+    found = []
+    for top in ast.parse(source).body:
+        where = top.name if isinstance(top, ast.FunctionDef) else ""
+        found.extend(
+            (node.lineno, where)
+            for node in ast.walk(top)
+            if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name)
+        )
+    return sorted(found)
+
+
+def test_readers_detector_finds_bare_and_attribute_reads():
+    source = (
+        "from .alignment import screen_partition\n"
+        "import rcaudit.alignment as al\n"
+        "def plan(x):\n"
+        "    return screen_partition(x)\n"
+        "al.screen_partition(1)\n"
+        "screen = screen_partition\n"
+        "screen_partition_count = 1\n"
+    )
+    assert readers_of(source, "screen_partition") == [(4, "plan"), (5, ""), (6, "")]
+
+
+def test_only_the_planner_screens_partitions():
+    # One planner screens every original for `align`, generated pairs and
+    # ready-made ones alike; a second screen would fork its passes.
+    readers = {
+        (str(path.relative_to(PACKAGE_DIR)), where)
+        for path in sorted(PACKAGE_DIR.rglob("*.py"))
+        for _, where in readers_of(path.read_text(encoding="utf-8"), "screen_partition")
+    }
+    assert readers == {("alignment.py", "plan_audit")}
