@@ -13,6 +13,7 @@ oracles cheap to run against it.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -29,6 +30,15 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max()
     exp = np.exp(shifted)
     return exp / exp.sum()
+
+
+def _seed_words(digest: bytes) -> np.ndarray:
+    """The integer `digest` spells, big-endian, in the form SeedSequence
+    gives an int: uint32 words, least significant first, high zero words
+    dropped (one word for zero). Seeding with these words is seeding with
+    `int.from_bytes(digest, "big")`, without the conversion."""
+    n_words = max(1, -(-len(digest.lstrip(b"\0")) // 4))
+    return np.frombuffer(digest[::-1], dtype="<u4")[:n_words]
 
 
 class ReferenceToyModel(ModelGateway):
@@ -57,9 +67,9 @@ class ReferenceToyModel(ModelGateway):
                 grown[:row] = self._table
                 self._table = grown
             digest = hashlib.sha256(f"{self.seed}\x00{text}".encode("utf-8")).digest()
-            rng = np.random.default_rng(int.from_bytes(digest, "big"))
-            vec = rng.standard_normal(self.embedding_dim)
-            self._table[row] = vec / np.linalg.norm(vec)
+            vec = np.random.default_rng(_seed_words(digest)).standard_normal(self.embedding_dim)
+            # np.linalg.norm's own formula for a vector
+            self._table[row] = vec / math.sqrt(vec @ vec)
             self._rows[text] = row
         return row
 
@@ -94,30 +104,47 @@ class ReferenceToyModel(ModelGateway):
     def masked_start_scores(self, instance: RCInstance) -> np.ndarray:
         """Row k is predict(mask_word(instance, k)).start_scores, bit for bit.
 
-        A masked question word moves q_bar, so those rows are scored one at
-        a time on an embedding matrix whose row k holds the mask vector.
-        Masking context word k changes only logit k, so the context rows
-        are the unmasked logits with the masked logits on the diagonal,
-        normalized in place. Each logit is computed at the row position the
-        one-row-at-a-time product would use, so every row matches it."""
-        working = self.embed(instance)
+        Masking leaves the context embeddings alone, so every row shares
+        their product with M_s. A masked question word moves q_bar, so each
+        question row gets its own q_bar, the mean of a copy of the question
+        rows with row k masked. Masking context word k changes only logit
+        k, so the context rows are the unmasked logits with the masked
+        logits on the diagonal, each computed at the row position the
+        one-row-at-a-time product would use. A context row whose maximum is
+        the unmasked maximum is shifted by it, so those rows share one exp
+        of the unmasked logits and only their diagonal is exponentiated
+        apart; the row that masks the maximum, and any whose masked logit is
+        above it, are shifted and exponentiated alone. Every row is then
+        divided by its own sum, as softmax does."""
+        embeddings = self.embed(instance)
         mask = self.word_embedding(self.baseline_token)
         n_q = instance.n_question
-        rows = np.empty((len(working), instance.n_context))
-        for k in range(n_q):
-            word = working[k].copy()
-            working[k] = mask
-            rows[k] = self._distribution(working, n_q, self._m_start)
-            working[k] = word
-        q_bar = working[:n_q].mean(axis=0)
-        context_rows = rows[n_q:]
-        context_rows[:] = working[n_q:] @ self._m_start @ q_bar
-        mask_rows = np.empty_like(working[n_q:])
+        context_m = embeddings[n_q:] @ self._m_start
+        rows = np.empty((len(embeddings), instance.n_context))
+        variants = np.repeat(embeddings[None, :n_q], n_q, axis=0)
+        variants[range(n_q), range(n_q)] = mask
+        for k, q_bar in enumerate(variants.mean(axis=1)):
+            rows[k] = context_m @ q_bar
+        question_rows = rows[:n_q]
+        question_rows -= question_rows.max(axis=1, keepdims=True)
+        np.exp(question_rows, out=question_rows)
+        q_bar = embeddings[:n_q].mean(axis=0)
+        logits = context_m @ q_bar
+        mask_rows = np.empty_like(embeddings[n_q:])
         mask_rows[:] = mask
-        np.fill_diagonal(context_rows, mask_rows @ self._m_start @ q_bar)
-        context_rows -= context_rows.max(axis=1, keepdims=True)
-        np.exp(context_rows, out=context_rows)
-        context_rows /= context_rows.sum(axis=1, keepdims=True)
+        masked = mask_rows @ self._m_start @ q_bar
+        # Row k's maximum: the larger of its masked logit and the largest
+        # unmasked logit but logit k.
+        top = logits.argmax()
+        row_max = np.full_like(logits, logits[top])
+        row_max[top] = np.delete(logits, top).max(initial=-np.inf)
+        np.maximum(row_max, masked, out=row_max)
+        context_rows = rows[n_q:]
+        context_rows[:] = np.exp(logits - logits[top])
+        alone = np.flatnonzero(row_max != logits[top])
+        context_rows[alone] = np.exp(logits - row_max[alone, None])
+        np.fill_diagonal(context_rows, np.exp(masked - row_max))
+        rows /= rows.sum(axis=1, keepdims=True)
         return rows
 
     def _grad_parts(self, embeddings: np.ndarray, n_q: int, t: int):

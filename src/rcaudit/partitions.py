@@ -180,12 +180,12 @@ def random_partition(instance: RCInstance, seed: int) -> TokenPartition:
             f"{instance.id}: cannot draw {pos_size}+{neg_size} indices from {n} {scope}"
         )
     rng = np.random.default_rng(seed)
-    drawn = rng.permutation(n)[: pos_size + neg_size]
+    drawn = rng.permutation(n)[: pos_size + neg_size].tolist()
     return TokenPartition(
         instance_id=instance.id,
         scope=scope,
-        positive=frozenset(int(i) for i in drawn[:pos_size]),
-        negative=frozenset(int(i) for i in drawn[pos_size:]),
+        positive=frozenset(drawn[:pos_size]),
+        negative=frozenset(drawn[pos_size:]),
         skill_step="random",
     )
 

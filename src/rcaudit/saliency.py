@@ -93,7 +93,7 @@ def occlusion_saliency(gateway: ModelGateway, instance: RCInstance) -> SaliencyM
     anchor = int(np.argmax(original.start_scores))
     p0 = float(original.start_scores[anchor])
     rows = masked_start_scores(gateway, instance)
-    scores = [p0 - float(rows[k, anchor]) for k in range(len(rows))]
+    scores = (p0 - rows[:, anchor]).tolist()
     config = SaliencyConfig(method="occlusion")
     return SaliencyMap(
         instance_id=instance.id,

@@ -24,7 +24,7 @@ from rcaudit.gateway.base import (
 )
 from rcaudit.gateway.baselines import FrequencyBaselineModel, GoldOracleModel
 from rcaudit.gateway.scripted import ScriptedModel
-from rcaudit.gateway.toy import _INITIAL_TABLE_ROWS, ReferenceToyModel
+from rcaudit.gateway.toy import _INITIAL_TABLE_ROWS, ReferenceToyModel, _seed_words
 from rcaudit.masking import mask_all, mask_word
 from rcaudit.saliency import occlusion_saliency
 from rcaudit.synthetic import make_synthetic_corpus
@@ -250,6 +250,21 @@ class TestToyModel:
         emb = gateway.embed(inst)
         assert np.allclose(np.linalg.norm(emb, axis=1), 1.0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(digest=st.binary(min_size=32, max_size=32))
+    @example(digest=bytes(4) + bytes(range(1, 29)))
+    @example(digest=bytes(8) + bytes(range(1, 25)))
+    @example(digest=bytes(28) + bytes(range(1, 5)))
+    @example(digest=bytes(32))
+    @example(digest=b"\x01" + bytes(31))
+    def test_seed_words_seed_as_the_digests_integer(self, digest):
+        """The word vectors are seeded with the digest's uint32 words
+        instead of the integer it spells; the generator must not tell."""
+        want = np.random.default_rng(int.from_bytes(digest, "big"))
+        got = np.random.default_rng(_seed_words(digest))
+        assert got.bit_generator.state == want.bit_generator.state
+        assert got.standard_normal(64).tobytes() == want.standard_normal(64).tobytes()
+
 
 def stacked_masked_predictions(gateway, inst):
     """The definition of masked_start_scores: predict each masked variant."""
@@ -259,6 +274,14 @@ def stacked_masked_predictions(gateway, inst):
             for k in range(inst.n_question + inst.n_context)
         ]
     )
+
+
+def context_logits(gateway, inst):
+    """The unmasked context start logits and the mask token's logit."""
+    embeddings = gateway.embed(inst)
+    m_q = gateway._m_start @ embeddings[: inst.n_question].mean(axis=0)
+    mask = gateway.word_embedding(gateway.baseline_token)
+    return embeddings[inst.n_question :] @ m_q, mask @ m_q
 
 
 # Few words, so instances repeat them; "[MASK]" in text splits into three
@@ -325,6 +348,33 @@ class TestMaskedStartScores:
         assert np.array_equal(
             gateway.masked_start_scores(inst), stacked_masked_predictions(gateway, inst)
         )
+
+    @pytest.mark.parametrize("case", ["maximum-masked", "mask-above-all", "one-context-word"])
+    def test_rows_normalized_alone_equal_masked_predictions(self, case):
+        """Context rows whose maximum is the unmasked maximum share one exp
+        of the unmasked logits; the others are exponentiated alone: the row
+        that masks the largest logit, every row when the mask's logit is
+        above all unmasked ones, and the only row of a one-word context.
+        Each case seeks a model seed that gives it."""
+        sentences = ["Lin"] if case == "one-context-word" else ["Ada wrote the older 1901 ."]
+        inst = build_instance("ms-2", "Who wrote ?", sentences, gold=(0, sentences[0].split()[0]))
+        assert (inst.n_context == 1) == (case == "one-context-word")
+        for seed in range(200):
+            gateway = ReferenceToyModel(seed=seed)
+            unmasked, masked = context_logits(gateway, inst)
+            ordered = np.sort(unmasked)[::-1]
+            if case == "maximum-masked":
+                found = ordered[0] - max(ordered[1], masked) > 1e-6
+            elif case == "mask-above-all":
+                found = masked - ordered[0] > 1e-6
+            else:
+                found = True
+            if found:
+                break
+        else:
+            pytest.fail(f"no model seed below 200 gives the case {case}")
+        rows = gateway.masked_start_scores(inst)
+        assert np.array_equal(rows, stacked_masked_predictions(gateway, inst))
 
     def test_default_rows_are_masked_predictions(self, corpus, tmp_path):
         inst = corpus[0]
