@@ -27,6 +27,7 @@ from .partitions import (
     build_skill_partition,
     comparison_side_sizes,
     random_partition,
+    random_sizes,
     seed_for,
 )
 from .saliency import SaliencyCache, SaliencyConfig, SaliencyMap, compute_saliency, scope_scores
@@ -351,8 +352,10 @@ def calibrate(
     total = 0
     for instance in instances:
         saliency = compute_saliency(gateway, instance, config)
+        sizes = random_sizes(instance)
         for draw in range(n_partitions):
-            partition = random_partition(instance, seed=seed_for(seed, instance.id, draw))
+            draw_seed = seed_for(seed, instance.id, draw)
+            partition = random_partition(instance, seed=draw_seed, sizes=sizes)
             result = partition_test(saliency, partition, alpha)
             significant += int(result.significant)
             total += 1

@@ -7,6 +7,10 @@ only the flags it reads (`COMMANDS`, over the one flag table `FLAGS`). A
 key-value config file can preload any flag, and each command takes from it
 the flags it reads; explicit flags win.
 
+A command line is read straight from those two tables (`read_command_line`);
+argparse's parsers (`build_parser`) are built only for a line that reader
+leaves to them: `--help`, and a line argparse refuses or reads its own way.
+
 Exit codes: 0 success, 2 input error, 3 missing model capability, 4 internal
 error. A command line argparse refuses (a flag spelled in part included)
 exits 2, and `--help` exits 0; `main` returns these codes, as it does every
@@ -15,14 +19,15 @@ other, instead of raising `SystemExit`.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Sequence
 
+from . import read_options
 from .alignment import (
     AlignmentReport,
     alignment_csv,
@@ -52,6 +57,9 @@ from .metrics import macro_average, score_answer
 from .saliency import SaliencyCache, SaliencyConfig
 from .synthetic import make_synthetic_corpus
 from .types import RCInstance
+
+if TYPE_CHECKING:
+    import argparse
 
 METHOD_ALIASES = {"occlusion": "occlusion", "ig": "integrated_gradients"}
 
@@ -109,7 +117,7 @@ def _add_flags(parser: argparse.ArgumentParser, dests, defaults: dict) -> dict:
     for dest in dests:
         kind, default, help_text = FLAGS[dest]
         actions[dest] = parser.add_argument(
-            "--" + dest.replace("_", "-"), dest=dest, type=kind,
+            _option(dest), dest=dest, type=kind,
             default=defaults.get(dest, default), help=help_text,
         )
     return actions
@@ -118,6 +126,8 @@ def _add_flags(parser: argparse.ArgumentParser, dests, defaults: dict) -> dict:
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     """The parser of every command, each taking only the flags it reads;
     `defaults` (from a config file) replace the flags' own defaults."""
+    import argparse
+
     # Each flag's action is made once and shared by the parsers that take
     # it, as `parents=` shares a parent parser's actions.
     actions = _add_flags(argparse.ArgumentParser(add_help=False), FLAGS, defaults or {})
@@ -450,6 +460,50 @@ COMMANDS = {
 }
 
 
+def _option(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def read_command_line(argv: Sequence[str]) -> SimpleNamespace | None:
+    """What `build_parser(defaults).parse_args(argv)` returns, with
+    `defaults` read from the last --config, read from the tables alone; or
+    None for any line but `[--config PATH] COMMAND` followed by --name VALUE
+    pairs of flags the command takes (`read_options`). As with argparse, a
+    --config before the command gives defaults only: `args.config` is set
+    by one after it."""
+    start = 0
+    while start < len(argv) and argv[start].startswith("-"):
+        start += 1 if "=" in argv[start] else 2
+    head = read_options(argv[:start], {"--config": ("config", str)})
+    if head is None or start >= len(argv) or argv[start] not in COMMANDS:
+        return None
+    command = argv[start]
+    func, _, flags = COMMANDS[command]
+    options = {_option(dest): (dest, FLAGS[dest][0]) for dest in flags}
+    given = read_options(argv[start + 1:], options)
+    if given is None:
+        return None
+    config = given.get("config", head.get("config"))
+    defaults = read_config(config) if config else {}
+    values = {dest: defaults.get(dest, FLAGS[dest][1]) for dest in flags}
+    return SimpleNamespace(command=command, func=func, **{**values, **given})
+
+
+def _parse_args(argv: list[str]):
+    """build_parser's reading of `argv`, with the defaults of the config file
+    that argparse finds in it; SystemExit once argparse has printed the help,
+    or its usage and error."""
+    import argparse
+
+    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
+    _add_flags(pre, ["config"], {})
+    try:
+        config = pre.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:  # a bare --config, refused below in rcaudit's words
+        config = None
+    return build_parser(read_config(config) if config else None).parse_args(argv)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     # A command's data holds no reference cycles: reference counting frees all
     # of it, and the cycle collector would only walk the live heap for nothing.
@@ -458,16 +512,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
-        _add_flags(pre, ["config"], {})
-        try:
-            config = pre.parse_known_args(argv)[0].config
-        except argparse.ArgumentError:  # a bare --config, refused below in rcaudit's words
-            config = None
-        try:
-            args = build_parser(read_config(config) if config else None).parse_args(argv)
-        except SystemExit as exc:  # argparse has printed the help, or its usage and error
-            return exc.code
+        args = read_command_line(argv)
+        if args is None:
+            try:
+                args = _parse_args(argv)
+            except SystemExit as exc:
+                return exc.code
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -160,9 +160,10 @@ def answer_span(instance: RCInstance, token_start: int, token_end: int) -> Answe
 def _check_rows(instance: RCInstance, rows: np.ndarray, label: str) -> None:
     """Each row of `rows` (its last axis) lies in [0, 1], so NaN fails, and
     sums to 1 within 1e-6; `label.format(k)` names row k in the error."""
-    in_range = (rows >= 0) & (rows <= 1)
-    if not in_range.all():
-        k = np.argmin(in_range.all(axis=-1))
+    # One min and one max decide (a NaN fails both); the row is found only
+    # when one fails.
+    if rows.size and not (rows.min() >= 0 and rows.max() <= 1):
+        k = np.argmin(((rows >= 0) & (rows <= 1)).all(axis=-1))
         raise GatewayError(f"{instance.id}: {label.format(k)} outside [0,1]")
     sums = rows.sum(axis=-1)
     off = np.abs(sums - 1.0) > 1e-6

@@ -38,7 +38,6 @@ base64) instead of a decimal string each.
 
 from __future__ import annotations
 
-import argparse
 import base64
 import binascii
 import json
@@ -48,6 +47,7 @@ from typing import IO
 
 import numpy as np
 
+from .. import read_options
 from ..corpus.schema import instance_from_dict, span_to_dict
 from ..errors import CapabilityError, GatewayError, InputError
 from .base import ModelGateway
@@ -169,18 +169,31 @@ def serve_tcp(gateway: ModelGateway, port: int, host: str = "127.0.0.1") -> None
                 serve_stream(gateway, rfile, wfile)
 
 
-def main(argv: list[str] | None = None) -> int:
-    from . import build_gateway
+def _parse_args(argv: list[str] | None):
+    """argparse's reading of the command line; SystemExit once it has
+    printed the help, or its usage and error."""
+    import argparse
 
     parser = argparse.ArgumentParser(
         prog="rcaudit.gateway.remote", description="Serve a model gateway over stdio or TCP."
     )
     parser.add_argument("--model", required=True, help="gateway spec, e.g. toy:7")
     parser.add_argument("--tcp", type=int, default=None, help="listen on 127.0.0.1:PORT")
-    args = parser.parse_args(argv)
-    gateway = build_gateway(args.model)
-    if args.tcp is not None:
-        serve_tcp(gateway, args.tcp)
+    return vars(parser.parse_args(argv))
+
+
+def main(argv: list[str] | None = None) -> int:
+    from . import build_gateway
+
+    # `--model SPEC [--tcp PORT]` is read without argparse; any other line,
+    # --help included, is left to it.
+    args = read_options(sys.argv[1:] if argv is None else argv,
+                        {"--model": ("model", str), "--tcp": ("tcp", int)})
+    if args is None or "model" not in args:
+        args = _parse_args(argv)
+    gateway = build_gateway(args["model"])
+    if args.get("tcp") is not None:
+        serve_tcp(gateway, args["tcp"])
     else:
         serve_stream(gateway, sys.stdin, sys.stdout)
     return 0

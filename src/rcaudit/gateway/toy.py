@@ -82,7 +82,10 @@ class ReferenceToyModel(ModelGateway):
         words = instance.question_words + instance.context_words
         # Rows first: adding a word may replace the table. Fancy indexing
         # copies, so callers may write into the result.
-        rows = [self._row(w) for w in words]
+        known = self._rows.get
+        rows = [known(w) for w in words]
+        if None in rows:
+            rows = [self._row(w) for w in words]
         return self._table[rows]
 
     def _distribution(self, embeddings: np.ndarray, n_question: int, matrix: np.ndarray):

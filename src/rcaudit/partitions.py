@@ -159,13 +159,12 @@ def build_skill_partition(instance: RCInstance) -> TokenPartition:
     raise InputError(f"{instance.id}: no partition defined for skill {instance.skill!r}")
 
 
-def random_partition(instance: RCInstance, seed: int) -> TokenPartition:
-    """Uniform disjoint index sets in the instance's skill scope; seeded.
-
-    Sizes are the instance's own skill-partition sizes so calibration draws
-    are size-matched; instances without a usable skill partition fall back
-    to a MIN_SIDE / rest split. Sizes below MIN_SIDE are clamped up to it.
-    """
+def random_sizes(instance: RCInstance) -> tuple[Scope, int, int, int]:
+    """The scope a random partition of `instance` is drawn in, its number of
+    words, and the sizes of the two sides: the instance's own
+    skill-partition sizes, so that calibration draws are size-matched, or a
+    MIN_SIDE / rest split for an instance without a usable skill partition;
+    a size below MIN_SIDE is clamped up to it."""
     scope: Scope = "context_tokens" if instance.skill == "coreference" else "question_tokens"
     n = scope_size(instance, scope)
     try:
@@ -173,8 +172,16 @@ def random_partition(instance: RCInstance, seed: int) -> TokenPartition:
         pos_size, neg_size = len(skill.positive), len(skill.negative)
     except InputError:
         pos_size, neg_size = MIN_SIDE, n - MIN_SIDE
-    pos_size = max(MIN_SIDE, pos_size)
-    neg_size = max(MIN_SIDE, neg_size)
+    return scope, n, max(MIN_SIDE, pos_size), max(MIN_SIDE, neg_size)
+
+
+def random_partition(
+    instance: RCInstance, seed: int, sizes: tuple[Scope, int, int, int] | None = None
+) -> TokenPartition:
+    """Uniform disjoint index sets of `random_sizes(instance)` (or `sizes`,
+    its value, for a caller that draws from one instance many times) in the
+    instance's skill scope; seeded."""
+    scope, n, pos_size, neg_size = sizes or random_sizes(instance)
     if pos_size + neg_size > n:
         raise InputError(
             f"{instance.id}: cannot draw {pos_size}+{neg_size} indices from {n} {scope}"

@@ -14,6 +14,7 @@ from scipy import stats
 from scipy.special import stdtr
 
 import rcaudit.alignment as alignment_module
+import rcaudit.partitions as partitions_module
 from conftest import build_instance
 from oracle_helpers import oracle_welch
 from rcaudit.alignment import (
@@ -549,6 +550,22 @@ class TestCalibration:
         a = calibrate(instances, gateway, config, n_partitions=2, seed=1).rate
         b = calibrate(instances, gateway, config, n_partitions=2, seed=1).rate
         assert a == b
+
+    def test_each_instance_is_sized_once_for_all_its_draws(self, corpus, monkeypatch):
+        built: list[str] = []
+        build = partitions_module.build_skill_partition
+
+        def counted(instance):
+            built.append(instance.id)
+            return build(instance)
+
+        instances = corpus[:6]
+        config = SaliencyConfig(method="occlusion")
+        expected = calibrate(instances, build_gateway("toy:7"), config, n_partitions=4, seed=5)
+        monkeypatch.setattr(partitions_module, "build_skill_partition", counted)
+        report = calibrate(instances, build_gateway("toy:7"), config, n_partitions=4, seed=5)
+        assert built == [inst.id for inst in instances]
+        assert report == expected
 
     def test_validation(self, corpus):
         gateway = build_gateway("toy:7")

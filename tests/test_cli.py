@@ -2,18 +2,24 @@
 
 from __future__ import annotations
 
+import argparse
 import gc
 import hashlib
+import io
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rcaudit.cli as cli_module
 import rcaudit.counterfactuals as cf_module
@@ -1426,3 +1432,119 @@ class TestCycleCollector:
             assert proc.returncode == 0, proc.stderr
             unreachable.append(int(proc.stdout.split()[-1]))
         assert unreachable[0] == unreachable[1]
+
+
+# Value tokens for generated command lines: well typed for some flags and
+# not for others, negative numbers, and tokens argparse reads as options.
+VALUE_TOKENS = ["3", "0.5", "x", "toy:7", "", "a b", "a=b", "-3", "-0.5", "-.5", "-1e3",
+                "-x", "-", "--", "--out"]
+# Names that are no flag of any command: spelled in part, help, the end mark.
+NOT_A_FLAG = ["--sum", "--n", "--conf", "--ig_steps", "--help", "-h", "--"]
+
+
+@pytest.fixture(scope="module")
+def config_files(tmp_path_factory) -> list[str]:
+    folder = tmp_path_factory.mktemp("configs")
+    settings_file, empty = folder / "settings.cfg", folder / "empty.cfg"
+    settings_file.write_text("seed = 11\nalpha = 0.1\nmodel = toy:3\nstrategy = position\n"
+                             "ig-steps = 8\nn-partitions = 4\nout = from-config\n")
+    empty.write_text("# nothing set\n")
+    return [str(settings_file), str(empty)]
+
+
+@st.composite
+def command_lines(draw, configs: list[str]) -> list[str]:
+    """Command lines around one command: `--config` pairs before and after
+    it, and any order, subset or repeat of flags, its own or not, in both
+    forms, with values of every kind; now and then help or no command."""
+    def pair(name: str) -> list[str]:
+        if name == "--config":
+            value = draw(st.sampled_from(configs))
+        else:
+            value = draw(st.sampled_from(VALUE_TOKENS))
+        return [f"{name}={value}"] if draw(st.booleans()) else [name, value]
+
+    command = draw(st.sampled_from([*cli_module.COMMANDS, "nope"]))
+    every = [cli_module._option(dest) for dest in cli_module.FLAGS]
+    own = [cli_module._option(dest) for dest in READS.get(command, ())]
+    names = draw(st.lists(st.sampled_from(own or every) | st.sampled_from(every + NOT_A_FLAG),
+                          max_size=8))
+    head = [token for _ in range(draw(st.integers(0, 2))) for token in pair("--config")]
+    body = [token for name in names for token in pair(name)]
+    if draw(st.integers(0, 9)) == 0:
+        body.insert(draw(st.integers(0, len(body))), draw(st.sampled_from(["-h", "--help"])))
+    return head + ([command] if draw(st.integers(0, 9)) else []) + body
+
+
+def last_config(argv: list[str]) -> str | None:
+    """The value of the last --config flag in a line the reader took."""
+    found = None
+    for token, after in zip(argv, argv[1:] + [None]):
+        if token == "--config":
+            found = after
+        elif token.startswith("--config="):
+            found = token.partition("=")[2]
+    return found
+
+
+class TestCommandLineReader:
+    """`read_command_line` reads a line exactly as argparse would, or leaves
+    it to argparse."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=st.data())
+    def test_it_declines_or_agrees_with_argparse(self, config_files, case):
+        argv = case.draw(command_lines(config_files))
+        args = cli_module.read_command_line(argv)
+        if args is None:
+            return
+        config = last_config(argv)
+        parser = cli_module.build_parser(read_config(config) if config else None)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            parsed = parser.parse_args(argv)
+        assert vars(args) == vars(parsed)
+
+    @pytest.mark.parametrize("equals", [False, True], ids=["space", "equals"])
+    @pytest.mark.parametrize("command", list(cli_module.COMMANDS))
+    def test_every_flag_a_command_reads_is_read(self, config_files, command, equals):
+        flags = cli_module.COMMANDS[command][2]
+        argv = ["--config", config_files[0], command]
+        for dest in flags:
+            kind = cli_module.FLAGS[dest][0]
+            value = config_files[1] if dest == "config" else FLAG_VALUES[kind]
+            if kind is not str:  # a negative number is a value, not an option
+                value = "-" + value
+            option = cli_module._option(dest)
+            argv += [f"{option}={value}"] if equals else [option, value]
+        args = cli_module.read_command_line(argv)
+        assert args is not None
+        parsed = cli_module.build_parser(read_config(config_files[1])).parse_args(argv)
+        assert vars(args) == vars(parsed)
+        assert args.config == config_files[1]
+
+    def test_a_config_before_the_command_sets_defaults_only(self, config_files):
+        args = cli_module.read_command_line(["--config", config_files[0], "heuristic"])
+        assert args.config is None and args.strategy == "position" and args.seed == 11
+
+
+def benchmark_shapes(tmp_path) -> list[list[str]]:
+    """The command lines of the benchmark's three workloads, on small inputs:
+    occlusion calibration, IG through a `remote:` server, occlusion align."""
+    server = f"{shlex.quote(sys.executable)} -m rcaudit.gateway.remote --model toy:7"
+    return [
+        ["calibrate", "--dataset", "synthetic:6", "--method", "occlusion", "--n-partitions", "3",
+         "--model", "toy:7", "--seed", "5", "--out", str(tmp_path / "calibrate")],
+        ["align", "--dataset", "synthetic:6", "--method", "ig", "--ig-steps", "4",
+         "--model", f"remote:{server}", "--out", str(tmp_path / "ig")],
+        ["align", "--dataset", "synthetic:12", "--method", "occlusion", "--model", "toy:7",
+         "--out", str(tmp_path / "occlusion")],
+    ]
+
+
+def test_the_benchmark_command_lines_build_no_argparse_parser(tmp_path, monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("an argparse parser was built")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    for argv in benchmark_shapes(tmp_path):
+        assert main(argv) == 0, argv

@@ -38,6 +38,7 @@ from rcaudit.gateway.remote import (
     handle_request,
     serve_stream,
 )
+from rcaudit.gateway.remote import main as remote_main
 from rcaudit.gateway.remote_client import RemoteGateway
 from rcaudit.gateway.toy import ReferenceToyModel
 from rcaudit.metrics import exact_match
@@ -350,6 +351,34 @@ class TestServerImports:
         bare, _ = loaded_modules("pass")
         for client_only in ("socket", "subprocess"):
             assert client_only not in modules or client_only in bare
+
+    @pytest.mark.parametrize("argv", [
+        ["--model", TOY_SPEC],
+        [f"--model={TOY_SPEC}"],
+        ["--model", "toy:1", "--model", TOY_SPEC],
+    ], ids=["space", "equals", "repeat"])
+    def test_a_valid_command_line_loads_no_argparse(self, argv):
+        modules, replies = loaded_modules(
+            f"import rcaudit.gateway.remote as remote\nremote.main({argv!r})",
+            json.dumps({"op": "info"}) + "\n",
+        )
+        assert json.loads(replies)["result"]["model_id"] == TOY_SPEC
+        assert "argparse" not in modules
+        assert {m for m in modules if m.partition(".")[0] == "rcaudit"} == TOY_SERVER_MODULES
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: --model"),
+        (["--model", TOY_SPEC, "--tcp", "x"], "argument --tcp: invalid int value: 'x'"),
+        (["--model"], "argument --model: expected one argument"),
+        (["--model", TOY_SPEC, "--port", "1"], "unrecognized arguments: --port 1"),
+    ], ids=["no-model", "bad-port", "bare-model", "unknown-flag"])
+    def test_argparse_refuses_any_other_line(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as refused:
+            remote_main(argv)
+        assert refused.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: rcaudit.gateway.remote [-h] --model MODEL [--tcp TCP]\n")
+        assert err.endswith(f"rcaudit.gateway.remote: error: {message}\n")
 
 
 def checked_ops() -> list[str]:
