@@ -174,8 +174,11 @@ def _parse_args(argv: list[str] | None):
     printed the help, or its usage and error."""
     import argparse
 
+    # Flags are spelled in full, as rcaudit's own commands require.
     parser = argparse.ArgumentParser(
-        prog="rcaudit.gateway.remote", description="Serve a model gateway over stdio or TCP."
+        prog="rcaudit.gateway.remote",
+        description="Serve a model gateway over stdio or TCP.",
+        allow_abbrev=False,
     )
     parser.add_argument("--model", required=True, help="gateway spec, e.g. toy:7")
     parser.add_argument("--tcp", type=int, default=None, help="listen on 127.0.0.1:PORT")

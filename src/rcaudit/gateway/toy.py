@@ -7,7 +7,9 @@ normalized with a softmax over context positions (end scores use a second
 matrix M_e). Because the form is bilinear, the exact gradient of any start
 probability with respect to every embedding coordinate is available in
 closed form, which is what makes finite-difference and integrated-gradients
-oracles cheap to run against it.
+oracles cheap to run against it. Integrated gradients walks its path in
+blocks of points, one batched pass per block, and gives the bits a sum
+taken one point at a time gives.
 """
 
 from __future__ import annotations
@@ -17,13 +19,16 @@ import math
 
 import numpy as np
 
-from ..masking import mask_all
 from ..types import RCInstance
 from .base import ModelGateway, ModelOutput, answer_span, decode_span
 
 DEFAULT_EMBEDDING_DIM = 16
 # Rows the word-embedding table starts with.
 _INITIAL_TABLE_ROWS = 64
+# Floats in one block of integrated-gradients path points (k points of an
+# (n, d) matrix, k at least 1): big enough that a short instance's path takes
+# a few blocks, small enough that the block's two buffers stay in cache.
+_BLOCK_FLOATS = 32768
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -150,21 +155,31 @@ class ReferenceToyModel(ModelGateway):
         rows /= rows.sum(axis=1, keepdims=True)
         return rows
 
-    def _grad_parts(self, embeddings: np.ndarray, n_q: int, t: int):
-        """(coeff, mq, q_grad): the derivative of the start probability at
-        context position t, evaluated at `embeddings`, is outer(coeff, mq)
-        on the context rows and q_grad on every question row."""
-        q_bar = embeddings[:n_q].mean(axis=0)
-        ctx = embeddings[n_q:]
-        p = softmax(ctx @ self._m_start @ q_bar)
-        mq = self._m_start @ q_bar
+    def _start_grads(self, points: np.ndarray, n_q: int, t: int, out: np.ndarray) -> None:
+        """Write into out[i] the derivative of the start probability at
+        context position t with respect to every coordinate of points[i],
+        for a (k, n, d) stack of embedding matrices. Every step is the
+        one-point formula run on each point (the same reductions over the
+        same rows, the same BLAS call per point), so a point's gradient has
+        the same bits in any block it is part of."""
+        m = self._m_start
+        ctx, ctx_grad = points[:, n_q:], out[:, n_q:]
+        q_bar = points[:, :n_q].mean(axis=1)[:, :, None]
+        # ctx M goes where the context rows' gradient will: written just
+        # before it is read, and overwritten once it has been.
+        p = (np.matmul(ctx, m, out=ctx_grad) @ q_bar)[:, :, 0]
+        p -= p.max(axis=1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=1, keepdims=True)
+        p_t = p[:, t, None]
         # Context rows: d p_t / d e_j = p_t (delta_tj - p_j) * (M q_bar).
-        coeff = -p[t] * p
-        coeff[t] += p[t]
+        coeff = -p_t * p
+        coeff[:, t] += p_t[:, 0]
+        np.multiply(coeff[:, :, None], (m @ q_bar).transpose(0, 2, 1), out=ctx_grad)
         # Question rows share one value: (p_t / n_q) M^T (e_t - sum_i p_i e_i).
-        weighted = p @ ctx
-        q_grad = (p[t] / n_q) * (self._m_start.T @ (ctx[t] - weighted))
-        return coeff, mq, q_grad
+        weighted = p[:, None, :] @ ctx
+        toward_t = ctx[:, t, :, None] - weighted.transpose(0, 2, 1)
+        out[:, :n_q] = ((p_t / n_q) * (m.T @ toward_t)[:, :, 0])[:, None, :]
 
     def grad_start(
         self, instance: RCInstance, embeddings: np.ndarray, target_position: int
@@ -172,28 +187,41 @@ class ReferenceToyModel(ModelGateway):
         """Exact derivative of the start probability at target_position with
         respect to every embedding coordinate, evaluated at `embeddings`
         (which need not be the instance's own embedding matrix)."""
-        n_q = instance.n_question
-        coeff, mq, q_grad = self._grad_parts(embeddings, n_q, target_position)
-        grad = np.zeros_like(embeddings)
-        grad[n_q:] = np.outer(coeff, mq)
-        grad[:n_q] = q_grad
-        return grad
+        grad = np.empty((1, *embeddings.shape))
+        self._start_grads(embeddings[None], instance.n_question, target_position, grad)
+        return grad[0]
 
     def integrated_gradients(
         self, instance: RCInstance, steps: int, target_position: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The right-endpoint path sum of grad_start, bit for bit, without a
-        gradient matrix per step: each step adds its context and question
-        rows into the sum in place."""
+        """The right-endpoint path sum of grad_start, bit for bit, in blocks
+        of k path points, k * n * d at most _BLOCK_FLOATS (k at least 1).
+        Each block's points and gradients are written into two buffers made
+        once per call, and its gradients are added into the sum one point
+        after another, in path order, as a point at a time would add them."""
         embeddings = self.embed(instance)
-        baseline = self.embed(mask_all(instance, self.baseline_token))
+        # embed(mask_all(instance, token)) without building the masked
+        # instance: the mask word's row, once per word.
+        mask = self.word_embedding(self.baseline_token)
+        baseline = np.repeat(mask[None], len(embeddings), axis=0)
         delta = embeddings - baseline
-        n_q = instance.n_question
+        k = max(1, min(steps, _BLOCK_FLOATS // delta.size))
+        points = np.empty((k, *delta.shape))
+        grads = np.empty_like(points)
         total = np.zeros_like(embeddings)
-        q_total, ctx_total = total[:n_q], total[n_q:]
-        for j in range(1, steps + 1):
-            point = baseline + (j / steps) * delta
-            coeff, mq, q_grad = self._grad_parts(point, n_q, target_position)
-            ctx_total += np.outer(coeff, mq)
-            q_total += q_grad
+        for first in range(1, steps + 1, k):
+            block = min(k, steps + 1 - first)
+            at, grad = points[:block], grads[:block]
+            fractions = np.arange(first, first + block) / steps
+            np.multiply(fractions[:, None, None], delta, out=at)
+            at += baseline
+            self._start_grads(at, instance.n_question, target_position, grad)
+            # A few long rows are added one call each; many short rows cost
+            # less as one reduction, which starts from the sum so far.
+            if k <= 4:
+                for row in grad:
+                    total += row
+            else:
+                grad[0] += total
+                grad.sum(axis=0, out=total)
         return embeddings, baseline, total

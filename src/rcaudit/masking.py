@@ -67,7 +67,7 @@ def mask_word(instance: RCInstance, position: int, mask_token: str = "[MASK]") -
     return _refresh_spans(replace(instance, context=tuple(context)))
 
 
-def mask_all(instance: RCInstance, mask_token: str = "[MASK]") -> RCInstance:
+def mask_all(instance: RCInstance, mask_token: str) -> RCInstance:
     """Replace every question and context word with the mask token."""
     context = tuple(
         _rebuilt_sentence(sent, [mask_token] * len(sent.words)) for sent in instance.context

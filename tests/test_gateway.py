@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,11 +26,16 @@ from rcaudit.gateway.base import (
 )
 from rcaudit.gateway.baselines import FrequencyBaselineModel, GoldOracleModel
 from rcaudit.gateway.scripted import ScriptedModel
-from rcaudit.gateway.toy import _INITIAL_TABLE_ROWS, ReferenceToyModel, _seed_words
+from rcaudit.gateway.toy import (
+    _BLOCK_FLOATS,
+    _INITIAL_TABLE_ROWS,
+    ReferenceToyModel,
+    _seed_words,
+)
 from rcaudit.masking import mask_all, mask_word
 from rcaudit.saliency import occlusion_saliency
 from rcaudit.synthetic import make_synthetic_corpus
-from rcaudit.text import spaced_starts
+from rcaudit.text import make_sentence, spaced_starts
 from rcaudit.types import AnswerSpan, RCInstance, Sentence
 
 from conftest import build_instance
@@ -74,6 +81,41 @@ def seeded_unit_vector(seed, text, dim):
 # A coarse grid makes tied pair scores common; the specials cover NaN, both
 # infinities (whose sum is NaN) and the signed zero.
 DECODE_VALUES = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, -1.0, np.nan, np.inf, -np.inf])
+
+
+def padded(inst: RCInstance, n_words: int) -> RCInstance:
+    """`inst` with fresh filler words appended in one sentence, so its
+    question plus context hold at least `n_words` words."""
+    extra = n_words - inst.n_question - inst.n_context
+    if extra < 1:
+        return inst
+    filler = make_sentence(" ".join(f"pad{i}" for i in range(extra)) + ".")
+    return replace(inst, context=(*inst.context, filler))
+
+
+def per_step_integrated_gradients(gateway: ReferenceToyModel, inst, steps, target):
+    """The toy model's path sum one point at a time, from its closed form:
+    with p = softmax(ctx M q_bar), context row j of the gradient of p_t is
+    p_t (delta_tj - p_j) M q_bar, and every question row is (p_t / n_q)
+    M^T (ctx_t - sum_i p_i ctx_i). Each point's gradient is added into the
+    sum in path order."""
+    m, n_q = gateway._m_start, inst.n_question
+    embeddings = gateway.embed(inst)
+    baseline = gateway.embed(mask_all(inst, gateway.baseline_token))
+    delta = embeddings - baseline
+    total = np.zeros_like(embeddings)
+    for j in range(1, steps + 1):
+        point = baseline + (j / steps) * delta
+        q_bar = point[:n_q].mean(axis=0)
+        ctx = point[n_q:]
+        logits = ctx @ m @ q_bar
+        exp = np.exp(logits - logits.max())
+        p = exp / exp.sum()
+        coeff = -p[target] * p
+        coeff[target] += p[target]
+        total[n_q:] += np.outer(coeff, m @ q_bar)
+        total[:n_q] += (p[target] / n_q) * (m.T @ (ctx[target] - p @ ctx))
+    return embeddings, baseline, total
 
 
 class TestDecode:
@@ -207,6 +249,56 @@ class TestToyModel:
         for have, want in zip(got, (embeddings, baseline, total)):
             assert have.shape == want.shape
             assert have.tobytes() == want.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        dim=st.integers(1, 33),
+        instance_seed=st.integers(0, 50),
+        one_per_block=st.booleans(),
+        steps_from_block=st.sampled_from([-1, 0, 1, None]),
+        target_seed=st.integers(0, 2**16),
+    )
+    @example(seed=1, dim=33, instance_seed=0, one_per_block=True, steps_from_block=None,
+             target_seed=5)
+    @example(seed=2, dim=1, instance_seed=3, one_per_block=False, steps_from_block=1,
+             target_seed=0)
+    @example(seed=3, dim=16, instance_seed=4, one_per_block=False, steps_from_block=-1,
+             target_seed=9)
+    def test_integrated_gradients_equals_the_per_step_formula(
+        self, seed, dim, instance_seed, one_per_block, steps_from_block, target_seed
+    ):
+        # A block holds k points; steps of k - 1, k and k + 1 end the path
+        # inside, at and just past a block's end, and 256 is the default.
+        inst = make_synthetic_corpus(1, seed=instance_seed)[0]
+        if one_per_block:
+            inst = padded(inst, _BLOCK_FLOATS // (2 * dim) + 1)
+        k = max(1, _BLOCK_FLOATS // ((inst.n_question + inst.n_context) * dim))
+        assert (k == 1) == one_per_block
+        steps = 256 if steps_from_block is None else max(1, k + steps_from_block)
+        target = target_seed % inst.n_context
+        gateway = ReferenceToyModel(seed=seed, embedding_dim=dim)
+        want = per_step_integrated_gradients(gateway, inst, steps, target)
+        got = gateway.integrated_gradients(inst, steps, target)
+        for have, expected in zip(got, want):
+            assert have.shape == expected.shape
+            assert have.tobytes() == expected.tobytes()
+
+    def test_integrated_gradients_holds_one_block_of_points(self):
+        # Past _BLOCK_FLOATS a block is one point; the path is never stacked.
+        dim = 64
+        inst = padded(make_synthetic_corpus(1, seed=2)[0], _BLOCK_FLOATS // dim + 1)
+        n_floats = (inst.n_question + inst.n_context) * dim
+        assert n_floats > _BLOCK_FLOATS
+        gateway = ReferenceToyModel(seed=3, embedding_dim=dim)
+        gateway.integrated_gradients(inst, 1, 0)  # every word's row drawn first
+        tracemalloc.start()
+        try:
+            gateway.integrated_gradients(inst, 256, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 8 * n_floats
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -312,8 +312,6 @@ TOY_SERVER_MODULES = {
     "rcaudit.types",
     "rcaudit.gateway",
     "rcaudit.gateway.base",
-    "rcaudit.masking",
-    "rcaudit.text",
     "rcaudit.gateway.toy",
     "rcaudit.gateway.remote",
     "rcaudit.corpus",
@@ -379,6 +377,18 @@ class TestServerImports:
         err = capsys.readouterr().err
         assert err.startswith("usage: rcaudit.gateway.remote [-h] --model MODEL [--tcp TCP]\n")
         assert err.endswith(f"rcaudit.gateway.remote: error: {message}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--mod", "toy:3"], "the following arguments are required: --model"),
+        (["--model", "toy:3", "--tc", "5"], "unrecognized arguments: --tc 5"),
+    ], ids=["model", "tcp"])
+    def test_a_flag_spelled_in_part_is_refused(self, argv, message):
+        done = subprocess.run(
+            [sys.executable, "-m", "rcaudit.gateway.remote", *argv],
+            input=json.dumps({"op": "info"}) + "\n", capture_output=True, text=True, timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.endswith(f"rcaudit.gateway.remote: error: {message}\n")
 
 
 def checked_ops() -> list[str]:
