@@ -18,6 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from ..errors import CapabilityError, GatewayError, InputError
+from ..masking import mask_word
 from ..types import AnswerSpan, RCInstance
 
 DEFAULT_MAX_ANSWER_LEN = 30
@@ -64,10 +65,7 @@ class ModelGateway(ABC):
         context words) replaced by `baseline_token`, stacked to shape
         (n_question + n_context, n_context). This default predicts each
         masked variant; gateways that can score them in one pass (or one
-        round trip) override it. Masking is imported here, so a server for
-        a gateway that overrides this never loads it."""
-        from ..masking import mask_word
-
+        round trip) override it."""
         return np.stack(
             [
                 self.predict(mask_word(instance, k, self.baseline_token)).start_scores

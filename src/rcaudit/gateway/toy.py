@@ -158,16 +158,20 @@ class ReferenceToyModel(ModelGateway):
     def _start_grads(self, points: np.ndarray, n_q: int, t: int, out: np.ndarray) -> None:
         """Write into out[i] the derivative of the start probability at
         context position t with respect to every coordinate of points[i],
-        for a (k, n, d) stack of embedding matrices. Every step is the
-        one-point formula run on each point (the same reductions over the
-        same rows, the same BLAS call per point), so a point's gradient has
-        the same bits in any block it is part of."""
+        transposed, for a (k, n, d) stack of embedding matrices; `out` is
+        (k, d, n), so the context rows' outer product is written as d rows
+        of n_c values, not n_c rows of d. Every step is the one-point
+        formula run on each point (the same reductions over the same rows,
+        the same BLAS call per point), so a point's gradient has the same
+        bits in any block it is part of."""
         m = self._m_start
-        ctx, ctx_grad = points[:, n_q:], out[:, n_q:]
-        q_bar = points[:, :n_q].mean(axis=1)[:, :, None]
-        # ctx M goes where the context rows' gradient will: written just
+        k, n, d = points.shape
+        ctx = points[:, n_q:]
+        # ctx M goes into the memory of each point's gradient: written just
         # before it is read, and overwritten once it has been.
-        p = (np.matmul(ctx, m, out=ctx_grad) @ q_bar)[:, :, 0]
+        ctx_m = out.reshape(k, n * d)[:, : (n - n_q) * d].reshape(k, n - n_q, d)
+        q_bar = points[:, :n_q].mean(axis=1)[:, :, None]
+        p = (np.matmul(ctx, m, out=ctx_m) @ q_bar)[:, :, 0]
         p -= p.max(axis=1, keepdims=True)
         np.exp(p, out=p)
         p /= p.sum(axis=1, keepdims=True)
@@ -175,11 +179,21 @@ class ReferenceToyModel(ModelGateway):
         # Context rows: d p_t / d e_j = p_t (delta_tj - p_j) * (M q_bar).
         coeff = -p_t * p
         coeff[:, t] += p_t[:, 0]
-        np.multiply(coeff[:, :, None], (m @ q_bar).transpose(0, 2, 1), out=ctx_grad)
+        # Each row of the product is one row of coeff times a number. numpy
+        # passes rows shorter than its ufunc buffer (8192 values by default)
+        # through that buffer, which made this product 3-4 times slower on
+        # rows of 800-2000 values (numpy 2.4); with a 16-value buffer the
+        # rows are multiplied where they lie. Products have no rounding
+        # order, so the bits do not depend on it.
+        bufsize = np.setbufsize(16)
+        try:
+            np.multiply(m @ q_bar, coeff[:, None, :], out=out[:, :, n_q:])
+        finally:
+            np.setbufsize(bufsize)
         # Question rows share one value: (p_t / n_q) M^T (e_t - sum_i p_i e_i).
         weighted = p[:, None, :] @ ctx
         toward_t = ctx[:, t, :, None] - weighted.transpose(0, 2, 1)
-        out[:, :n_q] = ((p_t / n_q) * (m.T @ toward_t)[:, :, 0])[:, None, :]
+        out[:, :, :n_q] = (p_t[:, :, None] / n_q) * (m.T @ toward_t)
 
     def grad_start(
         self, instance: RCInstance, embeddings: np.ndarray, target_position: int
@@ -187,9 +201,9 @@ class ReferenceToyModel(ModelGateway):
         """Exact derivative of the start probability at target_position with
         respect to every embedding coordinate, evaluated at `embeddings`
         (which need not be the instance's own embedding matrix)."""
-        grad = np.empty((1, *embeddings.shape))
+        grad = np.empty((1, *embeddings.shape[::-1]))
         self._start_grads(embeddings[None], instance.n_question, target_position, grad)
-        return grad[0]
+        return grad[0].T.copy()
 
     def integrated_gradients(
         self, instance: RCInstance, steps: int, target_position: int
@@ -197,31 +211,28 @@ class ReferenceToyModel(ModelGateway):
         """The right-endpoint path sum of grad_start, bit for bit, in blocks
         of k path points, k * n * d at most _BLOCK_FLOATS (k at least 1).
         Each block's points and gradients are written into two buffers made
-        once per call, and its gradients are added into the sum one point
-        after another, in path order, as a point at a time would add them."""
+        once per call, and each gradient is added into the sum in path
+        order, as a point at a time would add it. The sum is kept
+        transposed, as the kernel writes gradients, and turned once."""
         embeddings = self.embed(instance)
         # embed(mask_all(instance, token)) without building the masked
         # instance: the mask word's row, once per word.
         mask = self.word_embedding(self.baseline_token)
         baseline = np.repeat(mask[None], len(embeddings), axis=0)
         delta = embeddings - baseline
+        n, d = delta.shape
+        n_q = instance.n_question
         k = max(1, min(steps, _BLOCK_FLOATS // delta.size))
-        points = np.empty((k, *delta.shape))
-        grads = np.empty_like(points)
-        total = np.zeros_like(embeddings)
-        for first in range(1, steps + 1, k):
-            block = min(k, steps + 1 - first)
-            at, grad = points[:block], grads[:block]
-            fractions = np.arange(first, first + block) / steps
-            np.multiply(fractions[:, None, None], delta, out=at)
+        points = np.empty((k, n, d))
+        grads = np.empty((k, d, n))
+        total = np.zeros((d, n))
+        fractions = np.arange(1, steps + 1) / steps
+        for first in range(0, steps, k):
+            block = fractions[first : first + k, None, None]
+            at, grad = points[: len(block)], grads[: len(block)]
+            np.multiply(block, delta, out=at)
             at += baseline
-            self._start_grads(at, instance.n_question, target_position, grad)
-            # A few long rows are added one call each; many short rows cost
-            # less as one reduction, which starts from the sum so far.
-            if k <= 4:
-                for row in grad:
-                    total += row
-            else:
-                grad[0] += total
-                grad.sum(axis=0, out=total)
-        return embeddings, baseline, total
+            self._start_grads(at, n_q, target_position, grad)
+            for row in grad:
+                total += row
+        return embeddings, baseline, total.T.copy()

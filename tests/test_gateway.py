@@ -279,7 +279,9 @@ class TestToyModel:
         target = target_seed % inst.n_context
         gateway = ReferenceToyModel(seed=seed, embedding_dim=dim)
         want = per_step_integrated_gradients(gateway, inst, steps, target)
+        bufsize = np.getbufsize()
         got = gateway.integrated_gradients(inst, steps, target)
+        assert np.getbufsize() == bufsize  # the kernel's smaller buffer is put back
         for have, expected in zip(got, want):
             assert have.shape == expected.shape
             assert have.tobytes() == expected.tobytes()

@@ -312,6 +312,8 @@ TOY_SERVER_MODULES = {
     "rcaudit.types",
     "rcaudit.gateway",
     "rcaudit.gateway.base",
+    "rcaudit.masking",
+    "rcaudit.text",
     "rcaudit.gateway.toy",
     "rcaudit.gateway.remote",
     "rcaudit.corpus",
