@@ -7,14 +7,14 @@ only the flags it reads (`COMMANDS`, over the one flag table `FLAGS`). A
 key-value config file can preload any flag, and each command takes from it
 the flags it reads; explicit flags win.
 
-A command line is read straight from those two tables (`read_command_line`);
-argparse's parsers (`build_parser`) are built only for a line that reader
-leaves to them: `--help`, and a line argparse refuses or reads its own way.
+A command line is read from those two tables alone (`read_command_line`,
+over `rcaudit.read_options`), in argparse's order and words; `--help` is
+laid out from them too.
 
 Exit codes: 0 success, 2 input error, 3 missing model capability, 4 internal
-error. A command line argparse refuses (a flag spelled in part included)
-exits 2, and `--help` exits 0; `main` returns these codes, as it does every
-other, instead of raising `SystemExit`.
+error. A refused command line (a flag spelled in part included) exits 2,
+and `--help` exits 0; `main` returns these codes, as it does every other,
+instead of raising `SystemExit`.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ import sys
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
-from . import read_options
+from . import UsageExit, read_options, usage_exit
 from .alignment import (
     AlignmentReport,
     alignment_csv,
@@ -57,9 +57,6 @@ from .metrics import macro_average, score_answer
 from .saliency import SaliencyCache, SaliencyConfig
 from .synthetic import make_synthetic_corpus
 from .types import RCInstance
-
-if TYPE_CHECKING:
-    import argparse
 
 METHOD_ALIASES = {"occlusion": "occlusion", "ig": "integrated_gradients"}
 
@@ -108,43 +105,6 @@ def read_config(path: str | Path) -> dict:
         except ValueError:
             raise InputError(f"{config_path}:{line_no}: bad value for {key}: {value!r}")
     return values
-
-
-def _add_flags(parser: argparse.ArgumentParser, dests, defaults: dict) -> dict:
-    """Add the flags `dests` to `parser`, with `defaults` (from a config
-    file) over their own; their actions, by dest."""
-    actions = {}
-    for dest in dests:
-        kind, default, help_text = FLAGS[dest]
-        actions[dest] = parser.add_argument(
-            _option(dest), dest=dest, type=kind,
-            default=defaults.get(dest, default), help=help_text,
-        )
-    return actions
-
-
-def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, each taking only the flags it reads;
-    `defaults` (from a config file) replace the flags' own defaults."""
-    import argparse
-
-    # Each flag's action is made once and shared by the parsers that take
-    # it, as `parents=` shares a parent parser's actions.
-    actions = _add_flags(argparse.ArgumentParser(add_help=False), FLAGS, defaults or {})
-    parser = argparse.ArgumentParser(
-        prog="rcaudit",
-        description="Audit whether extractive QA models answer for the right reasons.",
-        allow_abbrev=False,
-    )
-    parser._add_action(actions["config"])
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, help_text, flags) in COMMANDS.items():
-        command = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        command.set_defaults(func=func)
-        for dest in FLAGS:
-            if dest in flags:
-                command._add_action(actions[dest])
-    return parser
 
 
 def load_instances(args) -> tuple[list[RCInstance], list]:
@@ -464,44 +424,49 @@ def _option(dest: str) -> str:
     return "--" + dest.replace("_", "-")
 
 
-def read_command_line(argv: Sequence[str]) -> SimpleNamespace | None:
-    """What `build_parser(defaults).parse_args(argv)` returns, with
-    `defaults` read from the last --config, read from the tables alone; or
-    None for any line but `[--config PATH] COMMAND` followed by --name VALUE
-    pairs of flags the command takes (`read_options`). As with argparse, a
+def read_command_line(argv: Sequence[str]) -> SimpleNamespace:
+    """`[--config PATH] COMMAND` and then the command's flags, read from the
+    tables (`read_options`) into the namespace argparse would give: each
+    flag the command takes, at its default, its value in the last --config
+    or its value on the line, and `command` and `func`. As with argparse, a
     --config before the command gives defaults only: `args.config` is set
-    by one after it."""
-    start = 0
-    while start < len(argv) and argv[start].startswith("-"):
-        start += 1 if "=" in argv[start] else 2
-    head = read_options(argv[:start], {"--config": ("config", str)})
-    if head is None or start >= len(argv) or argv[start] not in COMMANDS:
-        return None
-    command = argv[start]
+    by one after it. A line with no command, an unknown command or tokens
+    left unread raises UsageExit, as does the reading of the flags."""
+    head, unread = read_options(argv, {"--config": ("config", str)}, "command")
+    if "command" not in head:
+        raise UsageExit("the following arguments are required: command")
+    command, *body = head["command"]
+    if command not in COMMANDS:
+        raise UsageExit(f"argument command: invalid choice: {command!r} "
+                        f"(choose from {', '.join(map(repr, COMMANDS))})")
     func, _, flags = COMMANDS[command]
-    options = {_option(dest): (dest, FLAGS[dest][0]) for dest in flags}
-    given = read_options(argv[start + 1:], options)
-    if given is None:
-        return None
+    try:
+        given, left = read_options(body, {_option(dest): (dest, FLAGS[dest][0]) for dest in flags})
+    except UsageExit as exc:
+        exc.command = command
+        raise
+    if unread + left:
+        raise UsageExit(f"unrecognized arguments: {' '.join(unread + left)}")
     config = given.get("config", head.get("config"))
     defaults = read_config(config) if config else {}
     values = {dest: defaults.get(dest, FLAGS[dest][1]) for dest in flags}
     return SimpleNamespace(command=command, func=func, **{**values, **given})
 
 
-def _parse_args(argv: list[str]):
-    """build_parser's reading of `argv`, with the defaults of the config file
-    that argparse finds in it; SystemExit once argparse has printed the help,
-    or its usage and error."""
-    import argparse
-
-    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
-    _add_flags(pre, ["config"], {})
-    try:
-        config = pre.parse_known_args(argv)[0].config
-    except argparse.ArgumentError:  # a bare --config, refused below in rcaudit's words
-        config = None
-    return build_parser(read_config(config) if config else None).parse_args(argv)
+def _usage_exit(exc: UsageExit) -> int:
+    """The help of `rcaudit` or of the command that `exc` names, or the
+    refusal, from the tables; the exit code."""
+    command = exc.command
+    taken = ("config",) if command is None else COMMANDS[command][2]
+    options = {f"{_option(dest)} {dest.upper()}": FLAGS[dest][2] for dest in FLAGS if dest in taken}
+    usage = " ".join(f"[{term}]" for term in options)
+    if command is not None:
+        return usage_exit(exc, f"rcaudit {command}", usage, COMMANDS[command][1],
+                          {"options": options})
+    return usage_exit(exc, "rcaudit", f"{usage} {{{','.join(COMMANDS)}}} ...",
+                      "Audit whether extractive QA models answer for the right reasons.",
+                      {"commands": {name: text for name, (_, text, _) in COMMANDS.items()},
+                       "options": options})
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -513,21 +478,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     gc.disable()
     try:
         args = read_command_line(argv)
-        if args is None:
-            try:
-                args = _parse_args(argv)
-            except SystemExit as exc:
-                return exc.code
         return args.func(args)
-    except InputError as exc:
+    except UsageExit as exc:
+        return _usage_exit(exc)
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except AuditError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

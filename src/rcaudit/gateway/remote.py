@@ -47,7 +47,7 @@ from typing import IO
 
 import numpy as np
 
-from .. import read_options
+from .. import UsageExit, read_options, usage_exit
 from ..corpus.schema import instance_from_dict, span_to_dict
 from ..errors import CapabilityError, GatewayError, InputError
 from .base import ModelGateway
@@ -169,31 +169,22 @@ def serve_tcp(gateway: ModelGateway, port: int, host: str = "127.0.0.1") -> None
                 serve_stream(gateway, rfile, wfile)
 
 
-def _parse_args(argv: list[str] | None):
-    """argparse's reading of the command line; SystemExit once it has
-    printed the help, or its usage and error."""
-    import argparse
-
-    # Flags are spelled in full, as rcaudit's own commands require.
-    parser = argparse.ArgumentParser(
-        prog="rcaudit.gateway.remote",
-        description="Serve a model gateway over stdio or TCP.",
-        allow_abbrev=False,
-    )
-    parser.add_argument("--model", required=True, help="gateway spec, e.g. toy:7")
-    parser.add_argument("--tcp", type=int, default=None, help="listen on 127.0.0.1:PORT")
-    return vars(parser.parse_args(argv))
-
-
 def main(argv: list[str] | None = None) -> int:
     from . import build_gateway
 
-    # `--model SPEC [--tcp PORT]` is read without argparse; any other line,
-    # --help included, is left to it.
-    args = read_options(sys.argv[1:] if argv is None else argv,
-                        {"--model": ("model", str), "--tcp": ("tcp", int)})
-    if args is None or "model" not in args:
-        args = _parse_args(argv)
+    try:
+        args, unread = read_options(sys.argv[1:] if argv is None else argv,
+                                    {"--model": ("model", str), "--tcp": ("tcp", int)})
+        if "model" not in args:
+            raise UsageExit("the following arguments are required: --model")
+        if unread:
+            raise UsageExit(f"unrecognized arguments: {' '.join(unread)}")
+    except UsageExit as exc:
+        raise SystemExit(usage_exit(
+            exc, "rcaudit.gateway.remote", "--model MODEL [--tcp TCP]",
+            "Serve a model gateway over stdio or TCP.",
+            {"options": {"--model MODEL": "gateway spec, e.g. toy:7",
+                         "--tcp TCP": "listen on 127.0.0.1:PORT"}})) from None
     gateway = build_gateway(args["model"])
     if args.get("tcp") is not None:
         serve_tcp(gateway, args["tcp"])

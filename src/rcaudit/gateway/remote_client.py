@@ -197,7 +197,7 @@ class RemoteGateway(ModelGateway):
                 return default
             raise GatewayError(f"remote gateway {self.endpoint!r} sent a reply without {name!r}")
         value = reply[name]
-        if not isinstance(value, kind):
+        if not isinstance(value, kind) or type(value) is bool:  # JSON true is no int
             raise GatewayError(
                 f"remote gateway {self.endpoint!r} sent {name!r} as "
                 f"{type(value).__name__}, want {kind.__name__}"

@@ -18,10 +18,10 @@ Script layout:
 words; masking word k lowers the start probability at `answer[0]` by s_k.
 `base` (default 0.9) and `sensitivity` are optional. Each entry is checked
 when the script is read: `answer` holds two integers, start no greater than
-end and neither negative, `base` is a number and `sensitivity` a list of
-numbers (a boolean is neither). An entry that does not fit the instance it
-is asked for, with its answer past the context or a sensitivity of another
-length than the instance's words, is an InputError naming the entry.
+end and neither negative, `base` is a number in [0, 1] and `sensitivity` a
+list of numbers (a boolean is neither). An entry that does not fit its
+instance (an answer past the context, a sensitivity of another length than
+the instance's words) is an InputError naming the entry.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ def _entry_fault(entry) -> str | None:
     if not 0 <= answer[0] <= answer[1]:
         return f"answer must be a start and an end with 0 <= start <= end, not {answer!r}"
     base = entry.get("base", 0.9)
-    if not _is_number(base):
-        return f"base must be a number, not {base!r}"
+    if not (_is_number(base) and 0 <= base <= 1):
+        return f"base must be a number in [0, 1], not {base!r}"
     sensitivity = entry.get("sensitivity", [])
     if type(sensitivity) is not list or not all(map(_is_number, sensitivity)):
         return f"sensitivity must be a list of numbers, not {sensitivity!r}"

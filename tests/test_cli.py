@@ -8,6 +8,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -26,6 +27,7 @@ import rcaudit.counterfactuals as cf_module
 import rcaudit.metrics as metrics_module
 import rcaudit.saliency as saliency_module
 from conftest import build_instance, make_engineered_alignment, span_at
+from rcaudit import UsageExit
 from rcaudit.alignment import plan_audit, screen_partition
 from rcaudit.cli import main, read_config
 from rcaudit.corpus.schema import load_jsonl, save_jsonl
@@ -1097,8 +1099,11 @@ class TestFlagsPerCommand:
     def test_a_command_takes_exactly_the_flags_it_reads(self, tmp_path, capsys, command, dest):
         kind = cli_module.FLAGS[dest][0]
         option, value = "--" + dest.replace("_", "-"), FLAG_VALUES[kind]
+        if dest == "config":  # the reader reads the file it names
+            value = str(tmp_path / "empty.cfg")
+            Path(value).write_text("")
         if dest in READS[command]:
-            args = cli_module.build_parser().parse_args([command, option, value])
+            args = cli_module.read_command_line([command, option, value])
             assert getattr(args, dest) == kind(value)
             return
         out = tmp_path / "out"
@@ -1435,11 +1440,14 @@ class TestCycleCollector:
 
 
 # Value tokens for generated command lines: well typed for some flags and
-# not for others, negative numbers, and tokens argparse reads as options.
+# not for others, negative numbers, and tokens argparse reads as options or,
+# with a space or alone, as words.
 VALUE_TOKENS = ["3", "0.5", "x", "toy:7", "", "a b", "a=b", "-3", "-0.5", "-.5", "-1e3",
-                "-x", "-", "--", "--out"]
+                "-x", "-", "--", "--out", "-a b", "--x y", "-h b"]
 # Names that are no flag of any command: spelled in part, help, the end mark.
 NOT_A_FLAG = ["--sum", "--n", "--conf", "--ig_steps", "--help", "-h", "--"]
+# Tokens before the command: an unknown option, a word, the end mark.
+STRAY = ["--sum", "--out", "--seed=3", "x", "a b", "-3", "-", "--"]
 
 
 @pytest.fixture(scope="module")
@@ -1456,7 +1464,8 @@ def config_files(tmp_path_factory) -> list[str]:
 def command_lines(draw, configs: list[str]) -> list[str]:
     """Command lines around one command: `--config` pairs before and after
     it, and any order, subset or repeat of flags, its own or not, in both
-    forms, with values of every kind; now and then help or no command."""
+    forms, with values of every kind; now and then a stray token before the
+    command, help anywhere, or no command."""
     def pair(name: str) -> list[str]:
         if name == "--config":
             value = draw(st.sampled_from(configs))
@@ -1470,10 +1479,14 @@ def command_lines(draw, configs: list[str]) -> list[str]:
     names = draw(st.lists(st.sampled_from(own or every) | st.sampled_from(every + NOT_A_FLAG),
                           max_size=8))
     head = [token for _ in range(draw(st.integers(0, 2))) for token in pair("--config")]
+    if draw(st.integers(0, 4)) == 0:
+        head.insert(draw(st.integers(0, len(head))), draw(st.sampled_from(STRAY)))
     body = [token for name in names for token in pair(name)]
+    line = head + ([command] if draw(st.integers(0, 9)) else []) + body
     if draw(st.integers(0, 9)) == 0:
-        body.insert(draw(st.integers(0, len(body))), draw(st.sampled_from(["-h", "--help"])))
-    return head + ([command] if draw(st.integers(0, 9)) else []) + body
+        line.insert(draw(st.integers(0, len(line))),
+                    draw(st.sampled_from(["-h", "--help", "--help=x", "-hx"])))
+    return line
 
 
 def last_config(argv: list[str]) -> str | None:
@@ -1487,22 +1500,130 @@ def last_config(argv: list[str]) -> str | None:
     return found
 
 
-class TestCommandLineReader:
-    """`read_command_line` reads a line exactly as argparse would, or leaves
-    it to argparse."""
+def argparse_parser(defaults: dict) -> argparse.ArgumentParser:
+    """argparse's parser of every command, each taking only the flags it
+    reads, with `defaults` (from a config file) over the flags' own: how
+    rcaudit read its command lines before it read them from the tables."""
+    # Each flag's action is made once and shared by the parsers that take
+    # it, as `parents=` shares a parent parser's actions.
+    shared = argparse.ArgumentParser(add_help=False)
+    actions = {
+        dest: shared.add_argument(cli_module._option(dest), dest=dest, type=kind,
+                                  default=defaults.get(dest, default), help=help_text)
+        for dest, (kind, default, help_text) in cli_module.FLAGS.items()
+    }
+    parser = argparse.ArgumentParser(prog="rcaudit", allow_abbrev=False)
+    parser._add_action(actions["config"])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (func, help_text, flags) in cli_module.COMMANDS.items():
+        command = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        command.set_defaults(func=func)
+        for dest in cli_module.FLAGS:
+            if dest in flags:
+                command._add_action(actions[dest])
+    return parser
 
-    @settings(max_examples=400, deadline=None)
-    @given(case=st.data())
-    def test_it_declines_or_agrees_with_argparse(self, config_files, case):
-        argv = case.draw(command_lines(config_files))
-        args = cli_module.read_command_line(argv)
-        if args is None:
-            return
-        config = last_config(argv)
-        parser = cli_module.build_parser(read_config(config) if config else None)
+
+# argparse drops the value of `--name=--` (its namespace gets [] whatever
+# the flag's type); the oracle reads a stand-in there and gives back "--".
+DASHES = "<dashes>"
+
+
+def argparse_reading(argv: list[str]) -> tuple[str, dict | None]:
+    """("accepted", namespace), ("help", None) or ("refused", None): the
+    oracle's reading of `argv`, with the defaults of its last --config."""
+    argv = [token[:-2] + DASHES if token.endswith("=--") else token for token in argv]
+    try:
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-            parsed = parser.parse_args(argv)
-        assert vars(args) == vars(parsed)
+            argparse_parser({}).parse_args(argv)
+    except SystemExit as exc:
+        return {0: "help", 2: "refused"}[exc.code], None
+    config = last_config(argv)
+    parsed = argparse_parser(read_config(config) if config else {}).parse_args(argv)
+    return "accepted", {k: "--" if v == DASHES else v for k, v in vars(parsed).items()}
+
+
+def reader_reading(argv: list[str]) -> tuple[str, dict | None]:
+    """The same for `read_command_line`."""
+    try:
+        return "accepted", vars(cli_module.read_command_line(argv))
+    except UsageExit as exc:
+        return ("refused" if exc.args else "help"), None
+
+
+class TestCommandLineReader:
+    """`read_command_line` accepts, answers with the help or refuses a line
+    as argparse does, and when it accepts one its namespace is argparse's."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(case=st.data())
+    def test_it_agrees_with_argparse(self, config_files, case):
+        argv = case.draw(command_lines(config_files))
+        assert reader_reading(argv) == argparse_reading(argv)
+
+    @pytest.mark.parametrize("argv, reading", [
+        (["heuristic", "--out=--"], "--"),
+        (["heuristic", "--strategy=--"], "--"),
+        (["heuristic", "--seed=--"], None),
+    ], ids=["out", "strategy", "int-flag"])
+    def test_a_value_of_two_dashes_after_equals_is_kept(self, argv, reading):
+        # argparse reads each as [], which no flag's type gives.
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert getattr(argparse_parser({}).parse_args(argv), argv[1][2:-3]) == []
+        if reading is None:
+            with pytest.raises(UsageExit, match="argument --seed: invalid int value: '--'"):
+                cli_module.read_command_line(argv)
+        else:
+            assert getattr(cli_module.read_command_line(argv), argv[1][2:-3]) == reading
+
+    @pytest.mark.parametrize("argv", [
+        ["heuristic", "--help=x"], ["-hx"], ["heuristic", "-h b"], ["heuristic", "--seed", "x"],
+        ["heuristic", "--out", "-x"], [], ["nope"], ["--sum", "heuristic", "--n", "3"],
+    ])
+    def test_a_refusal_is_worded_as_argparse_words_it(self, capsys, argv):
+        with pytest.raises(SystemExit):
+            argparse_parser({}).parse_args(argv)
+        refusal = capsys.readouterr().err.splitlines()[-1]
+        assert run(*argv) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == refusal
+
+    def test_a_strategy_of_two_dashes_is_refused_by_its_name(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("heuristic", "--dataset", CORPUS, "--strategy=--", "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: unknown selection strategy '--'\n"
+        assert not out.exists()
+
+    def test_an_out_of_two_dashes_names_a_directory(self, tmp_path, monkeypatch):
+        # argparse reads the value as [], with which the command exits 4.
+        monkeypatch.chdir(tmp_path)
+        assert run("heuristic", "--dataset", CORPUS, "--out=--") == 0
+        assert (tmp_path / "--" / "heuristic_summary.json").exists()
+
+    @pytest.mark.parametrize("command", [None, *cli_module.COMMANDS])
+    def test_help_lists_each_command_or_flag_with_its_help(self, capsys, command):
+        assert run(*([] if command is None else [command]), "--help") == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: rcaudit " if command is None else f"usage: rcaudit {command} ")
+        rows = [re.split(r" {2,}", line.strip(), maxsplit=1) for line in out.splitlines()]
+        flags = [dest for dest in cli_module.FLAGS
+                 if dest in (("config",) if command is None else READS[command])]
+        expected = [(f"{cli_module._option(dest)} {dest.upper()}", cli_module.FLAGS[dest][2])
+                    for dest in flags]
+        expected.insert(0, ("-h, --help", "show this help message and exit"))
+        if command is None:
+            expected[:0] = [(name, text) for name, (_, text, _) in cli_module.COMMANDS.items()]
+        assert [tuple(row) for row in rows if len(row) == 2] == expected
+
+    @pytest.mark.parametrize("argv", [["--help"], ["align", "-h"], ["align", "--sum", "x"],
+                                      ["align", "--seed", "x"], []])
+    def test_help_and_refusals_leave_no_cycles(self, capsys, argv):
+        gc.collect()
+        gc.disable()
+        try:
+            run(*argv)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("equals", [False, True], ids=["space", "equals"])
     @pytest.mark.parametrize("command", list(cli_module.COMMANDS))
@@ -1517,8 +1638,7 @@ class TestCommandLineReader:
             option = cli_module._option(dest)
             argv += [f"{option}={value}"] if equals else [option, value]
         args = cli_module.read_command_line(argv)
-        assert args is not None
-        parsed = cli_module.build_parser(read_config(config_files[1])).parse_args(argv)
+        parsed = argparse_parser(read_config(config_files[1])).parse_args(argv)
         assert vars(args) == vars(parsed)
         assert args.config == config_files[1]
 

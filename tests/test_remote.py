@@ -380,6 +380,15 @@ class TestServerImports:
         assert err.startswith("usage: rcaudit.gateway.remote [-h] --model MODEL [--tcp TCP]\n")
         assert err.endswith(f"rcaudit.gateway.remote: error: {message}\n")
 
+    def test_help_lists_both_flags_with_their_help(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            remote_main(["--help"])
+        assert done.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: rcaudit.gateway.remote [-h] --model MODEL [--tcp TCP]\n")
+        assert out.endswith("  --model MODEL  gateway spec, e.g. toy:7\n"
+                            "  --tcp TCP      listen on 127.0.0.1:PORT\n")
+
     @pytest.mark.parametrize("argv, message", [
         (["--mod", "toy:3"], "the following arguments are required: --model"),
         (["--model", "toy:3", "--tc", "5"], "unrecognized arguments: --tc 5"),
@@ -661,6 +670,7 @@ class TestSubprocessRoundTrip:
             ({}, "reply without 'model_id'"),
             ({"model_id": 7}, "'model_id' as int, want str"),
             ({"model_id": "m", "max_answer_len": "30"}, "'max_answer_len' as str, want int"),
+            ({"model_id": "m", "max_answer_len": True}, "'max_answer_len' as bool, want int"),
             ({"model_id": "m", "baseline_token": None}, "'baseline_token' as NoneType, want str"),
         ],
     )
@@ -699,6 +709,7 @@ class TestSubprocessRoundTrip:
             ({"sent": 0, "tok_start": 0, "tok_end": 0}, "reply without 'text'"),
             ({"text": "Ada", "sent": 0, "tok_end": 0}, "reply without 'tok_start'"),
             ({"text": "Ada", "sent": 0, "tok_start": "0", "tok_end": 0}, "'tok_start' as str, want int"),
+            ({"text": "Ada", "sent": 0, "tok_start": True, "tok_end": 24}, "'tok_start' as bool, want int"),
         ],
     )
     def test_malformed_span_fields_are_gateway_errors(self, remote_toy, corpus, monkeypatch, span, message):

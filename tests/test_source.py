@@ -530,3 +530,38 @@ def test_only_the_planner_screens_partitions():
         for _, where in readers_of(path.read_text(encoding="utf-8"), "screen_partition")
     }
     assert readers == {("alignment.py", "plan_audit")}
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level name of each module that `source` imports absolutely,
+    as `import x.y` or `from x.y import z`, at any depth."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.partition(".")[0])
+    return names
+
+
+def test_import_detector_finds_nested_and_from_imports():
+    source = (
+        "import os.path, json\n"
+        "from argparse import ArgumentParser\n"
+        "from . import read_options\n"
+        "from .argparse import x\n"
+        "def f():\n"
+        "    import socket\n"
+    )
+    assert imported_modules(source) == {"os", "json", "argparse", "socket"}
+
+
+def test_no_module_imports_argparse():
+    # Each entry point reads its command line, help and refusals included,
+    # with `rcaudit.read_options` alone; argparse would be a second reader.
+    importers = [
+        str(path.relative_to(PACKAGE_DIR))
+        for path in sorted(PACKAGE_DIR.rglob("*.py"))
+        if "argparse" in imported_modules(path.read_text(encoding="utf-8"))
+    ]
+    assert importers == []

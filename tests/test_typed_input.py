@@ -317,7 +317,11 @@ class TestSingleDocumentReaders:
             ('{"instances": {"cmp-01": {"answer": [14, true]}}}',
              "entry for 'cmp-01': answer must be two integers, not [14, True]"),
             ('{"instances": {"cmp-01": {"answer": [14, 15], "base": "0.9"}}}',
-             "entry for 'cmp-01': base must be a number, not '0.9'"),
+             "entry for 'cmp-01': base must be a number in [0, 1], not '0.9'"),
+            ('{"instances": {"cmp-01": {"answer": [14, 15], "base": 1.5}}}',
+             "entry for 'cmp-01': base must be a number in [0, 1], not 1.5"),
+            ('{"instances": {"cmp-01": {"answer": [14, 15], "base": -0.5}}}',
+             "entry for 'cmp-01': base must be a number in [0, 1], not -0.5"),
             ('{"instances": {"cmp-01": {"answer": [14, 15], "sensitivity": [0.1, null]}}}',
              "entry for 'cmp-01': sensitivity must be a list of numbers, not [0.1, None]"),
             ('{"instances": {"cmp-01": [14, 15]}}',
@@ -335,7 +339,8 @@ class TestSingleDocumentReaders:
              "entry for 'cmp-01': sensitivity length 1 is not the instance's 49 words"),
         ],
         ids=["bad-json", "no-instances", "instances-not-an-object", "not-an-object",
-             "answer-str", "answer-bool", "base-str", "sensitivity-null", "entry-list",
+             "answer-str", "answer-bool", "base-str", "base-above-1", "base-below-0",
+             "sensitivity-null", "entry-list",
              "answer-negative", "answer-reversed", "answer-past-the-context",
              "sensitivity-length"],
     )
