@@ -1,9 +1,12 @@
-"""Out-of-process gateway: line-delimited JSON over a pipe or TCP socket.
+"""Out-of-process gateway: line-delimited JSON over stdio or a TCP socket.
 
 Serving side wraps any in-process gateway:
 
     python3 -m rcaudit.gateway.remote --model toy:7            # stdio
     python3 -m rcaudit.gateway.remote --model toy:7 --tcp 5123 # localhost TCP
+
+A stdio server started by the client gets one end of a connected Unix
+socket pair as both its stdin and its stdout (fds 0 and 1), not two pipes.
 
 The client side, `remote_client.RemoteGateway`, speaks the same protocol
 and satisfies the ModelGateway contract, so a fine-tuned encoder hosted in
@@ -179,6 +182,8 @@ def main(argv: list[str] | None = None) -> int:
             raise UsageExit("the following arguments are required: --model")
         if unread:
             raise UsageExit(f"unrecognized arguments: {' '.join(unread)}")
+        if not 0 <= args.get("tcp", 0) < 1 << 16:
+            raise UsageExit(f"argument --tcp: port must be in 0-65535, not {args['tcp']}")
     except UsageExit as exc:
         raise SystemExit(usage_exit(
             exc, "rcaudit.gateway.remote", "--model MODEL [--tcp TCP]",

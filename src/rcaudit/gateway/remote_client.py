@@ -1,16 +1,16 @@
 """Client half of the remote protocol (see `remote` for the wire format).
 
-`RemoteGateway` satisfies the ModelGateway contract over a pipe to a
-server subprocess or a TCP socket. It lives apart from the server so that
-a server process imports none of the sockets, subprocesses and timeouts
-the client needs.
+`RemoteGateway` satisfies the ModelGateway contract over one connected
+socket: a TCP connection, or one end of a socket pair whose other end is a
+server subprocess's stdin and stdout. It lives apart from the server so
+that a server process imports none of the sockets, subprocesses and
+timeouts the client needs.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import select
 import shlex
 import socket
 import subprocess
@@ -32,18 +32,18 @@ _STDERR_TAIL_BYTES = 4096
 # Seconds the client waits to connect over TCP, and for its server to
 # take or send the next bytes of a request or reply over either transport;
 # steps times that for an integrated_gradients reply (one pass per step),
-# up to the longest wait select accepts.
+# up to threading.TIMEOUT_MAX (settimeout refuses 1e10 s).
 _TIMEOUT_S = 60
-# Bytes asked for per read of a reply.
-_READ_BYTES = 1 << 16
 
 
 class RemoteGateway(ModelGateway):
     """Client half of the protocol; satisfies ModelGateway over a wire.
 
     Endpoints: "tcp://host:port" connects a socket; anything else is run
-    as a subprocess command line speaking the protocol on stdio, with its
-    stderr kept in a temporary file and quoted when the connection breaks.
+    as a subprocess command line speaking the protocol on stdio, which is
+    one end of a socket pair (fds 0 and 1 are the same connected Unix
+    socket), with its stderr kept in a temporary file and quoted when the
+    connection breaks.
     A server that takes or sends no bytes for _TIMEOUT_S (see there) raises
     a GatewayError instead of blocking the audit.
     """
@@ -51,39 +51,32 @@ class RemoteGateway(ModelGateway):
     def __init__(self, endpoint: str) -> None:
         self.endpoint = endpoint
         self._proc: subprocess.Popen | None = None
-        self._sock: socket.socket | None = None
         self._stderr: IO[bytes] | None = None
         if endpoint.startswith("tcp://"):
             host, _, port = endpoint[len("tcp://") :].partition(":")
-            if not port.isdigit():
+            if not (port.isascii() and port.isdigit() and len(port) <= 5 and 0 < int(port) < 1 << 16):
                 raise InputError(f"bad tcp endpoint {endpoint!r} (want tcp://host:port)")
             try:
                 self._sock = socket.create_connection((host, int(port)), timeout=_TIMEOUT_S)
             except OSError as exc:
                 raise GatewayError(f"cannot connect to {endpoint}: {exc}") from exc
-            self._rfile = self._wfile = self._sock
         else:
             argv = shlex.split(endpoint)
             if not argv:
                 raise InputError("empty remote endpoint")
             self._stderr = tempfile.TemporaryFile()
+            self._sock, server_end = socket.socketpair()
             try:
-                self._proc = subprocess.Popen(
-                    argv,
-                    stdin=subprocess.PIPE,
-                    stdout=subprocess.PIPE,
-                    stderr=self._stderr,
-                )
+                # The server holds its end alone, so its exit is our end of file.
+                with server_end:
+                    self._proc = subprocess.Popen(
+                        argv, stdin=server_end, stdout=server_end, stderr=self._stderr
+                    )
             except OSError as exc:
+                self._sock.close()
                 self._stderr.close()
                 raise GatewayError(f"cannot start remote gateway {endpoint!r}: {exc}") from exc
-            self._rfile = self._proc.stdout
-            self._wfile = self._proc.stdin
-            # Writes return once the pipe is full, so a server that stops
-            # reading cannot block a request past the timeout.
-            os.set_blocking(self._wfile.fileno(), False)
-        # Bytes of the stream read past the end of the last reply line.
-        self._pending = b""
+        self._reader = self._sock.makefile("rb")
         try:
             info = self._request({"op": "info"})
             self._model_id = self._field(info, "model_id", str)
@@ -125,53 +118,26 @@ class RemoteGateway(ModelGateway):
             message += f"; its stderr ends with:\n{tail}"
         return GatewayError(message)
 
-    def _wait(self, stream, write: bool, timeout_s: float) -> None:
-        """Block until `stream` can be written or read. After `timeout_s`
-        of silence the connection is closed (a stdio server is killed and
-        reaped) and a GatewayError names the endpoint."""
-        fds = [stream.fileno()]
-        if write:
-            ready = select.select([], fds, [], timeout_s)[1]
-        else:
-            ready = select.select(fds, [], [], timeout_s)[0]
-        if not ready:
+    def _request(self, request: dict, passes: int = 1) -> dict:
+        timeout_s = _TIMEOUT_S
+        try:
+            # A send loop, not sendall: the wait is per stall, not in total.
+            self._sock.settimeout(timeout_s)
+            view = memoryview((json.dumps(request) + "\n").encode("utf-8"))
+            while view:
+                view = view[self._sock.send(view) :]
+            timeout_s = min(passes * _TIMEOUT_S, threading.TIMEOUT_MAX)
+            self._sock.settimeout(timeout_s)
+            line = self._reader.readline()
+        except TimeoutError as exc:
             if self._proc is not None:
                 self._proc.kill()
             error = self._broken(f"did not answer within {timeout_s} s")
             self.close()
-            raise error
-
-    def _send(self, data: bytes) -> None:
-        view = memoryview(data)
-        while True:
-            try:
-                view = view[os.write(self._wfile.fileno(), view) :]
-            except BlockingIOError:
-                pass
-            if not view:
-                return
-            self._wait(self._wfile, write=True, timeout_s=_TIMEOUT_S)
-
-    def _receive_line(self, timeout_s: float) -> bytes:
-        """The next line from the server, or b"" if it closes before one ends."""
-        chunks = [self._pending]
-        while (newline := chunks[-1].find(b"\n")) < 0:
-            self._wait(self._rfile, write=False, timeout_s=timeout_s)
-            chunk = os.read(self._rfile.fileno(), _READ_BYTES)
-            if not chunk:
-                return b""
-            chunks.append(chunk)
-        self._pending = chunks[-1][newline + 1 :]
-        chunks[-1] = chunks[-1][: newline + 1]
-        return b"".join(chunks)
-
-    def _request(self, request: dict, passes: int = 1) -> dict:
-        try:
-            self._send((json.dumps(request) + "\n").encode("utf-8"))
-            line = self._receive_line(min(passes * _TIMEOUT_S, threading.TIMEOUT_MAX))
+            raise error from exc
         except (OSError, ValueError) as exc:
             raise self._broken(f"i/o failed: {exc}") from exc
-        if not line:
+        if not line.endswith(b"\n"):
             raise self._broken("closed the connection")
         try:
             response = json.loads(line)
@@ -250,14 +216,8 @@ class RemoteGateway(ModelGateway):
         return tuple(self._array(result, name) for name in IG_FIELDS)
 
     def close(self) -> None:
-        for stream in (getattr(self, "_wfile", None), getattr(self, "_rfile", None)):
-            try:
-                if stream is not None:
-                    stream.close()
-            except OSError:
-                pass
-        if self._sock is not None:
-            self._sock.close()
+        self._reader.close()
+        self._sock.close()
         if self._proc is not None:
             self._proc.terminate()
             try:

@@ -72,7 +72,7 @@ def thirty_two_word_instance():
 
 def long_instance():
     """About 200 words: a masked_start_scores reply of about 400 kB, many
-    pipe reads long."""
+    socket reads long."""
     words = " ".join(f"w{k}" for k in range(190))
     inst = build_instance(
         "long-1",
@@ -111,7 +111,7 @@ def remote_toy():
 
 
 class TestHandleRequest:
-    """Protocol handler exercised in process, no pipes involved."""
+    """Protocol handler exercised in process, no socket involved."""
 
     def test_info_reports_contract(self, local_toy):
         response = handle_request(local_toy, {"op": "info"})
@@ -401,6 +401,18 @@ class TestServerImports:
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr.endswith(f"rcaudit.gateway.remote: error: {message}\n")
 
+    @pytest.mark.parametrize("port", ["70000", "-1"])
+    def test_a_port_outside_0_to_65535_is_refused(self, port):
+        done = subprocess.run(
+            [sys.executable, "-m", "rcaudit.gateway.remote", "--model", TOY_SPEC, "--tcp", port],
+            stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == (
+            "usage: rcaudit.gateway.remote [-h] --model MODEL [--tcp TCP]\n"
+            f"rcaudit.gateway.remote: error: argument --tcp: port must be in 0-65535, not {port}\n"
+        )
+
 
 def checked_ops() -> list[str]:
     """The op names the checked callers in gateway/base.py pass to `_call`."""
@@ -629,6 +641,27 @@ class TestSubprocessRoundTrip:
         with pytest.raises(GatewayError, match="cannot start"):
             RemoteGateway("./no-such-binary-anywhere")
 
+    @pytest.mark.parametrize("port", [
+        "99999", "73616", "65536", "0", "00000", "-1", "+80", " 80", "80 ", "", "\u0661\u0662",
+        "1" * 5000,
+    ], ids=["99999", "73616", "65536", "0", "00000", "-1", "+80", "space-80", "80-space", "empty",
+            "arabic-12", "5000-digits"])
+    def test_a_port_outside_1_to_65535_is_refused_before_dialling(self, monkeypatch, port):
+        dialled = []
+        monkeypatch.setattr(socket, "create_connection", lambda *a, **k: dialled.append(a))
+        endpoint = f"tcp://127.0.0.1:{port}"
+        with pytest.raises(InputError) as raised:
+            RemoteGateway(endpoint)
+        assert str(raised.value) == f"bad tcp endpoint {endpoint!r} (want tcp://host:port)"
+        assert dialled == []
+
+    def test_a_wrapping_port_exits_2(self, tmp_path, capsys):
+        spec = "remote:tcp://127.0.0.1:99999"
+        assert cli_main(["evaluate", "--dataset", str(fixture_corpus_path()), "--model", spec,
+                         "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: bad tcp endpoint 'tcp://127.0.0.1:99999' (want tcp://host:port)\n"
+
     def test_malformed_response_line_is_gateway_error(self):
         endpoint = python_endpoint("import sys; sys.stdin.readline(); print('not json', flush=True)")
         with pytest.raises(GatewayError, match="malformed") as raised:
@@ -788,20 +821,31 @@ class TestFaultyServers:
             gateway.predict(corpus[0])
         gateway.close()
 
-    def test_server_that_stops_reading_times_out(self, monkeypatch):
-        # The request is larger than a pipe holds, so only a bounded write returns.
+    @pytest.mark.parametrize("times_sndbuf", [0, 4], ids=["191kB", "4x-sndbuf"])
+    def test_server_that_stops_reading_times_out(self, monkeypatch, times_sndbuf):
+        # A request larger than the socket pair's send buffer is taken only
+        # in part, so only a bounded send returns.
         script = (
             "import json, sys, time\n"
             "sys.stdin.readline()\n"
             "print(json.dumps({'ok': True, 'result': {'model_id': 'deaf'}}), flush=True)\n"
             "time.sleep(60)\n"
         )
-        words = " ".join(f"w{k}" for k in range(4000))
-        inst = build_instance(
-            "wide-1", "Who lit the lamp?", ["Ivo Brandt lit the lamp.", f"Then {words} slept."],
-            gold=(0, "Ivo Brandt"),
-        )
-        assert len(json.dumps(instance_to_dict(inst))) > 1 << 17
+        first, second = socket.socketpair()
+        with first, second:
+            sndbuf = first.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)
+        n_words = 4000
+        while True:
+            words = " ".join(f"w{k}" for k in range(n_words))
+            inst = build_instance(
+                "wide-1", "Who lit the lamp?", ["Ivo Brandt lit the lamp.", f"Then {words} slept."],
+                gold=(0, "Ivo Brandt"),
+            )
+            size = len(json.dumps(instance_to_dict(inst)))
+            if size > times_sndbuf * sndbuf:
+                break
+            n_words *= 2
+        assert size > 1 << 17
         with RemoteGateway(python_endpoint(script)) as gateway:
             monkeypatch.setattr(client_module, "_TIMEOUT_S", 0.5)
             began = time.monotonic()
@@ -809,6 +853,15 @@ class TestFaultyServers:
                 gateway.predict(inst)
             assert time.monotonic() - began < 5
             assert gateway._proc.returncode is not None
+
+    def test_a_reply_cut_off_by_the_server_exit_is_a_closed_connection(self):
+        script = "import sys; sys.stdin.readline(); sys.stdout.write('{\"ok\": tr')"
+        began = time.monotonic()
+        with pytest.raises(GatewayError) as raised:
+            RemoteGateway(python_endpoint(script))
+        assert time.monotonic() - began < 5  # at the default _TIMEOUT_S
+        assert "closed the connection" in str(raised.value)
+        assert "malformed" not in str(raised.value)
 
     @pytest.mark.parametrize(
         "fault, message",
@@ -853,7 +906,7 @@ class TestFaultyServers:
         gateway.close()
 
     def test_ig_reply_wait_is_bounded_for_any_steps(self, local_toy, corpus):
-        # steps * _TIMEOUT_S is past the longest wait select accepts.
+        # steps * _TIMEOUT_S is past the longest wait a socket timeout accepts.
         inst = corpus[0]
         arrays = local_toy.integrated_gradients(inst, 2, 0)
         result = dict(zip(("embeddings", "baseline", "grads"), map(encode_array, arrays)))
@@ -924,6 +977,42 @@ class TestFaultyServers:
         assert cli_main(["evaluate", "--dataset", str(fixture_corpus_path()), "--model", spec,
                          "--out", str(out)]) == code
         assert capsys.readouterr().err == "error: cmp-01: not served here\n"
+
+
+def open_descriptors() -> list[str]:
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+class TestOpenDescriptors:
+    """A gateway's life, however it ends, leaves the process's descriptors as they were."""
+
+    def test_a_with_block(self, corpus):
+        before = open_descriptors()
+        with RemoteGateway(remote_endpoint(TOY_SPEC)) as gateway:
+            gateway.predict(corpus[0])
+        assert open_descriptors() == before
+
+    def test_a_failed_handshake(self):
+        before = open_descriptors()
+        script = "import sys; sys.stdin.readline(); print('not json', flush=True)"
+        with pytest.raises(GatewayError, match="malformed"):
+            RemoteGateway(python_endpoint(script))
+        assert open_descriptors() == before
+
+    def test_a_timeout(self, monkeypatch, corpus):
+        before = open_descriptors()
+        script = (
+            "import json, sys, time\n"
+            "sys.stdin.readline()\n"
+            "print(json.dumps({'ok': True, 'result': {'model_id': 'hung'}}), flush=True)\n"
+            "time.sleep(60)\n"
+        )
+        gateway = RemoteGateway(python_endpoint(script))
+        monkeypatch.setattr(client_module, "_TIMEOUT_S", 0.5)
+        with pytest.raises(GatewayError, match="did not answer within 0.5 s"):
+            gateway.predict(corpus[0])
+        assert open_descriptors() == before
 
 
 @pytest.fixture
